@@ -11,9 +11,9 @@ from .fusion import OpGraph, OpNode, apply_fusion_passes, build_standard_decoder
 from .kvcache import (CacheShapeParams, LedgerSummary, MemoryLedger, PromptKV,
                       ResponseKV, StandardKV, cache_token_bytes, segment_cache_bytes,
                       simulate_decode_memory, standard_cache_bytes)
-from .ops import LayerWeights, fused_qkv, gated_mlp, linear, rmsnorm, rope, silu
+from .ops import (LayerWeights, fused_qkv, gated_mlp, linear, rmsnorm, rope, silu,
+                  to_batch_first, to_sequence_first)
 from .sdpa import OnlineSoftmax, SdpaDecodeInputs, sdpa_decode_fused, sdpa_decode_oracle, sdpa_prefill
-from .tensor import LayoutError, LayoutTag, Tensor, new_tensor, to_batch_first, to_sequence_first
 
 __all__ = [
     "BeamIndices", "BeamSearchState", "beam_step", "build_gather_indices",
@@ -27,10 +27,9 @@ __all__ = [
     "StandardKV", "cache_token_bytes", "segment_cache_bytes",
     "simulate_decode_memory", "standard_cache_bytes",
     "LayerWeights", "fused_qkv", "gated_mlp", "linear", "rmsnorm", "rope", "silu",
+    "to_batch_first", "to_sequence_first",
     "OnlineSoftmax", "SdpaDecodeInputs", "sdpa_decode_fused", "sdpa_decode_oracle",
     "sdpa_prefill",
-    "LayoutError", "LayoutTag", "Tensor", "new_tensor", "to_batch_first",
-    "to_sequence_first",
 ]
 
 __version__ = "0.1.0"

@@ -34,17 +34,16 @@ class BeamSearchState:
             self.cum_log_probs[:, 1:] = -np.inf
         self.tokens_history: list[np.ndarray] = []
         self.parents_history: list[np.ndarray] = []
-        self.finished = np.zeros((bs, bw), dtype=bool)
         self.min_top_gap = np.inf
 
 
-def beam_step(log_probs, state: BeamSearchState, pad_token: int = 0):
+def beam_step(log_probs, state: BeamSearchState):
     """Select the top-BW continuations per batch item.
 
     ``log_probs`` is [BS*BW, V] of log-softmax outputs. Candidates are
     cum_log_probs[w] + log_probs[w, v]; ties break toward the smaller (w, v)
-    pair. Finished beams are held in place by a pad token at unchanged score.
-    Returns (tokens, parents), each [BS, BW], and appends them to the state.
+    pair. Returns (tokens, parents), each [BS, BW], and appends them to the
+    state.
     """
     lp = np.asarray(log_probs, dtype=np.float64)
     bs, bw = state.bs, state.bw
@@ -57,11 +56,7 @@ def beam_step(log_probs, state: BeamSearchState, pad_token: int = 0):
     tokens = np.zeros((bs, bw), dtype=np.int64)
     parents = np.zeros((bs, bw), dtype=np.int64)
     for b in range(bs):
-        scores = state.cum_log_probs[b][:, None] + lp[b * bw:(b + 1) * bw]
-        for w in np.flatnonzero(state.finished[b]):
-            scores[w] = -np.inf
-            scores[w, pad_token] = state.cum_log_probs[b, w]
-        flat = scores.ravel()
+        flat = (state.cum_log_probs[b][:, None] + lp[b * bw:(b + 1) * bw]).ravel()
         order = np.argsort(-flat, kind="stable")
         top = order[:bw]
         ranked = flat[order[:bw + 1]] if flat.size > bw else flat[top]

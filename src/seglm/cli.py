@@ -108,8 +108,7 @@ def cmd_gen(args) -> int:
     if args.save_weights:
         save_weights(args.save_weights, weights)
     prompt = _load_prompt(args, cfg)
-    request = GenerationRequest(prompt, args.n_response, mode=args.mode,
-                                bw=args.bw, seed=args.seed)
+    request = GenerationRequest(prompt, args.n_response, mode=args.mode, bw=args.bw)
 
     report: dict = {
         "config": {"L": cfg.L, "H": cfg.H, "D": cfg.D, "ff_dim": cfg.ff_dim,
@@ -156,7 +155,7 @@ def cmd_bench(args) -> int:
         prompt = rng.integers(0, cfg.vocab, size=(bs_max_seg, args.n_prompt))
         mode = "beam" if args.bw > 1 else "greedy"
         res = OptimizedEngine(weights).generate(
-            GenerationRequest(prompt, args.n_response, mode=mode, bw=args.bw, seed=args.seed))
+            GenerationRequest(prompt, args.n_response, mode=mode, bw=args.bw))
         report["timing"] = res.to_json_dict()["timing"]
         total_s = report["timing"]["total_latency_s"]
         if args.n_response > 0 and total_s > 0:
@@ -239,9 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fusion_report)
 
     p = sub.add_parser("verify", help="run the acceptance checks")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--quick", action="store_true", help="cap random cases at 20")
-    g.add_argument("--full", action="store_true", help="full-size random suites (default)")
+    p.add_argument("--quick", action="store_true", help="cap random cases at 20")
     p.set_defaults(fn=cmd_verify)
 
     return parser

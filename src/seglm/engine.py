@@ -8,9 +8,12 @@ decode. The reference path is the conventional batch-first pipeline:
 beam-expanded prompt, per-step gather + concat into a contiguous cache, and
 materialized softmax attention with explicit transposes.
 
-Both engines share token selection, so token-for-token equality between them
-exercises exactly the optimized pipeline (layouts, segment cache, fused
-kernel) against the unfused one.
+Both engines share token selection and one decoder-layer body
+(``_DecoderEngine._layers``) into which each plugs only its attention and KV
+cache, so token-for-token equality between them exercises exactly the
+optimized pipeline (layouts, segment cache, fused kernel) against the unfused
+one. The shared layer body itself is checked by hand traces and by the
+prefill/decode consistency of each engine.
 """
 from __future__ import annotations
 
@@ -24,9 +27,9 @@ import numpy as np
 from .beam import BeamSearchState, beam_step, build_gather_indices
 from .config import ModelConfig
 from .kvcache import MemoryLedger, PromptKV, ResponseKV, StandardKV, cache_token_bytes
-from .ops import ACTIVATIONS, LayerWeights, fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope
+from .ops import (ACTIVATIONS, LayerWeights, fused_qkv, gated_mlp, linear, log_softmax, rmsnorm,
+                  rope, to_batch_first, to_sequence_first)
 from .sdpa import SdpaDecodeInputs, sdpa_decode_fused, sdpa_prefill
-from .tensor import LayoutTag, Tensor, to_batch_first, to_sequence_first
 
 
 @dataclass
@@ -47,7 +50,6 @@ class GenerationRequest:
     n_response: int
     mode: str = "greedy"
     bw: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         self.prompt = np.asarray(self.prompt, dtype=np.int64)
@@ -178,7 +180,8 @@ def load_weights(path) -> ToyWeights:
 # --------------------------------------------------------------------------
 
 class _DecoderEngine:
-    """Shared generation loop; subclasses provide prefill / decode / memory."""
+    """Shared generation loop and decoder stack; subclasses provide prefill /
+    decode framing, the attention each layer plugs in, and memory."""
 
     def __init__(self, weights: ToyWeights):
         self.weights = weights
@@ -237,6 +240,29 @@ class _DecoderEngine:
             min_top_gap=state.min_top_gap,
         )
 
+    def _layers(self, x, positions, attend):
+        """Run the decoder stack on hidden states ``x`` [..., d_model].
+
+        ``attend(layer, q, k, v)`` gets the rotated q, k and v, each [..., H, D]
+        over the leading dims of ``x``, caches K/V the engine's way, and
+        returns the attention context in that same [..., H, D] shape.
+        """
+        cfg = self.config
+        for layer, lw in enumerate(self.weights.layers):
+            h = rmsnorm(x, lw.rmsnorm_1, cfg.eps)
+            q, k, v = fused_qkv(h, lw.w_qkv, cfg.H, cfg.D)
+            q, k = rope(q, k, positions, cfg.rope_theta, cfg.rope_style)
+            ctx = attend(layer, q, k, v)
+            x = x + linear(ctx.reshape(x.shape), lw.w_o)
+            x = x + gated_mlp(rmsnorm(x, lw.rmsnorm_2, cfg.eps),
+                              lw.w_gate, lw.w_up, lw.w_down, self.activation)
+        return x
+
+    def _head(self, x):
+        """Final norm and lm head on [rows, d_model]: returns (logits, hidden)."""
+        hidden = rmsnorm(x, self.weights.final_norm, self.config.eps)
+        return linear(hidden, self.weights.head), hidden
+
     # subclass interface -----------------------------------------------------
     def _begin(self, request, ledger, counters):
         raise NotImplementedError
@@ -279,63 +305,38 @@ class OptimizedEngine(_DecoderEngine):
         )
 
     def _prefill(self, run: _OptimizedRun):
-        cfg, w = self.config, self.weights
-        bs, n_prompt = run.request.prompt.shape
-        bw = run.request.bw
-        x = w.embedding[run.request.prompt]  # [BS, Np, dm]; no beam expansion
-        positions = np.arange(n_prompt)[None, :]
+        def attend(layer, q, k, v):
+            run.prompt_kv.store(layer, k, v, run.ledger)
+            return sdpa_prefill(q, k, v, causal=True)
 
-        for layer, lw in enumerate(w.layers):
-            h = rmsnorm(x, lw.rmsnorm_1, cfg.eps)
-            q, k, v = fused_qkv(h, lw.w_qkv, cfg.H, cfg.D)
-            q, k = rope(q, k, positions, cfg.rope_theta, cfg.rope_style)
-            kt = Tensor.from_array(k, LayoutTag.BATCH_FIRST)
-            vt = Tensor.from_array(v, LayoutTag.BATCH_FIRST)
-            run.prompt_kv.store(layer, kt, vt, run.ledger)
-            ctx = sdpa_prefill(Tensor.from_array(q, LayoutTag.BATCH_FIRST), kt, vt, causal=True)
-            x = x + linear(ctx.nd.reshape(bs, n_prompt, cfg.d_model), lw.w_o)
-            x = x + gated_mlp(rmsnorm(x, lw.rmsnorm_2, cfg.eps),
-                              lw.w_gate, lw.w_up, lw.w_down, self.activation)
-
-        x = rmsnorm(x, w.final_norm, cfg.eps)
-        last = x[:, -1, :]
-        logits = linear(last, w.head)
+        prompt = run.request.prompt  # [BS, Np]; no beam expansion
+        positions = np.arange(prompt.shape[1])[None, :]
+        x = self._layers(self.weights.embedding[prompt], positions, attend)
+        logits, hidden = self._head(x[:, -1, :])
         # beams share the single prompt computation; replicate for selection
-        return np.repeat(logits, bw, axis=0), np.repeat(last, bw, axis=0)
+        bw = run.request.bw
+        return np.repeat(logits, bw, axis=0), np.repeat(hidden, bw, axis=0)
 
     def _decode_step(self, run: _OptimizedRun, tokens, t, state):
-        cfg, w = self.config, self.weights
-        bs, n_prompt = run.request.prompt.shape
-        rows = bs * run.request.bw
+        cfg = self.config
+        rows = tokens.size  # BS*BW
+        n_prompt = run.request.prompt.shape[1]
 
-        xt = Tensor.from_array(w.embedding[tokens].reshape(rows, 1, cfg.H, cfg.D),
-                               LayoutTag.BATCH_FIRST)
-        xt = to_sequence_first(xt)
+        x = to_sequence_first(self.weights.embedding[tokens].reshape(rows, 1, cfg.H, cfg.D))
         run.counters.layout_conversions += 1
-        x = xt.nd.reshape(1, rows, cfg.d_model)
 
         positions = np.array([[n_prompt + t - 1]])
         indices = build_gather_indices(state.parents_history, t)
 
-        for layer, lw in enumerate(w.layers):
-            h = rmsnorm(x, lw.rmsnorm_1, cfg.eps)
-            q, k, v = fused_qkv(h, lw.w_qkv, cfg.H, cfg.D)  # [1, rows, H, D]
-            q, k = rope(q, k, positions, cfg.rope_theta, cfg.rope_style)
+        def attend(layer, q, k, v):
             run.resp_kv.append(layer, k, v, run.ledger)  # row t-1 of the pre-allocated buffer
-            inp = SdpaDecodeInputs.from_caches(
-                Tensor.from_array(q, LayoutTag.SEQUENCE_FIRST),
-                run.prompt_kv, run.resp_kv, layer, indices,
-            )
-            ctx = sdpa_decode_fused(inp)
-            x = x + linear(ctx.reshape(1, rows, cfg.d_model), lw.w_o)
-            x = x + gated_mlp(rmsnorm(x, lw.rmsnorm_2, cfg.eps),
-                              lw.w_gate, lw.w_up, lw.w_down, self.activation)
+            return sdpa_decode_fused(SdpaDecodeInputs.from_caches(
+                q, run.prompt_kv, run.resp_kv, layer, indices))
 
-        xt = Tensor.from_array(x.reshape(1, rows, cfg.H, cfg.D), LayoutTag.SEQUENCE_FIRST)
-        xt = to_batch_first(xt)
+        x = self._layers(x.reshape(1, rows, cfg.d_model), positions, attend)
+        x = to_batch_first(x.reshape(1, rows, cfg.H, cfg.D))
         run.counters.layout_conversions += 1
-        hidden = rmsnorm(xt.nd.reshape(rows, cfg.d_model), w.final_norm, cfg.eps)
-        return linear(hidden, w.head), hidden
+        return self._head(x.reshape(rows, cfg.d_model))
 
     def _memory_summary(self, run: _OptimizedRun, ledger) -> dict:
         s = ledger.summary()
@@ -389,50 +390,29 @@ class ReferenceEngine(_DecoderEngine):
         return ctx.transpose(0, 2, 1, 3)  # back to [B, Nq, H, D]
 
     def _prefill(self, run: _ReferenceRun):
-        cfg, w = self.config, self.weights
-        bw = run.request.bw
-        prompt = np.repeat(run.request.prompt, bw, axis=0)  # beam-expanded [BS*BW, Np]
-        rows, n_prompt = prompt.shape
-        x = w.embedding[prompt]
-        positions = np.arange(n_prompt)[None, :]
-
-        for layer, lw in enumerate(w.layers):
-            h = rmsnorm(x, lw.rmsnorm_1, cfg.eps)
-            q, k, v = fused_qkv(h, lw.w_qkv, cfg.H, cfg.D)
-            q, k = rope(q, k, positions, cfg.rope_theta, cfg.rope_style)
+        def attend(layer, q, k, v):
             run.kv.store_prompt(layer, k, v, run.ledger)
-            ctx = self._attention(q, k, v, causal=True)
-            x = x + linear(ctx.reshape(rows, n_prompt, cfg.d_model), lw.w_o)
-            x = x + gated_mlp(rmsnorm(x, lw.rmsnorm_2, cfg.eps),
-                              lw.w_gate, lw.w_up, lw.w_down, self.activation)
+            return self._attention(q, k, v, causal=True)
 
-        x = rmsnorm(x, w.final_norm, cfg.eps)
-        last = x[:, -1, :]
-        return linear(last, w.head), last
+        prompt = np.repeat(run.request.prompt, run.request.bw, axis=0)  # beam-expanded [BS*BW, Np]
+        positions = np.arange(prompt.shape[1])[None, :]
+        x = self._layers(self.weights.embedding[prompt], positions, attend)
+        return self._head(x[:, -1, :])
 
     def _decode_step(self, run: _ReferenceRun, tokens, t, state):
-        cfg, w = self.config, self.weights
         bs, n_prompt = run.request.prompt.shape
         bw = run.request.bw
-        rows = bs * bw
-
-        x = w.embedding[tokens][:, None, :]  # [B, 1, dm] batch first throughout
+        x = self.weights.embedding[tokens][:, None, :]  # [B, 1, dm] batch first throughout
         positions = np.array([[n_prompt + t - 1]])
         parents = state.parents_history[t - 1]
         reorder = (np.arange(bs)[:, None] * bw + parents).reshape(-1)
 
-        for layer, lw in enumerate(w.layers):
-            h = rmsnorm(x, lw.rmsnorm_1, cfg.eps)
-            q, k, v = fused_qkv(h, lw.w_qkv, cfg.H, cfg.D)  # [B, 1, H, D]
-            q, k = rope(q, k, positions, cfg.rope_theta, cfg.rope_style)
+        def attend(layer, q, k, v):
             k_all, v_all = run.kv.step(layer, k, v, reorder, run.ledger)
-            ctx = self._attention(q, k_all, v_all, causal=False)  # single newest query
-            x = x + linear(ctx.reshape(rows, 1, cfg.d_model), lw.w_o)
-            x = x + gated_mlp(rmsnorm(x, lw.rmsnorm_2, cfg.eps),
-                              lw.w_gate, lw.w_up, lw.w_down, self.activation)
+            return self._attention(q, k_all, v_all, causal=False)  # single newest query
 
-        hidden = rmsnorm(x.reshape(rows, cfg.d_model), w.final_norm, cfg.eps)
-        return linear(hidden, w.head), hidden
+        x = self._layers(x, positions, attend)
+        return self._head(x[:, 0, :])
 
     def _memory_summary(self, run: _ReferenceRun, ledger) -> dict:
         s = ledger.summary()

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .tensor import LayoutTag, Tensor
 
 REUSE_POLICIES = ("never-reuse", "exact-fit", "first-fit-ge")
 
@@ -151,8 +150,8 @@ class PromptKV:
         self.config = config
         self.bs = bs
         self.n_prompt = n_prompt
-        self._k: list[Tensor | None] = [None] * config.L
-        self._v: list[Tensor | None] = [None] * config.L
+        self._k: list[np.ndarray | None] = [None] * config.L
+        self._v: list[np.ndarray | None] = [None] * config.L
 
     @property
     def layer_bytes(self) -> int:
@@ -163,21 +162,20 @@ class PromptKV:
     def total_bytes(self) -> int:
         return self.config.L * self.layer_bytes
 
-    def store(self, layer: int, k: Tensor, v: Tensor, ledger: MemoryLedger | None = None) -> None:
+    def store(self, layer: int, k, v, ledger: MemoryLedger | None = None) -> None:
         if self._k[layer] is not None:
             raise ValueError("prompt KV is write-once")
+        k = np.asarray(k, dtype=np.float32)
+        v = np.asarray(v, dtype=np.float32)
         expect = (self.bs, self.n_prompt, self.config.H, self.config.D)
-        for name, t in (("k", k), ("v", v)):
-            if t.layout is not LayoutTag.BATCH_FIRST or t.shape != expect:
-                raise ValueError(
-                    f"prompt {name} must be batch-first {expect}, got {t.shape} {t.layout.value}"
-                )
+        if k.shape != expect or v.shape != expect:
+            raise ValueError(f"prompt K/V must be batch-first {expect}, got {k.shape} / {v.shape}")
         self._k[layer] = k
         self._v[layer] = v
         if ledger is not None:
             ledger.alloc(self.layer_bytes)
 
-    def layer(self, i: int) -> tuple[Tensor, Tensor]:
+    def layer(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         k, v = self._k[i], self._v[i]
         if k is None or v is None:
             raise ValueError(f"prompt KV for layer {i} not populated")
@@ -204,8 +202,8 @@ class ResponseKV:
         if initial_capacity < 1 or initial_capacity % step != 0:
             raise ValueError(f"initial capacity must be a positive multiple of {step}")
         self.initial_capacity = initial_capacity
-        self._k: list[Tensor | None] = [None] * config.L
-        self._v: list[Tensor | None] = [None] * config.L
+        self._k: list[np.ndarray | None] = [None] * config.L
+        self._v: list[np.ndarray | None] = [None] * config.L
         self._capacity = [0] * config.L
         self._length = [0] * config.L
         self.capacity_history: list[list[int]] = [[] for _ in range(config.L)]
@@ -247,20 +245,20 @@ class ResponseKV:
             new_k = np.zeros((new_cap, self.rows, c.H, c.D), dtype=np.float32)
             new_v = np.zeros_like(new_k)
             if old_cap:
-                new_k[: self._length[layer]] = self._k[layer].nd[: self._length[layer]]
-                new_v[: self._length[layer]] = self._v[layer].nd[: self._length[layer]]
+                new_k[: self._length[layer]] = self._k[layer][: self._length[layer]]
+                new_v[: self._length[layer]] = self._v[layer][: self._length[layer]]
             if ledger is not None:
                 ledger.alloc(self.block_bytes(new_cap))
                 if old_cap:
                     ledger.free(self.block_bytes(old_cap))
-            self._k[layer] = Tensor.from_array(new_k, LayoutTag.SEQUENCE_FIRST)
-            self._v[layer] = Tensor.from_array(new_v, LayoutTag.SEQUENCE_FIRST)
+            self._k[layer] = new_k
+            self._v[layer] = new_v
             self._capacity[layer] = new_cap
             self.capacity_history[layer].append(new_cap)
 
         row = self._length[layer]
-        self._k[layer].nd[row] = k_row
-        self._v[layer].nd[row] = v_row
+        self._k[layer][row] = k_row
+        self._v[layer][row] = v_row
         self._length[layer] = row + 1
 
     def valid(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +268,7 @@ class ResponseKV:
             c = self.config
             empty = np.zeros((0, self.rows, c.H, c.D), dtype=np.float32)
             return empty, empty
-        return self._k[layer].nd[:n], self._v[layer].nd[:n]
+        return self._k[layer][:n], self._v[layer][:n]
 
 
 class StandardKV:

@@ -1,7 +1,10 @@
 """Decoder-layer primitives shared by both engines.
 
 All functions are pure, operate on float32 numpy arrays with arbitrary
-leading dimensions, and raise ValueError on dimension mismatches.
+leading dimensions, and raise ValueError on dimension mismatches. The two
+layout conversions are the exception: they swap the batch and sequence axes
+of 4-D [.., .., H, D] activations, as an explicit copy done once before the
+first and once after the last decoder layer of each optimized decode step.
 """
 from __future__ import annotations
 
@@ -119,6 +122,23 @@ def gated_mlp(x, w_gate, w_up, w_down, activation=silu) -> np.ndarray:
 
 
 ACTIVATIONS = {"silu": silu}
+
+
+def _swap_batch_and_seq(x, expected: str) -> np.ndarray:
+    x = _f32(x)
+    if x.ndim != 4:
+        raise ValueError(f"expected a 4-D {expected} activation, got shape {x.shape}")
+    return x.transpose(1, 0, 2, 3).copy()
+
+
+def to_sequence_first(x) -> np.ndarray:
+    """[B, N, H, D] batch first -> [N, B, H, D] sequence first (explicit copy)."""
+    return _swap_batch_and_seq(x, "batch-first [B, N, H, D]")
+
+
+def to_batch_first(x) -> np.ndarray:
+    """[N, B, H, D] sequence first -> [B, N, H, D] batch first (explicit copy)."""
+    return _swap_batch_and_seq(x, "sequence-first [N, B, H, D]")
 
 
 def log_softmax(x, axis: int = -1) -> np.ndarray:

@@ -19,7 +19,6 @@ from math import sqrt
 import numpy as np
 
 from .kvcache import PromptKV, ResponseKV
-from .tensor import LayoutError, LayoutTag, Tensor
 
 
 class OnlineSoftmax:
@@ -50,16 +49,17 @@ class OnlineSoftmax:
         return self.acc / self.l[..., None]
 
 
-def sdpa_prefill(q: Tensor, k: Tensor, v: Tensor, causal: bool = True,
-                 scale: float | None = None) -> Tensor:
+def sdpa_prefill(q, k, v, causal: bool = True, scale: float | None = None) -> np.ndarray:
     """Streaming attention over one batch-first segment.
 
     Inputs and output are [BS, N, H, D] batch first; no layout conversion is
     performed. With ``causal`` set, query i attends keys j <= i.
     """
-    for name, t in (("q", q), ("k", k), ("v", v)):
-        if not isinstance(t, Tensor) or len(t.shape) != 4 or t.layout is not LayoutTag.BATCH_FIRST:
-            raise LayoutError(f"{name} must be a 4-D batch-first tensor")
+    q = np.asarray(q, dtype=np.float32)
+    k = np.asarray(k, dtype=np.float32)
+    v = np.asarray(v, dtype=np.float32)
+    if q.ndim != 4:
+        raise ValueError(f"q must be [BS, N, H, D], got {q.shape}")
     if not (q.shape == k.shape == v.shape):
         raise ValueError(f"shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
     bs, n, h, d = q.shape
@@ -69,15 +69,14 @@ def sdpa_prefill(q: Tensor, k: Tensor, v: Tensor, causal: bool = True,
         scale = 1.0 / sqrt(d)
     scale = np.float32(scale)
 
-    qn, kn, vn = q.nd, k.nd, v.nd
     state = OnlineSoftmax((bs, n, h), d)
     qpos = np.arange(n)[None, :, None]  # query positions, broadcast over (bs, h)
     for j in range(n):
-        s = np.einsum("bnhd,bhd->bnh", qn, kn[:, j]) * scale
+        s = np.einsum("bnhd,bhd->bnh", q, k[:, j]) * scale
         if causal:
             s = np.where(qpos >= j, s, np.float32(-np.inf))
-        state.update(s.astype(np.float32, copy=False), vn[:, j][:, None, :, :])
-    return Tensor.from_array(state.finalize(), LayoutTag.BATCH_FIRST)
+        state.update(s.astype(np.float32, copy=False), v[:, j][:, None, :, :])
+    return state.finalize()
 
 
 @dataclass
@@ -147,15 +146,14 @@ class SdpaDecodeInputs:
         return np.float32(self.scale if self.scale is not None else 1.0 / sqrt(d))
 
     @classmethod
-    def from_caches(cls, q: Tensor, prompt_kv: PromptKV, resp_kv: ResponseKV,
+    def from_caches(cls, q, prompt_kv: PromptKV, resp_kv: ResponseKV,
                     layer: int, indices: np.ndarray,
                     scale: float | None = None) -> "SdpaDecodeInputs":
-        """Build kernel inputs from the cache buffers, checking layout tags."""
-        if not isinstance(q, Tensor) or len(q.shape) != 4 or q.layout is not LayoutTag.SEQUENCE_FIRST:
-            raise LayoutError("decode q must be a 4-D sequence-first tensor [1, BS*BW, H, D]")
+        """Build kernel inputs from one layer's cache buffers; ``validate``
+        checks every shape."""
         pk, pv = prompt_kv.layer(layer)
         rk, rv = resp_kv.valid(layer)
-        return cls(q.nd, pk.nd, pv.nd, rk, rv, indices, scale)
+        return cls(q, pk, pv, rk, rv, indices, scale)
 
 
 def sdpa_decode_fused(inp: SdpaDecodeInputs) -> np.ndarray:

@@ -136,8 +136,7 @@ def _run_engine_pair(case: dict, seed: int, tie_gap: float = 1e-3, max_reseeds: 
         rng = np.random.default_rng(s + 1)
         prompt = rng.integers(0, cfg.vocab, size=(case["bs"], case["n_prompt"]))
         mode = "beam" if case["bw"] > 1 else "greedy"
-        request = GenerationRequest(prompt, case["n_response"], mode=mode,
-                                    bw=case["bw"], seed=s)
+        request = GenerationRequest(prompt, case["n_response"], mode=mode, bw=case["bw"])
         opt = OptimizedEngine(weights).generate(request)
         ref = ReferenceEngine(weights).generate(request)
         if np.array_equal(opt.tokens, ref.tokens):

@@ -69,18 +69,6 @@ def test_all_equal_log_probs_tie_break_is_lexicographic():
     assert tokens.ravel().tolist() == [0, 1, 2]
 
 
-def test_finished_beam_held_with_pad_token():
-    state = BeamSearchState(bs=1, bw=2, first_step_masked=False)
-    state.cum_log_probs[:] = np.array([[-1.0, -0.5]])
-    state.finished[0, 1] = True
-    lp = np.full((2, 4), -10.0)
-    lp[0, 2] = -0.01  # live beam's best continuation
-    tokens, parents = beam_step(lp, state, pad_token=3)
-    assert (parents[0] == [1, 0]).all()  # held beam keeps its higher score
-    assert tokens[0, 0] == 3  # pad token, log-prob 0
-    assert state.cum_log_probs[0, 0] == -0.5
-
-
 def test_cum_log_probs_nonincreasing():
     state = BeamSearchState(bs=1, bw=2)
     rng = np.random.default_rng(1)

@@ -85,7 +85,7 @@ def test_identity_weight_model_reference_trace():
 def test_greedy_cross_engine_tokens_identical():
     w = _toy_weights(seed=7)
     prompt = _prompt(w.config, 1, 8)
-    req = GenerationRequest(prompt, 12, mode="greedy", bw=1, seed=7)
+    req = GenerationRequest(prompt, 12, mode="greedy", bw=1)
     opt = generate(w, req)
     ref = reference_generate(w, req)
     assert opt.tokens.shape == (1, 1, 12)
@@ -96,7 +96,7 @@ def test_greedy_cross_engine_tokens_identical():
 def test_beam_cross_engine_across_growth_boundaries():
     w = _toy_weights(seed=7)
     prompt = _prompt(w.config, 1, 32, seed=2)
-    req = GenerationRequest(prompt, 40, mode="beam", bw=4, seed=7)
+    req = GenerationRequest(prompt, 40, mode="beam", bw=4)
     opt_engine = OptimizedEngine(w)
     opt = opt_engine.generate(req)
     ref = reference_generate(w, req)
@@ -110,13 +110,13 @@ def test_multi_batch_beam_cross_engine():
     per item and per slot."""
     w = _toy_weights(seed=19)
     prompt = _prompt(w.config, 3, 12, seed=12)
-    req = GenerationRequest(prompt, 9, mode="beam", bw=4, seed=19)
+    req = GenerationRequest(prompt, 9, mode="beam", bw=4)
     opt = generate(w, req)
     ref = reference_generate(w, req)
     assert opt.tokens.shape == (3, 4, 9)
     assert np.array_equal(opt.tokens, ref.tokens)
     # swapping batch items permutes outputs the same way (independence)
-    req_swapped = GenerationRequest(prompt[::-1].copy(), 9, mode="beam", bw=4, seed=19)
+    req_swapped = GenerationRequest(prompt[::-1].copy(), 9, mode="beam", bw=4)
     swapped = generate(w, req_swapped)
     assert np.array_equal(swapped.tokens, opt.tokens[::-1])
 
@@ -161,6 +161,28 @@ def test_zero_response_request():
     assert np.array_equal(opt.tokens, ref.tokens)
 
 
+# -- prefill/decode consistency ------------------------------------------------------
+
+@pytest.mark.parametrize("engine_cls", [OptimizedEngine, ReferenceEngine])
+@pytest.mark.parametrize("seed, cfg_kw, bs, n_prompt, nr", [
+    (0, {}, 1, 8, 20),  # crosses the response-cache growth at step 17
+    (1, dict(L=3, H=2, D=8, vocab=32), 2, 5, 9),
+    (2, dict(L=1, H=4, D=16, vocab=96, rope_style="interleaved"), 3, 1, 6),
+], ids=["growth", "deep", "interleaved-rope"])
+def test_prefill_of_prompt_plus_response_reproduces_greedy_decode(
+        engine_cls, seed, cfg_kw, bs, n_prompt, nr):
+    """Prefilling the prompt plus the generated tokens must reach the final
+    hidden state greedy decode reached: an independent route through the
+    shared layer body that uses no decode-time position, cache or gather."""
+    w = _toy_weights(seed=seed, **cfg_kw)
+    engine = engine_cls(w)
+    prompt = _prompt(w.config, bs, n_prompt, seed=seed + 100)
+    decoded = engine.generate(GenerationRequest(prompt, nr, mode="greedy", bw=1))
+    full = np.concatenate([prompt, decoded.tokens[:, 0]], axis=1)
+    prefilled = engine.generate(GenerationRequest(full, 0, mode="greedy", bw=1))
+    assert np.max(np.abs(prefilled.final_hidden - decoded.final_hidden)) <= 1e-4
+
+
 # -- growth invisibility ---------------------------------------------------------------
 
 def test_cache_growth_is_semantically_invisible():
@@ -168,7 +190,7 @@ def test_cache_growth_is_semantically_invisible():
     the same tokens as the default that grows 16 -> 32 at step 17."""
     w = _toy_weights(seed=5)
     prompt = _prompt(w.config, 1, 8, seed=4)
-    req = GenerationRequest(prompt, 20, mode="beam", bw=4, seed=5)
+    req = GenerationRequest(prompt, 20, mode="beam", bw=4)
     grown = OptimizedEngine(w).generate(req)
     preallocated = OptimizedEngine(w, initial_response_capacity=32).generate(req)
     assert np.array_equal(grown.tokens, preallocated.tokens)
@@ -233,7 +255,7 @@ def test_optimized_memory_summary_matches_formulas():
 
 def test_same_seed_bit_identical_tokens():
     w = _toy_weights(seed=21)
-    req = GenerationRequest(_prompt(w.config, 1, 8, seed=8), 10, mode="beam", bw=4, seed=21)
+    req = GenerationRequest(_prompt(w.config, 1, 8, seed=8), 10, mode="beam", bw=4)
     a = generate(w, req)
     b = generate(ToyWeights.random(w.config, seed=21), req)
     assert np.array_equal(a.tokens, b.tokens)

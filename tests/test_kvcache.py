@@ -8,7 +8,6 @@ from seglm.kvcache import (CacheShapeParams, MemoryLedger, PromptKV, ResponseKV,
                            StandardKV, cache_token_bytes, memsim_row,
                            segment_cache_bytes, simulate_decode_memory,
                            standard_cache_bytes)
-from seglm.tensor import LayoutTag, Tensor
 
 GPTJ = preset("gptj-6b")
 
@@ -216,15 +215,14 @@ def test_prompt_kv_store_once_and_bytes():
     cfg = toy_config(L=2)
     pk = PromptKV(cfg, bs=3, n_prompt=5)
     led = MemoryLedger()
-    t = Tensor.from_array(np.zeros((3, 5, cfg.H, cfg.D), dtype=np.float32),
-                          LayoutTag.BATCH_FIRST)
+    t = np.zeros((3, 5, cfg.H, cfg.D), dtype=np.float32)
     pk.store(0, t, t, led)
     assert led.active_bytes == pk.layer_bytes
     assert pk.total_bytes == 3 * 5 * cache_token_bytes(cfg)
     with pytest.raises(ValueError):
         pk.store(0, t, t, led)
-    with pytest.raises(ValueError):
-        pk.store(1, Tensor.from_array(np.zeros((3, 5, cfg.H, cfg.D))), t, led)
+    with pytest.raises(ValueError):  # sequence-first [N_prompt, BS, H, D] is the wrong shape
+        pk.store(1, np.zeros((5, 3, cfg.H, cfg.D), dtype=np.float32), t, led)
 
 
 # -- standard cache ----------------------------------------------------------------

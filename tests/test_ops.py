@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seglm.ops import fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope, silu
+from seglm.ops import (fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope, silu,
+                       to_batch_first, to_sequence_first)
 
 
 def matmul_oracle(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -20,6 +21,22 @@ def matmul_oracle(x: np.ndarray, w: np.ndarray) -> np.ndarray:
                 acc += float(x2[i, k]) * float(w[k, j])
             out[i, j] = acc
     return out.reshape(lead + (w.shape[1],))
+
+
+def permute_oracle(arr: np.ndarray) -> np.ndarray:
+    """Element-by-element index permutation (b, n, h, d) -> (n, b, h, d)."""
+    b, n, h, d = arr.shape
+    out = np.empty((n, b, h, d), dtype=arr.dtype)
+    for i in range(b):
+        for j in range(n):
+            for k in range(h):
+                for m in range(d):
+                    out[j, i, k, m] = arr[i, j, k, m]
+    return out
+
+
+def _normal(shape, seed):
+    return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
 
 
 # -- rmsnorm -------------------------------------------------------------------
@@ -221,3 +238,66 @@ def test_log_softmax_normalizes():
     x = rng.standard_normal((4, 10)).astype(np.float32)
     p = np.exp(log_softmax(x))
     assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-5)
+
+
+# -- layout conversions ---------------------------------------------------------
+
+def test_to_sequence_first_small_example():
+    s = to_sequence_first(np.arange(6, dtype=np.float32).reshape(2, 3, 1, 1))
+    assert s.shape == (3, 2, 1, 1)
+    assert s.ravel().tolist() == [0, 3, 1, 4, 2, 5]
+
+
+def test_to_batch_first_inverse_example():
+    b = to_batch_first(np.array([0, 3, 1, 4, 2, 5], dtype=np.float32).reshape(3, 2, 1, 1))
+    assert b.shape == (2, 3, 1, 1)
+    assert b.ravel().tolist() == [0, 1, 2, 3, 4, 5]
+
+
+def test_single_batch_single_seq_conversion_copies_data():
+    t = _normal((1, 1, 4, 8), seed=3)
+    s = to_sequence_first(t)
+    assert np.array_equal(s.ravel(), t.ravel())
+    # an explicit copy even where the transpose alone would be a view
+    assert s.flags.c_contiguous and not np.shares_memory(s, t)
+
+
+def test_zero_size_conversion_permitted():
+    assert to_sequence_first(np.zeros((2, 0, 3, 1), dtype=np.float32)).shape == (0, 2, 3, 1)
+
+
+def test_layout_conversions_require_rank_4():
+    for convert in (to_sequence_first, to_batch_first):
+        with pytest.raises(ValueError):
+            convert(np.zeros((2, 3), dtype=np.float32))
+        with pytest.raises(ValueError):
+            convert(np.zeros((1, 2, 3, 4, 5), dtype=np.float32))
+
+
+def test_to_sequence_first_matches_permutation_oracle():
+    t = _normal((4, 5, 2, 3), seed=11)
+    assert np.array_equal(to_sequence_first(t), permute_oracle(t))
+
+
+def test_to_batch_first_matches_permutation_oracle():
+    t = _normal((5, 4, 2, 3), seed=12)
+    # the inverse direction permutes (n, b, h, d) -> (b, n, h, d); reuse the
+    # oracle, which is its own inverse up to axis naming
+    assert np.array_equal(to_batch_first(t), permute_oracle(t))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 2 ** 31 - 1))
+def test_layout_round_trip_is_identity(b, n, h, d, seed):
+    t = _normal((b, n, h, d), seed)
+    assert np.array_equal(to_batch_first(to_sequence_first(t)), t)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 2 ** 31 - 1))
+def test_layout_conversion_preserves_element_sum_exactly(b, n, h, d, seed):
+    t = _normal((b, n, h, d), seed)
+    # data only moves; the multiset of elements is unchanged
+    assert np.array_equal(np.sort(to_sequence_first(t), axis=None), np.sort(t, axis=None))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from seglm.config import toy_config
+from seglm.kvcache import PromptKV, ResponseKV
 from seglm.sdpa import (OnlineSoftmax, SdpaDecodeInputs, sdpa_decode_fused,
                         sdpa_decode_oracle, sdpa_prefill)
-from seglm.tensor import LayoutError, LayoutTag, Tensor
 
 
 def materialized_prefill_oracle(q, k, v, causal, scale=None):
@@ -19,10 +20,6 @@ def materialized_prefill_oracle(q, k, v, causal, scale=None):
     w = np.exp(s - m)
     w = w / w.sum(axis=-1, keepdims=True)
     return np.einsum("bhij,bjhd->bihd", w, v)
-
-
-def _bf(arr):
-    return Tensor.from_array(arr, LayoutTag.BATCH_FIRST)
 
 
 def _rand_inputs(rng, bs, bw, h, d, n_prompt, n_resp):
@@ -44,8 +41,8 @@ def test_prefill_single_key_returns_value_exactly():
     q = rng.standard_normal((2, 1, 3, 4)).astype(np.float32)
     k = rng.standard_normal((2, 1, 3, 4)).astype(np.float32)
     v = rng.standard_normal((2, 1, 3, 4)).astype(np.float32)
-    out = sdpa_prefill(_bf(q), _bf(k), _bf(v))
-    assert np.array_equal(out.nd, v)  # single-key softmax weight is exactly 1
+    out = sdpa_prefill(q, k, v)
+    assert np.array_equal(out, v)  # single-key softmax weight is exactly 1
 
 
 def test_prefill_causal_first_position_sees_only_first_key():
@@ -53,8 +50,8 @@ def test_prefill_causal_first_position_sees_only_first_key():
     q = rng.standard_normal((1, 2, 1, 4)).astype(np.float32)
     k = rng.standard_normal((1, 2, 1, 4)).astype(np.float32)
     v = rng.standard_normal((1, 2, 1, 4)).astype(np.float32)
-    out = sdpa_prefill(_bf(q), _bf(k), _bf(v), causal=True)
-    assert np.allclose(out.nd[0, 0], v[0, 0], atol=1e-6)
+    out = sdpa_prefill(q, k, v, causal=True)
+    assert np.allclose(out[0, 0], v[0, 0], atol=1e-6)
 
 
 @pytest.mark.parametrize("causal", [True, False])
@@ -63,24 +60,24 @@ def test_prefill_matches_materialized_oracle(causal):
     q = rng.standard_normal((2, 16, 4, 8)).astype(np.float32)
     k = rng.standard_normal((2, 16, 4, 8)).astype(np.float32)
     v = rng.standard_normal((2, 16, 4, 8)).astype(np.float32)
-    out = sdpa_prefill(_bf(q), _bf(k), _bf(v), causal=causal)
-    assert np.max(np.abs(out.nd - materialized_prefill_oracle(q, k, v, causal))) <= 1e-5
-    assert out.layout is LayoutTag.BATCH_FIRST
+    out = sdpa_prefill(q, k, v, causal=causal)
+    assert np.max(np.abs(out - materialized_prefill_oracle(q, k, v, causal))) <= 1e-5
+    assert out.shape == q.shape  # batch first, like the inputs
 
 
-def test_prefill_rejects_wrong_tags_and_shapes():
+def test_prefill_rejects_mismatched_shapes():
     rng = np.random.default_rng(3)
     q = rng.standard_normal((1, 2, 1, 4)).astype(np.float32)
-    with pytest.raises(LayoutError):
-        sdpa_prefill(Tensor.from_array(q, LayoutTag.SEQUENCE_FIRST), _bf(q), _bf(q))
     with pytest.raises(ValueError):
-        sdpa_prefill(_bf(q), _bf(q[:, :1]), _bf(q))
+        sdpa_prefill(q, q[:, :1], q)
+    with pytest.raises(ValueError):
+        sdpa_prefill(q[0], q[0], q[0])
 
 
 def test_prefill_zero_length_rejected():
     z = np.zeros((1, 0, 1, 4), dtype=np.float32)
     with pytest.raises(ValueError):
-        sdpa_prefill(_bf(z), _bf(z), _bf(z))
+        sdpa_prefill(z, z, z)
 
 
 # -- fused decode ------------------------------------------------------------------
@@ -138,6 +135,23 @@ def test_decode_zero_keys_rejected():
         _rand_inputs(np.random.default_rng(6), bs=1, bw=1, h=1, d=4, n_prompt=0, n_resp=0)
 
 
+def test_from_caches_rejects_batch_first_q():
+    """The shape check, not a layout tag, catches a q left batch first."""
+    cfg = toy_config(L=1, H=2, D=4)
+    rng = np.random.default_rng(8)
+    prompt_kv = PromptKV(cfg, bs=1, n_prompt=3)
+    kv = rng.standard_normal((1, 3, cfg.H, cfg.D)).astype(np.float32)
+    prompt_kv.store(0, kv, kv)
+    resp_kv = ResponseKV(cfg, bs=1, bw=2)
+    row = rng.standard_normal((1, 2, cfg.H, cfg.D)).astype(np.float32)
+    resp_kv.append(0, row, row)
+    indices = np.zeros((1, 2, 1), dtype=np.int64)
+    q = rng.standard_normal((1, 2, cfg.H, cfg.D)).astype(np.float32)  # sequence first
+    SdpaDecodeInputs.from_caches(q, prompt_kv, resp_kv, 0, indices)
+    with pytest.raises(ValueError):
+        SdpaDecodeInputs.from_caches(q.transpose(1, 0, 2, 3), prompt_kv, resp_kv, 0, indices)
+
+
 def test_decode_indices_out_of_range_rejected():
     rng = np.random.default_rng(7)
     inp_kwargs = dict(
@@ -171,7 +185,7 @@ def test_oracle_identity_indices_equals_prefill_last_query():
     q_full = rng.standard_normal((bs, n, h, d)).astype(np.float32)
     k_full = rng.standard_normal((bs, n, h, d)).astype(np.float32)
     v_full = rng.standard_normal((bs, n, h, d)).astype(np.float32)
-    pre = sdpa_prefill(_bf(q_full), _bf(k_full), _bf(v_full), causal=True)
+    pre = sdpa_prefill(q_full, k_full, v_full, causal=True)
 
     inp = SdpaDecodeInputs(
         q=q_full[:, -1][None].transpose(0, 1, 2, 3).reshape(1, bs, h, d),
@@ -182,7 +196,7 @@ def test_oracle_identity_indices_equals_prefill_last_query():
         indices=np.zeros((bs, 1, n_resp), dtype=np.int64),
     )
     got = sdpa_decode_oracle(inp).reshape(bs, h, d)
-    assert np.max(np.abs(got - pre.nd[:, -1])) <= 1e-5
+    assert np.max(np.abs(got - pre[:, -1])) <= 1e-5
 
 
 # -- fused-kernel properties -----------------------------------------------------------
@@ -237,8 +251,8 @@ def test_explicit_scale_override():
     assert np.max(np.abs(sdpa_decode_fused(scaled) - sdpa_decode_oracle(scaled))) <= 1e-5
     assert not np.allclose(sdpa_decode_fused(scaled), sdpa_decode_fused(inp), atol=1e-4)
     q, k, v = (rng.standard_normal((1, 4, 1, 8)).astype(np.float32) for _ in range(3))
-    out = sdpa_prefill(_bf(q), _bf(k), _bf(v), causal=False, scale=0.25)
-    assert np.max(np.abs(out.nd - materialized_prefill_oracle(q, k, v, False, 0.25))) <= 1e-5
+    out = sdpa_prefill(q, k, v, causal=False, scale=0.25)
+    assert np.max(np.abs(out - materialized_prefill_oracle(q, k, v, False, 0.25))) <= 1e-5
 
 
 def test_online_softmax_state_invariant():
