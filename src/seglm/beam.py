@@ -24,14 +24,13 @@ class BeamSearchState:
     candidates at any selection, used to detect near-ties.
     """
 
-    def __init__(self, bs: int, bw: int, first_step_masked: bool = True):
+    def __init__(self, bs: int, bw: int):
         if bs < 1 or bw < 1:
             raise ValueError("batch size and beam width must be >= 1")
         self.bs = bs
         self.bw = bw
         self.cum_log_probs = np.zeros((bs, bw), dtype=np.float64)
-        if first_step_masked and bw > 1:
-            self.cum_log_probs[:, 1:] = -np.inf
+        self.cum_log_probs[:, 1:] = -np.inf
         self.tokens_history: list[np.ndarray] = []
         self.parents_history: list[np.ndarray] = []
         self.min_top_gap = np.inf

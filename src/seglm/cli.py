@@ -1,5 +1,5 @@
 """Command-line surface: memory tables, generation runs, fusion reports,
-benchmark numbers, and the verification suite.
+largest-batch scans under a byte budget, and the verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error. All CSV/JSON
 fields are recomputable from the inputs; wall-clock timings live under
@@ -146,20 +146,7 @@ def cmd_bench(args) -> int:
         "budget_bytes": args.budget_bytes,
         "bs_max_segment": bs_max_seg,
         "bs_max_standard": bs_max_std,
-        "timing": None,
-        "throughput_tokens_per_s": None,
     }
-    if not args.no_run:
-        weights = ToyWeights.random(cfg, seed=args.seed)
-        rng = np.random.default_rng(args.seed)
-        prompt = rng.integers(0, cfg.vocab, size=(bs_max_seg, args.n_prompt))
-        mode = "beam" if args.bw > 1 else "greedy"
-        res = OptimizedEngine(weights).generate(
-            GenerationRequest(prompt, args.n_response, mode=mode, bw=args.bw))
-        report["timing"] = res.to_json_dict()["timing"]
-        total_s = report["timing"]["total_latency_s"]
-        if args.n_response > 0 and total_s > 0:
-            report["throughput_tokens_per_s"] = bs_max_seg * args.n_response / total_s
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -219,15 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("bench", help="largest batch under a byte budget plus a timed run")
+    p = sub.add_parser("bench", help="largest batch of each cache policy under a byte budget")
     _add_model_flags(p)
     p.add_argument("--budget-bytes", type=int, required=True)
     p.add_argument("--bw", type=int, default=4)
     p.add_argument("--n-prompt", type=int, default=1024)
     p.add_argument("--n-response", type=int, default=128)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-run", action="store_true",
-                   help="report the batch-size scan only; skip the timed run")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bench)
 

@@ -117,6 +117,9 @@ class ToyWeights:
             raise ValueError(f"expected {c.L} layers, got {len(self.layers)}")
         for lw in self.layers:
             lw.validate(c)
+        for name, arr in self.named_tensors():
+            if not np.isfinite(arr).all():
+                raise ValueError(f"weight tensor {name} holds non-finite values")
 
     @classmethod
     def random(cls, config: ModelConfig, seed: int = 0, scale: float = 0.02) -> "ToyWeights":
@@ -159,20 +162,28 @@ def load_weights(path) -> ToyWeights:
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode("utf-8"))
         blob = f.read()
-    config = ModelConfig(**header["config"])
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        n = prod(shape)
-        arrays[entry["name"]] = np.frombuffer(
-            blob, dtype="<f4", count=n, offset=entry["offset"]
-        ).reshape(shape).copy()
+    try:
+        config = ModelConfig(**header["config"])
+        for entry in header["tensors"]:
+            shape = tuple(entry["shape"])
+            arrays[entry["name"]] = np.frombuffer(
+                blob, dtype="<f4", count=prod(shape), offset=entry["offset"]
+            ).reshape(shape).copy()
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"weight file {path} has a malformed header: {exc!r}") from None
+
+    def tensor(name: str) -> np.ndarray:
+        if name not in arrays:
+            raise ValueError(f"weight file {path} has no tensor {name!r}")
+        return arrays[name]
+
     layers = [
-        LayerWeights(**{name: arrays[f"layers.{i}.{name}"] for name in LayerWeights.FIELDS})
+        LayerWeights(**{name: tensor(f"layers.{i}.{name}") for name in LayerWeights.FIELDS})
         for i in range(config.L)
     ]
-    return ToyWeights(config, arrays["embedding"], layers,
-                      arrays["final_norm"], arrays["head"], header.get("seed", 0))
+    return ToyWeights(config, tensor("embedding"), layers,
+                      tensor("final_norm"), tensor("head"), header.get("seed", 0))
 
 
 # --------------------------------------------------------------------------
@@ -289,17 +300,12 @@ class _OptimizedRun:
 class OptimizedEngine(_DecoderEngine):
     """Sequence-first decode, segment KV cache, fused two-segment attention."""
 
-    def __init__(self, weights: ToyWeights, initial_response_capacity: int | None = None):
-        super().__init__(weights)
-        self.initial_response_capacity = initial_response_capacity
-
     def _begin(self, request, ledger, counters) -> _OptimizedRun:
         bs, n_prompt = request.prompt.shape
         return _OptimizedRun(
             request=request,
             prompt_kv=PromptKV(self.config, bs, n_prompt),
-            resp_kv=ResponseKV(self.config, bs, request.bw,
-                               initial_capacity=self.initial_response_capacity),
+            resp_kv=ResponseKV(self.config, bs, request.bw),
             ledger=ledger,
             counters=counters,
         )
@@ -307,7 +313,7 @@ class OptimizedEngine(_DecoderEngine):
     def _prefill(self, run: _OptimizedRun):
         def attend(layer, q, k, v):
             run.prompt_kv.store(layer, k, v, run.ledger)
-            return sdpa_prefill(q, k, v, causal=True)
+            return sdpa_prefill(q, k, v)
 
         prompt = run.request.prompt  # [BS, Np]; no beam expansion
         positions = np.arange(prompt.shape[1])[None, :]
@@ -427,10 +433,9 @@ class ReferenceEngine(_DecoderEngine):
         }
 
 
-def generate(weights: ToyWeights, request: GenerationRequest,
-             initial_response_capacity: int | None = None) -> GenerationResult:
+def generate(weights: ToyWeights, request: GenerationRequest) -> GenerationResult:
     """Run the optimized engine."""
-    return OptimizedEngine(weights, initial_response_capacity).generate(request)
+    return OptimizedEngine(weights).generate(request)
 
 
 def reference_generate(weights: ToyWeights, request: GenerationRequest) -> GenerationResult:

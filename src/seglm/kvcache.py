@@ -4,9 +4,9 @@ The segment policy keeps prompt K/V ([BS, N_prompt, H, D], batch first,
 shared across beams) and response K/V ([N_step, BS*BW, H, D], sequence
 first) in separate buffers. Response buffers grow by ``step`` rows at a
 time: growth allocates the larger block, copies the written rows, then
-"empty caches" the old block into the ledger's reuse pool. The standard
-baseline rebuilds one contiguous [BS*BW, N_total, H, D] buffer per decode
-step via gather (index select) and concat.
+frees the old block. The standard baseline rebuilds one contiguous
+[BS*BW, N_total, H, D] buffer per decode step via gather (index select) and
+concat.
 
 The ledger models sizes only, never addresses: fragmentation is
 reserved - active bytes. Byte accounting uses the config's ``dtype_bytes``
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-
-REUSE_POLICIES = ("never-reuse", "exact-fit", "first-fit-ge")
 
 
 # --------------------------------------------------------------------------
@@ -75,35 +73,27 @@ class LedgerSummary:
 
 
 class MemoryLedger:
-    """Event log of alloc / free / reuse with byte-level accounting.
+    """Event log of alloc / free with byte-level accounting.
 
-    ``free`` returns a block to the reuse pool; whether a later ``alloc``
-    draws from the pool is governed by ``reuse_policy``. Reusing a pooled
-    block larger than the request consumes the whole block; the remainder
-    shows up as fragmentation (reserved - active).
+    Freed bytes stay reserved: no later alloc is served from them, so
+    ``reserved_bytes`` never falls and is its own peak. A pool of freed
+    blocks would never serve an alloc anyway, because every cache
+    allocation is strictly larger than every block freed before it: a
+    response block grows by ``step`` rows from the one it replaces, a
+    standard-cache step reallocates one more row than the last, and prompt
+    blocks are never freed. The summary's ``peak_reserved`` is therefore
+    ``reserved_bytes``, and fragmentation (reserved - active) is the sum of
+    all frees.
     """
 
-    def __init__(self, reuse_policy: str = "first-fit-ge"):
-        if reuse_policy not in REUSE_POLICIES:
-            raise ValueError(f"reuse_policy must be one of {REUSE_POLICIES}")
-        self.reuse_policy = reuse_policy
+    def __init__(self):
         self.events: list[tuple[str, int]] = []
         self.active_bytes = 0
         self.reserved_bytes = 0
-        self.peak_reserved = 0
-        self.free_pool: list[int] = []
 
     @property
     def fragmentation(self) -> int:
         return self.reserved_bytes - self.active_bytes
-
-    def _take_from_pool(self, nbytes: int) -> int | None:
-        if self.reuse_policy == "never-reuse":
-            return None
-        for i, block in enumerate(self.free_pool):
-            if block == nbytes or (self.reuse_policy == "first-fit-ge" and block >= nbytes):
-                return self.free_pool.pop(i)
-        return None
 
     def alloc(self, nbytes: int) -> None:
         nbytes = int(nbytes)
@@ -111,14 +101,9 @@ class MemoryLedger:
             raise ValueError("cannot allocate a negative size")
         if nbytes == 0:
             return
-        if self._take_from_pool(nbytes) is not None:
-            self.events.append(("reuse", nbytes))
-            self.active_bytes += nbytes
-        else:
-            self.events.append(("alloc", nbytes))
-            self.active_bytes += nbytes
-            self.reserved_bytes += nbytes
-            self.peak_reserved = max(self.peak_reserved, self.reserved_bytes)
+        self.events.append(("alloc", nbytes))
+        self.active_bytes += nbytes
+        self.reserved_bytes += nbytes
 
     def free(self, nbytes: int) -> None:
         nbytes = int(nbytes)
@@ -130,10 +115,9 @@ class MemoryLedger:
             raise ValueError("freeing more bytes than are active")
         self.events.append(("free", nbytes))
         self.active_bytes -= nbytes
-        self.free_pool.append(nbytes)
 
     def summary(self) -> LedgerSummary:
-        return LedgerSummary(self.peak_reserved, self.active_bytes, self.fragmentation)
+        return LedgerSummary(self.reserved_bytes, self.active_bytes, self.fragmentation)
 
 
 # --------------------------------------------------------------------------
@@ -187,26 +171,17 @@ class ResponseKV:
 
     Rows [0, length) hold written data; rows [length, capacity) are reserved.
     Appending past capacity grows the buffer by ``step`` rows: one alloc of
-    the larger block, a row copy, and one free of the old block into the
-    ledger pool.
+    the larger block, a row copy, and one free of the old block.
     """
 
-    def __init__(self, config: ModelConfig, bs: int, bw: int,
-                 initial_capacity: int | None = None):
+    def __init__(self, config: ModelConfig, bs: int, bw: int):
         self.config = config
         self.bs = bs
         self.bw = bw
-        step = config.step
-        if initial_capacity is None:
-            initial_capacity = step
-        if initial_capacity < 1 or initial_capacity % step != 0:
-            raise ValueError(f"initial capacity must be a positive multiple of {step}")
-        self.initial_capacity = initial_capacity
         self._k: list[np.ndarray | None] = [None] * config.L
         self._v: list[np.ndarray | None] = [None] * config.L
         self._capacity = [0] * config.L
         self._length = [0] * config.L
-        self.capacity_history: list[list[int]] = [[] for _ in range(config.L)]
 
     @property
     def rows(self) -> int:
@@ -241,7 +216,7 @@ class ResponseKV:
 
         if self._length[layer] == self._capacity[layer]:
             old_cap = self._capacity[layer]
-            new_cap = old_cap + c.step if old_cap else self.initial_capacity
+            new_cap = old_cap + c.step
             new_k = np.zeros((new_cap, self.rows, c.H, c.D), dtype=np.float32)
             new_v = np.zeros_like(new_k)
             if old_cap:
@@ -254,7 +229,6 @@ class ResponseKV:
             self._k[layer] = new_k
             self._v[layer] = new_v
             self._capacity[layer] = new_cap
-            self.capacity_history[layer].append(new_cap)
 
         row = self._length[layer]
         self._k[layer][row] = k_row
@@ -276,7 +250,7 @@ class StandardKV:
 
     Each decode step gathers the past rows by beam order (index select),
     concatenates the new row, and stores the result in a freshly allocated
-    buffer; the old buffer is freed into the ledger pool.
+    buffer; the old buffer is freed.
     """
 
     def __init__(self, config: ModelConfig, bs: int, bw: int, counters=None):
@@ -374,8 +348,8 @@ class StandardKV:
 # Decode-phase allocation simulator
 # --------------------------------------------------------------------------
 
-def simulate_decode_memory(policy: str, config: ModelConfig, p: CacheShapeParams,
-                           reuse_policy: str = "first-fit-ge") -> LedgerSummary:
+def simulate_decode_memory(policy: str, config: ModelConfig,
+                           p: CacheShapeParams) -> LedgerSummary:
     """Replay the decode-phase allocation trace of one policy, sizes only.
 
     Segment: the persistent prompt buffer is part of the decode-phase live
@@ -386,7 +360,7 @@ def simulate_decode_memory(policy: str, config: ModelConfig, p: CacheShapeParams
     """
     if policy not in ("standard", "segment"):
         raise ValueError(f"policy must be 'standard' or 'segment', got {policy!r}")
-    ledger = MemoryLedger(reuse_policy)
+    ledger = MemoryLedger()
     tok = cache_token_bytes(config)
 
     if policy == "segment":

@@ -29,19 +29,13 @@ def rmsnorm(x, weight, eps: float = 1e-5) -> np.ndarray:
     return (x / np.sqrt(ms + np.float32(eps)) * weight).astype(np.float32, copy=False)
 
 
-def linear(x, w, bias=None) -> np.ndarray:
-    """y = x @ w (+ bias) over the trailing dimension."""
+def linear(x, w) -> np.ndarray:
+    """y = x @ w over the trailing dimension."""
     x = _f32(x)
     w = _f32(w)
     if w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ValueError(f"cannot contract {x.shape} with weight {w.shape}")
-    y = x @ w
-    if bias is not None:
-        bias = _f32(bias)
-        if bias.shape != (w.shape[1],):
-            raise ValueError(f"bias {bias.shape} does not match out dim {w.shape[1]}")
-        y = y + bias
-    return y.astype(np.float32, copy=False)
+    return (x @ w).astype(np.float32, copy=False)
 
 
 def fused_qkv(x, w_qkv, heads: int, head_dim: int):

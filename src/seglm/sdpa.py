@@ -49,11 +49,11 @@ class OnlineSoftmax:
         return self.acc / self.l[..., None]
 
 
-def sdpa_prefill(q, k, v, causal: bool = True, scale: float | None = None) -> np.ndarray:
-    """Streaming attention over one batch-first segment.
+def sdpa_prefill(q, k, v) -> np.ndarray:
+    """Causal streaming attention over one batch-first segment.
 
     Inputs and output are [BS, N, H, D] batch first; no layout conversion is
-    performed. With ``causal`` set, query i attends keys j <= i.
+    performed. Query i attends keys j <= i, with scores scaled by 1/sqrt(D).
     """
     q = np.asarray(q, dtype=np.float32)
     k = np.asarray(k, dtype=np.float32)
@@ -65,16 +65,13 @@ def sdpa_prefill(q, k, v, causal: bool = True, scale: float | None = None) -> np
     bs, n, h, d = q.shape
     if n == 0:
         raise ValueError("attention over zero keys is undefined")
-    if scale is None:
-        scale = 1.0 / sqrt(d)
-    scale = np.float32(scale)
+    scale = np.float32(1.0 / sqrt(d))
 
     state = OnlineSoftmax((bs, n, h), d)
     qpos = np.arange(n)[None, :, None]  # query positions, broadcast over (bs, h)
     for j in range(n):
         s = np.einsum("bnhd,bhd->bnh", q, k[:, j]) * scale
-        if causal:
-            s = np.where(qpos >= j, s, np.float32(-np.inf))
+        s = np.where(qpos >= j, s, np.float32(-np.inf))
         state.update(s.astype(np.float32, copy=False), v[:, j][:, None, :, :])
     return state.finalize()
 
@@ -94,7 +91,6 @@ class SdpaDecodeInputs:
     resp_k: np.ndarray
     resp_v: np.ndarray
     indices: np.ndarray
-    scale: float | None = None
 
     def __post_init__(self) -> None:
         self.q = np.asarray(self.q, dtype=np.float32)
@@ -140,20 +136,14 @@ class SdpaDecodeInputs:
         bw = self.indices.shape[1]
         return bs, bw, n_prompt, self.indices.shape[2], h, d
 
-    @property
-    def effective_scale(self) -> np.float32:
-        d = self.prompt_k.shape[-1]
-        return np.float32(self.scale if self.scale is not None else 1.0 / sqrt(d))
-
     @classmethod
     def from_caches(cls, q, prompt_kv: PromptKV, resp_kv: ResponseKV,
-                    layer: int, indices: np.ndarray,
-                    scale: float | None = None) -> "SdpaDecodeInputs":
+                    layer: int, indices: np.ndarray) -> "SdpaDecodeInputs":
         """Build kernel inputs from one layer's cache buffers; ``validate``
         checks every shape."""
         pk, pv = prompt_kv.layer(layer)
         rk, rv = resp_kv.valid(layer)
-        return cls(q, pk, pv, rk, rv, indices, scale)
+        return cls(q, pk, pv, rk, rv, indices)
 
 
 def sdpa_decode_fused(inp: SdpaDecodeInputs) -> np.ndarray:
@@ -164,7 +154,7 @@ def sdpa_decode_fused(inp: SdpaDecodeInputs) -> np.ndarray:
     space is embarrassingly parallel; results do not depend on scheduling.
     """
     bs, bw, n_prompt, n_resp, h, d = inp.dims
-    scale = inp.effective_scale
+    scale = np.float32(1.0 / sqrt(d))
     q = inp.q.reshape(bs, bw, h, d)
     state = OnlineSoftmax((bs, bw, h), d)
 
@@ -190,7 +180,7 @@ def sdpa_decode_oracle(inp: SdpaDecodeInputs) -> np.ndarray:
     """Materializing reference: gather the full per-beam K/V, then one full
     softmax pass. Same contract as the fused kernel."""
     bs, bw, n_prompt, n_resp, h, d = inp.dims
-    scale = inp.effective_scale
+    scale = np.float32(1.0 / sqrt(d))
     q = inp.q.reshape(bs, bw, h, d)
 
     parts_k = [np.broadcast_to(inp.prompt_k[:, None], (bs, bw, n_prompt, h, d))]

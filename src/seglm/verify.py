@@ -177,7 +177,7 @@ def check_growth_semantics() -> CheckResult:
             ks.append(k)
             vs.append(v)
             cache.append(0, k, v, ledger)
-        assert cache.capacity_history[0] == [16, 32, 48], cache.capacity_history[0]
+        assert cache.capacity(0) == 48, cache.capacity(0)
         b = cache.block_bytes
         expected_events = [("alloc", b(16)),
                            ("alloc", b(32)), ("free", b(16)),
@@ -224,14 +224,13 @@ def check_fragmentation_model() -> CheckResult:
         cfg = preset("gptj-6b")
         p = CacheShapeParams(bs=4, bw=4, n_prompt=1024, n_response=128)
         tok = cache_token_bytes(cfg)
-        never = simulate_decode_memory("standard", cfg, p, reuse_policy="never-reuse")
+        std = simulate_decode_memory("standard", cfg, p)
         closed_form = sum(p.bs * p.bw * (p.n_prompt + t) * tok
                           for t in range(1, p.n_response + 1))
-        assert never.peak_reserved == closed_form, (never.peak_reserved, closed_form)
-        std = simulate_decode_memory("standard", cfg, p, reuse_policy="first-fit-ge")
-        seg = simulate_decode_memory("segment", cfg, p, reuse_policy="first-fit-ge")
+        assert std.peak_reserved == closed_form, (std.peak_reserved, closed_form)
+        seg = simulate_decode_memory("segment", cfg, p)
         assert seg.peak_reserved < std.peak_reserved, (seg.peak_reserved, std.peak_reserved)
-        return (f"never-reuse standard peak == per-step sum ({closed_form:,} bytes); "
+        return (f"standard peak == per-step sum ({closed_form:,} bytes); "
                 f"segment peak {seg.peak_reserved:,} < standard peak {std.peak_reserved:,}")
 
     return _run("fragmentation-model", body)

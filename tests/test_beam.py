@@ -34,7 +34,7 @@ def test_beam_step_bw1_is_argmax():
 def test_beam_step_two_beam_derived_case():
     # cum = [0, -0.1]; brute force over all 6 candidates picks
     # -0.1 (w0, v0) then -0.15 (w1, v0)
-    state = BeamSearchState(bs=1, bw=2, first_step_masked=False)
+    state = BeamSearchState(bs=1, bw=2)
     state.cum_log_probs[:] = np.array([[0.0, -0.1]])
     lp = np.array([[-0.1, -2.0, -2.0], [-0.05, -2.0, -2.0]])
     cands = sorted(
@@ -62,7 +62,8 @@ def test_vocab_smaller_than_beam_width_rejected():
 
 
 def test_all_equal_log_probs_tie_break_is_lexicographic():
-    state = BeamSearchState(bs=1, bw=3, first_step_masked=False)
+    state = BeamSearchState(bs=1, bw=3)
+    state.cum_log_probs[:] = 0.0  # every slot live, as after the first step
     tokens, parents = beam_step(np.zeros((3, 5)), state)
     # scores all equal: stable order picks flat indices 0, 1, 2 = (w0,v0..v2)
     assert parents.ravel().tolist() == [0, 0, 0]

@@ -1,13 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from seglm import kvcache
 from seglm.config import toy_config
 from seglm.engine import (GenerationRequest, OptimizedEngine, ReferenceEngine,
                           ToyWeights, generate, load_weights, reference_generate,
                           save_weights)
-from seglm.kvcache import CacheShapeParams, cache_token_bytes, segment_cache_bytes
+from seglm.kvcache import (CacheShapeParams, MemoryLedger, cache_token_bytes,
+                           segment_cache_bytes, simulate_decode_memory)
 from seglm.ops import LayerWeights
 
 
@@ -186,15 +189,57 @@ def test_prefill_of_prompt_plus_response_reproduces_greedy_decode(
 # -- growth invisibility ---------------------------------------------------------------
 
 def test_cache_growth_is_semantically_invisible():
-    """A run whose response cache starts at capacity 32 must generate exactly
-    the same tokens as the default that grows 16 -> 32 at step 17."""
+    """A run whose response cache grows 32 rows at a time (so never grows in
+    20 steps) must generate exactly the same tokens and final hidden state as
+    the default that grows 16 -> 32 at step 17."""
     w = _toy_weights(seed=5)
+    w32 = ToyWeights.random(replace(w.config, step=32), seed=5)  # same seed, same weights
     prompt = _prompt(w.config, 1, 8, seed=4)
     req = GenerationRequest(prompt, 20, mode="beam", bw=4)
-    grown = OptimizedEngine(w).generate(req)
-    preallocated = OptimizedEngine(w, initial_response_capacity=32).generate(req)
-    assert np.array_equal(grown.tokens, preallocated.tokens)
-    assert np.array_equal(grown.final_hidden, preallocated.final_hidden)
+    grown_engine, single_engine = OptimizedEngine(w), OptimizedEngine(w32)
+    grown = grown_engine.generate(req)
+    single = single_engine.generate(req)
+    frees = [[e for e in eng.last_ledger.events if e[0] == "free"]
+             for eng in (grown_engine, single_engine)]
+    assert len(frees[0]) == w.config.L and frees[1] == []
+    assert np.array_equal(grown.tokens, single.tokens)
+    assert np.array_equal(grown.final_hidden, single.final_hidden)
+
+
+def _assert_allocs_exceed_earlier_frees(events):
+    largest_free = 0
+    for kind, nbytes in events:
+        if kind == "free":
+            largest_free = max(largest_free, nbytes)
+        else:
+            assert kind == "alloc" and nbytes > largest_free, (kind, nbytes, largest_free)
+    assert largest_free > 0  # the run freed something, so the check has teeth
+
+
+def test_every_alloc_exceeds_every_earlier_free(monkeypatch):
+    """The premise of the ledger's no-reuse model: no freed block could serve
+    a later allocation, on engine runs that cross the 16-row growth and in
+    the decode-memory simulator."""
+    w = _toy_weights(seed=11)
+    for engine_cls in (OptimizedEngine, ReferenceEngine):
+        for mode, bs, bw in (("greedy", 2, 1), ("beam", 1, 4)):
+            engine = engine_cls(w)
+            engine.generate(GenerationRequest(_prompt(w.config, bs, 9), 20, mode=mode, bw=bw))
+            _assert_allocs_exceed_earlier_frees(engine.last_ledger.events)
+
+    ledgers = []
+
+    class RecordingLedger(MemoryLedger):
+        def __init__(self):
+            super().__init__()
+            ledgers.append(self)
+
+    monkeypatch.setattr(kvcache, "MemoryLedger", RecordingLedger)
+    for policy in ("segment", "standard"):
+        simulate_decode_memory(policy, w.config, CacheShapeParams(2, 4, 40, 40))
+    assert len(ledgers) == 2
+    for ledger in ledgers:
+        _assert_allocs_exceed_earlier_frees(ledger.events)
 
 
 # -- instrumentation --------------------------------------------------------------------
@@ -226,7 +271,7 @@ def test_reference_ledger_allocs_follow_contiguous_growth():
     engine = ReferenceEngine(w)
     engine.generate(GenerationRequest(_prompt(cfg, bs, n_prompt, seed=5), nr,
                                       mode="beam", bw=bw))
-    allocs = [n for kind, n in engine.last_ledger.events if kind in ("alloc", "reuse")]
+    allocs = [n for kind, n in engine.last_ledger.events if kind == "alloc"]
     tok = cache_token_bytes(cfg)
     assert sum(allocs[:cfg.L]) == bs * bw * n_prompt * tok  # prefill rows
     per_step = allocs[cfg.L:]

@@ -75,23 +75,9 @@ def test_memsim_row_fields():
 
 # -- ledger ----------------------------------------------------------------------
 
-def test_ledger_policies():
-    for policy, reuses in (("never-reuse", 0), ("exact-fit", 0), ("first-fit-ge", 1)):
-        led = MemoryLedger(policy)
-        led.alloc(100)
-        led.free(100)
-        led.alloc(50)  # only first-fit-ge can serve 50 from the pooled 100
-        assert sum(1 for kind, _ in led.events if kind == "reuse") == reuses, policy
-    led = MemoryLedger("exact-fit")
-    led.alloc(100)
-    led.free(100)
-    led.alloc(100)
-    assert led.events[-1] == ("reuse", 100)
-
-
 def test_ledger_invariants_along_random_trace():
     rng = np.random.default_rng(0)
-    led = MemoryLedger("first-fit-ge")
+    led = MemoryLedger()
     live = []
     for _ in range(200):
         if live and rng.random() < 0.4:
@@ -102,7 +88,6 @@ def test_ledger_invariants_along_random_trace():
             live.append(n)
         assert led.active_bytes <= led.reserved_bytes
         assert led.fragmentation >= 0
-        assert led.peak_reserved >= led.reserved_bytes
 
 
 def test_ledger_rejects_bad_frees():
@@ -147,7 +132,7 @@ def test_seventeenth_append_grows_and_preserves_rows():
     assert frees == [("free", cache.block_bytes(16))]
 
 
-def test_forty_appends_capacity_history_and_concat_oracle():
+def test_forty_appends_capacity_and_concat_oracle():
     cfg = toy_config(L=1, H=2, D=4)
     cache = ResponseKV(cfg, bs=2, bw=2)
     led = MemoryLedger()
@@ -159,13 +144,14 @@ def test_forty_appends_capacity_history_and_concat_oracle():
         ks.append(k)
         vs.append(v)
         cache.append(0, k, v, led)
-    assert cache.capacity_history[0] == [16, 32, 48]
+    assert cache.capacity(0) == 48
     got_k, got_v = cache.valid(0)
     assert np.array_equal(got_k, np.concatenate(ks, axis=0))
     assert np.array_equal(got_v, np.concatenate(vs, axis=0))
-    allocs = [e for e in led.events if e[0] == "alloc"]
-    frees = [e for e in led.events if e[0] == "free"]
-    assert len(allocs) == 3 and len(frees) == 2  # one free per growth-with-copy
+    allocs = [n for kind, n in led.events if kind == "alloc"]
+    frees = [n for kind, n in led.events if kind == "free"]
+    assert allocs == [cache.block_bytes(c) for c in (16, 32, 48)]
+    assert len(frees) == 2  # one free per growth-with-copy
 
 
 @settings(max_examples=30, deadline=None)
@@ -196,17 +182,6 @@ def test_response_kv_shape_mismatch():
     cache = ResponseKV(cfg, bs=1, bw=2)
     with pytest.raises(ValueError):
         cache.append(0, np.zeros((1, 3, cfg.H, cfg.D)), np.zeros((1, 3, cfg.H, cfg.D)))
-
-
-def test_response_kv_initial_capacity_override():
-    cfg = toy_config(L=1)
-    cache = ResponseKV(cfg, bs=1, bw=1, initial_capacity=32)
-    rng = np.random.default_rng(4)
-    for _ in range(17):
-        cache.append(0, _rows(rng, cfg, 1), _rows(rng, cfg, 1))
-    assert cache.capacity_history[0] == [32]
-    with pytest.raises(ValueError):
-        ResponseKV(cfg, bs=1, bw=1, initial_capacity=10)
 
 
 # -- prompt cache -----------------------------------------------------------------
@@ -252,10 +227,10 @@ def test_standard_step_swap_reorder_hand_case():
     assert np.array_equal(k[:, 1], new[:, 0])
 
 
-def test_standard_step_never_reuse_reserved_is_per_step_sum():
+def test_standard_step_reserved_is_per_step_sum():
     cfg = toy_config(L=1)
     kv = StandardKV(cfg, bs=1, bw=2)
-    led = MemoryLedger("never-reuse")
+    led = MemoryLedger()
     rng = np.random.default_rng(6)
     n_prompt, n_steps = 4, 5
     kv.store_prompt(0, rng.standard_normal((2, n_prompt, cfg.H, cfg.D)).astype(np.float32),
@@ -290,10 +265,10 @@ def test_simulator_segment_final_active_matches_formula(params):
     assert summary.final_active == segment_cache_bytes(GPTJ, params)
 
 
-def test_simulator_standard_never_reuse_peak_is_arithmetic_series():
+def test_simulator_standard_peak_is_arithmetic_series():
     p = CacheShapeParams(4, 4, 1024, 128)
     tok = cache_token_bytes(GPTJ)
-    summary = simulate_decode_memory("standard", GPTJ, p, reuse_policy="never-reuse")
+    summary = simulate_decode_memory("standard", GPTJ, p)
     closed_form = p.bs * p.bw * tok * (p.n_response * p.n_prompt
                                        + p.n_response * (p.n_response + 1) // 2)
     assert summary.peak_reserved == closed_form
@@ -302,8 +277,8 @@ def test_simulator_standard_never_reuse_peak_is_arithmetic_series():
 
 def test_simulator_segment_peak_below_standard_peak():
     p = CacheShapeParams(4, 4, 1024, 128)
-    seg = simulate_decode_memory("segment", GPTJ, p, reuse_policy="first-fit-ge")
-    std = simulate_decode_memory("standard", GPTJ, p, reuse_policy="first-fit-ge")
+    seg = simulate_decode_memory("segment", GPTJ, p)
+    std = simulate_decode_memory("standard", GPTJ, p)
     assert seg.peak_reserved < std.peak_reserved
 
 

@@ -80,12 +80,6 @@ def test_linear_identity_weight():
     assert np.allclose(linear(x, np.eye(4, dtype=np.float32)), x, atol=1e-7)
 
 
-def test_linear_zero_input_returns_bias():
-    b = np.array([1.0, -2.0], dtype=np.float32)
-    y = linear(np.zeros((3, 5)), np.zeros((5, 2)), bias=b)
-    assert np.allclose(y, np.broadcast_to(b, (3, 2)))
-
-
 def test_linear_matches_triple_loop_oracle():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 3)).astype(np.float32)

@@ -7,15 +7,13 @@ from seglm.sdpa import (OnlineSoftmax, SdpaDecodeInputs, sdpa_decode_fused,
                         sdpa_decode_oracle, sdpa_prefill)
 
 
-def materialized_prefill_oracle(q, k, v, causal, scale=None):
-    """Full-score softmax attention on [BS, N, H, D], independent of the
-    streaming implementation."""
+def materialized_prefill_oracle(q, k, v):
+    """Full-score causal softmax attention on [BS, N, H, D], independent of
+    the streaming implementation."""
     bs, n, h, d = q.shape
-    scale = scale or 1.0 / np.sqrt(d)
-    s = np.einsum("bihd,bjhd->bhij", q, k).astype(np.float64) * scale
-    if causal:
-        mask = np.tril(np.ones((n, n), dtype=bool))
-        s = np.where(mask, s, -np.inf)
+    s = np.einsum("bihd,bjhd->bhij", q, k).astype(np.float64) / np.sqrt(d)
+    mask = np.tril(np.ones((n, n), dtype=bool))
+    s = np.where(mask, s, -np.inf)
     m = s.max(axis=-1, keepdims=True)
     w = np.exp(s - m)
     w = w / w.sum(axis=-1, keepdims=True)
@@ -50,18 +48,17 @@ def test_prefill_causal_first_position_sees_only_first_key():
     q = rng.standard_normal((1, 2, 1, 4)).astype(np.float32)
     k = rng.standard_normal((1, 2, 1, 4)).astype(np.float32)
     v = rng.standard_normal((1, 2, 1, 4)).astype(np.float32)
-    out = sdpa_prefill(q, k, v, causal=True)
+    out = sdpa_prefill(q, k, v)
     assert np.allclose(out[0, 0], v[0, 0], atol=1e-6)
 
 
-@pytest.mark.parametrize("causal", [True, False])
-def test_prefill_matches_materialized_oracle(causal):
+def test_prefill_matches_materialized_oracle():
     rng = np.random.default_rng(2)
     q = rng.standard_normal((2, 16, 4, 8)).astype(np.float32)
     k = rng.standard_normal((2, 16, 4, 8)).astype(np.float32)
     v = rng.standard_normal((2, 16, 4, 8)).astype(np.float32)
-    out = sdpa_prefill(q, k, v, causal=causal)
-    assert np.max(np.abs(out - materialized_prefill_oracle(q, k, v, causal))) <= 1e-5
+    out = sdpa_prefill(q, k, v)
+    assert np.max(np.abs(out - materialized_prefill_oracle(q, k, v))) <= 1e-5
     assert out.shape == q.shape  # batch first, like the inputs
 
 
@@ -185,7 +182,7 @@ def test_oracle_identity_indices_equals_prefill_last_query():
     q_full = rng.standard_normal((bs, n, h, d)).astype(np.float32)
     k_full = rng.standard_normal((bs, n, h, d)).astype(np.float32)
     v_full = rng.standard_normal((bs, n, h, d)).astype(np.float32)
-    pre = sdpa_prefill(q_full, k_full, v_full, causal=True)
+    pre = sdpa_prefill(q_full, k_full, v_full)
 
     inp = SdpaDecodeInputs(
         q=q_full[:, -1][None].transpose(0, 1, 2, 3).reshape(1, bs, h, d),
@@ -241,18 +238,6 @@ def test_prompt_sharing_across_beams():
     out = sdpa_decode_fused(inp).reshape(bs, bw, h, d)
     for w in range(1, bw):
         assert np.array_equal(out[:, 0], out[:, w])
-
-
-def test_explicit_scale_override():
-    rng = np.random.default_rng(14)
-    inp = _rand_inputs(rng, bs=1, bw=2, h=2, d=16, n_prompt=5, n_resp=3)
-    scaled = SdpaDecodeInputs(inp.q, inp.prompt_k, inp.prompt_v, inp.resp_k,
-                              inp.resp_v, inp.indices, scale=0.5)
-    assert np.max(np.abs(sdpa_decode_fused(scaled) - sdpa_decode_oracle(scaled))) <= 1e-5
-    assert not np.allclose(sdpa_decode_fused(scaled), sdpa_decode_fused(inp), atol=1e-4)
-    q, k, v = (rng.standard_normal((1, 4, 1, 8)).astype(np.float32) for _ in range(3))
-    out = sdpa_prefill(q, k, v, causal=False, scale=0.25)
-    assert np.max(np.abs(out - materialized_prefill_oracle(q, k, v, False, 0.25))) <= 1e-5
 
 
 def test_online_softmax_state_invariant():
