@@ -26,7 +26,7 @@ class UsageError(ValueError):
     pass
 
 
-def _add_model_flags(p: argparse.ArgumentParser, default_toy: bool = True) -> None:
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=sorted(PRESETS), help="named model preset")
     p.add_argument("--L", type=int, help="decoder layers (custom model)")
     p.add_argument("--H", type=int, help="attention heads")
@@ -35,7 +35,6 @@ def _add_model_flags(p: argparse.ArgumentParser, default_toy: bool = True) -> No
     p.add_argument("--vocab", type=int, help="vocabulary size")
     p.add_argument("--dtype-bytes", type=int, choices=(2, 4), default=2,
                    help="accounting bytes per cached element")
-    p.set_defaults(_default_toy=default_toy)
 
 
 def _resolve_config(args) -> ModelConfig:
@@ -46,10 +45,8 @@ def _resolve_config(args) -> ModelConfig:
             raise UsageError("custom models need --L, --H and --D together")
         cfg = toy_config(L=args.L, H=args.H, D=args.D,
                          vocab=args.vocab or 64, ff_dim=args.ff)
-    elif args._default_toy:
-        cfg = toy_config()
     else:
-        raise UsageError("specify --model or custom --L/--H/--D")
+        cfg = toy_config()
     return cfg.with_dtype_bytes(args.dtype_bytes)
 
 
@@ -152,8 +149,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_fusion_report(args) -> int:
-    cfg = _resolve_config(args)
-    std = build_standard_decoder_graph(cfg, args.phase)
+    std = build_standard_decoder_graph(args.phase)
     opt = apply_fusion_passes(std)
     report = {
         "phase": args.phase,
@@ -216,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("fusion-report", help="operator histograms before and after fusion")
-    _add_model_flags(p)
     p.add_argument("--phase", choices=("prefill", "decode"), default="decode")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_fusion_report)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,6 @@ class ModelConfig:
     max_pos: int = 4096
     rope_theta: float = 10000.0
     rope_style: str = "half"  # pair grouping: "half" (i, i+D/2) or "interleaved" (2i, 2i+1)
-    activation: str = "silu"
     eps: float = 1e-5
     step: int = 16
     dtype_bytes: int = 2
@@ -34,6 +34,10 @@ class ModelConfig:
             raise ValueError("cache growth step must be >= 1")
         if self.dtype_bytes not in (2, 4):
             raise ValueError("dtype_bytes must be 2 (fp16 accounting) or 4 (fp32)")
+        if not (isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
+        if not (isfinite(self.rope_theta) and self.rope_theta > 0):
+            raise ValueError(f"rope_theta must be finite and > 0, got {self.rope_theta!r}")
         if self.rope_style not in ("half", "interleaved"):
             raise ValueError(f"unknown rope_style {self.rope_style!r}")
 

@@ -27,8 +27,8 @@ import numpy as np
 from .beam import BeamSearchState, beam_step, build_gather_indices
 from .config import ModelConfig
 from .kvcache import MemoryLedger, PromptKV, ResponseKV, StandardKV, cache_token_bytes
-from .ops import (ACTIVATIONS, LayerWeights, fused_qkv, gated_mlp, linear, log_softmax, rmsnorm,
-                  rope, to_batch_first, to_sequence_first)
+from .ops import (LayerWeights, fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope,
+                  to_batch_first, to_sequence_first)
 from .sdpa import SdpaDecodeInputs, sdpa_decode_fused, sdpa_prefill
 
 
@@ -197,7 +197,6 @@ class _DecoderEngine:
     def __init__(self, weights: ToyWeights):
         self.weights = weights
         self.config = weights.config
-        self.activation = ACTIVATIONS[weights.config.activation]
         self.last_ledger: MemoryLedger | None = None  # instrumentation for tests
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
@@ -265,8 +264,7 @@ class _DecoderEngine:
             q, k = rope(q, k, positions, cfg.rope_theta, cfg.rope_style)
             ctx = attend(layer, q, k, v)
             x = x + linear(ctx.reshape(x.shape), lw.w_o)
-            x = x + gated_mlp(rmsnorm(x, lw.rmsnorm_2, cfg.eps),
-                              lw.w_gate, lw.w_up, lw.w_down, self.activation)
+            x = x + gated_mlp(rmsnorm(x, lw.rmsnorm_2, cfg.eps), lw.w_gate, lw.w_up, lw.w_down)
         return x
 
     def _head(self, x):
@@ -293,7 +291,6 @@ class _OptimizedRun:
     request: GenerationRequest
     prompt_kv: PromptKV
     resp_kv: ResponseKV
-    ledger: MemoryLedger
     counters: OpCounters
 
 
@@ -304,15 +301,14 @@ class OptimizedEngine(_DecoderEngine):
         bs, n_prompt = request.prompt.shape
         return _OptimizedRun(
             request=request,
-            prompt_kv=PromptKV(self.config, bs, n_prompt),
-            resp_kv=ResponseKV(self.config, bs, request.bw),
-            ledger=ledger,
+            prompt_kv=PromptKV(self.config, bs, n_prompt, ledger),
+            resp_kv=ResponseKV(self.config, bs, request.bw, ledger),
             counters=counters,
         )
 
     def _prefill(self, run: _OptimizedRun):
         def attend(layer, q, k, v):
-            run.prompt_kv.store(layer, k, v, run.ledger)
+            run.prompt_kv.store(layer, k, v)
             return sdpa_prefill(q, k, v)
 
         prompt = run.request.prompt  # [BS, Np]; no beam expansion
@@ -335,7 +331,7 @@ class OptimizedEngine(_DecoderEngine):
         indices = build_gather_indices(state.parents_history, t)
 
         def attend(layer, q, k, v):
-            run.resp_kv.append(layer, k, v, run.ledger)  # row t-1 of the pre-allocated buffer
+            run.resp_kv.append(layer, k, v)  # row t-1 of the pre-allocated arena
             return sdpa_decode_fused(SdpaDecodeInputs.from_caches(
                 q, run.prompt_kv, run.resp_kv, layer, indices))
 
@@ -360,8 +356,6 @@ class OptimizedEngine(_DecoderEngine):
 class _ReferenceRun:
     request: GenerationRequest
     kv: StandardKV
-    ledger: MemoryLedger
-    counters: OpCounters
 
 
 class ReferenceEngine(_DecoderEngine):
@@ -372,9 +366,7 @@ class ReferenceEngine(_DecoderEngine):
         bs, _ = request.prompt.shape
         return _ReferenceRun(
             request=request,
-            kv=StandardKV(self.config, bs, request.bw, counters=counters),
-            ledger=ledger,
-            counters=counters,
+            kv=StandardKV(self.config, bs, request.bw, ledger, counters),
         )
 
     @staticmethod
@@ -397,7 +389,7 @@ class ReferenceEngine(_DecoderEngine):
 
     def _prefill(self, run: _ReferenceRun):
         def attend(layer, q, k, v):
-            run.kv.store_prompt(layer, k, v, run.ledger)
+            run.kv.store_prompt(layer, k, v)
             return self._attention(q, k, v, causal=True)
 
         prompt = np.repeat(run.request.prompt, run.request.bw, axis=0)  # beam-expanded [BS*BW, Np]
@@ -414,7 +406,7 @@ class ReferenceEngine(_DecoderEngine):
         reorder = (np.arange(bs)[:, None] * bw + parents).reshape(-1)
 
         def attend(layer, q, k, v):
-            k_all, v_all = run.kv.step(layer, k, v, reorder, run.ledger)
+            k_all, v_all = run.kv.step(layer, k, v, reorder)
             return self._attention(q, k_all, v_all, causal=False)  # single newest query
 
         x = self._layers(x, positions, attend)

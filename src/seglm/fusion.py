@@ -13,7 +13,6 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 
-from .config import ModelConfig
 
 DATA_MOVEMENT = frozenset({"Transpose", "Cat", "IndexSelect"})
 ELEMENT_WISE = frozenset({"ElementwiseAdd", "ElementwiseMul", "Activation"})
@@ -157,7 +156,7 @@ class OpGraph:
         return sum(1 for n in self.nodes.values() if tag in n.tags)
 
 
-def build_standard_decoder_graph(config: ModelConfig, phase: str) -> OpGraph:
+def build_standard_decoder_graph(phase: str) -> OpGraph:
     """Conventional decoder layer: fine-grained primitives plus the transpose /
     cat / index-select data movement around attention.
 

@@ -1,12 +1,14 @@
 """KV-cache policies and size-only memory accounting.
 
-The segment policy keeps prompt K/V ([BS, N_prompt, H, D], batch first,
-shared across beams) and response K/V ([N_step, BS*BW, H, D], sequence
-first) in separate buffers. Response buffers grow by ``step`` rows at a
-time: growth allocates the larger block, copies the written rows, then
-frees the old block. The standard baseline rebuilds one contiguous
-[BS*BW, N_total, H, D] buffer per decode step via gather (index select) and
-concat.
+The segment policy keeps prompt K/V ([BS, N_prompt, H, D] per layer, batch
+first, shared across beams) and response K/V (one [L, N_step, BS*BW, H, D]
+arena for all layers, sequence first) in separate buffers. The response
+arena grows by ``step`` rows per layer at a time, all layers at once:
+growth allocates the larger arena, copies the written rows, then frees the
+old arena, so the ledger logs one alloc and one free per growth, as
+``simulate_decode_memory("segment")`` models it. The standard baseline
+rebuilds one contiguous [BS*BW, N_total, H, D] buffer per decode step via
+gather (index select) and concat.
 
 The ledger models sizes only, never addresses: fragmentation is
 reserved - active bytes. Byte accounting uses the config's ``dtype_bytes``
@@ -127,13 +129,14 @@ class MemoryLedger:
 class PromptKV:
     """Per-layer prompt K/V, [BS, N_prompt, H, D] batch first, beam-shared.
 
-    Written once at prefill, immutable afterwards.
+    Written once at prefill, by reference (no copy), immutable afterwards.
     """
 
-    def __init__(self, config: ModelConfig, bs: int, n_prompt: int):
+    def __init__(self, config: ModelConfig, bs: int, n_prompt: int, ledger: MemoryLedger):
         self.config = config
         self.bs = bs
         self.n_prompt = n_prompt
+        self.ledger = ledger
         self._k: list[np.ndarray | None] = [None] * config.L
         self._v: list[np.ndarray | None] = [None] * config.L
 
@@ -146,7 +149,7 @@ class PromptKV:
     def total_bytes(self) -> int:
         return self.config.L * self.layer_bytes
 
-    def store(self, layer: int, k, v, ledger: MemoryLedger | None = None) -> None:
+    def store(self, layer: int, k, v) -> None:
         if self._k[layer] is not None:
             raise ValueError("prompt KV is write-once")
         k = np.asarray(k, dtype=np.float32)
@@ -156,8 +159,7 @@ class PromptKV:
             raise ValueError(f"prompt K/V must be batch-first {expect}, got {k.shape} / {v.shape}")
         self._k[layer] = k
         self._v[layer] = v
-        if ledger is not None:
-            ledger.alloc(self.layer_bytes)
+        self.ledger.alloc(self.layer_bytes)
 
     def layer(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         k, v = self._k[i], self._v[i]
@@ -167,82 +169,74 @@ class PromptKV:
 
 
 class ResponseKV:
-    """Per-layer response K/V, [N_step, BS*BW, H, D] sequence first.
+    """Response K/V of all layers in one arena, [L, N_step, BS*BW, H, D].
 
-    Rows [0, length) hold written data; rows [length, capacity) are reserved.
-    Appending past capacity grows the buffer by ``step`` rows: one alloc of
-    the larger block, a row copy, and one free of the old block.
+    Each layer's rows [0, length(layer)) hold written data; the rest of the
+    shared capacity is reserved. All layers append in lockstep, so the
+    append that finds its layer full grows every layer by ``step`` rows at
+    once: one alloc of the larger arena, one copy, one free of the old one.
     """
 
-    def __init__(self, config: ModelConfig, bs: int, bw: int):
+    def __init__(self, config: ModelConfig, bs: int, bw: int, ledger: MemoryLedger):
         self.config = config
         self.bs = bs
         self.bw = bw
-        self._k: list[np.ndarray | None] = [None] * config.L
-        self._v: list[np.ndarray | None] = [None] * config.L
-        self._capacity = [0] * config.L
+        self.ledger = ledger
+        self._capacity = 0
         self._length = [0] * config.L
+        self._k = np.zeros((config.L, 0, self.rows, config.H, config.D), dtype=np.float32)
+        self._v = np.zeros_like(self._k)
 
     @property
     def rows(self) -> int:
         return self.bs * self.bw
 
     def block_bytes(self, capacity_rows: int) -> int:
+        """Bytes of the K and V arenas at ``capacity_rows`` rows per layer."""
         c = self.config
-        return 2 * capacity_rows * self.rows * c.H * c.D * c.dtype_bytes
+        return 2 * c.L * capacity_rows * self.rows * c.H * c.D * c.dtype_bytes
 
     def length(self, layer: int) -> int:
         return self._length[layer]
 
     def capacity(self, layer: int) -> int:
-        return self._capacity[layer]
+        """Rows reserved per layer; the same for every layer."""
+        return self._capacity
 
     def total_bytes(self) -> int:
-        return sum(self.block_bytes(c) for c in self._capacity)
+        return self.block_bytes(self._capacity)
 
-    @staticmethod
-    def _as_row(x, rows: int, h: int, d: int, name: str) -> np.ndarray:
-        a = np.asarray(x, dtype=np.float32)
-        if a.shape == (1, rows, h, d):
-            a = a[0]
-        if a.shape != (rows, h, d):
-            raise ValueError(f"{name} must have shape (1, {rows}, {h}, {d}), got {a.shape}")
-        return a
-
-    def append(self, layer: int, k_t, v_t, ledger: MemoryLedger | None = None) -> None:
+    def _as_row(self, x, name: str) -> np.ndarray:
         c = self.config
-        k_row = self._as_row(k_t, self.rows, c.H, c.D, "k_t")
-        v_row = self._as_row(v_t, self.rows, c.H, c.D, "v_t")
+        a = np.asarray(x, dtype=np.float32)
+        if a.shape != (1, self.rows, c.H, c.D):
+            raise ValueError(f"{name} must have shape (1, {self.rows}, {c.H}, {c.D}), got {a.shape}")
+        return a[0]
 
-        if self._length[layer] == self._capacity[layer]:
-            old_cap = self._capacity[layer]
-            new_cap = old_cap + c.step
-            new_k = np.zeros((new_cap, self.rows, c.H, c.D), dtype=np.float32)
+    def append(self, layer: int, k_t, v_t) -> None:
+        k_row = self._as_row(k_t, "k_t")
+        v_row = self._as_row(v_t, "v_t")
+
+        if self._length[layer] == self._capacity:
+            c = self.config
+            old_cap, new_cap = self._capacity, self._capacity + c.step
+            new_k = np.zeros((c.L, new_cap, self.rows, c.H, c.D), dtype=np.float32)
             new_v = np.zeros_like(new_k)
-            if old_cap:
-                new_k[: self._length[layer]] = self._k[layer][: self._length[layer]]
-                new_v[: self._length[layer]] = self._v[layer][: self._length[layer]]
-            if ledger is not None:
-                ledger.alloc(self.block_bytes(new_cap))
-                if old_cap:
-                    ledger.free(self.block_bytes(old_cap))
-            self._k[layer] = new_k
-            self._v[layer] = new_v
-            self._capacity[layer] = new_cap
+            new_k[:, :old_cap] = self._k
+            new_v[:, :old_cap] = self._v
+            self.ledger.alloc(self.block_bytes(new_cap))
+            self.ledger.free(self.block_bytes(old_cap))  # a no-op at the first growth
+            self._k, self._v, self._capacity = new_k, new_v, new_cap
 
         row = self._length[layer]
-        self._k[layer][row] = k_row
-        self._v[layer][row] = v_row
+        self._k[layer, row] = k_row
+        self._v[layer, row] = v_row
         self._length[layer] = row + 1
 
     def valid(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of the written rows [0, length) of one layer's K and V."""
         n = self._length[layer]
-        if self._k[layer] is None:
-            c = self.config
-            empty = np.zeros((0, self.rows, c.H, c.D), dtype=np.float32)
-            return empty, empty
-        return self._k[layer][:n], self._v[layer][:n]
+        return self._k[layer, :n], self._v[layer, :n]
 
 
 class StandardKV:
@@ -250,13 +244,15 @@ class StandardKV:
 
     Each decode step gathers the past rows by beam order (index select),
     concatenates the new row, and stores the result in a freshly allocated
-    buffer; the old buffer is freed.
+    buffer; the old buffer is freed. ``counters`` (an ``OpCounters``) counts
+    the index selects and concats.
     """
 
-    def __init__(self, config: ModelConfig, bs: int, bw: int, counters=None):
+    def __init__(self, config: ModelConfig, bs: int, bw: int, ledger: MemoryLedger, counters):
         self.config = config
         self.bs = bs
         self.bw = bw
+        self.ledger = ledger
         self.counters = counters
         self._k: list[np.ndarray | None] = [None] * config.L
         self._v: list[np.ndarray | None] = [None] * config.L
@@ -276,7 +272,7 @@ class StandardKV:
     def total_bytes(self) -> int:
         return sum(self.block_bytes(self.n_total(l)) for l in range(self.config.L))
 
-    def store_prompt(self, layer: int, k, v, ledger: MemoryLedger | None = None) -> None:
+    def store_prompt(self, layer: int, k, v) -> None:
         c = self.config
         k = np.asarray(k, dtype=np.float32)
         v = np.asarray(v, dtype=np.float32)
@@ -287,15 +283,12 @@ class StandardKV:
             raise ValueError("prompt already stored for this layer")
         self._k[layer] = k
         self._v[layer] = v
-        if ledger is not None:
-            ledger.alloc(self.block_bytes(k.shape[1]))
+        self.ledger.alloc(self.block_bytes(k.shape[1]))
 
-    def step(self, layer: int, k_t, v_t, beam_reorder,
-             ledger: MemoryLedger | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, layer: int, k_t, v_t, beam_reorder) -> tuple[np.ndarray, np.ndarray]:
         """Gather past rows by ``beam_reorder`` (global row indices in
         [0, BS*BW)), concat the new K_t/V_t, and swap in the new buffer.
         Returns the new (K, V)."""
-        c = self.config
         rows = self.rows
         k_row = self._one_step_rows(k_t, "k_t")
         v_row = self._one_step_rows(v_t, "v_t")
@@ -312,16 +305,13 @@ class StandardKV:
 
         gathered_k = old_k[reorder]  # index select on the batch*beam axis
         gathered_v = old_v[reorder]
-        if self.counters is not None:
-            self.counters.index_select_ops += 2
+        self.counters.index_select_ops += 2
         new_k = np.concatenate([gathered_k, k_row], axis=1)
         new_v = np.concatenate([gathered_v, v_row], axis=1)
-        if self.counters is not None:
-            self.counters.cat_ops += 2
+        self.counters.cat_ops += 2
 
-        if ledger is not None:
-            ledger.alloc(self.block_bytes(old_n + 1))
-            ledger.free(self.block_bytes(old_n))
+        self.ledger.alloc(self.block_bytes(old_n + 1))
+        self.ledger.free(self.block_bytes(old_n))
         self._k[layer] = new_k
         self._v[layer] = new_v
         return new_k, new_v
@@ -329,8 +319,6 @@ class StandardKV:
     def _one_step_rows(self, x, name: str) -> np.ndarray:
         c = self.config
         a = np.asarray(x, dtype=np.float32)
-        if a.shape == (self.rows, c.H, c.D):
-            a = a[:, None]
         if a.shape != (self.rows, 1, c.H, c.D):
             raise ValueError(
                 f"{name} must have shape ({self.rows}, 1, {c.H}, {c.D}), got {a.shape}"
@@ -353,8 +341,8 @@ def simulate_decode_memory(policy: str, config: ModelConfig,
     """Replay the decode-phase allocation trace of one policy, sizes only.
 
     Segment: the persistent prompt buffer is part of the decode-phase live
-    set, so the trace opens with it; response buffers then grow step-wise
-    (alloc new, free old). Standard: the trace holds only the per-step
+    set, so the trace opens with it; the all-layer response arena then grows
+    step-wise (alloc new, free old). Standard: the trace holds only the per-step
     reallocation of the contiguous buffer; the prefill-phase buffer it
     replaces at step 1 lives outside the decode trace.
     """

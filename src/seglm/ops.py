@@ -110,12 +110,9 @@ def silu(x) -> np.ndarray:
     return x * sig
 
 
-def gated_mlp(x, w_gate, w_up, w_down, activation=silu) -> np.ndarray:
-    """y = (act(x @ w_gate) * (x @ w_up)) @ w_down."""
-    return linear(activation(linear(x, w_gate)) * linear(x, w_up), w_down)
-
-
-ACTIVATIONS = {"silu": silu}
+def gated_mlp(x, w_gate, w_up, w_down) -> np.ndarray:
+    """y = (silu(x @ w_gate) * (x @ w_up)) @ w_down."""
+    return linear(silu(linear(x, w_gate)) * linear(x, w_up), w_down)
 
 
 def _swap_batch_and_seq(x, expected: str) -> np.ndarray:

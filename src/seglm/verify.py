@@ -167,8 +167,8 @@ def check_cross_engine(configs: int = 20, seed: int = 77) -> CheckResult:
 def check_growth_semantics() -> CheckResult:
     def body() -> str:
         cfg = toy_config(L=1, H=2, D=4)
-        cache = ResponseKV(cfg, bs=1, bw=2)
         ledger = MemoryLedger()
+        cache = ResponseKV(cfg, bs=1, bw=2, ledger=ledger)
         rng = np.random.default_rng(5)
         ks, vs = [], []
         for _ in range(40):
@@ -176,7 +176,7 @@ def check_growth_semantics() -> CheckResult:
             v = rng.standard_normal((1, 2, cfg.H, cfg.D)).astype(np.float32)
             ks.append(k)
             vs.append(v)
-            cache.append(0, k, v, ledger)
+            cache.append(0, k, v)
         assert cache.capacity(0) == 48, cache.capacity(0)
         b = cache.block_bytes
         expected_events = [("alloc", b(16)),
@@ -197,8 +197,7 @@ def check_growth_semantics() -> CheckResult:
 
 def check_fusion_counts() -> CheckResult:
     def body() -> str:
-        cfg = toy_config()
-        std = build_standard_decoder_graph(cfg, "decode")
+        std = build_standard_decoder_graph("decode")
         assert std.count_kind("Cat") == 2, std.count_kind("Cat")
         assert std.count_kind("IndexSelect") == 2
         assert std.count_kind("Transpose") >= 1
@@ -207,7 +206,7 @@ def check_fusion_counts() -> CheckResult:
         assert rep["total"] == 9, rep["total"]
         assert rep["counts"]["by_tag"]["data-movement"] == 0
         assert rep["counts"]["by_tag"]["element-wise"] == 0
-        opt_prefill = apply_fusion_passes(build_standard_decoder_graph(cfg, "prefill"))
+        opt_prefill = apply_fusion_passes(build_standard_decoder_graph("prefill"))
         assert op_count_report(opt_prefill)["total"] == 9
         return (f"standard decode graph: {std.count_kind('Cat')} cat, "
                 f"{std.count_kind('IndexSelect')} index-select, "

@@ -137,7 +137,18 @@ def test_gen_prompt_file_and_weight_round_trip(tmp_path):
     assert t1 == t2
 
 
-@pytest.mark.parametrize("defect", ["missing-tensor", "nan-weight", "missing-config"])
+# defect -> a word the error message must name
+MALFORMED_WEIGHT_FILES = {
+    "missing-tensor": "head",
+    "nan-weight": "embedding",
+    "missing-config": "config",
+    "negative-eps": "eps",
+    "zero-rope-theta": "rope_theta",
+    "activation-field": "activation",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED_WEIGHT_FILES))
 def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
     good = tmp_path / "good.bin"
     save_weights(good, ToyWeights.random(toy_config(), seed=0))
@@ -147,13 +158,18 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
         header["tensors"] = [t for t in header["tensors"] if t["name"] != "head"]
     elif defect == "nan-weight":  # the embedding is the first tensor in the blob
         blob = np.float32(np.nan).tobytes() + blob[4:]
-    else:
+    elif defect == "missing-config":
         del header["config"]
+    elif defect == "negative-eps":
+        header["config"]["eps"] = -1.0
+    elif defect == "zero-rope-theta":
+        header["config"]["rope_theta"] = 0.0
+    else:  # a header written while the config still had an activation option
+        header["config"]["activation"] = "silu"
     bad = tmp_path / "bad.bin"
     bad.write_bytes(json.dumps(header).encode() + b"\n" + blob)
     assert run_cli("gen", "--weights", str(bad), "--n-response", "2") == 2
-    name = {"missing-tensor": "head", "nan-weight": "embedding", "missing-config": "config"}
-    assert name[defect] in capsys.readouterr().err
+    assert MALFORMED_WEIGHT_FILES[defect] in capsys.readouterr().err
 
 
 def test_gen_invalid_token_ids_usage_error(tmp_path, capsys):
@@ -203,6 +219,15 @@ def test_fusion_report_totals_and_stability(capsys):
     assert report["optimized"]["counts"]["by_tag"]["data-movement"] == 0
     assert run_cli("fusion-report", "--phase", "decode") == 0
     assert capsys.readouterr().out == first  # schema and content stable across runs
+
+
+def test_fusion_report_takes_no_model_flags(capsys):
+    """The analysis graph does not depend on the model, so the report has no
+    model flags to ignore."""
+    for flag in ("--model", "--L", "--dtype-bytes"):
+        with pytest.raises(SystemExit) as e:
+            run_cli("fusion-report", flag, "4")
+        assert e.value.code == 2
 
 
 def test_fusion_report_prefill(capsys):

@@ -33,6 +33,11 @@ def test_config_validation():
         ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, step=0)
     with pytest.raises(ValueError):
         ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, rope_style="sideways")
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps"):
+            ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, eps=bad)
+        with pytest.raises(ValueError, match="rope_theta"):
+            ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, rope_theta=bad)
 
 
 def test_toy_config_defaults():

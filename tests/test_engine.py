@@ -201,7 +201,7 @@ def test_cache_growth_is_semantically_invisible():
     single = single_engine.generate(req)
     frees = [[e for e in eng.last_ledger.events if e[0] == "free"]
              for eng in (grown_engine, single_engine)]
-    assert len(frees[0]) == w.config.L and frees[1] == []
+    assert len(frees[0]) == 1 and frees[1] == []  # one all-layer arena growth
     assert np.array_equal(grown.tokens, single.tokens)
     assert np.array_equal(grown.final_hidden, single.final_hidden)
 
@@ -240,6 +240,36 @@ def test_every_alloc_exceeds_every_earlier_free(monkeypatch):
     assert len(ledgers) == 2
     for ledger in ledgers:
         _assert_allocs_exceed_earlier_frees(ledger.events)
+
+
+@pytest.mark.parametrize("mode,bs,bw,nr", [("greedy", 2, 1, 32), ("greedy", 1, 1, 20),
+                                           ("beam", 1, 4, 32), ("beam", 2, 2, 37)])
+def test_optimized_ledger_matches_segment_simulator(monkeypatch, mode, bs, bw, nr):
+    """The runtime logs the segment policy at the simulator's granularity:
+    one alloc per layer for the prompt, then one alloc and one free per
+    response growth across all layers."""
+    w = _toy_weights(seed=13, L=3)
+    n_prompt = 7
+    engine = OptimizedEngine(w)
+    engine.generate(GenerationRequest(_prompt(w.config, bs, n_prompt), nr, mode=mode, bw=bw))
+
+    ledgers = []
+
+    class RecordingLedger(MemoryLedger):
+        def __init__(self):
+            super().__init__()
+            ledgers.append(self)
+
+    monkeypatch.setattr(kvcache, "MemoryLedger", RecordingLedger)
+    simulate_decode_memory("segment", w.config, CacheShapeParams(bs, bw, n_prompt, nr))
+    (sim_prompt, *sim_response), = [ledger.events for ledger in ledgers]
+
+    L = w.config.L
+    events = engine.last_ledger.events
+    assert [kind for kind, _ in events[:L]] == ["alloc"] * L
+    assert ("alloc", sum(n for _, n in events[:L])) == sim_prompt
+    assert events[L:] == sim_response
+    assert sum(kind == "free" for kind, _ in sim_response) == -(-nr // w.config.step) - 1
 
 
 # -- instrumentation --------------------------------------------------------------------

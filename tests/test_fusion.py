@@ -3,7 +3,6 @@ from collections import Counter
 
 import pytest
 
-from seglm.config import toy_config
 from seglm.fusion import (OpGraph, apply_fusion_passes, build_standard_decoder_graph,
                           op_count_report)
 
@@ -19,13 +18,8 @@ OPTIMIZED_KINDS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def cfg():
-    return toy_config()
-
-
-def test_decode_graph_cat_and_index_select_counts(cfg):
-    g = build_standard_decoder_graph(cfg, "decode")
+def test_decode_graph_cat_and_index_select_counts():
+    g = build_standard_decoder_graph("decode")
     assert g.count_kind("Cat") == 2
     assert g.count_kind("IndexSelect") == 2
     assert g.count_kind("Transpose") == 4  # q, k, v and the context
@@ -34,22 +28,22 @@ def test_decode_graph_cat_and_index_select_counts(cfg):
     assert g.count_kind("Softmax") == 1
 
 
-def test_prefill_graph_has_no_past_kv_ops(cfg):
-    g = build_standard_decoder_graph(cfg, "prefill")
+def test_prefill_graph_has_no_past_kv_ops():
+    g = build_standard_decoder_graph("prefill")
     assert g.count_kind("IndexSelect") == 0
     assert g.count_kind("Cat") == 0
     assert g.count_kind("Mask") == 1
 
 
-def test_standard_node_totals_pinned(cfg):
-    assert len(build_standard_decoder_graph(cfg, "decode").nodes) == N_STD_DECODE
-    assert len(build_standard_decoder_graph(cfg, "prefill").nodes) == N_STD_PREFILL
+def test_standard_node_totals_pinned():
+    assert len(build_standard_decoder_graph("decode").nodes) == N_STD_DECODE
+    assert len(build_standard_decoder_graph("prefill").nodes) == N_STD_PREFILL
     assert N_STD_DECODE > 9 and N_STD_PREFILL > 9
 
 
-def test_graph_is_acyclic_single_entry_single_exit(cfg):
+def test_graph_is_acyclic_single_entry_single_exit():
     for phase in ("prefill", "decode"):
-        g = build_standard_decoder_graph(cfg, phase)
+        g = build_standard_decoder_graph(phase)
         assert g.is_acyclic()
         assert len(g.entries()) == 1
         assert len(g.exits()) == 1
@@ -60,21 +54,21 @@ def test_graph_is_acyclic_single_entry_single_exit(cfg):
 
 
 @pytest.mark.parametrize("phase", ["prefill", "decode"])
-def test_fused_graph_has_exactly_nine_ops(cfg, phase):
-    o = apply_fusion_passes(build_standard_decoder_graph(cfg, phase))
+def test_fused_graph_has_exactly_nine_ops(phase):
+    o = apply_fusion_passes(build_standard_decoder_graph(phase))
     assert len(o.nodes) == 9
     assert [n.kind for n in o.node_list()] == OPTIMIZED_KINDS
 
 
 @pytest.mark.parametrize("phase", ["prefill", "decode"])
-def test_fused_graph_removes_orange_and_yellow_classes(cfg, phase):
-    o = apply_fusion_passes(build_standard_decoder_graph(cfg, phase))
+def test_fused_graph_removes_orange_and_yellow_classes(phase):
+    o = apply_fusion_passes(build_standard_decoder_graph(phase))
     assert o.count_tag("data-movement") == 0
     assert o.count_tag("element-wise") == 0
 
 
-def test_fusion_is_idempotent(cfg):
-    g = build_standard_decoder_graph(cfg, "decode")
+def test_fusion_is_idempotent():
+    g = build_standard_decoder_graph("decode")
     once = apply_fusion_passes(g)
     twice = apply_fusion_passes(once)
     assert [n.kind for n in once.node_list()] == [n.kind for n in twice.node_list()]
@@ -82,9 +76,9 @@ def test_fusion_is_idempotent(cfg):
     assert op_count_report(once)["counts"] == op_count_report(twice)["counts"]
 
 
-def test_fusion_is_deterministic(cfg):
-    a = op_count_report(apply_fusion_passes(build_standard_decoder_graph(cfg, "decode")))
-    b = op_count_report(apply_fusion_passes(build_standard_decoder_graph(cfg, "decode")))
+def test_fusion_is_deterministic():
+    a = op_count_report(apply_fusion_passes(build_standard_decoder_graph("decode")))
+    b = op_count_report(apply_fusion_passes(build_standard_decoder_graph("decode")))
     assert a == b
 
 
@@ -95,8 +89,8 @@ def test_report_empty_graph_is_all_zeros():
     assert all(v == 0 for v in rep["counts"]["by_tag"].values())
 
 
-def test_report_histogram_matches_node_multiset(cfg):
-    g = build_standard_decoder_graph(cfg, "decode")
+def test_report_histogram_matches_node_multiset():
+    g = build_standard_decoder_graph("decode")
     rep = op_count_report(g)
     assert rep["counts"]["by_kind"] == dict(sorted(Counter(
         n.kind for n in g.nodes.values()).items()))
@@ -104,7 +98,7 @@ def test_report_histogram_matches_node_multiset(cfg):
     assert sum(rep["counts"]["by_kind"].values()) == rep["total"]
 
 
-def test_decode_histogram_matches_hand_enumeration(cfg):
+def test_decode_histogram_matches_hand_enumeration():
     """Golden tally of the builder's emission list: two 5-primitive norm
     chains, q/k/v/o + gate/up/down projections, two 2-primitive rotary
     chains, per-tensor transposes, past-KV gather + concat pairs, the
@@ -122,13 +116,13 @@ def test_decode_histogram_matches_hand_enumeration(cfg):
         "Softmax": 1,
         "Transpose": 4,
     }
-    rep = op_count_report(build_standard_decoder_graph(cfg, "decode"))
+    rep = op_count_report(build_standard_decoder_graph("decode"))
     assert rep["counts"]["by_kind"] == expected
     assert rep["total"] == sum(expected.values()) == 36
 
 
-def test_report_is_json_serializable_and_tagged(cfg):
-    g = build_standard_decoder_graph(cfg, "decode")
+def test_report_is_json_serializable_and_tagged():
+    g = build_standard_decoder_graph("decode")
     rep = op_count_report(g)
     parsed = json.loads(json.dumps(rep))
     assert parsed["phase"] == "decode"
@@ -136,6 +130,6 @@ def test_report_is_json_serializable_and_tagged(cfg):
     assert len(movement) == rep["counts"]["by_tag"]["data-movement"] == 8
 
 
-def test_unknown_phase_rejected(cfg):
+def test_unknown_phase_rejected():
     with pytest.raises(ValueError):
-        build_standard_decoder_graph(cfg, "training")
+        build_standard_decoder_graph("training")

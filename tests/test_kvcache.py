@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seglm.config import ModelConfig, preset, toy_config
+from seglm.engine import OpCounters
 from seglm.kvcache import (CacheShapeParams, MemoryLedger, PromptKV, ResponseKV,
                            StandardKV, cache_token_bytes, memsim_row,
                            segment_cache_bytes, simulate_decode_memory,
@@ -107,10 +108,10 @@ def _rows(rng, cfg, n):
 
 def test_first_append_allocates_initial_block():
     cfg = toy_config(L=1)
-    cache = ResponseKV(cfg, bs=1, bw=1)
     led = MemoryLedger()
+    cache = ResponseKV(cfg, bs=1, bw=1, ledger=led)
     rng = np.random.default_rng(1)
-    cache.append(0, _rows(rng, cfg, 1), _rows(rng, cfg, 1), led)
+    cache.append(0, _rows(rng, cfg, 1), _rows(rng, cfg, 1))
     assert cache.length(0) == 1
     assert cache.capacity(0) == 16
     assert led.events == [("alloc", cache.block_bytes(16))]
@@ -118,13 +119,13 @@ def test_first_append_allocates_initial_block():
 
 def test_seventeenth_append_grows_and_preserves_rows():
     cfg = toy_config(L=1)
-    cache = ResponseKV(cfg, bs=1, bw=1)
     led = MemoryLedger()
+    cache = ResponseKV(cfg, bs=1, bw=1, ledger=led)
     rng = np.random.default_rng(2)
     ks = [_rows(rng, cfg, 1) for _ in range(17)]
     vs = [_rows(rng, cfg, 1) for _ in range(17)]
     for k, v in zip(ks, vs):
-        cache.append(0, k, v, led)
+        cache.append(0, k, v)
     assert cache.capacity(0) == 32
     got_k, _ = cache.valid(0)
     assert np.array_equal(got_k[:16], np.concatenate([k[0][None] for k in ks[:16]]).reshape(16, 1, cfg.H, cfg.D))
@@ -134,8 +135,8 @@ def test_seventeenth_append_grows_and_preserves_rows():
 
 def test_forty_appends_capacity_and_concat_oracle():
     cfg = toy_config(L=1, H=2, D=4)
-    cache = ResponseKV(cfg, bs=2, bw=2)
     led = MemoryLedger()
+    cache = ResponseKV(cfg, bs=2, bw=2, ledger=led)
     rng = np.random.default_rng(3)
     ks, vs = [], []
     for _ in range(40):
@@ -143,7 +144,7 @@ def test_forty_appends_capacity_and_concat_oracle():
         v = rng.standard_normal((1, 4, cfg.H, cfg.D)).astype(np.float32)
         ks.append(k)
         vs.append(v)
-        cache.append(0, k, v, led)
+        cache.append(0, k, v)
     assert cache.capacity(0) == 48
     got_k, got_v = cache.valid(0)
     assert np.array_equal(got_k, np.concatenate(ks, axis=0))
@@ -158,7 +159,7 @@ def test_forty_appends_capacity_and_concat_oracle():
 @given(n=st.integers(1, 80))
 def test_capacity_is_always_rounded_up_to_step(n):
     cfg = toy_config(L=1, H=1, D=2)
-    cache = ResponseKV(cfg, bs=1, bw=1)
+    cache = ResponseKV(cfg, bs=1, bw=1, ledger=MemoryLedger())
     rng = np.random.default_rng(n)
     for i in range(n):
         cache.append(0, _rows(rng, cfg, 1), _rows(rng, cfg, 1))
@@ -166,45 +167,70 @@ def test_capacity_is_always_rounded_up_to_step(n):
         assert cache.capacity(0) == -(-length // 16) * 16
 
 
-def test_response_kv_layers_grow_independently():
-    cfg = toy_config(L=2, H=1, D=2)
-    cache = ResponseKV(cfg, bs=1, bw=1)
+def test_response_kv_layers_grow_in_lockstep():
+    """Layers appended in lockstep, as a decode step does, share one capacity;
+    each growth is one alloc and one free of the all-layer arena, and every
+    layer's rows still equal the concatenation of what it was given."""
+    cfg = toy_config(L=3, H=1, D=2)
+    led = MemoryLedger()
+    cache = ResponseKV(cfg, bs=1, bw=2, ledger=led)
     rng = np.random.default_rng(7)
-    for _ in range(17):
-        cache.append(0, _rows(rng, cfg, 1), _rows(rng, cfg, 1))
-    cache.append(1, _rows(rng, cfg, 1), _rows(rng, cfg, 1))
-    assert cache.capacity(0) == 32 and cache.length(0) == 17
-    assert cache.capacity(1) == 16 and cache.length(1) == 1
+    assert all(cache.valid(layer)[0].shape == (0, 2, cfg.H, cfg.D) for layer in range(cfg.L))
+    written = [([], []) for _ in range(cfg.L)]
+    for t in range(1, 34):
+        for layer in range(cfg.L):
+            k, v = _rows(rng, cfg, 2), _rows(rng, cfg, 2)
+            written[layer][0].append(k)
+            written[layer][1].append(v)
+            cache.append(layer, k, v)
+            assert cache.length(layer) == t
+            assert cache.capacity(layer) == -(-t // 16) * 16
+    b = cache.block_bytes
+    assert b(16) == cfg.L * 2 * 16 * 2 * cfg.H * cfg.D * cfg.dtype_bytes
+    assert led.events == [("alloc", b(16)),
+                          ("alloc", b(32)), ("free", b(16)),
+                          ("alloc", b(48)), ("free", b(32))]
+    assert cache.total_bytes() == b(48) == led.active_bytes
+    for layer, (ks, vs) in enumerate(written):
+        got_k, got_v = cache.valid(layer)
+        assert np.array_equal(got_k, np.concatenate(ks, axis=0))
+        assert np.array_equal(got_v, np.concatenate(vs, axis=0))
 
 
 def test_response_kv_shape_mismatch():
     cfg = toy_config(L=1)
-    cache = ResponseKV(cfg, bs=1, bw=2)
+    cache = ResponseKV(cfg, bs=1, bw=2, ledger=MemoryLedger())
     with pytest.raises(ValueError):
         cache.append(0, np.zeros((1, 3, cfg.H, cfg.D)), np.zeros((1, 3, cfg.H, cfg.D)))
+    with pytest.raises(ValueError):  # a row without its leading step axis
+        cache.append(0, np.zeros((2, cfg.H, cfg.D)), np.zeros((2, cfg.H, cfg.D)))
 
 
 # -- prompt cache -----------------------------------------------------------------
 
 def test_prompt_kv_store_once_and_bytes():
     cfg = toy_config(L=2)
-    pk = PromptKV(cfg, bs=3, n_prompt=5)
     led = MemoryLedger()
+    pk = PromptKV(cfg, bs=3, n_prompt=5, ledger=led)
     t = np.zeros((3, 5, cfg.H, cfg.D), dtype=np.float32)
-    pk.store(0, t, t, led)
+    pk.store(0, t, t)
     assert led.active_bytes == pk.layer_bytes
     assert pk.total_bytes == 3 * 5 * cache_token_bytes(cfg)
     with pytest.raises(ValueError):
-        pk.store(0, t, t, led)
+        pk.store(0, t, t)
     with pytest.raises(ValueError):  # sequence-first [N_prompt, BS, H, D] is the wrong shape
-        pk.store(1, np.zeros((5, 3, cfg.H, cfg.D), dtype=np.float32), t, led)
+        pk.store(1, np.zeros((5, 3, cfg.H, cfg.D), dtype=np.float32), t)
 
 
 # -- standard cache ----------------------------------------------------------------
 
+def _standard_kv(cfg, bs, bw):
+    return StandardKV(cfg, bs, bw, ledger=MemoryLedger(), counters=OpCounters())
+
+
 def test_standard_step_identity_reorder_equals_concat():
     cfg = toy_config(L=1, H=2, D=4)
-    kv = StandardKV(cfg, bs=1, bw=2)
+    kv = _standard_kv(cfg, bs=1, bw=2)
     rng = np.random.default_rng(5)
     k0 = rng.standard_normal((2, 3, cfg.H, cfg.D)).astype(np.float32)
     kv.store_prompt(0, k0, k0.copy())
@@ -217,7 +243,7 @@ def test_standard_step_identity_reorder_equals_concat():
 
 def test_standard_step_swap_reorder_hand_case():
     cfg = toy_config(L=1, H=1, D=2)
-    kv = StandardKV(cfg, bs=1, bw=2)
+    kv = _standard_kv(cfg, bs=1, bw=2)
     past = np.arange(4, dtype=np.float32).reshape(2, 1, 1, 2)
     kv.store_prompt(0, past, past.copy())
     new = np.full((2, 1, 1, 2), 9.0, dtype=np.float32)
@@ -229,15 +255,15 @@ def test_standard_step_swap_reorder_hand_case():
 
 def test_standard_step_reserved_is_per_step_sum():
     cfg = toy_config(L=1)
-    kv = StandardKV(cfg, bs=1, bw=2)
     led = MemoryLedger()
+    kv = StandardKV(cfg, bs=1, bw=2, ledger=led, counters=OpCounters())
     rng = np.random.default_rng(6)
     n_prompt, n_steps = 4, 5
     kv.store_prompt(0, rng.standard_normal((2, n_prompt, cfg.H, cfg.D)).astype(np.float32),
-                    rng.standard_normal((2, n_prompt, cfg.H, cfg.D)).astype(np.float32), led)
+                    rng.standard_normal((2, n_prompt, cfg.H, cfg.D)).astype(np.float32))
     for _ in range(n_steps):
         s = rng.standard_normal((2, 1, cfg.H, cfg.D)).astype(np.float32)
-        kv.step(0, s, s, np.array([0, 1]), led)
+        kv.step(0, s, s, np.array([0, 1]))
     expected = kv.block_bytes(n_prompt) + sum(
         kv.block_bytes(n_prompt + t) for t in range(1, n_steps + 1))
     assert led.reserved_bytes == expected
@@ -245,7 +271,7 @@ def test_standard_step_reserved_is_per_step_sum():
 
 def test_standard_step_reorder_out_of_range():
     cfg = toy_config(L=1)
-    kv = StandardKV(cfg, bs=1, bw=2)
+    kv = _standard_kv(cfg, bs=1, bw=2)
     kv.store_prompt(0, np.zeros((2, 2, cfg.H, cfg.D)), np.zeros((2, 2, cfg.H, cfg.D)))
     with pytest.raises(ValueError):
         kv.step(0, np.zeros((2, 1, cfg.H, cfg.D)), np.zeros((2, 1, cfg.H, cfg.D)),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seglm.config import toy_config
-from seglm.kvcache import PromptKV, ResponseKV
+from seglm.kvcache import MemoryLedger, PromptKV, ResponseKV
 from seglm.sdpa import (OnlineSoftmax, SdpaDecodeInputs, sdpa_decode_fused,
                         sdpa_decode_oracle, sdpa_prefill)
 
@@ -136,10 +136,10 @@ def test_from_caches_rejects_batch_first_q():
     """The shape check, not a layout tag, catches a q left batch first."""
     cfg = toy_config(L=1, H=2, D=4)
     rng = np.random.default_rng(8)
-    prompt_kv = PromptKV(cfg, bs=1, n_prompt=3)
+    prompt_kv = PromptKV(cfg, bs=1, n_prompt=3, ledger=MemoryLedger())
     kv = rng.standard_normal((1, 3, cfg.H, cfg.D)).astype(np.float32)
     prompt_kv.store(0, kv, kv)
-    resp_kv = ResponseKV(cfg, bs=1, bw=2)
+    resp_kv = ResponseKV(cfg, bs=1, bw=2, ledger=MemoryLedger())
     row = rng.standard_normal((1, 2, cfg.H, cfg.D)).astype(np.float32)
     resp_kv.append(0, row, row)
     indices = np.zeros((1, 2, 1), dtype=np.int64)
