@@ -83,15 +83,22 @@ def build_gather_indices(parents: Sequence[np.ndarray], upto_step: int) -> BeamI
         raise ValueError("upto_step must be >= 1")
     if len(parents) < upto_step:
         raise ValueError(f"need {upto_step} parent records, have {len(parents)}")
-    bs, bw = parents[0].shape
-    out = np.zeros((bs, bw, upto_step), dtype=np.int64)
-    cursor = np.broadcast_to(np.arange(bw, dtype=np.int64), (bs, bw)).copy()
+    records = parents[:upto_step]
+    expected = np.shape(records[0])
+    if len(expected) != 2:
+        raise ValueError(f"parents[0] has shape {expected}, expected (BS, BW)")
+    for t, record in enumerate(records):
+        if np.shape(record) != expected:
+            raise ValueError(f"parents[{t}] has shape {np.shape(record)}, expected {expected}")
+    p = np.stack(records)  # [upto_step, BS, BW]
+    bs, bw = expected
+    out_of_range = ((p < 0) | (p >= bw)).any(axis=(1, 2))
+    if out_of_range.any():
+        raise ValueError(f"parents[{int(np.argmax(out_of_range))}] contains out-of-range slots")
+    out = np.empty((bs, bw, upto_step), dtype=np.int64)
+    rows = np.arange(bs)[:, None]
+    cursor = np.broadcast_to(np.arange(bw, dtype=np.int64), (bs, bw))
     for t in range(upto_step - 1, -1, -1):
         out[:, :, t] = cursor
-        p = np.asarray(parents[t])
-        if p.shape != (bs, bw):
-            raise ValueError(f"parents[{t}] has shape {p.shape}, expected {(bs, bw)}")
-        if p.size and (p.min() < 0 or p.max() >= bw):
-            raise ValueError(f"parents[{t}] contains out-of-range slots")
-        cursor = np.take_along_axis(p, cursor, axis=1)
+        cursor = p[t][rows, cursor]
     return out

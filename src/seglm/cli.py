@@ -33,8 +33,13 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--D", type=int, help="head dimension")
     p.add_argument("--ff", type=int, help="MLP hidden width")
     p.add_argument("--vocab", type=int, help="vocabulary size")
-    p.add_argument("--dtype-bytes", type=int, choices=(2, 4), default=2,
-                   help="accounting bytes per cached element")
+    p.add_argument("--dtype-bytes", type=int, choices=(2, 4),
+                   help="accounting bytes per cached element (default 2)")
+
+
+# argparse dest -> flag, for the model flags a loaded weight file overrides
+MODEL_FLAGS = {"model": "--model", "L": "--L", "H": "--H", "D": "--D", "ff": "--ff",
+               "vocab": "--vocab", "dtype_bytes": "--dtype-bytes"}
 
 
 def _resolve_config(args) -> ModelConfig:
@@ -47,7 +52,7 @@ def _resolve_config(args) -> ModelConfig:
                          vocab=args.vocab or 64, ff_dim=args.ff)
     else:
         cfg = toy_config()
-    return cfg.with_dtype_bytes(args.dtype_bytes)
+    return cfg.with_dtype_bytes(2 if args.dtype_bytes is None else args.dtype_bytes)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -96,11 +101,15 @@ def _load_prompt(args, cfg: ModelConfig) -> np.ndarray:
 
 
 def cmd_gen(args) -> int:
-    cfg = _resolve_config(args)
     if args.weights:
+        given = [flag for dest, flag in MODEL_FLAGS.items() if getattr(args, dest) is not None]
+        if given:
+            raise UsageError(f"{', '.join(given)} cannot be combined with --weights, "
+                             "whose file holds the model config")
         weights = load_weights(args.weights)
         cfg = weights.config
     else:
+        cfg = _resolve_config(args)
         weights = ToyWeights.random(cfg, seed=args.seed)
     if args.save_weights:
         save_weights(args.save_weights, weights)

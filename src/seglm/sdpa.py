@@ -1,15 +1,26 @@
 """Fused two-segment attention and its materializing oracle.
 
-The decode kernel makes a single online-softmax pass per (batch, beam, head):
-it first streams the beam-shared prompt K/V (batch first, no beam expansion),
-then streams the response K/V (sequence first) through the beam gather
-indices, and normalizes once at the end: one softmax over both segments,
-with the index select fused into the pass. The prefill kernel is the same
-streaming recurrence restricted to a single batch-first segment.
+Both streaming kernels work one tile of ``KEY_BLOCK`` keys at a time through
+an online softmax (running max and normalizer, Milakov & Gimelshein, arXiv
+1805.02867; tiling as in FlashAttention, Dao et al., arXiv 2205.14135).
 
-The oracle materializes the gathered K/V and a full softmax, mirroring the
-unfused gather + concat + attention path, and is what the fused kernel is
-verified against.
+The decode kernel makes a single pass per (batch, beam, head) over two
+segments: first the beam-shared prompt K/V (batch first, never expanded per
+beam; each tile is one [BW, D] x [D, tile] product per item and head), then
+the response K/V (sequence first), gathered through the beam indices with one
+fancy index per tile, and normalizes once at the end: one softmax over both
+segments, with the index select fused into the pass. Its temporaries are
+bounded by KEY_BLOCK x BS*BW x H x D.
+
+The prefill kernel runs the same recurrence over query tiles x key tiles of
+one batch-first segment, skips the key tiles that lie wholly above the
+causal diagonal and masks only the diagonal tile; its score temporaries are
+bounded by KEY_BLOCK^2 x BS x H.
+
+Neither kernel materializes a full-length gathered K/V or score tensor. The
+oracle does: it gathers the full per-beam K/V and runs one full softmax,
+mirroring the unfused gather + concat + attention path, and is what the
+fused kernel is verified against.
 """
 from __future__ import annotations
 
@@ -20,14 +31,19 @@ import numpy as np
 
 from .kvcache import PromptKV, ResponseKV
 
+KEY_BLOCK = 64  # keys per tile in both streaming kernels
+
 
 class OnlineSoftmax:
-    """Streaming softmax-weighted accumulation with a running max.
+    """Streaming softmax-weighted accumulation over tiles of keys.
 
-    Per update with score s and value v:
-        m' = max(m, s); l' = l*e^(m-m') + e^(s-m'); acc' = acc*e^(m-m') + e^(s-m')*v
-    Starting from m = -inf, l = 0, acc = 0; acc/l is the exact attention
-    output over the keys processed so far, in any processing order.
+    Per row, a tile of n scores s_j with values v_j is folded in as
+        m' = max(m, max_j s_j); alpha = e^(m-m'); p_j = e^(s_j-m')
+        l' = alpha*l + sum_j p_j; acc' = alpha*acc + sum_j p_j v_j
+    Starting from m = -inf, l = 0, acc = 0, acc/l is the exact attention
+    output over the keys processed so far, in any order and tiling. A masked
+    key (score -inf) gets weight 0, and a row none of whose keys so far is
+    unmasked keeps m = -inf, l = 0, acc = 0.
     """
 
     def __init__(self, lead_shape: tuple[int, ...], d: int):
@@ -36,13 +52,22 @@ class OnlineSoftmax:
         self.acc = np.zeros(lead_shape + (d,), dtype=np.float32)
 
     def update(self, scores: np.ndarray, values: np.ndarray) -> None:
-        m_new = np.maximum(self.m, scores)
-        live = m_new > -np.inf
-        with np.errstate(invalid="ignore"):
-            alpha = np.where(live, np.exp(self.m - m_new), 0.0).astype(np.float32)
-            p = np.where(live, np.exp(scores - m_new), 0.0).astype(np.float32)
-        self.l = alpha * self.l + p
-        self.acc = alpha[..., None] * self.acc + p[..., None] * values
+        """Fold in one tile: ``scores`` is [*lead, n]. ``values`` is either
+        [*lead, n, D], one block per row, or [*lead[:-1], n, D], one block
+        shared by every row along the last lead axis, which makes the
+        product one matrix multiply per group of rows."""
+        m_new = np.maximum(self.m, scores.max(axis=-1))
+        # a row with no unmasked key yet shifts by 0, not by -inf, so its
+        # weights are e^-inf = 0 rather than e^nan
+        shift = np.where(m_new > -np.inf, m_new, np.float32(0))
+        alpha = np.exp(self.m - shift)
+        p = np.exp(scores - shift[..., None])
+        if values.ndim > p.ndim:
+            pv = np.matmul(p[..., None, :], values)[..., 0, :]
+        else:
+            pv = np.matmul(p, values)
+        self.l = alpha * self.l + p.sum(axis=-1)
+        self.acc = alpha[..., None] * self.acc + pv
         self.m = m_new
 
     def finalize(self) -> np.ndarray:
@@ -50,7 +75,7 @@ class OnlineSoftmax:
 
 
 def sdpa_prefill(q, k, v) -> np.ndarray:
-    """Causal streaming attention over one batch-first segment.
+    """Causal tiled attention over one batch-first segment.
 
     Inputs and output are [BS, N, H, D] batch first; no layout conversion is
     performed. Query i attends keys j <= i, with scores scaled by 1/sqrt(D).
@@ -65,15 +90,25 @@ def sdpa_prefill(q, k, v) -> np.ndarray:
     bs, n, h, d = q.shape
     if n == 0:
         raise ValueError("attention over zero keys is undefined")
-    scale = np.float32(1.0 / sqrt(d))
 
-    state = OnlineSoftmax((bs, n, h), d)
-    qpos = np.arange(n)[None, :, None]  # query positions, broadcast over (bs, h)
-    for j in range(n):
-        s = np.einsum("bnhd,bhd->bnh", q, k[:, j]) * scale
-        s = np.where(qpos >= j, s, np.float32(-np.inf))
-        state.update(s.astype(np.float32, copy=False), v[:, j][:, None, :, :])
-    return state.finalize()
+    # [BS, H, N, D] views, so each tile pair is one batched matrix multiply
+    qh = q.transpose(0, 2, 1, 3) * np.float32(1.0 / sqrt(d))
+    kt = k.transpose(0, 2, 3, 1)  # [BS, H, D, N]
+    vh = v.transpose(0, 2, 1, 3)
+    causal = np.tril(np.ones((KEY_BLOCK, KEY_BLOCK), dtype=bool))
+    out = np.empty((bs, h, n, d), dtype=np.float32)
+    for q0 in range(0, n, KEY_BLOCK):
+        q1 = min(q0 + KEY_BLOCK, n)
+        state = OnlineSoftmax((bs, h, q1 - q0), d)
+        # key tiles past the diagonal one lie wholly above it and are skipped
+        for k0 in range(0, q1, KEY_BLOCK):
+            k1 = min(k0 + KEY_BLOCK, n)
+            s = qh[:, :, q0:q1] @ kt[..., k0:k1]
+            if k0 == q0:  # the diagonal tile: query q0+i sees keys q0..q0+i
+                s = np.where(causal[:q1 - q0, :k1 - k0], s, np.float32(-np.inf))
+            state.update(s, vh[:, :, k0:k1])
+        out[:, :, q0:q1] = state.finalize()
+    return out.transpose(0, 2, 1, 3)
 
 
 @dataclass
@@ -148,32 +183,35 @@ class SdpaDecodeInputs:
 
 def sdpa_decode_fused(inp: SdpaDecodeInputs) -> np.ndarray:
     """Single-pass decode attention: stream the shared prompt segment, then
-    the beam-gathered response segment, through one online softmax.
+    the beam-gathered response segment, tile by tile through one online
+    softmax.
 
     Returns the context as [1, BS*BW, H, D]. The (batch, head) iteration
     space is embarrassingly parallel; results do not depend on scheduling.
     """
     bs, bw, n_prompt, n_resp, h, d = inp.dims
-    scale = np.float32(1.0 / sqrt(d))
-    q = inp.q.reshape(bs, bw, h, d)
-    state = OnlineSoftmax((bs, bw, h), d)
+    # rows as [BS, H, BW]: the beams of an item are the rows of one product
+    q = inp.q.reshape(bs, bw, h, d).transpose(0, 2, 1, 3) * np.float32(1.0 / sqrt(d))
+    state = OnlineSoftmax((bs, h, bw), d)
 
-    for j in range(n_prompt):
-        kj = inp.prompt_k[:, j]  # [BS, H, D], shared by every beam of the item
-        s = np.einsum("bwhd,bhd->bwh", q, kj) * scale
-        state.update(s, inp.prompt_v[:, j][:, None])
+    for t0 in range(0, n_prompt, KEY_BLOCK):
+        kt = inp.prompt_k[:, t0:t0 + KEY_BLOCK]  # [BS, n, H, D], shared by every beam
+        vt = inp.prompt_v[:, t0:t0 + KEY_BLOCK]
+        state.update(q @ kt.transpose(0, 2, 3, 1), vt.transpose(0, 2, 1, 3))
 
-    if n_resp:
-        rk = inp.resp_k.reshape(n_resp, bs, bw, h, d)
-        rv = inp.resp_v.reshape(n_resp, bs, bw, h, d)
-        for t in range(n_resp):
-            sel = inp.indices[:, :, t][:, :, None, None]
-            kt = np.take_along_axis(rk[t], sel, axis=1)  # fused index select
-            vt = np.take_along_axis(rv[t], sel, axis=1)
-            s = np.einsum("bwhd,bwhd->bwh", q, kt) * scale
-            state.update(s, vt)
+    rk = inp.resp_k.reshape(n_resp, bs, bw, h, d)
+    rv = inp.resp_v.reshape(n_resp, bs, bw, h, d)
+    item = np.arange(bs)[:, None, None]
+    for t0 in range(0, n_resp, KEY_BLOCK):
+        t1 = min(t0 + KEY_BLOCK, n_resp)
+        # fused index select: the tile's rows on each beam's ancestry path
+        sel = (np.arange(t0, t1), item, inp.indices[:, :, t0:t1])
+        kt = rk[sel]  # [BS, BW, n, H, D]
+        vt = rv[sel]
+        s = np.matmul(q[..., None, :], kt.transpose(0, 3, 1, 4, 2))[..., 0, :]
+        state.update(s, vt.transpose(0, 3, 1, 2, 4))
 
-    return state.finalize().reshape(1, bs * bw, h, d)
+    return state.finalize().transpose(0, 2, 1, 3).reshape(1, bs * bw, h, d)
 
 
 def sdpa_decode_oracle(inp: SdpaDecodeInputs) -> np.ndarray:

@@ -17,7 +17,7 @@ from .fusion import apply_fusion_passes, build_standard_decoder_graph, op_count_
 from .kvcache import (CacheShapeParams, MemoryLedger, ResponseKV, cache_token_bytes,
                       memsim_row, segment_cache_bytes, simulate_decode_memory,
                       standard_cache_bytes)
-from .sdpa import SdpaDecodeInputs, sdpa_decode_fused, sdpa_decode_oracle
+from .sdpa import KEY_BLOCK, SdpaDecodeInputs, sdpa_decode_fused, sdpa_decode_oracle
 
 GB = 10 ** 9  # decimal GB for display
 
@@ -66,8 +66,9 @@ def _random_decode_inputs(rng: np.random.Generator) -> SdpaDecodeInputs:
     bw = int(rng.integers(1, 5))
     h = int(rng.integers(1, 9))
     d = int(rng.choice([16, 32, 64]))
-    n_prompt = int(rng.integers(0, 97))
-    n_resp = int(rng.integers(0, 65))
+    # both segments reach their third key tile
+    n_prompt = int(rng.integers(0, 2 * KEY_BLOCK + 33))
+    n_resp = int(rng.integers(0, 2 * KEY_BLOCK + 2))
     if n_prompt + n_resp == 0:
         n_prompt = 1
     rows = bs * bw

@@ -169,3 +169,13 @@ def test_out_of_range_parents_rejected():
 def test_too_few_parent_records_rejected():
     with pytest.raises(ValueError):
         build_gather_indices([np.zeros((1, 2), dtype=int)], 2)
+
+
+@pytest.mark.parametrize("records", [
+    [np.zeros((1, 2), dtype=int), np.zeros((1, 3), dtype=int)],
+    [np.zeros((2, 2), dtype=int), np.zeros((1, 2), dtype=int)],
+    [np.zeros(2, dtype=int)],
+], ids=["wider-later", "fewer-items-later", "one-dimensional"])
+def test_wrong_shaped_parent_record_rejected(records):
+    with pytest.raises(ValueError, match="shape"):
+        build_gather_indices(records, len(records))

@@ -172,6 +172,20 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
     assert MALFORMED_WEIGHT_FILES[defect] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [("--model", "gptj-6b"), ("--dtype-bytes", "4"),
+                                   ("--dtype-bytes", "2"), ("--L", "2"),
+                                   ("--H", "4", "--D", "8"), ("--ff", "32"), ("--vocab", "64")],
+                         ids=" ".join)
+def test_gen_rejects_model_flags_with_weights(tmp_path, capsys, flags):
+    """A weight file fixes the model, so a model flag next to it is an error,
+    not silently ignored; the message names the flag and --weights."""
+    wfile = tmp_path / "weights.bin"
+    save_weights(wfile, ToyWeights.random(toy_config(), seed=0))
+    assert run_cli("gen", "--weights", str(wfile), *flags, "--n-response", "2") == 2
+    err = capsys.readouterr().err
+    assert flags[0] in err and "--weights" in err
+
+
 def test_gen_invalid_token_ids_usage_error(tmp_path, capsys):
     prompt = tmp_path / "bad.json"
     prompt.write_text(json.dumps([[9999]]))

@@ -12,6 +12,7 @@ from seglm.engine import (GenerationRequest, OptimizedEngine, ReferenceEngine,
 from seglm.kvcache import (CacheShapeParams, MemoryLedger, cache_token_bytes,
                            segment_cache_bytes, simulate_decode_memory)
 from seglm.ops import LayerWeights
+from seglm.sdpa import KEY_BLOCK
 
 
 def _toy_weights(seed=7, **cfg_kw):
@@ -104,6 +105,21 @@ def test_beam_cross_engine_across_growth_boundaries():
     opt = opt_engine.generate(req)
     ref = reference_generate(w, req)
     assert opt.tokens.shape == (1, 4, 40)
+    assert np.array_equal(opt.tokens, ref.tokens)
+    assert np.max(np.abs(opt.final_hidden - ref.final_hidden)) <= 1e-4
+
+
+@pytest.mark.parametrize("mode,bw", [("greedy", 1), ("beam", 2)])
+def test_cross_engine_across_key_tiles(mode, bw):
+    """A 150-token prompt spans three prefill and prompt tiles and 70
+    response steps span two response tiles (and four 16-row cache growths),
+    so every tile edge of both kernels is crossed."""
+    assert (math.ceil(150 / KEY_BLOCK), math.ceil(70 / KEY_BLOCK)) == (3, 2)
+    w = _toy_weights(seed=28)  # top-candidate gaps >= 1.8e-4 in both modes
+    req = GenerationRequest(_prompt(w.config, 2, 150, seed=4), 70, mode=mode, bw=bw)
+    opt = generate(w, req)
+    ref = reference_generate(w, req)
+    assert opt.tokens.shape == (2, bw, 70)
     assert np.array_equal(opt.tokens, ref.tokens)
     assert np.max(np.abs(opt.final_hidden - ref.final_hidden)) <= 1e-4
 

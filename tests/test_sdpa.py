@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seglm.config import toy_config
 from seglm.kvcache import MemoryLedger, PromptKV, ResponseKV
-from seglm.sdpa import (OnlineSoftmax, SdpaDecodeInputs, sdpa_decode_fused,
+from seglm.sdpa import (KEY_BLOCK, OnlineSoftmax, SdpaDecodeInputs, sdpa_decode_fused,
                         sdpa_decode_oracle, sdpa_prefill)
+
+# key counts on and next to the tile edges of both kernels
+TILE_EDGES = sorted({0, 1} | {k * KEY_BLOCK + e for k in (1, 2) for e in (-1, 0, 1)})
 
 
 def materialized_prefill_oracle(q, k, v):
@@ -60,6 +67,15 @@ def test_prefill_matches_materialized_oracle():
     out = sdpa_prefill(q, k, v)
     assert np.max(np.abs(out - materialized_prefill_oracle(q, k, v))) <= 1e-5
     assert out.shape == q.shape  # batch first, like the inputs
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([n for n in TILE_EDGES if n >= 1]), bs=st.integers(1, 2),
+       h=st.integers(1, 3), d=st.sampled_from([4, 16]), seed=st.integers(0, 2**32 - 1))
+def test_prefill_matches_oracle_at_tile_edges(n, bs, h, d, seed):
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.standard_normal((bs, n, h, d)).astype(np.float32) for _ in range(3))
+    assert np.max(np.abs(sdpa_prefill(q, k, v) - materialized_prefill_oracle(q, k, v))) <= 1e-5
 
 
 def test_prefill_rejects_mismatched_shapes():
@@ -125,6 +141,43 @@ def test_decode_fused_vs_oracle_randomized(seed):
         n_prompt = 3
     inp = _rand_inputs(rng, bs, bw, h, d, n_prompt, n_resp)
     assert np.max(np.abs(sdpa_decode_fused(inp) - sdpa_decode_oracle(inp))) <= 1e-4
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_prompt=st.sampled_from(TILE_EDGES), n_resp=st.sampled_from(TILE_EDGES),
+       bs=st.integers(1, 3), bw=st.integers(1, 4), h=st.integers(1, 3),
+       d=st.sampled_from([4, 16]), seed=st.integers(0, 2**32 - 1))
+def test_decode_fused_vs_oracle_at_tile_edges(n_prompt, n_resp, bs, bw, h, d, seed):
+    assume(n_prompt + n_resp > 0)
+    inp = _rand_inputs(np.random.default_rng(seed), bs, bw, h, d, n_prompt, n_resp)
+    assert np.max(np.abs(sdpa_decode_fused(inp) - sdpa_decode_oracle(inp))) <= 1e-4
+
+
+def test_kernels_fold_one_update_per_tile(monkeypatch):
+    """Decode folds ceil(Np/B) + ceil(Nr/B) tiles, each key once; prefill of
+    T query tiles folds only the T(T+1)/2 tiles on or below the causal
+    diagonal."""
+    widths = []
+    update = OnlineSoftmax.update
+
+    def counting_update(self, scores, values):
+        widths.append(scores.shape[-1])
+        update(self, scores, values)
+
+    monkeypatch.setattr(OnlineSoftmax, "update", counting_update)
+    rng = np.random.default_rng(14)
+    for n_prompt, n_resp in [(1, 0), (0, 1), (KEY_BLOCK, KEY_BLOCK), (150, 70),
+                             (2 * KEY_BLOCK + 1, KEY_BLOCK - 1)]:
+        widths.clear()
+        sdpa_decode_fused(_rand_inputs(rng, 2, 2, 2, 4, n_prompt, n_resp))
+        assert len(widths) == math.ceil(n_prompt / KEY_BLOCK) + math.ceil(n_resp / KEY_BLOCK)
+        assert sum(widths) == n_prompt + n_resp
+    for n in (1, KEY_BLOCK, KEY_BLOCK + 1, 3 * KEY_BLOCK - 1, 4 * KEY_BLOCK):
+        widths.clear()
+        q = rng.standard_normal((1, n, 2, 4)).astype(np.float32)
+        sdpa_prefill(q, q, q)
+        tiles = math.ceil(n / KEY_BLOCK)
+        assert len(widths) == tiles * (tiles + 1) // 2
 
 
 def test_decode_zero_keys_rejected():
@@ -241,13 +294,26 @@ def test_prompt_sharing_across_beams():
 
 
 def test_online_softmax_state_invariant():
-    """acc/l equals the exact softmax-weighted mean over processed keys."""
+    """After each tile, acc/l equals the exact softmax-weighted mean over the
+    keys processed so far; masked (-inf) keys carry no weight."""
     rng = np.random.default_rng(13)
     scores = rng.standard_normal(10).astype(np.float32)
+    scores[5:7] = -np.inf  # part of the widest tile is masked
     values = rng.standard_normal((10, 4)).astype(np.float32)
     state = OnlineSoftmax((), 4)
-    for i in range(10):
-        state.update(np.float32(scores[i]), values[i])
-        w = np.exp(scores[:i + 1] - scores[:i + 1].max())
-        expected = (w[:, None] * values[:i + 1]).sum(axis=0) / w.sum()
+    end = 0
+    for width in (1, 3, 6):
+        state.update(scores[end:end + width], values[end:end + width])
+        end += width
+        w = np.exp(scores[:end] - scores[:end].max())
+        expected = (w[:, None] * values[:end]).sum(axis=0) / w.sum()
         assert np.allclose(state.acc / state.l, expected, atol=1e-5)
+
+    # a fully masked tile leaves a fresh state empty (no NaN from -inf - -inf)
+    fresh = OnlineSoftmax((), 4)
+    fresh.update(np.full(3, -np.inf, dtype=np.float32), values[:3])
+    assert fresh.m == -np.inf and fresh.l == 0 and not fresh.acc.any()
+    fresh.update(scores[:5], values[:5])
+    w = np.exp(scores[:5] - scores[:5].max())
+    assert np.allclose(fresh.acc / fresh.l, (w[:, None] * values[:5]).sum(axis=0) / w.sum(),
+                       atol=1e-5)
