@@ -3,7 +3,9 @@
 The gather-indices tensor maps (final beam slot, response step) to the cache
 slot holding that step's K/V on the beam's surviving ancestry path. Column
 t-1 is the identity (the newest row is read at the beam's own slot); earlier
-columns follow the recorded parents backwards.
+columns follow the recorded parents backwards. ``BeamSearchState`` grows it
+by one column per selection; ``build_gather_indices`` rebuilds it from the
+whole parent history.
 """
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ class BeamSearchState:
     1..BW-1 start at -inf and the initial top-BW draws from slot 0 only.
     ``min_top_gap`` tracks the smallest score gap among the sorted top BW+1
     candidates at any selection, used to detect near-ties.
+    ``gather_indices`` is the [BS, BW, t] gather tensor after t selections,
+    equal to ``build_gather_indices(parents_history, t)``.
     """
 
     def __init__(self, bs: int, bw: int):
@@ -34,15 +38,51 @@ class BeamSearchState:
         self.tokens_history: list[np.ndarray] = []
         self.parents_history: list[np.ndarray] = []
         self.min_top_gap = np.inf
+        self.gather_indices = np.empty((bs, bw, 0), dtype=np.int64)
+
+    def record(self, tokens: np.ndarray, parents: np.ndarray) -> None:
+        """Append one selection's [BS, BW] tokens and parents, and grow the
+        gather tensor by one column: new slot w takes the ancestry row of its
+        parent, then reads the newest step at its own slot."""
+        self.tokens_history.append(tokens)
+        self.parents_history.append(parents)
+        prev = self.gather_indices
+        grown = np.empty(prev.shape[:2] + (prev.shape[2] + 1,), dtype=np.int64)
+        grown[:, :, :-1] = prev[np.arange(self.bs)[:, None], parents]
+        grown[:, :, -1] = np.arange(self.bw)
+        self.gather_indices = grown
+
+
+def _stable_order(flat: np.ndarray) -> np.ndarray:
+    """Candidate indices of one item, best score first, ties toward the
+    smaller index."""
+    return np.argsort(-flat, kind="stable")
+
+
+def _top_order(flat: np.ndarray, k: int) -> np.ndarray:
+    """The first k of ``_stable_order`` for every row of [BS, n] scores.
+
+    argpartition finds the k best of each row and one lexsort orders them by
+    (score descending, index ascending). That set is only the stable one if
+    the cut value is not tied with a candidate outside it; such rows take
+    ``_stable_order`` instead.
+    """
+    cand = np.argpartition(-flat, k - 1, axis=1)[:, :k]
+    score = np.take_along_axis(flat, cand, axis=1)
+    order = np.take_along_axis(cand, np.lexsort((cand, -score), axis=1), axis=1)
+    tied = np.count_nonzero(flat >= score.min(axis=1, keepdims=True), axis=1) > k
+    for b in np.flatnonzero(tied):
+        order[b] = _stable_order(flat[b])[:k]
+    return order
 
 
 def beam_step(log_probs, state: BeamSearchState):
-    """Select the top-BW continuations per batch item.
+    """Select the top-BW continuations of every batch item at once.
 
-    ``log_probs`` is [BS*BW, V] of log-softmax outputs. Candidates are
-    cum_log_probs[w] + log_probs[w, v]; ties break toward the smaller (w, v)
-    pair. Returns (tokens, parents), each [BS, BW], and appends them to the
-    state.
+    ``log_probs`` is [BS*BW, V] of log-softmax outputs; -inf is allowed, NaN
+    and +inf are rejected. Candidates are cum_log_probs[w] + log_probs[w, v];
+    ties break toward the smaller (w, v) pair. Returns (tokens, parents),
+    each [BS, BW], and records them on the state.
     """
     lp = np.asarray(log_probs, dtype=np.float64)
     bs, bw = state.bs, state.bw
@@ -52,22 +92,25 @@ def beam_step(log_probs, state: BeamSearchState):
     if vocab < bw:
         raise ValueError(f"vocabulary of {vocab} cannot fill {bw} beams")
 
-    tokens = np.zeros((bs, bw), dtype=np.int64)
-    parents = np.zeros((bs, bw), dtype=np.int64)
-    for b in range(bs):
-        flat = (state.cum_log_probs[b][:, None] + lp[b * bw:(b + 1) * bw]).ravel()
-        order = np.argsort(-flat, kind="stable")
-        top = order[:bw]
-        ranked = flat[order[:bw + 1]] if flat.size > bw else flat[top]
-        finite = ranked[np.isfinite(ranked)]  # gaps against -inf candidates are infinite
-        if finite.size >= 2:
-            state.min_top_gap = min(state.min_top_gap, float(np.min(finite[:-1] - finite[1:])))
-        parents[b] = top // vocab
-        tokens[b] = top % vocab
-        state.cum_log_probs[b] = flat[top]
+    if not lp.max() < np.inf:  # -inf is a legal log-prob; NaN and +inf are not
+        row = int(np.argmin((lp < np.inf).all(axis=1)))
+        raise ValueError(f"log-probs row {row} holds NaN or +inf")
 
-    state.tokens_history.append(tokens)
-    state.parents_history.append(parents)
+    flat = (state.cum_log_probs[:, :, None] + lp.reshape(bs, bw, vocab)).reshape(bs, -1)
+    order = _top_order(flat, min(bw + 1, flat.shape[1]))
+    ranked = np.take_along_axis(flat, order, axis=1)
+    if ranked.shape[1] >= 2:
+        # -inf candidates rank last and their gaps are infinite, so only
+        # pairs whose lower member is finite count
+        finite = np.isfinite(ranked[:, 1:])
+        gaps = np.subtract(ranked[:, :-1], ranked[:, 1:], where=finite,
+                           out=np.full(finite.shape, np.inf))
+        state.min_top_gap = min(state.min_top_gap, float(gaps.min()))
+    top = order[:, :bw]
+    parents = top // vocab
+    tokens = top % vocab
+    state.cum_log_probs[:] = ranked[:, :bw]
+    state.record(tokens, parents)
     return tokens, parents
 
 

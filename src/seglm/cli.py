@@ -89,7 +89,7 @@ def cmd_memsim(args) -> int:
 def _load_prompt(args, cfg: ModelConfig) -> np.ndarray:
     if args.prompt_file:
         with open(args.prompt_file) as f:
-            prompt = np.asarray(json.load(f), dtype=np.int64)
+            prompt = np.asarray(json.load(f))  # GenerationRequest rejects non-integer ids
         if prompt.ndim == 1:
             prompt = prompt[None, :]
     else:

@@ -28,7 +28,7 @@ from .beam import BeamSearchState, beam_step, build_gather_indices
 from .config import ModelConfig
 from .kvcache import MemoryLedger, PromptKV, ResponseKV, StandardKV, cache_token_bytes
 from .ops import (LayerWeights, fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope,
-                  to_batch_first, to_sequence_first)
+                  rope_table, to_batch_first, to_sequence_first)
 from .sdpa import SdpaDecodeInputs, sdpa_decode_fused, sdpa_prefill
 
 
@@ -52,9 +52,16 @@ class GenerationRequest:
     bw: int = 1
 
     def __post_init__(self) -> None:
-        self.prompt = np.asarray(self.prompt, dtype=np.int64)
-        if self.prompt.ndim != 2 or self.prompt.shape[1] < 1:
+        prompt = np.asarray(self.prompt)
+        if prompt.ndim != 2 or prompt.shape[1] < 1:
             raise ValueError("prompt must be [BS, N_prompt] with N_prompt >= 1")
+        if prompt.shape[0] < 1:
+            raise ValueError("prompt batch is empty: BS must be >= 1")
+        if prompt.dtype.kind not in "iu":
+            raise ValueError(f"prompt token ids must be integers, got dtype {prompt.dtype}")
+        self.prompt = prompt.astype(np.int64, copy=False)
+        if isinstance(self.n_response, bool) or not isinstance(self.n_response, (int, np.integer)):
+            raise ValueError(f"n_response must be an integer, got {self.n_response!r}")
         if self.n_response < 0:
             raise ValueError("n_response must be >= 0")
         if self.mode not in ("greedy", "beam"):
@@ -258,10 +265,11 @@ class _DecoderEngine:
         returns the attention context in that same [..., H, D] shape.
         """
         cfg = self.config
+        table = rope_table(positions, cfg.D, cfg.rope_theta)
         for layer, lw in enumerate(self.weights.layers):
             h = rmsnorm(x, lw.rmsnorm_1, cfg.eps)
             q, k, v = fused_qkv(h, lw.w_qkv, cfg.H, cfg.D)
-            q, k = rope(q, k, positions, cfg.rope_theta, cfg.rope_style)
+            q, k = rope(q, k, table, cfg.rope_style)
             ctx = attend(layer, q, k, v)
             x = x + linear(ctx.reshape(x.shape), lw.w_o)
             x = x + gated_mlp(rmsnorm(x, lw.rmsnorm_2, cfg.eps), lw.w_gate, lw.w_up, lw.w_down)
@@ -328,7 +336,7 @@ class OptimizedEngine(_DecoderEngine):
         run.counters.layout_conversions += 1
 
         positions = np.array([[n_prompt + t - 1]])
-        indices = build_gather_indices(state.parents_history, t)
+        indices = state.gather_indices  # [BS, BW, t], grown by beam_step
 
         def attend(layer, q, k, v):
             run.resp_kv.append(layer, k, v)  # row t-1 of the pre-allocated arena

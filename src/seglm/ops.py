@@ -25,7 +25,8 @@ def rmsnorm(x, weight, eps: float = 1e-5) -> np.ndarray:
     weight = _f32(weight)
     if weight.ndim != 1 or x.shape[-1] != weight.shape[0]:
         raise ValueError(f"weight {weight.shape} does not match trailing dim of {x.shape}")
-    ms = np.mean(np.square(x), axis=-1, keepdims=True)
+    # np.mean's own arithmetic, without its Python-level wrapper
+    ms = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
     return (x / np.sqrt(ms + np.float32(eps)) * weight).astype(np.float32, copy=False)
 
 
@@ -58,13 +59,31 @@ def fused_qkv(x, w_qkv, heads: int, head_dim: int):
     return q, k, v
 
 
-def rope(q, k, positions, theta: float = 10000.0, style: str = "half"):
+def rope_table(positions, head_dim: int, theta: float = 10000.0):
+    """Rotary (cos, sin) tables for ``rope``.
+
+    Dimension pair i at position pos is rotated by angle pos * theta^(-2i/D).
+    ``positions`` is an integer vector (or array); each table has shape
+    [*positions.shape, 1, D/2], the 1 broadcasting over the head axis. One
+    table serves every layer of a decoder pass.
+    """
+    if head_dim % 2 != 0:
+        raise ValueError(f"head dim must be even for rotary embedding, got {head_dim}")
+    pos = np.asarray(positions, dtype=np.float32)
+    half = head_dim // 2
+    exponent = (np.arange(half, dtype=np.float32) * np.float32(2.0 / head_dim))
+    inv_freq = np.power(np.float32(theta), -exponent)
+    ang = pos[..., None] * inv_freq          # [..., half]
+    return np.cos(ang)[..., None, :], np.sin(ang)[..., None, :]
+
+
+def rope(q, k, table, style: str = "half"):
     """Rotary position embedding on (q, k) shaped [..., H, D].
 
-    Dimension pair i is rotated by angle pos * theta^(-2i/D). ``positions``
-    is an integer vector (or array) broadcasting against the leading dims of
-    q/k, i.e. everything before the trailing [H, D] axes. ``style`` selects
-    the pair grouping: "half" pairs (i, i+D/2), "interleaved" pairs (2i, 2i+1).
+    ``table`` is ``rope_table(positions, D, theta)``, whose positions
+    broadcast against the leading dims of q/k, i.e. everything before the
+    trailing [H, D] axes. ``style`` selects the pair grouping: "half" pairs
+    (i, i+D/2), "interleaved" pairs (2i, 2i+1).
     """
     q = _f32(q)
     k = _f32(k)
@@ -75,17 +94,14 @@ def rope(q, k, positions, theta: float = 10000.0, style: str = "half"):
     D = q.shape[-1]
     if D % 2 != 0:
         raise ValueError(f"head dim must be even for rotary embedding, got {D}")
-    lead = q.shape[:-2]
-    pos = np.asarray(positions, dtype=np.float32)
-    if np.broadcast_shapes(pos.shape, lead) != lead:
-        raise ValueError(f"positions {pos.shape} do not broadcast onto leading dims {lead}")
-
+    cos, sin = table
     half = D // 2
-    exponent = (np.arange(half, dtype=np.float32) * np.float32(2.0 / D))
-    inv_freq = np.power(np.float32(theta), -exponent)
-    ang = pos[..., None] * inv_freq          # [..., half]
-    cos = np.cos(ang)[..., None, :]          # broadcast over the head axis
-    sin = np.sin(ang)[..., None, :]
+    if cos.shape[-1] != half:
+        raise ValueError(f"rotary table is for head dim {2 * cos.shape[-1]}, inputs have {D}")
+    lead = q.shape[:-2]
+    pos_shape = cos.shape[:-2]
+    if np.broadcast_shapes(pos_shape, lead) != lead:
+        raise ValueError(f"positions {pos_shape} do not broadcast onto leading dims {lead}")
 
     def rotate(x: np.ndarray) -> np.ndarray:
         if style == "half":

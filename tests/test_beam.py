@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seglm import beam
 from seglm.beam import BeamSearchState, beam_step, build_gather_indices
 
 
@@ -21,6 +22,28 @@ def forward_ancestry_oracle(parents: list[np.ndarray], upto: int) -> np.ndarray:
         for w in range(bw):
             out[b, w] = paths[b][w]
     return out
+
+
+def per_item_beam_step(log_probs, state: BeamSearchState):
+    """The per-item selection loop: one stable argsort of all BW*V candidates
+    per batch item. Updates cum_log_probs and min_top_gap, not the history."""
+    lp = np.asarray(log_probs, dtype=np.float64)
+    bs, bw = state.bs, state.bw
+    vocab = lp.shape[1]
+    tokens = np.zeros((bs, bw), dtype=np.int64)
+    parents = np.zeros((bs, bw), dtype=np.int64)
+    for b in range(bs):
+        flat = (state.cum_log_probs[b][:, None] + lp[b * bw:(b + 1) * bw]).ravel()
+        order = np.argsort(-flat, kind="stable")
+        top = order[:bw]
+        ranked = flat[order[:bw + 1]] if flat.size > bw else flat[top]
+        finite = ranked[np.isfinite(ranked)]
+        if finite.size >= 2:
+            state.min_top_gap = min(state.min_top_gap, float(np.min(finite[:-1] - finite[1:])))
+        parents[b] = top // vocab
+        tokens[b] = top % vocab
+        state.cum_log_probs[b] = flat[top]
+    return tokens, parents
 
 
 def test_beam_step_bw1_is_argmax():
@@ -83,7 +106,72 @@ def test_cum_log_probs_nonincreasing():
         prev = state.cum_log_probs.copy()
 
 
+def _log_probs(rng, rows, vocab, case):
+    x = rng.standard_normal((rows, vocab))
+    if case == "identical-rows":
+        x[:] = x[0]
+    lp = x - np.log(np.exp(x).sum(axis=1, keepdims=True))
+    return np.round(lp) if case in ("rounded", "identical-rows") else lp
+
+
+@pytest.mark.parametrize("bw", [1, 4, 8])
+def test_batched_selection_matches_per_item_loop(bw, monkeypatch):
+    """Bit-equal to the per-item loop from the first step (slots 1.. at -inf)
+    on, with exact ties from rounding, identical rows and vocab == BW."""
+    fallbacks = []
+
+    def counting_stable_order(flat):
+        fallbacks.append(flat.size)
+        return np.argsort(-flat, kind="stable")
+
+    monkeypatch.setattr(beam, "_stable_order", counting_stable_order)
+    rng = np.random.default_rng(bw)
+    bs = 3
+    for case in ("random", "rounded", "identical-rows", "vocab-eq-bw"):
+        vocab = bw if case == "vocab-eq-bw" else 24
+        batched, oracle = BeamSearchState(bs, bw), BeamSearchState(bs, bw)
+        for _ in range(10):
+            lp = _log_probs(rng, bs * bw, vocab, case)
+            tokens, parents = beam_step(lp, batched)
+            want_tokens, want_parents = per_item_beam_step(lp, oracle)
+            assert np.array_equal(tokens, want_tokens), case
+            assert np.array_equal(parents, want_parents), case
+            assert batched.cum_log_probs.tobytes() == oracle.cum_log_probs.tobytes(), case
+            assert batched.min_top_gap == oracle.min_top_gap, case
+    assert fallbacks  # ties across the top-(BW+1) cut took the stable path
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_log_probs_rejected(bad):
+    state = BeamSearchState(bs=2, bw=2)
+    lp = np.full((4, 5), np.log(0.2))
+    lp[3, 1] = bad
+    with pytest.raises(ValueError, match="row 3"):
+        beam_step(lp, state)
+    assert state.tokens_history == []
+
+
+def test_minus_inf_log_probs_allowed():
+    state = BeamSearchState(bs=1, bw=2)
+    lp = np.log(np.array([[0.5, 0.5, 1.0], [0.2, 0.8, 1.0]]))
+    lp[:, 2] = -np.inf  # a token of probability 0
+    tokens, _ = beam_step(lp, state)
+    assert tokens.ravel().tolist() == [0, 1]
+
+
 # -- gather indices --------------------------------------------------------------
+
+@pytest.mark.parametrize("bs, bw, steps", [(4, 1, 160), (2, 4, 48), (4, 8, 64), (3, 5, 17)])
+def test_grown_gather_tensor_equals_backtrack(bs, bw, steps):
+    """The tensor grown one column per selection equals the full backtrack
+    of the same history at every step."""
+    rng = np.random.default_rng(bs * 100 + bw)
+    state = BeamSearchState(bs, bw)
+    for t in range(1, steps + 1):
+        state.record(rng.integers(0, 50, size=(bs, bw)), rng.integers(0, bw, size=(bs, bw)))
+        assert np.array_equal(state.gather_indices,
+                              build_gather_indices(state.parents_history, t))
+
 
 def test_identity_parents_give_identity_indices():
     parents = [np.tile(np.arange(3), (2, 1)) for _ in range(5)]

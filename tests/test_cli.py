@@ -192,6 +192,13 @@ def test_gen_invalid_token_ids_usage_error(tmp_path, capsys):
     assert run_cli("gen", "--prompt-file", str(prompt), "--n-response", "2") == 2
 
 
+def test_gen_fractional_token_ids_usage_error(tmp_path, capsys):
+    prompt = tmp_path / "fractional.json"
+    prompt.write_text(json.dumps([[1.7, 2.2]]))
+    assert run_cli("gen", "--prompt-file", str(prompt), "--n-response", "2") == 2
+    assert "integers" in capsys.readouterr().err
+
+
 def test_gen_greedy_mode(tmp_path):
     out = tmp_path / "g.json"
     assert run_cli("gen", "--mode", "greedy", "--bw", "1", "--random", "5",

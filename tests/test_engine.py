@@ -363,6 +363,12 @@ def test_request_validation():
         GenerationRequest(np.zeros((1, 4), dtype=int), 4, mode="greedy", bw=2)
     with pytest.raises(ValueError):
         GenerationRequest(np.zeros((1, 4), dtype=int), 4, mode="sample")
+    with pytest.raises(ValueError, match="batch is empty"):
+        GenerationRequest(np.zeros((0, 4), dtype=int), 4)
+    with pytest.raises(ValueError, match="n_response must be an integer"):
+        GenerationRequest(np.zeros((1, 4), dtype=int), 2.5)
+    with pytest.raises(ValueError, match="token ids must be integers"):
+        GenerationRequest(np.array([[1.7, 2.2]]), 4)
 
 
 def test_out_of_vocab_prompt_rejected():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seglm.ops import (fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope, silu,
-                       to_batch_first, to_sequence_first)
+from seglm.ops import (fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope, rope_table,
+                       silu, to_batch_first, to_sequence_first)
 
 
 def matmul_oracle(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -131,7 +131,7 @@ def test_rope_zero_positions_is_identity():
     rng = np.random.default_rng(4)
     q = rng.standard_normal((2, 3, 2, 8)).astype(np.float32)
     k = rng.standard_normal((2, 3, 2, 8)).astype(np.float32)
-    q2, k2 = rope(q, k, np.zeros((2, 3), dtype=np.int64))
+    q2, k2 = rope(q, k, rope_table(np.zeros((2, 3), dtype=np.int64), 8))
     assert np.allclose(q2, q, atol=1e-7)
     assert np.allclose(k2, k, atol=1e-7)
 
@@ -141,7 +141,7 @@ def test_rope_hand_rotation_d2(style):
     # D=2, pos=1, pair angle = 1 * theta^0 = 1 rad
     q = np.array([[[1.0, 0.0]]])  # [1 position, 1 head, D=2]
     k = np.zeros_like(q)
-    q2, _ = rope(q, k, np.array([1]), style=style)
+    q2, _ = rope(q, k, rope_table(np.array([1]), 2), style=style)
     assert abs(q2[0, 0, 0] - math.cos(1.0)) < 1e-6
     assert abs(q2[0, 0, 1] - math.sin(1.0)) < 1e-6
     assert abs(q2[0, 0, 0] - 0.54030) < 1e-4
@@ -153,7 +153,7 @@ def test_rope_preserves_pair_norms(style):
     rng = np.random.default_rng(5)
     q = rng.standard_normal((4, 2, 8)).astype(np.float32)
     k = rng.standard_normal((4, 2, 8)).astype(np.float32)
-    q2, k2 = rope(q, k, np.arange(4), style=style)
+    q2, k2 = rope(q, k, rope_table(np.arange(4), 8), style=style)
     for x, x2 in ((q, q2), (k, k2)):
         if style == "half":
             pairs = np.stack([x[..., :4], x[..., 4:]], axis=-1)
@@ -169,19 +169,60 @@ def test_rope_styles_differ_for_wide_heads():
     rng = np.random.default_rng(6)
     q = rng.standard_normal((1, 1, 8)).astype(np.float32)
     k = q.copy()
-    qa, _ = rope(q, k, np.array([3]), style="half")
-    qb, _ = rope(q, k, np.array([3]), style="interleaved")
+    qa, _ = rope(q, k, rope_table(np.array([3]), 8), style="half")
+    qb, _ = rope(q, k, rope_table(np.array([3]), 8), style="interleaved")
     assert not np.allclose(qa, qb, atol=1e-4)
 
 
+def _rope_inline(x, positions, theta, style):
+    """Rotary embedding with its angles computed in place, per call."""
+    half = x.shape[-1] // 2
+    inv_freq = np.power(np.float32(theta),
+                        -(np.arange(half, dtype=np.float32) * np.float32(2.0 / x.shape[-1])))
+    ang = np.asarray(positions, dtype=np.float32)[..., None] * inv_freq
+    cos, sin = np.cos(ang)[..., None, :], np.sin(ang)[..., None, :]
+    if style == "half":
+        x1, x2 = x[..., :half], x[..., half:]
+        return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    out = np.empty_like(x)
+    x1, x2 = x[..., 0::2], x[..., 1::2]
+    out[..., 0::2] = x1 * cos - x2 * sin
+    out[..., 1::2] = x1 * sin + x2 * cos
+    return out
+
+
+@pytest.mark.parametrize("style", ["half", "interleaved"])
+@pytest.mark.parametrize("lead, positions", [
+    ((3, 7), np.arange(7)[None, :]),  # prefill: [BS, Np] against [1, Np]
+    ((1, 6), np.array([[41]])),       # decode: [1, rows] against [[p]]
+], ids=["prefill", "decode"])
+def test_shared_rope_table_is_bit_identical_per_layer(style, lead, positions):
+    """One table reused by every layer rotates exactly as angles computed
+    afresh in each layer."""
+    table = rope_table(positions, 16, 500.0)
+    for layer in range(3):
+        q = _normal(lead + (2, 16), 10 + layer)
+        k = _normal(lead + (2, 16), 20 + layer)
+        q2, k2 = rope(q, k, table, style)
+        assert q2.tobytes() == _rope_inline(q, positions, 500.0, style).tobytes()
+        assert k2.tobytes() == _rope_inline(k, positions, 500.0, style).tobytes()
+
+
+def test_rope_table_for_other_head_dim_rejected():
+    with pytest.raises(ValueError, match="head dim 4"):
+        rope(np.zeros((1, 1, 8)), np.zeros((1, 1, 8)), rope_table(np.array([0]), 4))
+
+
 def test_rope_odd_head_dim_rejected():
-    with pytest.raises(ValueError):
-        rope(np.zeros((1, 1, 3)), np.zeros((1, 1, 3)), np.array([0]))
+    with pytest.raises(ValueError, match="even"):
+        rope_table(np.array([0]), 3)
+    with pytest.raises(ValueError, match="even"):
+        rope(np.zeros((1, 1, 3)), np.zeros((1, 1, 3)), rope_table(np.array([0]), 2))
 
 
 def test_rope_position_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        rope(np.zeros((2, 5, 1, 4)), np.zeros((2, 5, 1, 4)), np.arange(4))
+        rope(np.zeros((2, 5, 1, 4)), np.zeros((2, 5, 1, 4)), rope_table(np.arange(4), 4))
 
 
 # -- gated mlp -----------------------------------------------------------------
