@@ -8,8 +8,8 @@ from .engine import (GenerationRequest, GenerationResult, OpCounters, OptimizedE
                      ReferenceEngine, ToyWeights, generate, load_weights,
                      reference_generate, save_weights)
 from .fusion import OpGraph, OpNode, apply_fusion_passes, build_standard_decoder_graph, op_count_report
-from .kvcache import (CacheShapeParams, LedgerSummary, MemoryLedger, PromptKV,
-                      ResponseKV, StandardKV, cache_token_bytes, segment_cache_bytes,
+from .kvcache import (CacheShapeParams, MemoryLedger, PromptKV, ResponseKV, StandardKV,
+                      cache_token_bytes, kv_bytes, segment_cache_bytes,
                       simulate_decode_memory, standard_cache_bytes)
 from .ops import (LayerWeights, fused_qkv, gated_mlp, linear, rmsnorm, rope, rope_table, silu,
                   to_batch_first, to_sequence_first)
@@ -23,8 +23,8 @@ __all__ = [
     "reference_generate", "save_weights",
     "OpGraph", "OpNode", "apply_fusion_passes", "build_standard_decoder_graph",
     "op_count_report",
-    "CacheShapeParams", "LedgerSummary", "MemoryLedger", "PromptKV", "ResponseKV",
-    "StandardKV", "cache_token_bytes", "segment_cache_bytes",
+    "CacheShapeParams", "MemoryLedger", "PromptKV", "ResponseKV",
+    "StandardKV", "cache_token_bytes", "kv_bytes", "segment_cache_bytes",
     "simulate_decode_memory", "standard_cache_bytes",
     "LayerWeights", "fused_qkv", "gated_mlp", "linear", "rmsnorm", "rope", "rope_table", "silu",
     "to_batch_first", "to_sequence_first",

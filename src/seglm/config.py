@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import isfinite
+from numbers import Integral
 
 
 @dataclass(frozen=True)
@@ -28,12 +29,13 @@ class ModelConfig:
     dtype_bytes: int = 2
 
     def __post_init__(self) -> None:
-        if min(self.L, self.H, self.D, self.ff_dim, self.vocab) < 1:
-            raise ValueError("L, H, D, ff_dim and vocab must all be >= 1")
-        if self.step < 1:
-            raise ValueError("cache growth step must be >= 1")
-        if self.dtype_bytes not in (2, 4):
-            raise ValueError("dtype_bytes must be 2 (fp16 accounting) or 4 (fp32)")
+        for name in ("L", "H", "D", "ff_dim", "vocab", "max_pos", "step"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.dtype_bytes, Integral) or self.dtype_bytes not in (2, 4):
+            raise ValueError("dtype_bytes must be 2 (fp16 accounting) or 4 (fp32), "
+                             f"got {self.dtype_bytes!r}")
         if not (isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
         if not (isfinite(self.rope_theta) and self.rope_theta > 0):

@@ -64,6 +64,8 @@ class GenerationRequest:
             raise ValueError(f"n_response must be an integer, got {self.n_response!r}")
         if self.n_response < 0:
             raise ValueError("n_response must be >= 0")
+        if isinstance(self.bw, bool) or not isinstance(self.bw, (int, np.integer)):
+            raise ValueError(f"bw must be an integer, got {self.bw!r}")
         if self.mode not in ("greedy", "beam"):
             raise ValueError(f"mode must be 'greedy' or 'beam', got {self.mode!r}")
         if self.mode == "greedy" and self.bw != 1:
@@ -252,7 +254,10 @@ class _DecoderEngine:
             first_token_latency_s=first_s,
             next_token_latency_s=next_s,
             total_latency_s=total_s,
-            memory=self._memory_summary(run, ledger),
+            memory={**self._cache_bytes(run),
+                    "final_active_bytes": ledger.active_bytes,
+                    "peak_reserved_bytes": ledger.reserved_bytes,
+                    "fragmentation_bytes": ledger.fragmentation},
             counters=counters,
             min_top_gap=state.min_top_gap,
         )
@@ -290,7 +295,8 @@ class _DecoderEngine:
     def _decode_step(self, run, tokens, t, state):
         raise NotImplementedError
 
-    def _memory_summary(self, run, ledger) -> dict:
+    def _cache_bytes(self, run) -> dict:
+        """The cache policy and the bytes each of its caches holds."""
         raise NotImplementedError
 
 
@@ -348,16 +354,10 @@ class OptimizedEngine(_DecoderEngine):
         run.counters.layout_conversions += 1
         return self._head(x.reshape(rows, cfg.d_model))
 
-    def _memory_summary(self, run: _OptimizedRun, ledger) -> dict:
-        s = ledger.summary()
-        return {
-            "policy": "segment",
-            "prompt_kv_bytes": run.prompt_kv.total_bytes,
-            "response_kv_bytes": run.resp_kv.total_bytes(),
-            "final_active_bytes": s.final_active,
-            "peak_reserved_bytes": s.peak_reserved,
-            "fragmentation_bytes": s.fragmentation,
-        }
+    def _cache_bytes(self, run: _OptimizedRun) -> dict:
+        return {"policy": "segment",
+                "prompt_kv_bytes": run.prompt_kv.total_bytes(),
+                "response_kv_bytes": run.resp_kv.total_bytes()}
 
 
 @dataclass
@@ -420,17 +420,12 @@ class ReferenceEngine(_DecoderEngine):
         x = self._layers(x, positions, attend)
         return self._head(x[:, 0, :])
 
-    def _memory_summary(self, run: _ReferenceRun, ledger) -> dict:
-        s = ledger.summary()
+    def _cache_bytes(self, run: _ReferenceRun) -> dict:
         bs, n_prompt = run.request.prompt.shape
-        return {
-            "policy": "standard",
-            "prompt_kv_bytes": bs * run.request.bw * n_prompt * cache_token_bytes(self.config),
-            "kv_bytes": run.kv.total_bytes(),
-            "final_active_bytes": s.final_active,
-            "peak_reserved_bytes": s.peak_reserved,
-            "fragmentation_bytes": s.fragmentation,
-        }
+        return {"policy": "standard",
+                # closed form: after step 1 no buffer holds the prompt rows alone
+                "prompt_kv_bytes": bs * run.request.bw * n_prompt * cache_token_bytes(self.config),
+                "kv_bytes": run.kv.total_bytes()}
 
 
 def generate(weights: ToyWeights, request: GenerationRequest) -> GenerationResult:

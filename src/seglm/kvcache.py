@@ -11,8 +11,9 @@ rebuilds one contiguous [BS*BW, N_total, H, D] buffer per decode step via
 gather (index select) and concat.
 
 The ledger models sizes only, never addresses: fragmentation is
-reserved - active bytes. Byte accounting uses the config's ``dtype_bytes``
-(2 for fp16 bookkeeping) even though stored data is float32.
+reserved - active bytes. Every byte a cache accounts is read off the buffer
+that holds it by ``kv_bytes``: element count times the config's
+``dtype_bytes`` (2 for fp16 bookkeeping), even though stored data is float32.
 """
 from __future__ import annotations
 
@@ -41,6 +42,11 @@ class CacheShapeParams:
             raise ValueError("cache shape parameters must be >= 0")
 
 
+def kv_bytes(config: ModelConfig, *buffers: np.ndarray) -> int:
+    """Accounted bytes of cache buffers: element count x ``config.dtype_bytes``."""
+    return sum(b.size for b in buffers) * config.dtype_bytes
+
+
 def cache_token_bytes(config: ModelConfig) -> int:
     """Bytes of cached K+V for one token across all layers: 2*L*H*D*dtype_bytes."""
     return 2 * config.L * config.H * config.D * config.dtype_bytes
@@ -67,13 +73,6 @@ def segment_cache_bytes(config: ModelConfig, p: CacheShapeParams) -> int:
 # Ledger
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LedgerSummary:
-    peak_reserved: int
-    final_active: int
-    fragmentation: int
-
-
 class MemoryLedger:
     """Event log of alloc / free with byte-level accounting.
 
@@ -83,9 +82,8 @@ class MemoryLedger:
     allocation is strictly larger than every block freed before it: a
     response block grows by ``step`` rows from the one it replaces, a
     standard-cache step reallocates one more row than the last, and prompt
-    blocks are never freed. The summary's ``peak_reserved`` is therefore
-    ``reserved_bytes``, and fragmentation (reserved - active) is the sum of
-    all frees.
+    blocks are never freed. ``reserved_bytes`` is therefore the peak, and
+    fragmentation (reserved - active) is the sum of all frees.
     """
 
     def __init__(self):
@@ -118,18 +116,23 @@ class MemoryLedger:
         self.events.append(("free", nbytes))
         self.active_bytes -= nbytes
 
-    def summary(self) -> LedgerSummary:
-        return LedgerSummary(self.reserved_bytes, self.active_bytes, self.fragmentation)
-
 
 # --------------------------------------------------------------------------
 # Cache buffers
 # --------------------------------------------------------------------------
 
+def _owned(x) -> np.ndarray:
+    """``x`` as float32 in a buffer of its own: a view (such as V, a slice of
+    the fused q/k/v projection) is copied so the cache does not keep the
+    larger array it views alive."""
+    a = np.asarray(x, dtype=np.float32)
+    return a if a.flags.owndata else a.copy()
+
+
 class PromptKV:
     """Per-layer prompt K/V, [BS, N_prompt, H, D] batch first, beam-shared.
 
-    Written once at prefill, by reference (no copy), immutable afterwards.
+    Written once at prefill, immutable afterwards.
     """
 
     def __init__(self, config: ModelConfig, bs: int, n_prompt: int, ledger: MemoryLedger):
@@ -140,26 +143,19 @@ class PromptKV:
         self._k: list[np.ndarray | None] = [None] * config.L
         self._v: list[np.ndarray | None] = [None] * config.L
 
-    @property
-    def layer_bytes(self) -> int:
-        c = self.config
-        return 2 * self.bs * self.n_prompt * c.H * c.D * c.dtype_bytes
-
-    @property
     def total_bytes(self) -> int:
-        return self.config.L * self.layer_bytes
+        return kv_bytes(self.config, *(a for a in self._k + self._v if a is not None))
 
     def store(self, layer: int, k, v) -> None:
         if self._k[layer] is not None:
             raise ValueError("prompt KV is write-once")
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
+        k, v = _owned(k), _owned(v)
         expect = (self.bs, self.n_prompt, self.config.H, self.config.D)
         if k.shape != expect or v.shape != expect:
             raise ValueError(f"prompt K/V must be batch-first {expect}, got {k.shape} / {v.shape}")
         self._k[layer] = k
         self._v[layer] = v
-        self.ledger.alloc(self.layer_bytes)
+        self.ledger.alloc(kv_bytes(self.config, k, v))
 
     def layer(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         k, v = self._k[i], self._v[i]
@@ -191,11 +187,6 @@ class ResponseKV:
     def rows(self) -> int:
         return self.bs * self.bw
 
-    def block_bytes(self, capacity_rows: int) -> int:
-        """Bytes of the K and V arenas at ``capacity_rows`` rows per layer."""
-        c = self.config
-        return 2 * c.L * capacity_rows * self.rows * c.H * c.D * c.dtype_bytes
-
     def length(self, layer: int) -> int:
         return self._length[layer]
 
@@ -204,7 +195,7 @@ class ResponseKV:
         return self._capacity
 
     def total_bytes(self) -> int:
-        return self.block_bytes(self._capacity)
+        return kv_bytes(self.config, self._k, self._v)
 
     def _as_row(self, x, name: str) -> np.ndarray:
         c = self.config
@@ -224,8 +215,8 @@ class ResponseKV:
             new_v = np.zeros_like(new_k)
             new_k[:, :old_cap] = self._k
             new_v[:, :old_cap] = self._v
-            self.ledger.alloc(self.block_bytes(new_cap))
-            self.ledger.free(self.block_bytes(old_cap))  # a no-op at the first growth
+            self.ledger.alloc(kv_bytes(c, new_k, new_v))
+            self.ledger.free(kv_bytes(c, self._k, self._v))  # a no-op at the first growth
             self._k, self._v, self._capacity = new_k, new_v, new_cap
 
         row = self._length[layer]
@@ -261,21 +252,12 @@ class StandardKV:
     def rows(self) -> int:
         return self.bs * self.bw
 
-    def block_bytes(self, n_total: int) -> int:
-        c = self.config
-        return 2 * self.rows * n_total * c.H * c.D * c.dtype_bytes
-
-    def n_total(self, layer: int) -> int:
-        k = self._k[layer]
-        return 0 if k is None else k.shape[1]
-
     def total_bytes(self) -> int:
-        return sum(self.block_bytes(self.n_total(l)) for l in range(self.config.L))
+        return kv_bytes(self.config, *(a for a in self._k + self._v if a is not None))
 
     def store_prompt(self, layer: int, k, v) -> None:
         c = self.config
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
+        k, v = _owned(k), _owned(v)
         expect = (self.rows, k.shape[1], c.H, c.D)
         if k.shape != expect or v.shape != expect:
             raise ValueError(f"prompt rows must be [BS*BW, N, H, D], got {k.shape} / {v.shape}")
@@ -283,7 +265,7 @@ class StandardKV:
             raise ValueError("prompt already stored for this layer")
         self._k[layer] = k
         self._v[layer] = v
-        self.ledger.alloc(self.block_bytes(k.shape[1]))
+        self.ledger.alloc(kv_bytes(c, k, v))
 
     def step(self, layer: int, k_t, v_t, beam_reorder) -> tuple[np.ndarray, np.ndarray]:
         """Gather past rows by ``beam_reorder`` (global row indices in
@@ -301,7 +283,6 @@ class StandardKV:
         old_k, old_v = self._k[layer], self._v[layer]
         if old_k is None:
             raise ValueError("prompt rows must be stored before stepping")
-        old_n = old_k.shape[1]
 
         gathered_k = old_k[reorder]  # index select on the batch*beam axis
         gathered_v = old_v[reorder]
@@ -310,8 +291,8 @@ class StandardKV:
         new_v = np.concatenate([gathered_v, v_row], axis=1)
         self.counters.cat_ops += 2
 
-        self.ledger.alloc(self.block_bytes(old_n + 1))
-        self.ledger.free(self.block_bytes(old_n))
+        self.ledger.alloc(kv_bytes(self.config, new_k, new_v))
+        self.ledger.free(kv_bytes(self.config, old_k, old_v))
         self._k[layer] = new_k
         self._v[layer] = new_v
         return new_k, new_v
@@ -337,8 +318,9 @@ class StandardKV:
 # --------------------------------------------------------------------------
 
 def simulate_decode_memory(policy: str, config: ModelConfig,
-                           p: CacheShapeParams) -> LedgerSummary:
-    """Replay the decode-phase allocation trace of one policy, sizes only.
+                           p: CacheShapeParams) -> MemoryLedger:
+    """Replay the decode-phase allocation trace of one policy, sizes only,
+    and return the ledger that logged it.
 
     Segment: the persistent prompt buffer is part of the decode-phase live
     set, so the trace opens with it; the all-layer response arena then grows
@@ -370,7 +352,7 @@ def simulate_decode_memory(policy: str, config: ModelConfig,
                 ledger.free(prev)
             prev = size
 
-    return ledger.summary()
+    return ledger
 
 
 def memsim_row(config: ModelConfig, model: str, p: CacheShapeParams) -> dict:

@@ -179,7 +179,10 @@ def check_growth_semantics() -> CheckResult:
             vs.append(v)
             cache.append(0, k, v)
         assert cache.capacity(0) == 48, cache.capacity(0)
-        b = cache.block_bytes
+
+        def b(capacity):  # closed form: K and V arenas of `capacity` steps of BS*BW = 2 tokens
+            return capacity * 2 * cache_token_bytes(cfg)
+
         expected_events = [("alloc", b(16)),
                            ("alloc", b(32)), ("free", b(16)),
                            ("alloc", b(48)), ("free", b(32))]
@@ -227,11 +230,11 @@ def check_fragmentation_model() -> CheckResult:
         std = simulate_decode_memory("standard", cfg, p)
         closed_form = sum(p.bs * p.bw * (p.n_prompt + t) * tok
                           for t in range(1, p.n_response + 1))
-        assert std.peak_reserved == closed_form, (std.peak_reserved, closed_form)
+        assert std.reserved_bytes == closed_form, (std.reserved_bytes, closed_form)
         seg = simulate_decode_memory("segment", cfg, p)
-        assert seg.peak_reserved < std.peak_reserved, (seg.peak_reserved, std.peak_reserved)
+        assert seg.reserved_bytes < std.reserved_bytes, (seg.reserved_bytes, std.reserved_bytes)
         return (f"standard peak == per-step sum ({closed_form:,} bytes); "
-                f"segment peak {seg.peak_reserved:,} < standard peak {std.peak_reserved:,}")
+                f"segment peak {seg.reserved_bytes:,} < standard peak {std.reserved_bytes:,}")
 
     return _run("fragmentation-model", body)
 

@@ -145,6 +145,12 @@ MALFORMED_WEIGHT_FILES = {
     "negative-eps": "eps",
     "zero-rope-theta": "rope_theta",
     "activation-field": "activation",
+    "fractional-L": "L must be an integer",
+    "float-H": "H must be an integer",
+    "fractional-step": "step must be an integer",
+    "string-max-pos": "max_pos must be an integer",
+    "zero-max-pos": "max_pos must be an integer >= 1",
+    "float-dtype-bytes": "dtype_bytes must be 2",
 }
 
 
@@ -164,6 +170,18 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
         header["config"]["eps"] = -1.0
     elif defect == "zero-rope-theta":
         header["config"]["rope_theta"] = 0.0
+    elif defect == "fractional-L":
+        header["config"]["L"] = 2.5
+    elif defect == "float-H":
+        header["config"]["H"] = 4.0
+    elif defect == "fractional-step":
+        header["config"]["step"] = 1.5
+    elif defect == "string-max-pos":
+        header["config"]["max_pos"] = "x"
+    elif defect == "zero-max-pos":
+        header["config"]["max_pos"] = 0
+    elif defect == "float-dtype-bytes":
+        header["config"]["dtype_bytes"] = 2.0
     else:  # a header written while the config still had an activation option
         header["config"]["activation"] = "silu"
     bad = tmp_path / "bad.bin"
@@ -187,9 +205,13 @@ def test_gen_rejects_model_flags_with_weights(tmp_path, capsys, flags):
 
 
 def test_gen_invalid_token_ids_usage_error(tmp_path, capsys):
+    """Out-of-vocabulary, non-numeric and null ids are usage errors, not tracebacks."""
     prompt = tmp_path / "bad.json"
-    prompt.write_text(json.dumps([[9999]]))
-    assert run_cli("gen", "--prompt-file", str(prompt), "--n-response", "2") == 2
+    for ids, message in (([[9999]], "must lie in"), ([["a", "b"]], "integers"),
+                         ([[None, 1]], "integers")):
+        prompt.write_text(json.dumps(ids))
+        assert run_cli("gen", "--prompt-file", str(prompt), "--n-response", "2") == 2
+        assert message in capsys.readouterr().err
 
 
 def test_gen_fractional_token_ids_usage_error(tmp_path, capsys):
@@ -200,10 +222,14 @@ def test_gen_fractional_token_ids_usage_error(tmp_path, capsys):
 
 
 def test_gen_greedy_mode(tmp_path):
+    """Greedy decoding is beam width 1; the report still names the mode."""
     out = tmp_path / "g.json"
-    assert run_cli("gen", "--mode", "greedy", "--bw", "1", "--random", "5",
+    assert run_cli("gen", "--bw", "1", "--random", "5",
                    "--n-response", "4", "--out", str(out)) == 0
-    assert json.loads(out.read_text())["match"] is True
+    report = json.loads(out.read_text())
+    assert report["match"] is True
+    assert report["request"]["mode"] == "greedy" and report["request"]["bw"] == 1
+    assert len(report["optimized"]["tokens"][0]) == 1
 
 
 # -- bench ----------------------------------------------------------------------

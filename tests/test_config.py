@@ -33,6 +33,13 @@ def test_config_validation():
         ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, step=0)
     with pytest.raises(ValueError):
         ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, rope_style="sideways")
+    for name, bad in (("L", 2.5), ("H", 4.0), ("D", True), ("ff_dim", "8"), ("vocab", None),
+                      ("max_pos", 0), ("max_pos", "x"), ("step", 1.5)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ModelConfig(**{"L": 1, "H": 1, "D": 1, "ff_dim": 1, "vocab": 1, name: bad})
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="dtype_bytes"):
+            ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, dtype_bytes=bad)
     for bad in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="eps"):
             ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, eps=bad)

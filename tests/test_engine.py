@@ -4,13 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seglm import kvcache
 from seglm.config import toy_config
 from seglm.engine import (GenerationRequest, OptimizedEngine, ReferenceEngine,
                           ToyWeights, generate, load_weights, reference_generate,
                           save_weights)
-from seglm.kvcache import (CacheShapeParams, MemoryLedger, cache_token_bytes,
-                           segment_cache_bytes, simulate_decode_memory)
+from seglm.kvcache import (CacheShapeParams, PromptKV, ResponseKV, StandardKV,
+                           cache_token_bytes, kv_bytes, segment_cache_bytes,
+                           simulate_decode_memory)
 from seglm.ops import LayerWeights
 from seglm.sdpa import KEY_BLOCK
 
@@ -232,7 +232,7 @@ def _assert_allocs_exceed_earlier_frees(events):
     assert largest_free > 0  # the run freed something, so the check has teeth
 
 
-def test_every_alloc_exceeds_every_earlier_free(monkeypatch):
+def test_every_alloc_exceeds_every_earlier_free():
     """The premise of the ledger's no-reuse model: no freed block could serve
     a later allocation, on engine runs that cross the 16-row growth and in
     the decode-memory simulator."""
@@ -243,24 +243,14 @@ def test_every_alloc_exceeds_every_earlier_free(monkeypatch):
             engine.generate(GenerationRequest(_prompt(w.config, bs, 9), 20, mode=mode, bw=bw))
             _assert_allocs_exceed_earlier_frees(engine.last_ledger.events)
 
-    ledgers = []
-
-    class RecordingLedger(MemoryLedger):
-        def __init__(self):
-            super().__init__()
-            ledgers.append(self)
-
-    monkeypatch.setattr(kvcache, "MemoryLedger", RecordingLedger)
     for policy in ("segment", "standard"):
-        simulate_decode_memory(policy, w.config, CacheShapeParams(2, 4, 40, 40))
-    assert len(ledgers) == 2
-    for ledger in ledgers:
+        ledger = simulate_decode_memory(policy, w.config, CacheShapeParams(2, 4, 40, 40))
         _assert_allocs_exceed_earlier_frees(ledger.events)
 
 
 @pytest.mark.parametrize("mode,bs,bw,nr", [("greedy", 2, 1, 32), ("greedy", 1, 1, 20),
                                            ("beam", 1, 4, 32), ("beam", 2, 2, 37)])
-def test_optimized_ledger_matches_segment_simulator(monkeypatch, mode, bs, bw, nr):
+def test_optimized_ledger_matches_segment_simulator(mode, bs, bw, nr):
     """The runtime logs the segment policy at the simulator's granularity:
     one alloc per layer for the prompt, then one alloc and one free per
     response growth across all layers."""
@@ -268,17 +258,8 @@ def test_optimized_ledger_matches_segment_simulator(monkeypatch, mode, bs, bw, n
     n_prompt = 7
     engine = OptimizedEngine(w)
     engine.generate(GenerationRequest(_prompt(w.config, bs, n_prompt), nr, mode=mode, bw=bw))
-
-    ledgers = []
-
-    class RecordingLedger(MemoryLedger):
-        def __init__(self):
-            super().__init__()
-            ledgers.append(self)
-
-    monkeypatch.setattr(kvcache, "MemoryLedger", RecordingLedger)
-    simulate_decode_memory("segment", w.config, CacheShapeParams(bs, bw, n_prompt, nr))
-    (sim_prompt, *sim_response), = [ledger.events for ledger in ledgers]
+    simulated = simulate_decode_memory("segment", w.config, CacheShapeParams(bs, bw, n_prompt, nr))
+    sim_prompt, *sim_response = simulated.events
 
     L = w.config.L
     events = engine.last_ledger.events
@@ -286,6 +267,70 @@ def test_optimized_ledger_matches_segment_simulator(monkeypatch, mode, bs, bw, n
     assert ("alloc", sum(n for _, n in events[:L])) == sim_prompt
     assert events[L:] == sim_response
     assert sum(kind == "free" for kind, _ in sim_response) == -(-nr // w.config.step) - 1
+
+
+def _cache_buffers(run):
+    """Every array held by every KV cache of an engine run, found by walking
+    the caches' attributes rather than through any cache method."""
+    for cache in vars(run).values():
+        if isinstance(cache, (PromptKV, ResponseKV, StandardKV)):
+            for value in vars(cache).values():
+                for a in value if isinstance(value, list) else [value]:
+                    if isinstance(a, np.ndarray):
+                        yield a
+
+
+def _reconciled(engine_cls, checked_runs):
+    """``engine_cls`` asserting, after prefill and after every decode step,
+    that the ledger's active bytes are exactly the bytes of the live caches."""
+    class Reconciled(engine_cls):
+        def _check(self, run):
+            buffers = list(_cache_buffers(run))
+            assert buffers and all(b.dtype == np.float32 for b in buffers)
+            assert self.last_ledger.active_bytes == kv_bytes(self.config, *buffers)
+            checked_runs.append(run)
+
+        def _prefill(self, run):
+            out = super()._prefill(run)
+            self._check(run)
+            return out
+
+        def _decode_step(self, run, tokens, t, state):
+            out = super()._decode_step(run, tokens, t, state)
+            self._check(run)
+            return out
+
+    return Reconciled
+
+
+@pytest.mark.parametrize("engine_cls", [OptimizedEngine, ReferenceEngine])
+@pytest.mark.parametrize("mode,bs,bw", [("greedy", 2, 1), ("beam", 1, 4), ("beam", 2, 2)])
+def test_ledger_active_bytes_equal_live_cache_bytes(engine_cls, mode, bs, bw):
+    """Ledger reconciliation: at every step the alloc/free log agrees with
+    the buffers the caches actually hold, across the 16-row growth."""
+    w = _toy_weights(seed=15, L=3)
+    nr = 20
+    checked = []
+    engine = _reconciled(engine_cls, checked)(w)
+    res = engine.generate(GenerationRequest(_prompt(w.config, bs, 6), nr, mode=mode, bw=bw))
+    assert len(checked) == nr + 1  # prefill and every decode step
+    assert any(kind == "free" for kind, _ in engine.last_ledger.events)
+    assert res.tokens.shape == (bs, bw, nr)
+
+
+@pytest.mark.parametrize("engine_cls", [OptimizedEngine, ReferenceEngine])
+def test_prompt_cache_owns_its_buffers(engine_cls):
+    """Stored prompt K/V are buffers of their own, not views that would keep
+    the whole fused q/k/v projection alive behind the bytes the ledger counts."""
+    w = _toy_weights(seed=16)
+    runs = []
+    engine = _reconciled(engine_cls, runs)(w)
+    engine.generate(GenerationRequest(_prompt(w.config, 2, 9), 0, mode="beam", bw=2))
+    (run,) = runs
+    buffers = list(_cache_buffers(run))
+    assert len(buffers) >= 2 * w.config.L
+    for b in buffers:
+        assert b.flags.owndata
 
 
 # -- instrumentation --------------------------------------------------------------------
@@ -369,6 +414,9 @@ def test_request_validation():
         GenerationRequest(np.zeros((1, 4), dtype=int), 2.5)
     with pytest.raises(ValueError, match="token ids must be integers"):
         GenerationRequest(np.array([[1.7, 2.2]]), 4)
+    for bad in (2.5, True, 4.0):
+        with pytest.raises(ValueError, match="bw must be an integer"):
+            GenerationRequest(np.zeros((1, 4), dtype=int), 4, mode="beam", bw=bad)
 
 
 def test_out_of_vocab_prompt_rejected():

@@ -102,6 +102,11 @@ def test_ledger_rejects_bad_frees():
 
 # -- response cache ---------------------------------------------------------------
 
+def _arena_bytes(cfg, rows, capacity):
+    """Closed form: K and V of all L layers, ``capacity`` steps of ``rows`` tokens."""
+    return capacity * rows * cache_token_bytes(cfg)
+
+
 def _rows(rng, cfg, n):
     return rng.standard_normal((1, n, cfg.H, cfg.D)).astype(np.float32)
 
@@ -114,7 +119,7 @@ def test_first_append_allocates_initial_block():
     cache.append(0, _rows(rng, cfg, 1), _rows(rng, cfg, 1))
     assert cache.length(0) == 1
     assert cache.capacity(0) == 16
-    assert led.events == [("alloc", cache.block_bytes(16))]
+    assert led.events == [("alloc", _arena_bytes(cfg, 1, 16))]
 
 
 def test_seventeenth_append_grows_and_preserves_rows():
@@ -130,7 +135,7 @@ def test_seventeenth_append_grows_and_preserves_rows():
     got_k, _ = cache.valid(0)
     assert np.array_equal(got_k[:16], np.concatenate([k[0][None] for k in ks[:16]]).reshape(16, 1, cfg.H, cfg.D))
     frees = [e for e in led.events if e[0] == "free"]
-    assert frees == [("free", cache.block_bytes(16))]
+    assert frees == [("free", _arena_bytes(cfg, 1, 16))]
 
 
 def test_forty_appends_capacity_and_concat_oracle():
@@ -151,7 +156,7 @@ def test_forty_appends_capacity_and_concat_oracle():
     assert np.array_equal(got_v, np.concatenate(vs, axis=0))
     allocs = [n for kind, n in led.events if kind == "alloc"]
     frees = [n for kind, n in led.events if kind == "free"]
-    assert allocs == [cache.block_bytes(c) for c in (16, 32, 48)]
+    assert allocs == [_arena_bytes(cfg, 4, c) for c in (16, 32, 48)]
     assert len(frees) == 2  # one free per growth-with-copy
 
 
@@ -185,7 +190,10 @@ def test_response_kv_layers_grow_in_lockstep():
             cache.append(layer, k, v)
             assert cache.length(layer) == t
             assert cache.capacity(layer) == -(-t // 16) * 16
-    b = cache.block_bytes
+
+    def b(capacity):
+        return _arena_bytes(cfg, 2, capacity)
+
     assert b(16) == cfg.L * 2 * 16 * 2 * cfg.H * cfg.D * cfg.dtype_bytes
     assert led.events == [("alloc", b(16)),
                           ("alloc", b(32)), ("free", b(16)),
@@ -214,12 +222,14 @@ def test_prompt_kv_store_once_and_bytes():
     pk = PromptKV(cfg, bs=3, n_prompt=5, ledger=led)
     t = np.zeros((3, 5, cfg.H, cfg.D), dtype=np.float32)
     pk.store(0, t, t)
-    assert led.active_bytes == pk.layer_bytes
-    assert pk.total_bytes == 3 * 5 * cache_token_bytes(cfg)
+    assert led.active_bytes == 2 * 3 * 5 * cfg.H * cfg.D * cfg.dtype_bytes  # one layer's K and V
+    pk.store(1, t, t)
+    assert pk.total_bytes() == 3 * 5 * cache_token_bytes(cfg) == led.active_bytes
     with pytest.raises(ValueError):
         pk.store(0, t, t)
     with pytest.raises(ValueError):  # sequence-first [N_prompt, BS, H, D] is the wrong shape
-        pk.store(1, np.zeros((5, 3, cfg.H, cfg.D), dtype=np.float32), t)
+        PromptKV(cfg, bs=3, n_prompt=5, ledger=led).store(
+            0, np.zeros((5, 3, cfg.H, cfg.D), dtype=np.float32), t)
 
 
 # -- standard cache ----------------------------------------------------------------
@@ -264,8 +274,11 @@ def test_standard_step_reserved_is_per_step_sum():
     for _ in range(n_steps):
         s = rng.standard_normal((2, 1, cfg.H, cfg.D)).astype(np.float32)
         kv.step(0, s, s, np.array([0, 1]))
-    expected = kv.block_bytes(n_prompt) + sum(
-        kv.block_bytes(n_prompt + t) for t in range(1, n_steps + 1))
+
+    def block(n):  # closed form: K and V of 2 rows of n tokens, one layer
+        return 2 * 2 * n * cfg.H * cfg.D * cfg.dtype_bytes
+
+    expected = block(n_prompt) + sum(block(n_prompt + t) for t in range(1, n_steps + 1))
     assert led.reserved_bytes == expected
 
 
@@ -287,27 +300,28 @@ def test_standard_step_reorder_out_of_range():
     CacheShapeParams(2, 4, 50, 0),
 ])
 def test_simulator_segment_final_active_matches_formula(params):
-    summary = simulate_decode_memory("segment", GPTJ, params)
-    assert summary.final_active == segment_cache_bytes(GPTJ, params)
+    ledger = simulate_decode_memory("segment", GPTJ, params)
+    assert ledger.active_bytes == segment_cache_bytes(GPTJ, params)
 
 
 def test_simulator_standard_peak_is_arithmetic_series():
     p = CacheShapeParams(4, 4, 1024, 128)
     tok = cache_token_bytes(GPTJ)
-    summary = simulate_decode_memory("standard", GPTJ, p)
+    ledger = simulate_decode_memory("standard", GPTJ, p)
     closed_form = p.bs * p.bw * tok * (p.n_response * p.n_prompt
                                        + p.n_response * (p.n_response + 1) // 2)
-    assert summary.peak_reserved == closed_form
-    assert summary.final_active == standard_cache_bytes(GPTJ, p)
+    assert ledger.reserved_bytes == closed_form
+    assert ledger.active_bytes == standard_cache_bytes(GPTJ, p)
 
 
 def test_simulator_segment_peak_below_standard_peak():
     p = CacheShapeParams(4, 4, 1024, 128)
     seg = simulate_decode_memory("segment", GPTJ, p)
     std = simulate_decode_memory("standard", GPTJ, p)
-    assert seg.peak_reserved < std.peak_reserved
+    assert seg.reserved_bytes < std.reserved_bytes
 
 
 def test_simulator_is_deterministic():
     p = CacheShapeParams(2, 4, 64, 40)
-    assert simulate_decode_memory("segment", GPTJ, p) == simulate_decode_memory("segment", GPTJ, p)
+    assert (simulate_decode_memory("segment", GPTJ, p).events
+            == simulate_decode_memory("segment", GPTJ, p).events)
