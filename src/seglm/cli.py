@@ -180,10 +180,10 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="seglm")
+    parser = argparse.ArgumentParser(prog="seglm", allow_abbrev=False)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("memsim", help="cache-size table for the two policies")
+    p = sub.add_parser("memsim", allow_abbrev=False, help="cache-size table for the two policies")
     p.add_argument("--models", nargs="+", choices=sorted(PRESETS), default=sorted(PRESETS))
     p.add_argument("--bs", nargs="+", type=int, default=[1, 2, 4, 8, 16, 32])
     p.add_argument("--bw", type=int, default=4)
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write to file instead of stdout")
     p.set_defaults(fn=cmd_memsim)
 
-    p = sub.add_parser("gen", help="run generation on one or both engines")
+    p = sub.add_parser("gen", allow_abbrev=False, help="run generation on one or both engines")
     _add_model_flags(p)
     p.add_argument("--engine", choices=("optimized", "reference", "both"), default="both")
     p.add_argument("--bs", type=int, default=1)
@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("bench", help="largest batch of each cache policy under a byte budget")
+    p = sub.add_parser("bench", allow_abbrev=False,
+                       help="largest batch of each cache policy under a byte budget")
     _add_model_flags(p)
     p.add_argument("--budget-bytes", type=int, required=True)
     p.add_argument("--bw", type=int, default=4)
@@ -218,12 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("fusion-report", help="operator histograms before and after fusion")
+    p = sub.add_parser("fusion-report", allow_abbrev=False,
+                       help="operator histograms before and after fusion")
     p.add_argument("--phase", choices=("prefill", "decode"), default="decode")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_fusion_report)
 
-    p = sub.add_parser("verify", help="run the acceptance checks")
+    p = sub.add_parser("verify", allow_abbrev=False, help="run the acceptance checks")
     p.add_argument("--quick", action="store_true", help="cap random cases at 20")
     p.set_defaults(fn=cmd_verify)
 

@@ -175,6 +175,8 @@ def load_weights(path) -> ToyWeights:
     try:
         config = ModelConfig(**header["config"])
         for entry in header["tensors"]:
+            if entry["name"] in arrays:
+                raise ValueError(f"weight file {path} lists tensor {entry['name']!r} twice")
             shape = tuple(entry["shape"])
             arrays[entry["name"]] = np.frombuffer(
                 blob, dtype="<f4", count=prod(shape), offset=entry["offset"]
@@ -191,8 +193,13 @@ def load_weights(path) -> ToyWeights:
         LayerWeights(**{name: tensor(f"layers.{i}.{name}") for name in LayerWeights.FIELDS})
         for i in range(config.L)
     ]
-    return ToyWeights(config, tensor("embedding"), layers,
-                      tensor("final_norm"), tensor("head"), header.get("seed", 0))
+    weights = ToyWeights(config, tensor("embedding"), layers,
+                         tensor("final_norm"), tensor("head"), header.get("seed", 0))
+    extra = sorted(arrays.keys() - {name for name, _ in weights.named_tensors()})
+    if extra:
+        raise ValueError(f"weight file {path} holds tensor {extra[0]!r}, "
+                         "for which its config has no slot")
+    return weights
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Decoder-layer operator graphs and the fusion passes that shrink them.
 
+A graph is an ordered node list: each node names the ids of the nodes it
+reads, and every node is placed after its inputs, so the list is always in
+topological order and the edges follow from the inputs.
+
 ``build_standard_decoder_graph`` emits the conventional Llama-style layer
 (primitive norm chains, separate q/k/v projections, transpose / cat /
 index-select data movement around attention, standalone element-wise ops).
@@ -9,7 +13,6 @@ exactly nine fused operations. Analysis only: graphs are never executed.
 """
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 
@@ -27,18 +30,8 @@ KINDS = frozenset({
     "ElementwiseMul", "Activation",
 }) | FUSED_MODULE
 
-TAG_NAMES = ("data-movement", "element-wise", "fused-module")
-
-
-def tags_for(kind: str) -> tuple[str, ...]:
-    tags = []
-    if kind in DATA_MOVEMENT:
-        tags.append("data-movement")
-    if kind in ELEMENT_WISE:
-        tags.append("element-wise")
-    if kind in FUSED_MODULE:
-        tags.append("fused-module")
-    return tuple(tags)
+TAGS = {"data-movement": DATA_MOVEMENT, "element-wise": ELEMENT_WISE,
+        "fused-module": FUSED_MODULE}
 
 
 @dataclass
@@ -46,108 +39,89 @@ class OpNode:
     id: int
     kind: str
     role: str = ""  # builder hint consumed by the fusion passes
+    inputs: tuple[int, ...] = ()  # ids of the nodes this one reads
 
     @property
     def tags(self) -> tuple[str, ...]:
-        return tags_for(self.kind)
+        return tuple(tag for tag, kinds in TAGS.items() if self.kind in kinds)
 
 
 class OpGraph:
-    """Directed acyclic operator graph for one decoder layer."""
+    """Operator graph for one decoder layer, as nodes in topological order."""
 
     def __init__(self, phase: str):
         if phase not in ("prefill", "decode"):
             raise ValueError(f"phase must be 'prefill' or 'decode', got {phase!r}")
         self.phase = phase
         self.nodes: dict[int, OpNode] = {}
-        self.edges: set[tuple[int, int]] = set()
-        self._next_id = 0
 
-    def add(self, kind: str, role: str = "") -> int:
+    def add(self, kind: str, role: str = "", *inputs: int) -> int:
+        """Append a node that reads ``inputs``, which must already be in the graph."""
         if kind not in KINDS:
             raise ValueError(f"unknown op kind {kind!r}")
-        nid = self._next_id
-        self._next_id += 1
-        self.nodes[nid] = OpNode(nid, kind, role)
+        missing = [i for i in inputs if i not in self.nodes]
+        if missing:
+            raise ValueError(f"input ids {missing} are not nodes of the graph")
+        nid = max(self.nodes, default=-1) + 1  # a removed id is read by no node
+        self.nodes[nid] = OpNode(nid, kind, role, tuple(inputs))
         return nid
 
-    def connect(self, src: int, dst: int) -> None:
-        if src not in self.nodes or dst not in self.nodes:
-            raise ValueError("edge endpoints must be existing nodes")
-        self.edges.add((src, dst))
-
-    def preds(self, nid: int) -> list[int]:
-        return sorted(s for s, d in self.edges if d == nid)
-
-    def succs(self, nid: int) -> list[int]:
-        return sorted(d for s, d in self.edges if s == nid)
+    @property
+    def edges(self) -> set[tuple[int, int]]:
+        return {(src, n.id) for n in self.nodes.values() for src in n.inputs}
 
     def copy(self) -> "OpGraph":
         g = OpGraph(self.phase)
-        g.nodes = {i: OpNode(n.id, n.kind, n.role) for i, n in self.nodes.items()}
-        g.edges = set(self.edges)
-        g._next_id = self._next_id
+        g.nodes = {i: OpNode(n.id, n.kind, n.role, n.inputs) for i, n in self.nodes.items()}
         return g
 
+    def _redirect(self, group: set[int], to: tuple[int, ...]) -> None:
+        """Make every reader of a node in ``group`` read ``to`` in its place."""
+        for n in self.nodes.values():
+            if not group.isdisjoint(n.inputs):
+                ins = [j for i in n.inputs for j in (to if i in group else (i,))]
+                n.inputs = tuple(dict.fromkeys(ins))
+
     def remove_splice(self, nid: int) -> None:
-        """Delete a node, reconnecting its predecessors to its successors."""
-        ps, ss = self.preds(nid), self.succs(nid)
-        self.edges = {(s, d) for s, d in self.edges if s != nid and d != nid}
-        for p in ps:
-            for s in ss:
-                self.edges.add((p, s))
-        del self.nodes[nid]
+        """Delete a node; its readers read its inputs instead."""
+        self._redirect({nid}, self.nodes.pop(nid).inputs)
 
     def merge(self, ids, kind: str, role: str = "") -> int:
-        """Replace a node set by one fused node inheriting all external edges."""
+        """Replace a node set by one fused node, placed where the last of them
+        was, that reads their outside inputs and is read by their readers."""
         group = set(ids)
-        new = self.add(kind, role)
-        for s, d in list(self.edges):
-            if s in group and d in group:
-                self.edges.discard((s, d))
-            elif s in group:
-                self.edges.discard((s, d))
-                self.edges.add((new, d))
-            elif d in group:
-                self.edges.discard((s, d))
-                self.edges.add((s, new))
-        for nid in group:
-            del self.nodes[nid]
-        return new
+        members = [n for n in self.nodes.values() if n.id in group]
+        inputs = dict.fromkeys(i for n in members for i in n.inputs if i not in group)
+        fused = self.nodes.pop(self.add(kind, role, *inputs))
+        nodes = {}
+        for nid, n in self.nodes.items():
+            if nid == members[-1].id:
+                nodes[fused.id] = fused
+            elif nid not in group:
+                nodes[nid] = n
+        self.nodes = nodes
+        self._redirect(group, (fused.id,))
+        return fused.id
 
     def entries(self) -> list[int]:
-        have_pred = {d for _, d in self.edges}
-        return sorted(i for i in self.nodes if i not in have_pred)
+        return [i for i, n in self.nodes.items() if not n.inputs]
 
     def exits(self) -> list[int]:
-        have_succ = {s for s, _ in self.edges}
-        return sorted(i for i in self.nodes if i not in have_succ)
+        read = {src for n in self.nodes.values() for src in n.inputs}
+        return [i for i in self.nodes if i not in read]
 
     def is_acyclic(self) -> bool:
-        return len(self._topo_order()) == len(self.nodes)
-
-    def _topo_order(self) -> list[int]:
-        indeg = {i: 0 for i in self.nodes}
-        for _, d in self.edges:
-            indeg[d] += 1
-        ready = [i for i, k in indeg.items() if k == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            n = heapq.heappop(ready)
-            order.append(n)
-            for s in self.succs(n):
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    heapq.heappush(ready, s)
-        return order
+        """True when every node reads only nodes placed before it."""
+        placed: set[int] = set()
+        for nid, n in self.nodes.items():
+            if not placed.issuperset(n.inputs):
+                return False
+            placed.add(nid)
+        return True
 
     def node_list(self) -> list[OpNode]:
-        """Nodes in deterministic (topological, id-tie-broken) order."""
-        order = self._topo_order()
-        if len(order) != len(self.nodes):  # cyclic fallback; never hit for valid graphs
-            order = sorted(self.nodes)
-        return [self.nodes[i] for i in order]
+        """Nodes in graph (topological) order."""
+        return list(self.nodes.values())
 
     def count_kind(self, kind: str) -> int:
         return sum(1 for n in self.nodes.values() if n.kind == kind)
@@ -160,122 +134,57 @@ def build_standard_decoder_graph(phase: str) -> OpGraph:
     """Conventional decoder layer: fine-grained primitives plus the transpose /
     cat / index-select data movement around attention.
 
-    Past-KV index-select nodes are wired from this layer's own K/V projection
-    output (the time-collapsed cache edge) so the layer keeps a single entry.
+    Past-KV index-select nodes read this layer's own K/V projection output
+    (the time-collapsed cache edge) so the layer keeps a single entry.
     """
     g = OpGraph(phase)
     decode = phase == "decode"
 
-    def rms_chain(role: str, src: int | None) -> tuple[int, int]:
-        prims = [g.add("RMSNormPrimitive", f"{role}.{p}")
-                 for p in ("pow", "mean", "add", "rsqrt", "mul")]
-        for a, b in zip(prims, prims[1:]):
-            g.connect(a, b)
-        if src is not None:
-            g.connect(src, prims[0])
-        return prims[0], prims[-1]
+    def chain(kind: str, role: str, steps: tuple[str, ...], *src: int) -> int:
+        for step in steps:
+            src = (g.add(kind, f"{role}.{step}", *src),)
+        return src[0]
 
-    def rope_chain(role: str, src: int) -> int:
-        a = g.add("RoPEPrimitive", f"{role}.rotate_even")
-        b = g.add("RoPEPrimitive", f"{role}.rotate_odd")
-        g.connect(src, a)
-        g.connect(a, b)
-        return b
+    norm_steps = ("pow", "mean", "add", "rsqrt", "mul")
+    rope_steps = ("rotate_even", "rotate_odd")
 
-    _, n1 = rms_chain("attn_norm", None)
+    n1 = chain("RMSNormPrimitive", "attn_norm", norm_steps)
+    lin_q = g.add("Linear", "q_proj", n1)
+    lin_k = g.add("Linear", "k_proj", n1)
+    lin_v = g.add("Linear", "v_proj", n1)
+    rope_q = chain("RoPEPrimitive", "rope_q", rope_steps, lin_q)
+    rope_k = chain("RoPEPrimitive", "rope_k", rope_steps, lin_k)
 
-    lin_q = g.add("Linear", "q_proj")
-    lin_k = g.add("Linear", "k_proj")
-    lin_v = g.add("Linear", "v_proj")
-    for lin in (lin_q, lin_k, lin_v):
-        g.connect(n1, lin)
-
-    rope_q = rope_chain("rope_q", lin_q)
-    rope_k = rope_chain("rope_k", lin_k)
-
-    t_q = g.add("Transpose", "q")
-    t_k = g.add("Transpose", "k")
-    t_v = g.add("Transpose", "v")
-    g.connect(rope_q, t_q)
-    g.connect(rope_k, t_k)
-    g.connect(lin_v, t_v)
-
+    t_q = g.add("Transpose", "q", rope_q)
+    t_k = g.add("Transpose", "k", rope_k)
+    t_v = g.add("Transpose", "v", lin_v)
     if decode:
-        is_k = g.add("IndexSelect", "past_k")
-        is_v = g.add("IndexSelect", "past_v")
-        cat_k = g.add("Cat", "k")
-        cat_v = g.add("Cat", "v")
-        g.connect(rope_k, is_k)
-        g.connect(lin_v, is_v)
-        g.connect(t_k, cat_k)
-        g.connect(is_k, cat_k)
-        g.connect(t_v, cat_v)
-        g.connect(is_v, cat_v)
-        k_src, v_src = cat_k, cat_v
+        is_k = g.add("IndexSelect", "past_k", rope_k)
+        is_v = g.add("IndexSelect", "past_v", lin_v)
+        k_src = g.add("Cat", "k", t_k, is_k)
+        v_src = g.add("Cat", "v", t_v, is_v)
     else:
         k_src, v_src = t_k, t_v
 
-    gemm_qk = g.add("BatchGeMM", "qk")
-    g.connect(t_q, gemm_qk)
-    g.connect(k_src, gemm_qk)
-    sm_in = gemm_qk
+    scores = g.add("BatchGeMM", "qk", t_q, k_src)
     if not decode:  # a single decode query attends everything; no mask needed
-        mask = g.add("Mask", "causal")
-        g.connect(gemm_qk, mask)
-        sm_in = mask
-    sm = g.add("Softmax", "attn")
-    g.connect(sm_in, sm)
-    gemm_pv = g.add("BatchGeMM", "pv")
-    g.connect(sm, gemm_pv)
-    g.connect(v_src, gemm_pv)
+        scores = g.add("Mask", "causal", scores)
+    sm = g.add("Softmax", "attn", scores)
+    gemm_pv = g.add("BatchGeMM", "pv", sm, v_src)
 
-    t_ctx = g.add("Transpose", "ctx")
-    g.connect(gemm_pv, t_ctx)
-    lin_o = g.add("Linear", "o_proj")
-    g.connect(t_ctx, lin_o)
-    add1 = g.add("ElementwiseAdd", "residual_attn")
-    g.connect(lin_o, add1)
+    t_ctx = g.add("Transpose", "ctx", gemm_pv)
+    lin_o = g.add("Linear", "o_proj", t_ctx)
+    add1 = g.add("ElementwiseAdd", "residual_attn", lin_o)
 
-    _, n2 = rms_chain("mlp_norm", add1)
-    lin_gate = g.add("Linear", "gate_proj")
-    lin_up = g.add("Linear", "up_proj")
-    g.connect(n2, lin_gate)
-    g.connect(n2, lin_up)
-    act = g.add("Activation", "gate_act")
-    g.connect(lin_gate, act)
-    mul = g.add("ElementwiseMul", "gate_mul")
-    g.connect(act, mul)
-    g.connect(lin_up, mul)
-    lin_down = g.add("Linear", "down_proj")
-    g.connect(mul, lin_down)
-    add2 = g.add("ElementwiseAdd", "residual_mlp")
-    g.connect(lin_down, add2)
-    g.connect(add1, add2)
+    n2 = chain("RMSNormPrimitive", "mlp_norm", norm_steps, add1)
+    lin_gate = g.add("Linear", "gate_proj", n2)
+    lin_up = g.add("Linear", "up_proj", n2)
+    act = g.add("Activation", "gate_act", lin_gate)
+    mul = g.add("ElementwiseMul", "gate_mul", act, lin_up)
+    lin_down = g.add("Linear", "down_proj", mul)
+    g.add("ElementwiseAdd", "residual_mlp", lin_down, add1)
 
     return g
-
-
-def _components(g: OpGraph, ids: set[int]) -> list[set[int]]:
-    """Weakly connected components of the subgraph induced on ``ids``."""
-    remaining = set(ids)
-    comps = []
-    adj: dict[int, set[int]] = {i: set() for i in ids}
-    for s, d in g.edges:
-        if s in ids and d in ids:
-            adj[s].add(d)
-            adj[d].add(s)
-    while remaining:
-        seed = min(remaining)
-        comp, frontier = {seed}, [seed]
-        while frontier:
-            n = frontier.pop()
-            for m in adj[n]:
-                if m not in comp:
-                    comp.add(m)
-                    frontier.append(m)
-        comps.append(comp)
-        remaining -= comp
-    return sorted(comps, key=min)
 
 
 def apply_fusion_passes(g: OpGraph) -> OpGraph:
@@ -293,21 +202,23 @@ def apply_fusion_passes(g: OpGraph) -> OpGraph:
     for nid in [i for i, n in g.nodes.items() if "data-movement" in n.tags]:
         g.remove_splice(nid)
 
-    qkv = sorted(i for i, n in g.nodes.items()
-                 if n.kind == "Linear" and n.role in ("q_proj", "k_proj", "v_proj"))
+    qkv = [i for i, n in g.nodes.items()
+           if n.kind == "Linear" and n.role in ("q_proj", "k_proj", "v_proj")]
     if len(qkv) == 3:
         g.merge(qkv, "FusedQKVLinear", "qkv_proj")
 
-    rms = {i for i, n in g.nodes.items() if n.kind == "RMSNormPrimitive"}
-    for comp in _components(g, rms):
-        role = g.nodes[min(comp)].role.split(".")[0]
-        g.merge(comp, "FusedRMSNorm", role)
+    norms: dict[str, list[int]] = {}  # one chain per role prefix, e.g. "attn_norm.*"
+    for i, n in g.nodes.items():
+        if n.kind == "RMSNormPrimitive":
+            norms.setdefault(n.role.split(".")[0], []).append(i)
+    for role, chain in norms.items():
+        g.merge(chain, "FusedRMSNorm", role)
 
-    rope = {i for i, n in g.nodes.items() if n.kind == "RoPEPrimitive"}
+    rope = [i for i, n in g.nodes.items() if n.kind == "RoPEPrimitive"]
     if rope:
         g.merge(rope, "FusedRoPE", "rope")
 
-    sdpa = {i for i, n in g.nodes.items() if n.kind in ("BatchGeMM", "Mask", "Softmax")}
+    sdpa = [i for i, n in g.nodes.items() if n.kind in ("BatchGeMM", "Mask", "Softmax")]
     if sdpa:
         g.merge(sdpa, "FusedSDPA", "sdpa")
 
@@ -316,13 +227,11 @@ def apply_fusion_passes(g: OpGraph) -> OpGraph:
         "ElementwiseMul": "LinearMul",
         "ElementwiseAdd": "LinearAddResidual",
     }
-    for ew_kind in ("Activation", "ElementwiseMul", "ElementwiseAdd"):
-        for nid in sorted(i for i, n in g.nodes.items() if n.kind == ew_kind):
-            if nid not in g.nodes:
-                continue
-            lin_preds = [p for p in g.preds(nid) if g.nodes[p].kind == "Linear"]
-            if len(lin_preds) == 1:
-                g.merge([lin_preds[0], nid], absorb_kind[ew_kind], g.nodes[lin_preds[0]].role)
+    for ew_kind, fused_kind in absorb_kind.items():
+        for nid in [i for i, n in g.nodes.items() if n.kind == ew_kind]:
+            lin_inputs = [i for i in g.nodes[nid].inputs if g.nodes[i].kind == "Linear"]
+            if len(lin_inputs) == 1:
+                g.merge([lin_inputs[0], nid], fused_kind, g.nodes[lin_inputs[0]].role)
 
     return g
 
@@ -331,7 +240,7 @@ def op_count_report(g: OpGraph) -> dict:
     """Deterministic histogram of a graph's ops by kind and by tag."""
     nodes = g.node_list()
     by_kind = dict(sorted(Counter(n.kind for n in nodes).items()))
-    by_tag = {tag: sum(1 for n in nodes if tag in n.tags) for tag in TAG_NAMES}
+    by_tag = {tag: sum(1 for n in nodes if tag in n.tags) for tag in TAGS}
     return {
         "phase": g.phase,
         "nodes": [{"kind": n.kind, "tags": list(n.tags)} for n in nodes],

@@ -73,6 +73,17 @@ def test_memsim_unknown_preset_is_usage_error(capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [("gen", "--n-resp", "3", "--bw", "1", "--random", "4"),
+                                  ("memsim", "--model", "gptj-6b"),
+                                  ("gen", "--mode", "greedy")], ids=" ".join)
+def test_flag_prefixes_are_usage_errors(capsys, argv):
+    """A flag must be spelled in full: a prefix of a real flag, or a deleted
+    flag that prefixes one, is not taken for it."""
+    with pytest.raises(SystemExit) as e:
+        run_cli(*argv)
+    assert e.value.code == 2
+
+
 def test_gen_single_engine_reports(tmp_path):
     for engine in ("optimized", "reference"):
         out = tmp_path / f"{engine}.json"
@@ -151,6 +162,8 @@ MALFORMED_WEIGHT_FILES = {
     "string-max-pos": "max_pos must be an integer",
     "zero-max-pos": "max_pos must be an integer >= 1",
     "float-dtype-bytes": "dtype_bytes must be 2",
+    "duplicate-tensor": "tensor 'final_norm' twice",
+    "extra-layer": "tensor 'layers.1.",
 }
 
 
@@ -182,6 +195,10 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
         header["config"]["max_pos"] = 0
     elif defect == "float-dtype-bytes":
         header["config"]["dtype_bytes"] = 2.0
+    elif defect == "duplicate-tensor":
+        header["tensors"] += [t for t in header["tensors"] if t["name"] == "final_norm"]
+    elif defect == "extra-layer":  # the blob holds two layers, the config says one
+        header["config"]["L"] = 1
     else:  # a header written while the config still had an activation option
         header["config"]["activation"] = "silu"
     bad = tmp_path / "bad.bin"

@@ -133,3 +133,49 @@ def test_report_is_json_serializable_and_tagged():
 def test_unknown_phase_rejected():
     with pytest.raises(ValueError):
         build_standard_decoder_graph("training")
+
+
+FUSED_EDGES = sorted([
+    (("FusedRMSNorm", "attn_norm"), ("FusedQKVLinear", "qkv_proj")),
+    (("FusedQKVLinear", "qkv_proj"), ("FusedRoPE", "rope")),
+    (("FusedQKVLinear", "qkv_proj"), ("FusedSDPA", "sdpa")),
+    (("FusedRoPE", "rope"), ("FusedSDPA", "sdpa")),
+    (("FusedSDPA", "sdpa"), ("LinearAddResidual", "o_proj")),
+    (("LinearAddResidual", "o_proj"), ("FusedRMSNorm", "mlp_norm")),
+    (("LinearAddResidual", "o_proj"), ("LinearAddResidual", "down_proj")),
+    (("FusedRMSNorm", "mlp_norm"), ("LinearActivation", "gate_proj")),
+    (("FusedRMSNorm", "mlp_norm"), ("LinearMul", "up_proj")),
+    (("LinearActivation", "gate_proj"), ("LinearMul", "up_proj")),
+    (("LinearMul", "up_proj"), ("LinearAddResidual", "down_proj")),
+])
+
+
+@pytest.mark.parametrize("phase,n_std_edges", [("decode", 41), ("prefill", 36)])
+def test_graph_wiring_pinned(phase, n_std_edges):
+    """Which nodes are linked, not only how many: every fused edge by
+    (kind, role), the standard edge total, and the entry / exit roles."""
+    def key(g, nid):
+        return g.nodes[nid].kind, g.nodes[nid].role
+
+    std = build_standard_decoder_graph(phase)
+    fused = apply_fusion_passes(std)
+    assert len(std.edges) == n_std_edges
+    assert [key(std, i) for i in std.entries()] == [("RMSNormPrimitive", "attn_norm.pow")]
+    assert [key(std, i) for i in std.exits()] == [("ElementwiseAdd", "residual_mlp")]
+    assert sorted((key(fused, s), key(fused, d)) for s, d in fused.edges) == FUSED_EDGES
+    assert [key(fused, i) for i in fused.entries()] == [("FusedRMSNorm", "attn_norm")]
+    assert [key(fused, i) for i in fused.exits()] == [("LinearAddResidual", "down_proj")]
+
+
+def test_graph_guards():
+    g = OpGraph("decode")
+    with pytest.raises(ValueError, match="unknown op kind"):
+        g.add("Conv2d", "x")
+    a = g.add("Linear", "a")
+    with pytest.raises(ValueError, match="not nodes of the graph"):
+        g.add("Linear", "b", a, 99)
+    b = g.add("Linear", "b", a)
+    c = g.add("Linear", "c", b)
+    assert g.is_acyclic()
+    g.merge([a, c], "LinearMul", "ac")  # b now reads the fused node and feeds it
+    assert not g.is_acyclic()
