@@ -6,7 +6,7 @@ from .beam import BeamIndices, BeamSearchState, beam_step, build_gather_indices
 from .config import PRESETS, ModelConfig, preset, toy_config
 from .engine import (GenerationRequest, GenerationResult, OpCounters, OptimizedEngine,
                      ReferenceEngine, ToyWeights, generate, load_weights,
-                     reference_generate, save_weights)
+                     reference_generate, save_weights, weight_layout)
 from .fusion import OpGraph, OpNode, apply_fusion_passes, build_standard_decoder_graph, op_count_report
 from .kvcache import (CacheShapeParams, MemoryLedger, PromptKV, ResponseKV, StandardKV,
                       cache_token_bytes, kv_bytes, segment_cache_bytes,
@@ -20,7 +20,7 @@ __all__ = [
     "PRESETS", "ModelConfig", "preset", "toy_config",
     "GenerationRequest", "GenerationResult", "OpCounters", "OptimizedEngine",
     "ReferenceEngine", "ToyWeights", "generate", "load_weights",
-    "reference_generate", "save_weights",
+    "reference_generate", "save_weights", "weight_layout",
     "OpGraph", "OpNode", "apply_fusion_passes", "build_standard_decoder_graph",
     "op_count_report",
     "CacheShapeParams", "MemoryLedger", "PromptKV", "ResponseKV",

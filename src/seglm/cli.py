@@ -26,31 +26,44 @@ class UsageError(ValueError):
     pass
 
 
+# flag -> argparse keywords, for the model flags of gen and bench
+MODEL_FLAGS = {
+    "--model": dict(choices=sorted(PRESETS), help="named model preset"),
+    "--L": dict(type=int, help="decoder layers (custom model)"),
+    "--H": dict(type=int, help="attention heads (custom model)"),
+    "--D": dict(type=int, help="head dimension (custom model)"),
+    "--ff": dict(type=int, help="MLP hidden width (custom model; default 2*H*D)"),
+    "--vocab": dict(type=int, help="vocabulary size (custom model; default 64)"),
+    "--dtype-bytes": dict(type=int, choices=(2, 4),
+                          help="accounting bytes per cached element (default 2)"),
+}
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=sorted(PRESETS), help="named model preset")
-    p.add_argument("--L", type=int, help="decoder layers (custom model)")
-    p.add_argument("--H", type=int, help="attention heads")
-    p.add_argument("--D", type=int, help="head dimension")
-    p.add_argument("--ff", type=int, help="MLP hidden width")
-    p.add_argument("--vocab", type=int, help="vocabulary size")
-    p.add_argument("--dtype-bytes", type=int, choices=(2, 4),
-                   help="accounting bytes per cached element (default 2)")
+    for flag, kwargs in MODEL_FLAGS.items():
+        p.add_argument(flag, **kwargs)
 
 
-# argparse dest -> flag, for the model flags a loaded weight file overrides
-MODEL_FLAGS = {"model": "--model", "L": "--L", "H": "--H", "D": "--D", "ff": "--ff",
-               "vocab": "--vocab", "dtype_bytes": "--dtype-bytes"}
+def _reject(args, flags, reason: str) -> None:
+    """A usage error naming each of ``flags`` that the command line set."""
+    given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)} {reason}")
 
 
 def _resolve_config(args) -> ModelConfig:
+    geometry = (args.L, args.H, args.D)
     if args.model:
+        _reject(args, ("--L", "--H", "--D", "--ff", "--vocab"),
+                "cannot be combined with --model, whose preset fixes the model")
         cfg = preset(args.model)
-    elif args.L or args.H or args.D:
-        if not (args.L and args.H and args.D):
+    elif geometry != (None, None, None):
+        if None in geometry:
             raise UsageError("custom models need --L, --H and --D together")
         cfg = toy_config(L=args.L, H=args.H, D=args.D,
-                         vocab=args.vocab or 64, ff_dim=args.ff)
+                         vocab=64 if args.vocab is None else args.vocab, ff_dim=args.ff)
     else:
+        _reject(args, ("--ff", "--vocab"), "needs a custom model: give --L, --H and --D")
         cfg = toy_config()
     return cfg.with_dtype_bytes(2 if args.dtype_bytes is None else args.dtype_bytes)
 
@@ -88,30 +101,31 @@ def cmd_memsim(args) -> int:
 
 def _load_prompt(args, cfg: ModelConfig) -> np.ndarray:
     if args.prompt_file:
+        _reject(args, ("--bs", "--random"),
+                "cannot be combined with --prompt-file, whose ids fix the prompt")
         with open(args.prompt_file) as f:
             prompt = np.asarray(json.load(f))  # GenerationRequest rejects non-integer ids
         if prompt.ndim == 1:
             prompt = prompt[None, :]
     else:
         rng = np.random.default_rng(args.seed)
-        prompt = rng.integers(0, cfg.vocab, size=(args.bs, args.random))
+        prompt = rng.integers(0, cfg.vocab, size=(1 if args.bs is None else args.bs,
+                                                  16 if args.random is None else args.random))
     return prompt  # the engine rejects ids outside the vocabulary
 
 
 def cmd_gen(args) -> int:
     if args.weights:
-        given = [flag for dest, flag in MODEL_FLAGS.items() if getattr(args, dest) is not None]
-        if given:
-            raise UsageError(f"{', '.join(given)} cannot be combined with --weights, "
-                             "whose file holds the model config")
+        _reject(args, MODEL_FLAGS,
+                "cannot be combined with --weights, whose file holds the model config")
         weights = load_weights(args.weights)
         cfg = weights.config
     else:
         cfg = _resolve_config(args)
         weights = ToyWeights.random(cfg, seed=args.seed)
+    prompt = _load_prompt(args, cfg)
     if args.save_weights:
         save_weights(args.save_weights, weights)
-    prompt = _load_prompt(args, cfg)
     mode = "greedy" if args.bw == 1 else "beam"
     request = GenerationRequest(prompt, args.n_response, mode=mode, bw=args.bw)
 
@@ -197,11 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", allow_abbrev=False, help="run generation on one or both engines")
     _add_model_flags(p)
     p.add_argument("--engine", choices=("optimized", "reference", "both"), default="both")
-    p.add_argument("--bs", type=int, default=1)
+    p.add_argument("--bs", type=int, help="random prompts in the batch (default 1)")
     p.add_argument("--bw", type=int, default=4, help="beam width; 1 decodes greedily")
     p.add_argument("--prompt-file", help="JSON file of token ids ([[...]] or [...])")
-    p.add_argument("--random", type=int, default=16, metavar="N",
-                   help="draw a random prompt of N tokens per batch item")
+    p.add_argument("--random", type=int, metavar="N",
+                   help="draw a random prompt of N tokens per batch item (default 16)")
     p.add_argument("--n-response", type=int, default=128)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weights", help="load weights from file")

@@ -100,6 +100,26 @@ class GenerationResult:
         }
 
 
+def weight_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Every weight tensor's name and shape, in weight-file and random-draw order."""
+    dm, ff, vocab = config.d_model, config.ff_dim, config.vocab
+    layer = [("rmsnorm_1", (dm,)), ("rmsnorm_2", (dm,)), ("w_qkv", (dm, 3 * dm)),
+             ("w_o", (dm, dm)), ("w_gate", (dm, ff)), ("w_up", (dm, ff)), ("w_down", (ff, dm))]
+    return ([("embedding", (vocab, dm))]
+            + [(f"layers.{i}.{name}", shape) for i in range(config.L) for name, shape in layer]
+            + [("final_norm", (dm,)), ("head", (dm, vocab))])
+
+
+def weight_manifest(config: ModelConfig) -> tuple[list[dict], int]:
+    """The weight file's tensor manifest, ``weight_layout`` packed back to back
+    as float32, and the blob length it covers."""
+    manifest, offset = [], 0
+    for name, shape in weight_layout(config):
+        manifest.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 4 * prod(shape)
+    return manifest, offset
+
+
 class ToyWeights:
     """Seeded Gaussian weights for desk-scale runs; no real checkpoints."""
 
@@ -114,92 +134,88 @@ class ToyWeights:
         self.seed = seed
         self.validate()
 
+    @classmethod
+    def from_tensors(cls, config: ModelConfig, tensors: dict[str, np.ndarray],
+                     seed: int = 0) -> "ToyWeights":
+        """Weights from a {name: tensor} dict named as in ``weight_layout``."""
+        layers = [LayerWeights(**{name.rsplit(".", 1)[1]: arr for name, arr in tensors.items()
+                                  if name.startswith(f"layers.{i}.")}) for i in range(config.L)]
+        return cls(config, tensors["embedding"], layers, tensors["final_norm"], tensors["head"], seed)
+
     def validate(self) -> None:
-        c = self.config
-        if self.embedding.shape != (c.vocab, c.d_model):
-            raise ValueError(f"embedding must be [{c.vocab}, {c.d_model}]")
-        if self.final_norm.shape != (c.d_model,):
-            raise ValueError("final_norm shape mismatch")
-        if self.head.shape != (c.d_model, c.vocab):
-            raise ValueError("head shape mismatch")
-        if len(self.layers) != c.L:
-            raise ValueError(f"expected {c.L} layers, got {len(self.layers)}")
-        for lw in self.layers:
-            lw.validate(c)
-        for name, arr in self.named_tensors():
+        if len(self.layers) != self.config.L:
+            raise ValueError(f"expected {self.config.L} layers, got {len(self.layers)}")
+        for (name, arr), (_, shape) in zip(self.named_tensors(), weight_layout(self.config)):
+            if arr.shape != shape:
+                raise ValueError(f"weight tensor {name}: expected shape {shape}, got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"weight tensor {name} holds non-finite values")
 
     @classmethod
     def random(cls, config: ModelConfig, seed: int = 0, scale: float = 0.02) -> "ToyWeights":
+        """Draw every tensor in layout order, except the norm gains, which are ones."""
         rng = np.random.default_rng(seed)
-        emb = (rng.standard_normal((config.vocab, config.d_model)) * scale).astype(np.float32)
-        layers = [LayerWeights.random(config, rng, scale) for _ in range(config.L)]
-        final_norm = np.ones(config.d_model, dtype=np.float32)
-        head = (rng.standard_normal((config.d_model, config.vocab)) * scale).astype(np.float32)
-        return cls(config, emb, layers, final_norm, head, seed)
+        tensors = {name: np.ones(shape, dtype=np.float32) if "norm" in name
+                   else (rng.standard_normal(shape) * scale).astype(np.float32)
+                   for name, shape in weight_layout(config)}
+        return cls.from_tensors(config, tensors, seed)
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        out = [("embedding", self.embedding)]
-        for i, lw in enumerate(self.layers):
-            for name in LayerWeights.FIELDS:
-                out.append((f"layers.{i}.{name}", getattr(lw, name)))
-        out.append(("final_norm", self.final_norm))
-        out.append(("head", self.head))
+        """(name, tensor) for every weight, in ``weight_layout`` order."""
+        out = []
+        for name, _ in weight_layout(self.config):
+            *layer, field = name.split(".")
+            out.append((name, getattr(self.layers[int(layer[1])] if layer else self, field)))
         return out
 
 
 def save_weights(path, weights: ToyWeights) -> None:
     """JSON header (config + tensor manifest) followed by a raw little-endian
     float32 blob; the round trip is byte-exact."""
-    manifest = []
-    chunks = []
-    offset = 0
-    for name, arr in weights.named_tensors():
-        a = np.ascontiguousarray(arr, dtype="<f4")
-        manifest.append({"name": name, "shape": list(a.shape), "offset": offset})
-        chunks.append(a.tobytes())
-        offset += a.nbytes
+    manifest, _ = weight_manifest(weights.config)
     header = {"config": asdict(weights.config), "seed": weights.seed, "tensors": manifest}
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for chunk in chunks:
-            f.write(chunk)
+        for _, arr in weights.named_tensors():
+            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
+def _manifest_error(listed: list, names: list, expected: list[dict]) -> str:
+    """The first way manifest ``listed``, whose entries are named ``names``,
+    differs from ``expected``."""
+    known = [entry["name"] for entry in expected]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            return f"lists tensor {name!r} twice"
+        if name not in known:
+            return f"holds tensor {name!r}, for which its config has no slot"
+        if listed[i] != expected[i]:
+            return f"lists {listed[i]} where its layout has {expected[i]}"
+    return f"has no tensor {expected[len(names)]['name']!r}"
 
 
 def load_weights(path) -> ToyWeights:
+    """Read a ``save_weights`` file. Its manifest must equal ``weight_manifest``
+    of its config, and its blob must end where that manifest does."""
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode("utf-8"))
         blob = f.read()
-    arrays: dict[str, np.ndarray] = {}
     try:
         config = ModelConfig(**header["config"])
-        for entry in header["tensors"]:
-            if entry["name"] in arrays:
-                raise ValueError(f"weight file {path} lists tensor {entry['name']!r} twice")
-            shape = tuple(entry["shape"])
-            arrays[entry["name"]] = np.frombuffer(
-                blob, dtype="<f4", count=prod(shape), offset=entry["offset"]
-            ).reshape(shape).copy()
+        listed = header["tensors"]
+        names = [entry["name"] for entry in listed]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"weight file {path} has a malformed header: {exc!r}") from None
-
-    def tensor(name: str) -> np.ndarray:
-        if name not in arrays:
-            raise ValueError(f"weight file {path} has no tensor {name!r}")
-        return arrays[name]
-
-    layers = [
-        LayerWeights(**{name: tensor(f"layers.{i}.{name}") for name in LayerWeights.FIELDS})
-        for i in range(config.L)
-    ]
-    weights = ToyWeights(config, tensor("embedding"), layers,
-                         tensor("final_norm"), tensor("head"), header.get("seed", 0))
-    extra = sorted(arrays.keys() - {name for name, _ in weights.named_tensors()})
-    if extra:
-        raise ValueError(f"weight file {path} holds tensor {extra[0]!r}, "
-                         "for which its config has no slot")
-    return weights
+    manifest, end = weight_manifest(config)
+    if listed != manifest:
+        raise ValueError(f"weight file {path} {_manifest_error(listed, names, manifest)}")
+    if len(blob) != end:
+        raise ValueError(f"weight file {path} holds {len(blob)} bytes of tensor data, but its "
+                         f"manifest packs {end}, ending with tensor {manifest[-1]['name']!r}")
+    tensors = {entry["name"]: np.frombuffer(blob, dtype="<f4", count=prod(entry["shape"]),
+                                            offset=entry["offset"]).reshape(entry["shape"]).copy()
+               for entry in manifest}
+    return ToyWeights.from_tensors(config, tensors, header.get("seed", 0))
 
 
 # --------------------------------------------------------------------------

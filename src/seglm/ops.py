@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
-
 
 def _f32(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float32)
@@ -158,44 +156,12 @@ def log_softmax(x, axis: int = -1) -> np.ndarray:
 
 @dataclass
 class LayerWeights:
-    """Weights of one decoder layer."""
+    """Weights of one decoder layer; ``engine.weight_layout`` gives their shapes."""
 
-    rmsnorm_1: np.ndarray  # [d_model]
-    rmsnorm_2: np.ndarray  # [d_model]
-    w_qkv: np.ndarray      # [d_model, 3*d_model]
-    w_o: np.ndarray        # [d_model, d_model]
-    w_gate: np.ndarray     # [d_model, ff_dim]
-    w_up: np.ndarray       # [d_model, ff_dim]
-    w_down: np.ndarray     # [ff_dim, d_model]
-
-    FIELDS = ("rmsnorm_1", "rmsnorm_2", "w_qkv", "w_o", "w_gate", "w_up", "w_down")
-
-    def validate(self, config: ModelConfig) -> None:
-        dm, ff = config.d_model, config.ff_dim
-        expected = {
-            "rmsnorm_1": (dm,), "rmsnorm_2": (dm,),
-            "w_qkv": (dm, 3 * dm), "w_o": (dm, dm),
-            "w_gate": (dm, ff), "w_up": (dm, ff), "w_down": (ff, dm),
-        }
-        for name, shape in expected.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise ValueError(f"{name}: expected shape {shape}, got {got}")
-
-    @classmethod
-    def random(cls, config: ModelConfig, rng: np.random.Generator,
-               scale: float = 0.02) -> "LayerWeights":
-        dm, ff = config.d_model, config.ff_dim
-
-        def g(*shape):
-            return (rng.standard_normal(shape) * scale).astype(np.float32)
-
-        return cls(
-            rmsnorm_1=np.ones(dm, dtype=np.float32),
-            rmsnorm_2=np.ones(dm, dtype=np.float32),
-            w_qkv=g(dm, 3 * dm),
-            w_o=g(dm, dm),
-            w_gate=g(dm, ff),
-            w_up=g(dm, ff),
-            w_down=g(ff, dm),
-        )
+    rmsnorm_1: np.ndarray
+    rmsnorm_2: np.ndarray
+    w_qkv: np.ndarray
+    w_o: np.ndarray
+    w_gate: np.ndarray
+    w_up: np.ndarray
+    w_down: np.ndarray

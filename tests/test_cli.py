@@ -22,7 +22,8 @@ def test_memsim_csv_golden_row(tmp_path):
     out = tmp_path / "mem.csv"
     assert run_cli("memsim", "--models", "gptj-6b", "--bs", "32", "--bw", "4",
                    "--n-prompt", "1024", "--n-response", "1024", "--out", str(out)) == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as f:
+        rows = list(csv.DictReader(f))
     assert list(rows[0].keys()) == list(MEMSIM_COLUMNS)
     row = rows[0]
     assert int(row["standard_bytes"]) == 137_438_953_472
@@ -51,7 +52,8 @@ def test_memsim_full_sweep_matches_formula_evaluation(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli("memsim", "--bw", "4", "--n-prompt", "1024", "--n-response", "1024",
                    "--out", str(out)) == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 24  # four presets x six batch sizes
     for row in rows:
         cfg = preset(row["model"])
@@ -164,6 +166,8 @@ MALFORMED_WEIGHT_FILES = {
     "float-dtype-bytes": "dtype_bytes must be 2",
     "duplicate-tensor": "tensor 'final_norm' twice",
     "extra-layer": "tensor 'layers.1.",
+    "overlapping-offset": "'final_norm'",
+    "trailing-bytes": "bytes of tensor data",
 }
 
 
@@ -199,6 +203,13 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
         header["tensors"] += [t for t in header["tensors"] if t["name"] == "final_norm"]
     elif defect == "extra-layer":  # the blob holds two layers, the config says one
         header["config"]["L"] = 1
+    elif defect == "overlapping-offset":  # final_norm would read the embedding's first row
+        embedding_offset = header["tensors"][0]["offset"]
+        for t in header["tensors"]:
+            if t["name"] == "final_norm":
+                t["offset"] = embedding_offset
+    elif defect == "trailing-bytes":
+        blob += bytes(8)
     else:  # a header written while the config still had an activation option
         header["config"]["activation"] = "silu"
     bad = tmp_path / "bad.bin"
@@ -219,6 +230,42 @@ def test_gen_rejects_model_flags_with_weights(tmp_path, capsys, flags):
     assert run_cli("gen", "--weights", str(wfile), *flags, "--n-response", "2") == 2
     err = capsys.readouterr().err
     assert flags[0] in err and "--weights" in err
+
+
+@pytest.mark.parametrize("argv", [("gen", "--vocab", "128"), ("gen", "--ff", "999"),
+                                  ("gen", "--model", "gptj-6b", "--L", "4"),
+                                  ("gen", "--model", "gptj-6b", "--vocab", "128"),
+                                  ("bench", "--model", "gptj-6b", "--L", "4"),
+                                  ("bench", "--model", "gptj-6b", "--ff", "999"),
+                                  ("bench", "--vocab", "128")],
+                         ids=" ".join)
+def test_model_flags_the_config_would_ignore_are_usage_errors(monkeypatch, capsys, argv):
+    """--ff and --vocab size only a custom --L/--H/--D model, and --model's
+    preset fixes every size, so an ignored model flag is an error naming it.
+    It is raised before any weights are drawn (a preset's would take GBs)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("weights drawn before the flags were checked")
+
+    monkeypatch.setattr(ToyWeights, "random", refuse)
+    rest = ("--n-response", "2") if argv[0] == "gen" else ("--budget-bytes", "1000000000000")
+    assert run_cli(*argv, *rest) == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [("--bs", "4"), ("--random", "32")], ids=" ".join)
+def test_gen_rejects_random_prompt_flags_with_prompt_file(tmp_path, capsys, flags):
+    prompt = tmp_path / "prompt.json"
+    prompt.write_text(json.dumps([[1, 2, 3]]))
+    assert run_cli("gen", "--prompt-file", str(prompt), *flags, "--n-response", "2") == 2
+    assert flags[0] in capsys.readouterr().err
+
+
+def test_gen_custom_model_flags_apply(tmp_path):
+    out = tmp_path / "custom.json"
+    assert run_cli("gen", "--L", "1", "--H", "2", "--D", "4", "--ff", "12", "--vocab", "32",
+                   "--bw", "1", "--random", "3", "--n-response", "2", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["config"] == {"L": 1, "H": 2, "D": 4, "ff_dim": 12,
+                                                     "vocab": 32, "dtype_bytes": 2}
 
 
 def test_gen_invalid_token_ids_usage_error(tmp_path, capsys):

@@ -448,6 +448,33 @@ def test_weight_file_round_trip_is_byte_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("cfg", [toy_config(), toy_config(L=3, H=2, D=4, vocab=10, ff_dim=6)],
+                         ids=["toy", "L3"])
+def test_random_weights_follow_the_hand_written_draw(cfg):
+    """One Gaussian stream drawn in file order: embedding, then per layer
+    w_qkv, w_o, w_gate, w_up, w_down, then head; every norm gain is one."""
+    rng = np.random.default_rng(4)
+
+    def draw(*shape):
+        return (rng.standard_normal(shape) * 0.02).astype(np.float32)
+
+    dm, ff, vocab = cfg.d_model, cfg.ff_dim, cfg.vocab
+    embedding = draw(vocab, dm)
+    layers = [(draw(dm, 3 * dm), draw(dm, dm), draw(dm, ff), draw(dm, ff), draw(ff, dm))
+              for _ in range(cfg.L)]
+    head = draw(dm, vocab)
+
+    ones = np.ones(dm, dtype=np.float32)
+    w = ToyWeights.random(cfg, seed=4)
+    assert len(w.layers) == cfg.L
+    pairs = [(w.embedding, embedding), (w.final_norm, ones), (w.head, head)]
+    for lw, drawn in zip(w.layers, layers):
+        pairs += zip((lw.w_qkv, lw.w_o, lw.w_gate, lw.w_up, lw.w_down), drawn)
+        pairs += [(lw.rmsnorm_1, ones), (lw.rmsnorm_2, ones)]
+    for got, want in pairs:
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
 def test_loaded_weights_generate_identically(tmp_path):
     w = _toy_weights(seed=34)
     path = tmp_path / "w.bin"
