@@ -18,8 +18,8 @@ from .config import PRESETS, ModelConfig, preset, toy_config
 from .engine import (GenerationRequest, OptimizedEngine, ReferenceEngine, ToyWeights,
                      load_weights, save_weights)
 from .fusion import apply_fusion_passes, build_standard_decoder_graph, op_count_report
-from .kvcache import MEMSIM_COLUMNS, CacheShapeParams, memsim_row
-from .verify import GB, bs_max_under_budget, run_checks
+from .kvcache import MEMSIM_COLUMNS, CacheShapeParams, bs_max_under_budget, memsim_row
+from .verify import GB, run_checks
 
 
 class UsageError(ValueError):
@@ -122,6 +122,9 @@ def cmd_gen(args) -> int:
         cfg = weights.config
     else:
         cfg = _resolve_config(args)
+        if args.model:
+            raise UsageError(f"--model {args.model} is an accounting-only preset (memsim, bench); "
+                             "gen runs seeded weights of a custom model: give --L, --H and --D")
         weights = ToyWeights.random(cfg, seed=args.seed)
     prompt = _load_prompt(args, cfg)
     if args.save_weights:

@@ -13,7 +13,6 @@ class ModelConfig:
     ``L``/``H``/``D`` drive both compute shapes and cache byte accounting.
     ``dtype_bytes`` is the bookkeeping size per cached element (2 for fp16
     accounting); arithmetic is always carried out in float32 regardless.
-    ``step`` is the response-cache growth quantum in rows.
     """
 
     L: int
@@ -25,11 +24,10 @@ class ModelConfig:
     rope_theta: float = 10000.0
     rope_style: str = "half"  # pair grouping: "half" (i, i+D/2) or "interleaved" (2i, 2i+1)
     eps: float = 1e-5
-    step: int = 16
     dtype_bytes: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("L", "H", "D", "ff_dim", "vocab", "max_pos", "step"):
+        for name in ("L", "H", "D", "ff_dim", "vocab", "max_pos"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")

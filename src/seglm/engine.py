@@ -26,7 +26,8 @@ import numpy as np
 
 from .beam import BeamSearchState, beam_step, build_gather_indices
 from .config import ModelConfig
-from .kvcache import MemoryLedger, PromptKV, ResponseKV, StandardKV, cache_token_bytes
+from .kvcache import (CacheShapeParams, MemoryLedger, PromptKV, ResponseKV, StandardKV,
+                      standard_cache_bytes)
 from .ops import (LayerWeights, fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope,
                   rope_table, to_batch_first, to_sequence_first)
 from .sdpa import SdpaDecodeInputs, sdpa_decode_fused, sdpa_prefill
@@ -120,6 +121,9 @@ def weight_manifest(config: ModelConfig) -> tuple[list[dict], int]:
     return manifest, offset
 
 
+WEIGHT_SCALE = 0.02  # standard deviation of every drawn weight
+
+
 class ToyWeights:
     """Seeded Gaussian weights for desk-scale runs; no real checkpoints."""
 
@@ -152,11 +156,12 @@ class ToyWeights:
                 raise ValueError(f"weight tensor {name} holds non-finite values")
 
     @classmethod
-    def random(cls, config: ModelConfig, seed: int = 0, scale: float = 0.02) -> "ToyWeights":
-        """Draw every tensor in layout order, except the norm gains, which are ones."""
+    def random(cls, config: ModelConfig, seed: int = 0) -> "ToyWeights":
+        """Draw every tensor in layout order, except the norm gains, which are
+        ones; the draws are standard normals times ``WEIGHT_SCALE``."""
         rng = np.random.default_rng(seed)
         tensors = {name: np.ones(shape, dtype=np.float32) if "norm" in name
-                   else (rng.standard_normal(shape) * scale).astype(np.float32)
+                   else (rng.standard_normal(shape) * WEIGHT_SCALE).astype(np.float32)
                    for name, shape in weight_layout(config)}
         return cls.from_tensors(config, tensors, seed)
 
@@ -237,6 +242,8 @@ class _DecoderEngine:
             raise ValueError(f"prompt token ids must lie in [0, {cfg.vocab})")
         if request.prompt.shape[1] + request.n_response > cfg.max_pos:
             raise ValueError("prompt plus response exceeds the maximum position length")
+        if request.bw > cfg.vocab:
+            raise ValueError(f"vocabulary of {cfg.vocab} cannot fill {request.bw} beams")
 
         bs, _ = request.prompt.shape
         bw = request.bw
@@ -445,9 +452,10 @@ class ReferenceEngine(_DecoderEngine):
 
     def _cache_bytes(self, run: _ReferenceRun) -> dict:
         bs, n_prompt = run.request.prompt.shape
+        prompt_only = CacheShapeParams(bs, run.request.bw, n_prompt, 0)
         return {"policy": "standard",
                 # closed form: after step 1 no buffer holds the prompt rows alone
-                "prompt_kv_bytes": bs * run.request.bw * n_prompt * cache_token_bytes(self.config),
+                "prompt_kv_bytes": standard_cache_bytes(self.config, prompt_only),
                 "kv_bytes": run.kv.total_bytes()}
 
 

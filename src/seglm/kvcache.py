@@ -1,14 +1,21 @@
 """KV-cache policies and size-only memory accounting.
 
-The segment policy keeps prompt K/V ([BS, N_prompt, H, D] per layer, batch
-first, shared across beams) and response K/V (one [L, N_step, BS*BW, H, D]
-arena for all layers, sequence first) in separate buffers. The response
-arena grows by ``step`` rows per layer at a time, all layers at once:
-growth allocates the larger arena, copies the written rows, then frees the
-old arena, so the ledger logs one alloc and one free per growth, as
-``simulate_decode_memory("segment")`` models it. The standard baseline
-rebuilds one contiguous [BS*BW, N_total, H, D] buffer per decode step via
-gather (index select) and concat.
+This module is the one statement of the segment policy. It has two rules:
+
+- The prompt is stored once per batch item, shared across beams: one
+  [L, BS, N_prompt, H, D] arena for all layers, batch first, allocated
+  whole when the run begins.
+- The response grows in fixed steps: one [L, N_step, BS*BW, H, D] arena for
+  all layers, sequence first, that grows by ``STEP`` rows per layer at a
+  time, all layers at once. Growth allocates the larger arena, copies the
+  written rows, then frees the old arena.
+
+So a run's ledger logs one prompt alloc, then one alloc and one free per
+growth: exactly the events of ``simulate_decode_memory("segment")``. The
+closed forms (``segment_cache_bytes``, ``standard_cache_bytes``) give the
+final-step bytes, and ``bs_max_under_budget`` inverts them. The standard
+baseline rebuilds one contiguous [BS*BW, N_total, H, D] buffer per decode
+step via gather (index select) and concat.
 
 The ledger models sizes only, never addresses: fragmentation is
 reserved - active bytes. Every byte a cache accounts is read off the buffer
@@ -23,6 +30,7 @@ import numpy as np
 
 from .config import ModelConfig
 
+STEP = 16  # response-arena growth quantum, rows per layer
 
 # --------------------------------------------------------------------------
 # Size formulas
@@ -38,8 +46,10 @@ class CacheShapeParams:
     n_response: int
 
     def __post_init__(self) -> None:
-        if min(self.bs, self.bw, self.n_prompt, self.n_response) < 0:
+        if min(self.bs, self.n_prompt, self.n_response) < 0:
             raise ValueError("cache shape parameters must be >= 0")
+        if self.bw < 1:
+            raise ValueError(f"beam width bw must be >= 1, got {self.bw}")
 
 
 def kv_bytes(config: ModelConfig, *buffers: np.ndarray) -> int:
@@ -62,11 +72,29 @@ def segment_cache_bytes(config: ModelConfig, p: CacheShapeParams) -> int:
 
     The prompt is stored once per batch item (no beam factor); the response
     buffer is rounded up to a whole number of growth steps:
-    BS * (Np + BW * ceil(Nr/step)*step) tokens.
+    BS * (Np + BW * ceil(Nr/STEP)*STEP) tokens.
     """
-    step = config.step
-    rounded = -(-p.n_response // step) * step  # ceil
+    rounded = -(-p.n_response // STEP) * STEP  # ceil
     return p.bs * (p.n_prompt + p.bw * rounded) * cache_token_bytes(config)
+
+
+def bs_max_under_budget(config: ModelConfig, policy: str, budget_bytes: int,
+                        bw: int, n_prompt: int, n_response: int) -> int:
+    """Largest BS whose cache fits the budget (inclusive). Raises when even
+    BS=1 does not fit.
+
+    A budget binds the final-step cache bytes of the closed forms above.
+    Those equal the final active bytes of ``simulate_decode_memory`` and of
+    a run's ledger. They are not the ledger's reserved peak, which also
+    counts every block freed on the way (``MemoryLedger`` never reuses one).
+    """
+    fn = segment_cache_bytes if policy == "segment" else standard_cache_bytes
+    per_bs = fn(config, CacheShapeParams(1, bw, n_prompt, n_response))
+    if per_bs <= 0:
+        raise ValueError("degenerate request shape has no cache footprint")
+    if per_bs > budget_bytes:
+        raise ValueError(f"budget of {budget_bytes} bytes is too small for batch size 1")
+    return budget_bytes // per_bs
 
 
 # --------------------------------------------------------------------------
@@ -80,10 +108,10 @@ class MemoryLedger:
     ``reserved_bytes`` never falls and is its own peak. A pool of freed
     blocks would never serve an alloc anyway, because every cache
     allocation is strictly larger than every block freed before it: a
-    response block grows by ``step`` rows from the one it replaces, a
-    standard-cache step reallocates one more row than the last, and prompt
-    blocks are never freed. ``reserved_bytes`` is therefore the peak, and
-    fragmentation (reserved - active) is the sum of all frees.
+    response arena grows by ``STEP`` rows from the one it replaces, a
+    standard-cache step reallocates one more row than the last, and the
+    prompt arena is never freed. ``reserved_bytes`` is therefore the peak,
+    and fragmentation (reserved - active) is the sum of all frees.
     """
 
     def __init__(self):
@@ -130,38 +158,38 @@ def _owned(x) -> np.ndarray:
 
 
 class PromptKV:
-    """Per-layer prompt K/V, [BS, N_prompt, H, D] batch first, beam-shared.
+    """Prompt K/V of all layers in one arena, [L, BS, N_prompt, H, D], batch
+    first and shared by every beam.
 
-    Written once at prefill, immutable afterwards.
+    The arena is allocated whole, one ledger alloc, when the run begins.
+    Each layer's slice is written once at prefill and immutable afterwards.
     """
 
     def __init__(self, config: ModelConfig, bs: int, n_prompt: int, ledger: MemoryLedger):
         self.config = config
-        self.bs = bs
-        self.n_prompt = n_prompt
-        self.ledger = ledger
-        self._k: list[np.ndarray | None] = [None] * config.L
-        self._v: list[np.ndarray | None] = [None] * config.L
+        self._stored = [False] * config.L
+        self._k = np.zeros((config.L, bs, n_prompt, config.H, config.D), dtype=np.float32)
+        self._v = np.zeros_like(self._k)
+        ledger.alloc(kv_bytes(config, self._k, self._v))
 
     def total_bytes(self) -> int:
-        return kv_bytes(self.config, *(a for a in self._k + self._v if a is not None))
+        return kv_bytes(self.config, self._k, self._v)
 
     def store(self, layer: int, k, v) -> None:
-        if self._k[layer] is not None:
+        if self._stored[layer]:
             raise ValueError("prompt KV is write-once")
-        k, v = _owned(k), _owned(v)
-        expect = (self.bs, self.n_prompt, self.config.H, self.config.D)
+        k, v = np.asarray(k), np.asarray(v)
+        expect = self._k.shape[1:]
         if k.shape != expect or v.shape != expect:
             raise ValueError(f"prompt K/V must be batch-first {expect}, got {k.shape} / {v.shape}")
         self._k[layer] = k
         self._v[layer] = v
-        self.ledger.alloc(kv_bytes(self.config, k, v))
+        self._stored[layer] = True
 
     def layer(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        k, v = self._k[i], self._v[i]
-        if k is None or v is None:
+        if not self._stored[i]:
             raise ValueError(f"prompt KV for layer {i} not populated")
-        return k, v
+        return self._k[i], self._v[i]
 
 
 class ResponseKV:
@@ -169,7 +197,7 @@ class ResponseKV:
 
     Each layer's rows [0, length(layer)) hold written data; the rest of the
     shared capacity is reserved. All layers append in lockstep, so the
-    append that finds its layer full grows every layer by ``step`` rows at
+    append that finds its layer full grows every layer by ``STEP`` rows at
     once: one alloc of the larger arena, one copy, one free of the old one.
     """
 
@@ -210,7 +238,7 @@ class ResponseKV:
 
         if self._length[layer] == self._capacity:
             c = self.config
-            old_cap, new_cap = self._capacity, self._capacity + c.step
+            old_cap, new_cap = self._capacity, self._capacity + STEP
             new_k = np.zeros((c.L, new_cap, self.rows, c.H, c.D), dtype=np.float32)
             new_v = np.zeros_like(new_k)
             new_k[:, :old_cap] = self._k
@@ -322,11 +350,12 @@ def simulate_decode_memory(policy: str, config: ModelConfig,
     """Replay the decode-phase allocation trace of one policy, sizes only,
     and return the ledger that logged it.
 
-    Segment: the persistent prompt buffer is part of the decode-phase live
+    Segment: the all-layer prompt arena is part of the decode-phase live
     set, so the trace opens with it; the all-layer response arena then grows
-    step-wise (alloc new, free old). Standard: the trace holds only the per-step
-    reallocation of the contiguous buffer; the prefill-phase buffer it
-    replaces at step 1 lives outside the decode trace.
+    ``STEP`` rows at a time (alloc new, free old). Standard: the trace holds
+    only the per-step reallocation of the contiguous buffer; the
+    prefill-phase buffer it replaces at step 1 lives outside the decode
+    trace.
     """
     if policy not in ("standard", "segment"):
         raise ValueError(f"policy must be 'standard' or 'segment', got {policy!r}")
@@ -338,7 +367,7 @@ def simulate_decode_memory(policy: str, config: ModelConfig,
         cap = 0
         for t in range(1, p.n_response + 1):
             if t > cap:
-                new_cap = cap + config.step
+                new_cap = cap + STEP
                 ledger.alloc(p.bs * p.bw * new_cap * tok)
                 if cap:
                     ledger.free(p.bs * p.bw * cap * tok)

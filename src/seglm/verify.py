@@ -11,15 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig, preset, toy_config
+from .config import preset, toy_config
 from .engine import GenerationRequest, OptimizedEngine, ReferenceEngine, ToyWeights
 from .fusion import apply_fusion_passes, build_standard_decoder_graph, op_count_report
-from .kvcache import (CacheShapeParams, MemoryLedger, ResponseKV, cache_token_bytes,
-                      memsim_row, segment_cache_bytes, simulate_decode_memory,
-                      standard_cache_bytes)
+from .kvcache import (CacheShapeParams, MemoryLedger, ResponseKV, bs_max_under_budget,
+                      cache_token_bytes, memsim_row, segment_cache_bytes,
+                      simulate_decode_memory, standard_cache_bytes)
 from .sdpa import KEY_BLOCK, SdpaDecodeInputs, sdpa_decode_fused, sdpa_decode_oracle
 
 GB = 10 ** 9  # decimal GB for display
+SDPA_SEED = 1234           # seed of the randomized fused-vs-oracle shapes
+CROSS_ENGINE_CONFIGS = 20  # toy configs the two engines must agree on
+CROSS_ENGINE_SEED = 77
+TIE_GAP = 1e-3             # a token flip is excused only below this selection margin
+MAX_RESEEDS = 20           # near-tie reseeds allowed per cross-engine config
 
 
 @dataclass
@@ -86,9 +91,9 @@ def _random_decode_inputs(rng: np.random.Generator) -> SdpaDecodeInputs:
     )
 
 
-def check_sdpa_fused_vs_oracle(cases: int = 200, seed: int = 1234) -> CheckResult:
+def check_sdpa_fused_vs_oracle(cases: int = 200) -> CheckResult:
     def body() -> str:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SDPA_SEED)
         worst = 0.0
         for _ in range(cases):
             inp = _random_decode_inputs(rng)
@@ -102,11 +107,11 @@ def check_sdpa_fused_vs_oracle(cases: int = 200, seed: int = 1234) -> CheckResul
 
 # -- 3: cross-engine token and hidden-state equivalence ----------------------
 
-def _cross_engine_configs(n: int, seed: int):
+def _cross_engine_configs():
     """First config is pinned to cross both cache growths; the rest are random."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CROSS_ENGINE_SEED)
     cases = [dict(L=2, H=4, D=16, vocab=64, bs=1, bw=4, n_prompt=32, n_response=40)]
-    while len(cases) < n:
+    while len(cases) < CROSS_ENGINE_CONFIGS:
         bw = int(rng.choice([1, 4]))
         vocab = int(rng.integers(max(16, bw), 129))
         cases.append(dict(
@@ -122,16 +127,16 @@ def _cross_engine_configs(n: int, seed: int):
     return cases
 
 
-def _run_engine_pair(case: dict, seed: int, tie_gap: float = 1e-3, max_reseeds: int = 20):
+def _run_engine_pair(case: dict, seed: int):
     """Run both engines on one case and require identical token sequences.
 
-    A disagreement is excused (and the case reseeded) only when some
-    selection came within ``tie_gap`` of a tie; a flipped near-tie says
-    nothing about the pipelines; a disagreement at a wide margin is a real
-    divergence and fails immediately.
+    A disagreement is excused (and the case reseeded, up to ``MAX_RESEEDS``
+    times) only when some selection came within ``TIE_GAP`` of a tie; a
+    flipped near-tie says nothing about the pipelines; a disagreement at a
+    wide margin is a real divergence and fails immediately.
     """
     cfg = toy_config(L=case["L"], H=case["H"], D=case["D"], vocab=case["vocab"])
-    for attempt in range(max_reseeds):
+    for attempt in range(MAX_RESEEDS):
         s = seed + 1000 * attempt
         weights = ToyWeights.random(cfg, seed=s)
         rng = np.random.default_rng(s + 1)
@@ -142,23 +147,24 @@ def _run_engine_pair(case: dict, seed: int, tie_gap: float = 1e-3, max_reseeds: 
         ref = ReferenceEngine(weights).generate(request)
         if np.array_equal(opt.tokens, ref.tokens):
             return opt, ref
-        if min(opt.min_top_gap, ref.min_top_gap) >= tie_gap:
+        if min(opt.min_top_gap, ref.min_top_gap) >= TIE_GAP:
             raise AssertionError(
-                f"token sequences diverge at a selection margin >= {tie_gap} for case {case}"
+                f"token sequences diverge at a selection margin >= {TIE_GAP} for case {case}"
             )
     raise AssertionError(f"token sequences kept hitting near-ties for case {case}")
 
 
-def check_cross_engine(configs: int = 20, seed: int = 77) -> CheckResult:
+def check_cross_engine() -> CheckResult:
     def body() -> str:
         worst_hidden = 0.0
-        for i, case in enumerate(_cross_engine_configs(configs, seed)):
-            opt, ref = _run_engine_pair(case, seed=seed + 31 * i)
+        for i, case in enumerate(_cross_engine_configs()):
+            opt, ref = _run_engine_pair(case, seed=CROSS_ENGINE_SEED + 31 * i)
             diff = float(np.max(np.abs(opt.final_hidden - ref.final_hidden)))
             worst_hidden = max(worst_hidden, diff)
             assert diff <= 1e-4, f"final hidden states diverge by {diff:.2e} for case {case}"
-        return (f"{configs} toy configs (incl. response length 40 crossing growth at "
-                f"steps 17 and 33): identical tokens, worst hidden |diff| = {worst_hidden:.2e}")
+        return (f"{CROSS_ENGINE_CONFIGS} toy configs (incl. response length 40 crossing "
+                f"growth at steps 17 and 33): identical tokens, worst hidden |diff| = "
+                f"{worst_hidden:.2e}")
 
     return _run("cross-engine-equivalence", body)
 
@@ -241,19 +247,6 @@ def check_fragmentation_model() -> CheckResult:
 
 # -- 7: largest-batch inversion under a byte budget ---------------------------
 
-def bs_max_under_budget(config: ModelConfig, policy: str, budget_bytes: int,
-                        bw: int, n_prompt: int, n_response: int) -> int:
-    """Largest BS whose cache fits the budget (inclusive). Raises when even
-    BS=1 does not fit."""
-    fn = segment_cache_bytes if policy == "segment" else standard_cache_bytes
-    per_bs = fn(config, CacheShapeParams(1, bw, n_prompt, n_response))
-    if per_bs <= 0:
-        raise ValueError("degenerate request shape has no cache footprint")
-    if per_bs > budget_bytes:
-        raise ValueError(f"budget of {budget_bytes} bytes is too small for batch size 1")
-    return budget_bytes // per_bs
-
-
 def check_bsmax_inversion() -> CheckResult:
     def body() -> str:
         cfg = preset("gptj-6b")
@@ -306,7 +299,7 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
     return [
         check_memsim_goldens(),
         check_sdpa_fused_vs_oracle(cases=sdpa_cases),
-        check_cross_engine(configs=20),
+        check_cross_engine(),
         check_growth_semantics(),
         check_fusion_counts(),
         check_fragmentation_model(),

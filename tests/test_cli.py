@@ -48,6 +48,18 @@ def test_memsim_zero_batch_row(capsys):
     assert row["standard_bytes"] == 0 and row["segment_bytes"] == 0 and row["ratio"] == 0.0
 
 
+@pytest.mark.parametrize("argv", [("memsim", "--models", "gptj-6b", "--bs", "2", "--n-prompt", "8",
+                                   "--n-response", "8"),
+                                  ("bench", "--model", "gptj-6b", "--budget-bytes", "64000000000")],
+                         ids=lambda argv: argv[0])
+def test_zero_beam_width_is_a_usage_error_naming_bw(capsys, argv):
+    """A batch item holds at least one beam; --bw 0 would price a cache of
+    zero standard bytes and a negative saving."""
+    assert run_cli(*argv, "--bw", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bw must be >= 1" in captured.err
+
+
 def test_memsim_full_sweep_matches_formula_evaluation(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli("memsim", "--bw", "4", "--n-prompt", "1024", "--n-response", "1024",
@@ -160,7 +172,7 @@ MALFORMED_WEIGHT_FILES = {
     "activation-field": "activation",
     "fractional-L": "L must be an integer",
     "float-H": "H must be an integer",
-    "fractional-step": "step must be an integer",
+    "legacy-step": "'step'",
     "string-max-pos": "max_pos must be an integer",
     "zero-max-pos": "max_pos must be an integer >= 1",
     "float-dtype-bytes": "dtype_bytes must be 2",
@@ -191,8 +203,8 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
         header["config"]["L"] = 2.5
     elif defect == "float-H":
         header["config"]["H"] = 4.0
-    elif defect == "fractional-step":
-        header["config"]["step"] = 1.5
+    elif defect == "legacy-step":  # a header written while the config carried the growth quantum
+        header["config"]["step"] = 16
     elif defect == "string-max-pos":
         header["config"]["max_pos"] = "x"
     elif defect == "zero-max-pos":
@@ -250,6 +262,27 @@ def test_model_flags_the_config_would_ignore_are_usage_errors(monkeypatch, capsy
     rest = ("--n-response", "2") if argv[0] == "gen" else ("--budget-bytes", "1000000000000")
     assert run_cli(*argv, *rest) == 2
     assert argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [(), ("--dtype-bytes", "4")], ids=lambda f: " ".join(f) or "bare")
+def test_gen_rejects_accounting_only_presets(monkeypatch, capsys, flags):
+    """A preset's ff_dim and vocab are accounting-only, and its weights would
+    take GBs, so gen refuses it before drawing any weights."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("weights drawn for an accounting-only preset")
+
+    monkeypatch.setattr(ToyWeights, "random", refuse)
+    assert run_cli("gen", "--model", "llama2-13b", *flags, "--n-response", "2") == 2
+    err = capsys.readouterr().err
+    assert "--model" in err and "accounting-only" in err
+
+
+@pytest.mark.parametrize("engine", ["optimized", "reference"])
+@pytest.mark.parametrize("n_response", ["0", "3"])
+def test_gen_rejects_vocab_smaller_than_beam_width(capsys, engine, n_response):
+    assert run_cli("gen", "--L", "2", "--H", "4", "--D", "16", "--vocab", "2", "--bw", "4",
+                   "--engine", engine, "--n-response", n_response) == 2
+    assert "vocabulary of 2 cannot fill 4 beams" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [("--bs", "4"), ("--random", "32")], ids=" ".join)

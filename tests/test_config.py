@@ -15,7 +15,6 @@ def test_preset_geometry():
         cfg = preset(name)
         assert (cfg.L, cfg.H, cfg.D) == (L, H, D)
         assert cfg.d_model == H * D
-        assert cfg.step == 16
         assert cfg.dtype_bytes == 2
 
 
@@ -29,12 +28,12 @@ def test_config_validation():
         ModelConfig(L=0, H=1, D=1, ff_dim=1, vocab=1)
     with pytest.raises(ValueError):
         ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, dtype_bytes=3)
-    with pytest.raises(ValueError):
-        ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, step=0)
+    with pytest.raises(TypeError, match="step"):  # the growth quantum is kvcache.STEP
+        ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, step=16)
     with pytest.raises(ValueError):
         ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, rope_style="sideways")
     for name, bad in (("L", 2.5), ("H", 4.0), ("D", True), ("ff_dim", "8"), ("vocab", None),
-                      ("max_pos", 0), ("max_pos", "x"), ("step", 1.5)):
+                      ("max_pos", 0), ("max_pos", "x")):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             ModelConfig(**{"L": 1, "H": 1, "D": 1, "ff_dim": 1, "vocab": 1, name: bad})
     for bad in (2.0, True):

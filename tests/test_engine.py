@@ -1,14 +1,14 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from seglm import kvcache
 from seglm.config import toy_config
 from seglm.engine import (GenerationRequest, OptimizedEngine, ReferenceEngine,
                           ToyWeights, generate, load_weights, reference_generate,
                           save_weights)
-from seglm.kvcache import (CacheShapeParams, PromptKV, ResponseKV, StandardKV,
+from seglm.kvcache import (STEP, CacheShapeParams, PromptKV, ResponseKV, StandardKV,
                            cache_token_bytes, kv_bytes, segment_cache_bytes,
                            simulate_decode_memory)
 from seglm.ops import LayerWeights
@@ -204,16 +204,16 @@ def test_prefill_of_prompt_plus_response_reproduces_greedy_decode(
 
 # -- growth invisibility ---------------------------------------------------------------
 
-def test_cache_growth_is_semantically_invisible():
+def test_cache_growth_is_semantically_invisible(monkeypatch):
     """A run whose response cache grows 32 rows at a time (so never grows in
     20 steps) must generate exactly the same tokens and final hidden state as
     the default that grows 16 -> 32 at step 17."""
     w = _toy_weights(seed=5)
-    w32 = ToyWeights.random(replace(w.config, step=32), seed=5)  # same seed, same weights
     prompt = _prompt(w.config, 1, 8, seed=4)
     req = GenerationRequest(prompt, 20, mode="beam", bw=4)
-    grown_engine, single_engine = OptimizedEngine(w), OptimizedEngine(w32)
+    grown_engine, single_engine = OptimizedEngine(w), OptimizedEngine(w)
     grown = grown_engine.generate(req)
+    monkeypatch.setattr(kvcache, "STEP", 32)
     single = single_engine.generate(req)
     frees = [[e for e in eng.last_ledger.events if e[0] == "free"]
              for eng in (grown_engine, single_engine)]
@@ -249,24 +249,20 @@ def test_every_alloc_exceeds_every_earlier_free():
 
 
 @pytest.mark.parametrize("mode,bs,bw,nr", [("greedy", 2, 1, 32), ("greedy", 1, 1, 20),
-                                           ("beam", 1, 4, 32), ("beam", 2, 2, 37)])
+                                           ("greedy", 2, 1, 0), ("beam", 1, 4, 32),
+                                           ("beam", 2, 2, 37), ("beam", 1, 4, 0)])
 def test_optimized_ledger_matches_segment_simulator(mode, bs, bw, nr):
-    """The runtime logs the segment policy at the simulator's granularity:
-    one alloc per layer for the prompt, then one alloc and one free per
-    response growth across all layers."""
+    """The runtime logs the segment policy event for event as the simulator
+    states it: one alloc of the all-layer prompt arena, then one alloc and
+    one free per growth of the all-layer response arena."""
     w = _toy_weights(seed=13, L=3)
     n_prompt = 7
     engine = OptimizedEngine(w)
     engine.generate(GenerationRequest(_prompt(w.config, bs, n_prompt), nr, mode=mode, bw=bw))
     simulated = simulate_decode_memory("segment", w.config, CacheShapeParams(bs, bw, n_prompt, nr))
-    sim_prompt, *sim_response = simulated.events
-
-    L = w.config.L
-    events = engine.last_ledger.events
-    assert [kind for kind, _ in events[:L]] == ["alloc"] * L
-    assert ("alloc", sum(n for _, n in events[:L])) == sim_prompt
-    assert events[L:] == sim_response
-    assert sum(kind == "free" for kind, _ in sim_response) == -(-nr // w.config.step) - 1
+    assert engine.last_ledger.events == simulated.events
+    assert simulated.events[0] == ("alloc", bs * n_prompt * cache_token_bytes(w.config))
+    assert sum(kind == "free" for kind, _ in simulated.events) == max(0, -(-nr // STEP) - 1)
 
 
 def _cache_buffers(run):
@@ -417,6 +413,23 @@ def test_request_validation():
     for bad in (2.5, True, 4.0):
         with pytest.raises(ValueError, match="bw must be an integer"):
             GenerationRequest(np.zeros((1, 4), dtype=int), 4, mode="beam", bw=bad)
+
+
+@pytest.mark.parametrize("engine_cls", [OptimizedEngine, ReferenceEngine])
+@pytest.mark.parametrize("nr", [0, 3])
+def test_vocab_smaller_than_beam_width_rejected_before_prefill(monkeypatch, engine_cls, nr):
+    """Two tokens cannot fill four beams; that is a request error whether or
+    not the request decodes, raised before the engine allocates or prefills."""
+    w = _toy_weights(vocab=2)
+    engine = engine_cls(w)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run began before the request was checked")
+
+    monkeypatch.setattr(engine_cls, "_begin", refuse)
+    with pytest.raises(ValueError, match="vocabulary of 2 cannot fill 4 beams"):
+        engine.generate(GenerationRequest(_prompt(w.config, 1, 3), nr, mode="beam", bw=4))
+    assert engine.last_ledger is None
 
 
 def test_out_of_vocab_prompt_rejected():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from seglm.config import ModelConfig, preset, toy_config
 from seglm.engine import OpCounters
-from seglm.kvcache import (CacheShapeParams, MemoryLedger, PromptKV, ResponseKV,
+from seglm.kvcache import (STEP, CacheShapeParams, MemoryLedger, PromptKV, ResponseKV,
                            StandardKV, cache_token_bytes, memsim_row,
                            segment_cache_bytes, simulate_decode_memory,
                            standard_cache_bytes)
@@ -56,13 +58,30 @@ def test_segment_zero_response_degenerates_to_prompt_only():
     assert segment_cache_bytes(GPTJ, p) == 2 * 50 * cache_token_bytes(GPTJ)
 
 
+def test_shape_params_reject_zero_beam_width_but_allow_empty_shapes():
+    for bw in (0, -1):
+        with pytest.raises(ValueError, match="bw must be >= 1"):
+            CacheShapeParams(1, bw, 8, 8)
+    p = CacheShapeParams(0, 1, 0, 0)
+    assert standard_cache_bytes(GPTJ, p) == segment_cache_bytes(GPTJ, p) == 0
+
+
+def test_growth_quantum_is_a_cache_constant():
+    """The response arena's growth quantum belongs to the cache policy, not
+    to the model: a config has no field for it."""
+    assert STEP == 16
+    assert "step" not in {f.name for f in fields(ModelConfig)}
+    p = CacheShapeParams(1, 1, 0, 1)
+    assert segment_cache_bytes(GPTJ, p) == STEP * cache_token_bytes(GPTJ)
+
+
 @settings(max_examples=100, deadline=None)
 @given(bs=st.integers(1, 8), bw=st.integers(2, 8),
        n_prompt=st.integers(0, 4096), n_response=st.integers(1, 4096))
 def test_segment_smaller_whenever_prompt_duplication_dominates(bs, bw, n_prompt, n_response):
     cfg = GPTJ
     p = CacheShapeParams(bs, bw, n_prompt, n_response)
-    rounded = -(-n_response // cfg.step) * cfg.step
+    rounded = -(-n_response // STEP) * STEP
     if n_prompt * (bw - 1) > bw * (rounded - n_response):
         assert segment_cache_bytes(cfg, p) < standard_cache_bytes(cfg, p)
 
@@ -220,16 +239,25 @@ def test_prompt_kv_store_once_and_bytes():
     cfg = toy_config(L=2)
     led = MemoryLedger()
     pk = PromptKV(cfg, bs=3, n_prompt=5, ledger=led)
-    t = np.zeros((3, 5, cfg.H, cfg.D), dtype=np.float32)
-    pk.store(0, t, t)
-    assert led.active_bytes == 2 * 3 * 5 * cfg.H * cfg.D * cfg.dtype_bytes  # one layer's K and V
-    pk.store(1, t, t)
-    assert pk.total_bytes() == 3 * 5 * cache_token_bytes(cfg) == led.active_bytes
-    with pytest.raises(ValueError):
-        pk.store(0, t, t)
+    assert led.events == [("alloc", 3 * 5 * cache_token_bytes(cfg))]  # all layers at once
+    assert pk.total_bytes() == led.active_bytes
+    with pytest.raises(ValueError, match="layer 1 not populated"):
+        pk.layer(1)
+    rng = np.random.default_rng(0)
+    kvs = [[rng.standard_normal((3, 5, cfg.H, cfg.D)).astype(np.float32) for _ in range(2)]
+           for _ in range(cfg.L)]
+    for layer, (k, v) in enumerate(kvs):
+        pk.store(layer, k, v)
+    for layer, (k, v) in enumerate(kvs):
+        got_k, got_v = pk.layer(layer)
+        assert np.array_equal(got_k, k) and np.array_equal(got_v, v)
+    assert led.events == [("alloc", pk.total_bytes())]  # storing allocates nothing
+    with pytest.raises(ValueError, match="write-once"):
+        pk.store(0, *kvs[1])
+    assert np.array_equal(pk.layer(0)[0], kvs[0][0])
     with pytest.raises(ValueError):  # sequence-first [N_prompt, BS, H, D] is the wrong shape
         PromptKV(cfg, bs=3, n_prompt=5, ledger=led).store(
-            0, np.zeros((5, 3, cfg.H, cfg.D), dtype=np.float32), t)
+            0, np.zeros((5, 3, cfg.H, cfg.D), dtype=np.float32), kvs[0][1])
 
 
 # -- standard cache ----------------------------------------------------------------
