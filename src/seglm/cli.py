@@ -1,5 +1,6 @@
-"""Command-line surface: memory tables, generation runs, fusion reports,
-largest-batch scans under a byte budget, and the verification suite.
+"""Command-line surface: memory tables (with the largest batch of each cache
+policy under a byte budget), generation runs, fusion reports, and the
+verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error. All CSV/JSON
 fields are recomputable from the inputs; wall-clock timings live under
@@ -26,22 +27,18 @@ class UsageError(ValueError):
     pass
 
 
-# flag -> argparse keywords, for the model flags of gen and bench
+# gen's model flags: flag -> argparse keywords. Each flag given overrides one
+# field of toy_config(); a weight file fixes the model, so --weights rejects them all.
 MODEL_FLAGS = {
-    "--model": dict(choices=sorted(PRESETS), help="named model preset"),
-    "--L": dict(type=int, help="decoder layers (custom model)"),
-    "--H": dict(type=int, help="attention heads (custom model)"),
-    "--D": dict(type=int, help="head dimension (custom model)"),
-    "--ff": dict(type=int, help="MLP hidden width (custom model; default 2*H*D)"),
-    "--vocab": dict(type=int, help="vocabulary size (custom model; default 64)"),
+    "--L": dict(type=int, help="decoder layers (default 2)"),
+    "--H": dict(type=int, help="attention heads (default 4)"),
+    "--D": dict(type=int, help="head dimension (default 16)"),
+    "--ff": dict(type=int, help="MLP hidden width (default 2*H*D)"),
+    "--vocab": dict(type=int, help="vocabulary size (default 64)"),
     "--dtype-bytes": dict(type=int, choices=(2, 4),
                           help="accounting bytes per cached element (default 2)"),
 }
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    for flag, kwargs in MODEL_FLAGS.items():
-        p.add_argument(flag, **kwargs)
+BUDGET_COLUMNS = ("budget_bytes", "bs_max_segment", "bs_max_standard")
 
 
 def _reject(args, flags, reason: str) -> None:
@@ -52,20 +49,10 @@ def _reject(args, flags, reason: str) -> None:
 
 
 def _resolve_config(args) -> ModelConfig:
-    geometry = (args.L, args.H, args.D)
-    if args.model:
-        _reject(args, ("--L", "--H", "--D", "--ff", "--vocab"),
-                "cannot be combined with --model, whose preset fixes the model")
-        cfg = preset(args.model)
-    elif geometry != (None, None, None):
-        if None in geometry:
-            raise UsageError("custom models need --L, --H and --D together")
-        cfg = toy_config(L=args.L, H=args.H, D=args.D,
-                         vocab=64 if args.vocab is None else args.vocab, ff_dim=args.ff)
-    else:
-        _reject(args, ("--ff", "--vocab"), "needs a custom model: give --L, --H and --D")
-        cfg = toy_config()
-    return cfg.with_dtype_bytes(2 if args.dtype_bytes is None else args.dtype_bytes)
+    """``toy_config()`` with each model flag the command line set overriding its field."""
+    fields = {"L": args.L, "H": args.H, "D": args.D, "ff_dim": args.ff, "vocab": args.vocab,
+              "dtype_bytes": args.dtype_bytes}
+    return toy_config(**{name: value for name, value in fields.items() if value is not None})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -80,13 +67,23 @@ def cmd_memsim(args) -> int:
     rows = []
     for name in args.models:
         cfg = preset(name).with_dtype_bytes(args.dtype_bytes)
+        budget = {}
+        if args.budget_bytes is not None:
+            budget["budget_bytes"] = args.budget_bytes
+            for policy in ("segment", "standard"):
+                try:
+                    budget[f"bs_max_{policy}"] = bs_max_under_budget(
+                        cfg, policy, args.budget_bytes, args.bw, args.n_prompt, args.n_response)
+                except ValueError as exc:  # name the preset: the table may list several
+                    raise UsageError(f"{name}: {exc}") from None
         for bs in args.bs:
             p = CacheShapeParams(bs, args.bw, args.n_prompt, args.n_response)
-            rows.append(memsim_row(cfg, name, p))
+            rows.append({**memsim_row(cfg, name, p), **budget})
     if args.format == "csv":
         import io
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=MEMSIM_COLUMNS)
+        columns = MEMSIM_COLUMNS + (() if args.budget_bytes is None else BUDGET_COLUMNS)
+        writer = csv.DictWriter(buf, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
         _emit(buf.getvalue(), args.out)
@@ -122,21 +119,17 @@ def cmd_gen(args) -> int:
         cfg = weights.config
     else:
         cfg = _resolve_config(args)
-        if args.model:
-            raise UsageError(f"--model {args.model} is an accounting-only preset (memsim, bench); "
-                             "gen runs seeded weights of a custom model: give --L, --H and --D")
         weights = ToyWeights.random(cfg, seed=args.seed)
     prompt = _load_prompt(args, cfg)
     if args.save_weights:
         save_weights(args.save_weights, weights)
-    mode = "greedy" if args.bw == 1 else "beam"
-    request = GenerationRequest(prompt, args.n_response, mode=mode, bw=args.bw)
+    request = GenerationRequest(prompt, args.n_response, bw=args.bw)
 
     report: dict = {
         "config": {"L": cfg.L, "H": cfg.H, "D": cfg.D, "ff_dim": cfg.ff_dim,
                    "vocab": cfg.vocab, "dtype_bytes": cfg.dtype_bytes},
         "request": {"bs": int(prompt.shape[0]), "n_prompt": int(prompt.shape[1]),
-                    "n_response": args.n_response, "mode": mode,
+                    "n_response": args.n_response, "mode": request.mode,
                     "bw": args.bw, "seed": args.seed},
     }
     results = {}
@@ -149,26 +142,6 @@ def cmd_gen(args) -> int:
     if args.engine == "both":
         report["match"] = bool(np.array_equal(results["optimized"].tokens,
                                               results["reference"].tokens))
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    cfg = _resolve_config(args)
-    bs_max_seg = bs_max_under_budget(cfg, "segment", args.budget_bytes,
-                                     args.bw, args.n_prompt, args.n_response)
-    bs_max_std = bs_max_under_budget(cfg, "standard", args.budget_bytes,
-                                     args.bw, args.n_prompt, args.n_response)
-    report = {
-        "model": args.model or "custom",
-        "BW": args.bw,
-        "N_prompt": args.n_prompt,
-        "N_response": args.n_response,
-        "dtype_bytes": cfg.dtype_bytes,
-        "budget_bytes": args.budget_bytes,
-        "bs_max_segment": bs_max_seg,
-        "bs_max_standard": bs_max_std,
-    }
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -208,11 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-response", type=int, default=128)
     p.add_argument("--dtype-bytes", type=int, choices=(2, 4), default=2)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--budget-bytes", type=int,
+                   help="add the largest batch of each policy whose cache fits this budget")
     p.add_argument("--out", help="write to file instead of stdout")
     p.set_defaults(fn=cmd_memsim)
 
     p = sub.add_parser("gen", allow_abbrev=False, help="run generation on one or both engines")
-    _add_model_flags(p)
+    for flag, kwargs in MODEL_FLAGS.items():
+        p.add_argument(flag, **kwargs)
     p.add_argument("--engine", choices=("optimized", "reference", "both"), default="both")
     p.add_argument("--bs", type=int, help="random prompts in the batch (default 1)")
     p.add_argument("--bw", type=int, default=4, help="beam width; 1 decodes greedily")
@@ -225,16 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-weights", help="save the run's weights to file")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("bench", allow_abbrev=False,
-                       help="largest batch of each cache policy under a byte budget")
-    _add_model_flags(p)
-    p.add_argument("--budget-bytes", type=int, required=True)
-    p.add_argument("--bw", type=int, default=4)
-    p.add_argument("--n-prompt", type=int, default=1024)
-    p.add_argument("--n-response", type=int, default=128)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("fusion-report", allow_abbrev=False,
                        help="operator histograms before and after fusion")

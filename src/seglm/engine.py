@@ -49,7 +49,7 @@ class OpCounters:
 class GenerationRequest:
     prompt: np.ndarray          # [BS, N_prompt] token ids
     n_response: int
-    mode: str = "greedy"
+    mode: str | None = None     # worked out from bw: "greedy" iff bw == 1
     bw: int = 1
 
     def __post_init__(self) -> None:
@@ -67,12 +67,13 @@ class GenerationRequest:
             raise ValueError("n_response must be >= 0")
         if isinstance(self.bw, bool) or not isinstance(self.bw, (int, np.integer)):
             raise ValueError(f"bw must be an integer, got {self.bw!r}")
-        if self.mode not in ("greedy", "beam"):
-            raise ValueError(f"mode must be 'greedy' or 'beam', got {self.mode!r}")
-        if self.mode == "greedy" and self.bw != 1:
-            raise ValueError("greedy decoding requires bw == 1")
         if self.bw < 1:
             raise ValueError("beam width must be >= 1")
+        mode = "greedy" if self.bw == 1 else "beam"
+        if self.mode not in (None, mode):
+            raise ValueError(f"mode {self.mode!r} contradicts bw == {self.bw}: "
+                             "greedy decoding is bw == 1, beam search is bw > 1")
+        self.mode = mode
 
 
 @dataclass

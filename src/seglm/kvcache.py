@@ -78,6 +78,11 @@ def segment_cache_bytes(config: ModelConfig, p: CacheShapeParams) -> int:
     return p.bs * (p.n_prompt + p.bw * rounded) * cache_token_bytes(config)
 
 
+def _check_policy(policy: str) -> None:
+    if policy not in ("standard", "segment"):
+        raise ValueError(f"policy must be 'standard' or 'segment', got {policy!r}")
+
+
 def bs_max_under_budget(config: ModelConfig, policy: str, budget_bytes: int,
                         bw: int, n_prompt: int, n_response: int) -> int:
     """Largest BS whose cache fits the budget (inclusive). Raises when even
@@ -88,6 +93,7 @@ def bs_max_under_budget(config: ModelConfig, policy: str, budget_bytes: int,
     a run's ledger. They are not the ledger's reserved peak, which also
     counts every block freed on the way (``MemoryLedger`` never reuses one).
     """
+    _check_policy(policy)
     fn = segment_cache_bytes if policy == "segment" else standard_cache_bytes
     per_bs = fn(config, CacheShapeParams(1, bw, n_prompt, n_response))
     if per_bs <= 0:
@@ -357,8 +363,7 @@ def simulate_decode_memory(policy: str, config: ModelConfig,
     prefill-phase buffer it replaces at step 1 lives outside the decode
     trace.
     """
-    if policy not in ("standard", "segment"):
-        raise ValueError(f"policy must be 'standard' or 'segment', got {policy!r}")
+    _check_policy(policy)
     ledger = MemoryLedger()
     tok = cache_token_bytes(config)
 

@@ -141,8 +141,7 @@ def _run_engine_pair(case: dict, seed: int):
         weights = ToyWeights.random(cfg, seed=s)
         rng = np.random.default_rng(s + 1)
         prompt = rng.integers(0, cfg.vocab, size=(case["bs"], case["n_prompt"]))
-        mode = "beam" if case["bw"] > 1 else "greedy"
-        request = GenerationRequest(prompt, case["n_response"], mode=mode, bw=case["bw"])
+        request = GenerationRequest(prompt, case["n_response"], bw=case["bw"])
         opt = OptimizedEngine(weights).generate(request)
         ref = ReferenceEngine(weights).generate(request)
         if np.array_equal(opt.tokens, ref.tokens):
@@ -279,7 +278,7 @@ def check_no_data_movement() -> CheckResult:
         cfg = toy_config()
         weights = ToyWeights.random(cfg, seed=3)
         prompt = np.random.default_rng(4).integers(0, cfg.vocab, size=(1, 8))
-        request = GenerationRequest(prompt, 20, mode="beam", bw=4)
+        request = GenerationRequest(prompt, 20, bw=4)
         opt = OptimizedEngine(weights).generate(request)
         ref = ReferenceEngine(weights).generate(request)
         assert opt.counters.cat_ops == 0 and opt.counters.index_select_ops == 0, opt.counters

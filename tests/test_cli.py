@@ -1,6 +1,8 @@
 import csv
 import json
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,14 +52,62 @@ def test_memsim_zero_batch_row(capsys):
 
 @pytest.mark.parametrize("argv", [("memsim", "--models", "gptj-6b", "--bs", "2", "--n-prompt", "8",
                                    "--n-response", "8"),
-                                  ("bench", "--model", "gptj-6b", "--budget-bytes", "64000000000")],
-                         ids=lambda argv: argv[0])
+                                  ("memsim", "--models", "gptj-6b", "--budget-bytes", "64000000000")],
+                         ids=["memsim", "memsim-budget"])
 def test_zero_beam_width_is_a_usage_error_naming_bw(capsys, argv):
     """A batch item holds at least one beam; --bw 0 would price a cache of
     zero standard bytes and a negative saving."""
     assert run_cli(*argv, "--bw", "0") == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "bw must be >= 1" in captured.err
+
+
+def test_memsim_budget_boundary_is_inclusive(capsys):
+    cfg = preset("gptj-6b")
+    budget = segment_cache_bytes(cfg, CacheShapeParams(4, 4, 1024, 1024))
+    assert run_cli("memsim", "--models", "gptj-6b", "--bs", "1", "--budget-bytes", str(budget),
+                   "--bw", "4", "--n-prompt", "1024", "--n-response", "1024",
+                   "--format", "json") == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    assert row["bs_max_segment"] == 4
+
+
+def test_memsim_budget_gptj_tile_inversion(capsys):
+    """The budget columns follow MEMSIM_COLUMNS, whose values do not change."""
+    assert run_cli("memsim", "--models", "gptj-6b", "--bs", "32", "--bw", "4",
+                   "--n-prompt", "1024", "--n-response", "1024",
+                   "--budget-bytes", "64000000000") == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert tuple(rows[0]) == MEMSIM_COLUMNS + ("budget_bytes", "bs_max_segment",
+                                               "bs_max_standard")
+    row = rows[0]
+    assert int(row["standard_bytes"]) == 137_438_953_472
+    assert int(row["segment_bytes"]) == 85_899_345_920
+    assert int(row["budget_bytes"]) == 64_000_000_000
+    assert int(row["bs_max_segment"]) == 23
+    assert int(row["bs_max_standard"]) == 14
+
+
+def test_memsim_budget_too_small_usage_error(capsys):
+    """A budget that cannot hold BS=1 of any listed model is an error, even
+    when another listed model fits (8e9 bytes holds gptj-6b, not bloom-176b)."""
+    assert run_cli("memsim", "--models", "gptj-6b", "--budget-bytes", "1") == 2
+    assert "too small for batch size 1" in capsys.readouterr().err
+    shape = ("--bw", "4", "--n-prompt", "1024", "--n-response", "1024")
+    assert run_cli("memsim", "--models", "gptj-6b", "--budget-bytes", "8000000000", *shape) == 0
+    capsys.readouterr()
+    assert run_cli("memsim", "--models", "gptj-6b", "bloom-176b",
+                   "--budget-bytes", "8000000000", *shape) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bloom-176b: budget of 8000000000 bytes" in captured.err
+
+
+def test_bench_command_is_gone(capsys):
+    """memsim --budget-bytes is the one command that inverts the cache bytes."""
+    with pytest.raises(SystemExit) as e:
+        run_cli("bench", "--model", "gptj-6b", "--budget-bytes", "64000000000")
+    assert e.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 def test_memsim_full_sweep_matches_formula_evaluation(tmp_path):
@@ -230,8 +280,7 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
     assert MALFORMED_WEIGHT_FILES[defect] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", [("--model", "gptj-6b"), ("--dtype-bytes", "4"),
-                                   ("--dtype-bytes", "2"), ("--L", "2"),
+@pytest.mark.parametrize("flags", [("--dtype-bytes", "4"), ("--dtype-bytes", "2"), ("--L", "2"),
                                    ("--H", "4", "--D", "8"), ("--ff", "32"), ("--vocab", "64")],
                          ids=" ".join)
 def test_gen_rejects_model_flags_with_weights(tmp_path, capsys, flags):
@@ -244,37 +293,19 @@ def test_gen_rejects_model_flags_with_weights(tmp_path, capsys, flags):
     assert flags[0] in err and "--weights" in err
 
 
-@pytest.mark.parametrize("argv", [("gen", "--vocab", "128"), ("gen", "--ff", "999"),
-                                  ("gen", "--model", "gptj-6b", "--L", "4"),
-                                  ("gen", "--model", "gptj-6b", "--vocab", "128"),
-                                  ("bench", "--model", "gptj-6b", "--L", "4"),
-                                  ("bench", "--model", "gptj-6b", "--ff", "999"),
-                                  ("bench", "--vocab", "128")],
-                         ids=" ".join)
-def test_model_flags_the_config_would_ignore_are_usage_errors(monkeypatch, capsys, argv):
-    """--ff and --vocab size only a custom --L/--H/--D model, and --model's
-    preset fixes every size, so an ignored model flag is an error naming it.
-    It is raised before any weights are drawn (a preset's would take GBs)."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("weights drawn before the flags were checked")
-
-    monkeypatch.setattr(ToyWeights, "random", refuse)
-    rest = ("--n-response", "2") if argv[0] == "gen" else ("--budget-bytes", "1000000000000")
-    assert run_cli(*argv, *rest) == 2
-    assert argv[-2] in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("flags", [(), ("--dtype-bytes", "4")], ids=lambda f: " ".join(f) or "bare")
 def test_gen_rejects_accounting_only_presets(monkeypatch, capsys, flags):
-    """A preset's ff_dim and vocab are accounting-only, and its weights would
-    take GBs, so gen refuses it before drawing any weights."""
+    """Presets serve only memsim's accounting, and their weights would take
+    GBs, so gen has no --model flag: argparse rejects one before any weights
+    are drawn."""
     def refuse(*args, **kwargs):
         raise AssertionError("weights drawn for an accounting-only preset")
 
     monkeypatch.setattr(ToyWeights, "random", refuse)
-    assert run_cli("gen", "--model", "llama2-13b", *flags, "--n-response", "2") == 2
-    err = capsys.readouterr().err
-    assert "--model" in err and "accounting-only" in err
+    with pytest.raises(SystemExit) as e:
+        run_cli("gen", "--model", "llama2-13b", *flags, "--n-response", "2")
+    assert e.value.code == 2
+    assert "unrecognized arguments: --model llama2-13b" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("engine", ["optimized", "reference"])
@@ -293,12 +324,32 @@ def test_gen_rejects_random_prompt_flags_with_prompt_file(tmp_path, capsys, flag
     assert flags[0] in capsys.readouterr().err
 
 
-def test_gen_custom_model_flags_apply(tmp_path):
+TOY_CONFIG = {"L": 2, "H": 4, "D": 16, "ff_dim": 128, "vocab": 64, "dtype_bytes": 2}
+
+
+# model flags -> the config fields they change from TOY_CONFIG
+MODEL_FLAG_CASES = [
+    (("--L", "1"), {"L": 1}),
+    (("--H", "2"), {"H": 2, "ff_dim": 64}),  # the default ff_dim is 2*H*D
+    (("--D", "8"), {"D": 8, "ff_dim": 64}),
+    (("--ff", "12"), {"ff_dim": 12}),
+    (("--vocab", "32"), {"vocab": 32}),
+    (("--dtype-bytes", "4"), {"dtype_bytes": 4}),
+    (("--L", "1", "--H", "2", "--D", "4", "--ff", "12", "--vocab", "32"),
+     {"L": 1, "H": 2, "D": 4, "ff_dim": 12, "vocab": 32}),
+]
+
+
+@pytest.mark.parametrize("flags,changed", MODEL_FLAG_CASES,
+                         ids=[" ".join(flags) for flags, _ in MODEL_FLAG_CASES])
+def test_gen_custom_model_flags_apply(tmp_path, flags, changed):
+    """Each model flag, alone or with others, overrides its field of
+    toy_config(), so a flag the run ignored would leave the config unchanged."""
     out = tmp_path / "custom.json"
-    assert run_cli("gen", "--L", "1", "--H", "2", "--D", "4", "--ff", "12", "--vocab", "32",
-                   "--bw", "1", "--random", "3", "--n-response", "2", "--out", str(out)) == 0
-    assert json.loads(out.read_text())["config"] == {"L": 1, "H": 2, "D": 4, "ff_dim": 12,
-                                                     "vocab": 32, "dtype_bytes": 2}
+    assert run_cli("gen", *flags, "--bw", "1", "--random", "3", "--n-response", "2",
+                   "--out", str(out)) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config == {**TOY_CONFIG, **changed} != TOY_CONFIG
 
 
 def test_gen_invalid_token_ids_usage_error(tmp_path, capsys):
@@ -327,29 +378,6 @@ def test_gen_greedy_mode(tmp_path):
     assert report["match"] is True
     assert report["request"]["mode"] == "greedy" and report["request"]["bw"] == 1
     assert len(report["optimized"]["tokens"][0]) == 1
-
-
-# -- bench ----------------------------------------------------------------------
-
-def test_bench_boundary_budget_is_inclusive(capsys):
-    cfg = preset("gptj-6b")
-    budget = segment_cache_bytes(cfg, CacheShapeParams(4, 4, 1024, 1024))
-    assert run_cli("bench", "--model", "gptj-6b", "--budget-bytes", str(budget),
-                   "--bw", "4", "--n-prompt", "1024", "--n-response", "1024") == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["bs_max_segment"] == 4
-
-
-def test_bench_gptj_tile_budget_inversion(capsys):
-    assert run_cli("bench", "--model", "gptj-6b", "--budget-bytes", "64000000000",
-                   "--bw", "4", "--n-prompt", "1024", "--n-response", "1024") == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["bs_max_segment"] == 23
-    assert report["bs_max_standard"] == 14
-
-
-def test_bench_budget_too_small_usage_error(capsys):
-    assert run_cli("bench", "--model", "gptj-6b", "--budget-bytes", "1") == 2
 
 
 # -- fusion report -----------------------------------------------------------------
@@ -392,3 +420,19 @@ def test_verify_quick_passes_within_a_minute(capsys):
     assert elapsed < 60.0
     assert out.count("PASS") == 8
     assert "FAIL" not in out
+
+
+# -- README ---------------------------------------------------------------------------
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every ``seglm`` command in the README's CLI section runs and exits 0,
+    so a removed command or flag left in the docs fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = [shlex.split(line) for line in section.replace("\\\n", " ").splitlines()
+                if line.startswith("seglm ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "prompt.json").write_text(json.dumps([[1, 2, 3, 4]]))
+    for argv in commands:
+        assert main(argv[1:]) == 0, " ".join(argv)

@@ -33,7 +33,7 @@ def test_single_layer_single_token_hand_trace():
     w = ToyWeights.random(cfg, seed=0)
     prompt = np.array([[1]])
 
-    res = OptimizedEngine(w).generate(GenerationRequest(prompt, 0, mode="greedy", bw=1))
+    res = OptimizedEngine(w).generate(GenerationRequest(prompt, 0, bw=1))
 
     def rms(x):
         return np.asarray(x, np.float64) / math.sqrt(np.mean(np.square(np.asarray(x, np.float64))) + cfg.eps)
@@ -73,7 +73,7 @@ def test_identity_weight_model_reference_trace():
     w = ToyWeights(cfg, emb, [lw], np.ones(2, dtype=np.float32), head)
 
     prompt = np.array([[2]])
-    res = reference_generate(w, GenerationRequest(prompt, 1, mode="greedy", bw=1))
+    res = reference_generate(w, GenerationRequest(prompt, 1, bw=1))
 
     def rms(x):
         return x / math.sqrt(np.mean(np.square(x)) + cfg.eps)
@@ -89,7 +89,7 @@ def test_identity_weight_model_reference_trace():
 def test_greedy_cross_engine_tokens_identical():
     w = _toy_weights(seed=7)
     prompt = _prompt(w.config, 1, 8)
-    req = GenerationRequest(prompt, 12, mode="greedy", bw=1)
+    req = GenerationRequest(prompt, 12, bw=1)
     opt = generate(w, req)
     ref = reference_generate(w, req)
     assert opt.tokens.shape == (1, 1, 12)
@@ -100,7 +100,7 @@ def test_greedy_cross_engine_tokens_identical():
 def test_beam_cross_engine_across_growth_boundaries():
     w = _toy_weights(seed=7)
     prompt = _prompt(w.config, 1, 32, seed=2)
-    req = GenerationRequest(prompt, 40, mode="beam", bw=4)
+    req = GenerationRequest(prompt, 40, bw=4)
     opt_engine = OptimizedEngine(w)
     opt = opt_engine.generate(req)
     ref = reference_generate(w, req)
@@ -116,7 +116,8 @@ def test_cross_engine_across_key_tiles(mode, bw):
     so every tile edge of both kernels is crossed."""
     assert (math.ceil(150 / KEY_BLOCK), math.ceil(70 / KEY_BLOCK)) == (3, 2)
     w = _toy_weights(seed=28)  # top-candidate gaps >= 1.8e-4 in both modes
-    req = GenerationRequest(_prompt(w.config, 2, 150, seed=4), 70, mode=mode, bw=bw)
+    req = GenerationRequest(_prompt(w.config, 2, 150, seed=4), 70, bw=bw)
+    assert req.mode == mode
     opt = generate(w, req)
     ref = reference_generate(w, req)
     assert opt.tokens.shape == (2, bw, 70)
@@ -129,22 +130,22 @@ def test_multi_batch_beam_cross_engine():
     per item and per slot."""
     w = _toy_weights(seed=19)
     prompt = _prompt(w.config, 3, 12, seed=12)
-    req = GenerationRequest(prompt, 9, mode="beam", bw=4)
+    req = GenerationRequest(prompt, 9, bw=4)
     opt = generate(w, req)
     ref = reference_generate(w, req)
     assert opt.tokens.shape == (3, 4, 9)
     assert np.array_equal(opt.tokens, ref.tokens)
     # swapping batch items permutes outputs the same way (independence)
-    req_swapped = GenerationRequest(prompt[::-1].copy(), 9, mode="beam", bw=4)
+    req_swapped = GenerationRequest(prompt[::-1].copy(), 9, bw=4)
     swapped = generate(w, req_swapped)
     assert np.array_equal(swapped.tokens, opt.tokens[::-1])
 
 
 def test_prefill_logits_cross_engine():
-    for bw, mode in ((1, "greedy"), (4, "beam")):
+    for bw in (1, 4):
         w = _toy_weights(seed=11)
         prompt = _prompt(w.config, 2, 16, seed=3)
-        req = GenerationRequest(prompt, 0, mode=mode, bw=bw)
+        req = GenerationRequest(prompt, 0, bw=bw)
         opt = generate(w, req)
         ref = reference_generate(w, req)
         assert np.max(np.abs(opt.final_hidden - ref.final_hidden)) <= 1e-4
@@ -154,7 +155,7 @@ def test_prefill_logits_cross_engine():
 
 def test_single_decode_step_logits_cross_engine():
     w = _toy_weights(seed=13)
-    req = GenerationRequest(_prompt(w.config, 2, 6, seed=10), 1, mode="greedy", bw=1)
+    req = GenerationRequest(_prompt(w.config, 2, 6, seed=10), 1, bw=1)
     opt = generate(w, req)
     ref = reference_generate(w, req)
     assert np.max(np.abs(opt.final_hidden @ w.head - ref.final_hidden @ w.head)) <= 1e-4
@@ -165,13 +166,13 @@ def test_layout_conversions_independent_of_depth():
     for L in (1, 3):
         w = _toy_weights(seed=15, L=L)
         res = generate(w, GenerationRequest(_prompt(w.config, 1, 5), nr,
-                                            mode="greedy", bw=1))
+                                            bw=1))
         assert res.counters.layout_conversions == 2 * nr
 
 
 def test_zero_response_request():
     w = _toy_weights()
-    req = GenerationRequest(_prompt(w.config, 2, 5), 0, mode="beam", bw=4)
+    req = GenerationRequest(_prompt(w.config, 2, 5), 0, bw=4)
     opt = generate(w, req)
     ref = reference_generate(w, req)
     assert opt.tokens.shape == (2, 4, 0)
@@ -196,9 +197,9 @@ def test_prefill_of_prompt_plus_response_reproduces_greedy_decode(
     w = _toy_weights(seed=seed, **cfg_kw)
     engine = engine_cls(w)
     prompt = _prompt(w.config, bs, n_prompt, seed=seed + 100)
-    decoded = engine.generate(GenerationRequest(prompt, nr, mode="greedy", bw=1))
+    decoded = engine.generate(GenerationRequest(prompt, nr, bw=1))
     full = np.concatenate([prompt, decoded.tokens[:, 0]], axis=1)
-    prefilled = engine.generate(GenerationRequest(full, 0, mode="greedy", bw=1))
+    prefilled = engine.generate(GenerationRequest(full, 0, bw=1))
     assert np.max(np.abs(prefilled.final_hidden - decoded.final_hidden)) <= 1e-4
 
 
@@ -210,7 +211,7 @@ def test_cache_growth_is_semantically_invisible(monkeypatch):
     the default that grows 16 -> 32 at step 17."""
     w = _toy_weights(seed=5)
     prompt = _prompt(w.config, 1, 8, seed=4)
-    req = GenerationRequest(prompt, 20, mode="beam", bw=4)
+    req = GenerationRequest(prompt, 20, bw=4)
     grown_engine, single_engine = OptimizedEngine(w), OptimizedEngine(w)
     grown = grown_engine.generate(req)
     monkeypatch.setattr(kvcache, "STEP", 32)
@@ -238,9 +239,9 @@ def test_every_alloc_exceeds_every_earlier_free():
     the decode-memory simulator."""
     w = _toy_weights(seed=11)
     for engine_cls in (OptimizedEngine, ReferenceEngine):
-        for mode, bs, bw in (("greedy", 2, 1), ("beam", 1, 4)):
+        for bs, bw in ((2, 1), (1, 4)):
             engine = engine_cls(w)
-            engine.generate(GenerationRequest(_prompt(w.config, bs, 9), 20, mode=mode, bw=bw))
+            engine.generate(GenerationRequest(_prompt(w.config, bs, 9), 20, bw=bw))
             _assert_allocs_exceed_earlier_frees(engine.last_ledger.events)
 
     for policy in ("segment", "standard"):
@@ -258,7 +259,9 @@ def test_optimized_ledger_matches_segment_simulator(mode, bs, bw, nr):
     w = _toy_weights(seed=13, L=3)
     n_prompt = 7
     engine = OptimizedEngine(w)
-    engine.generate(GenerationRequest(_prompt(w.config, bs, n_prompt), nr, mode=mode, bw=bw))
+    req = GenerationRequest(_prompt(w.config, bs, n_prompt), nr, bw=bw)
+    assert req.mode == mode
+    engine.generate(req)
     simulated = simulate_decode_memory("segment", w.config, CacheShapeParams(bs, bw, n_prompt, nr))
     assert engine.last_ledger.events == simulated.events
     assert simulated.events[0] == ("alloc", bs * n_prompt * cache_token_bytes(w.config))
@@ -308,7 +311,9 @@ def test_ledger_active_bytes_equal_live_cache_bytes(engine_cls, mode, bs, bw):
     nr = 20
     checked = []
     engine = _reconciled(engine_cls, checked)(w)
-    res = engine.generate(GenerationRequest(_prompt(w.config, bs, 6), nr, mode=mode, bw=bw))
+    req = GenerationRequest(_prompt(w.config, bs, 6), nr, bw=bw)
+    assert req.mode == mode
+    res = engine.generate(req)
     assert len(checked) == nr + 1  # prefill and every decode step
     assert any(kind == "free" for kind, _ in engine.last_ledger.events)
     assert res.tokens.shape == (bs, bw, nr)
@@ -321,7 +326,7 @@ def test_prompt_cache_owns_its_buffers(engine_cls):
     w = _toy_weights(seed=16)
     runs = []
     engine = _reconciled(engine_cls, runs)(w)
-    engine.generate(GenerationRequest(_prompt(w.config, 2, 9), 0, mode="beam", bw=2))
+    engine.generate(GenerationRequest(_prompt(w.config, 2, 9), 0, bw=2))
     (run,) = runs
     buffers = list(_cache_buffers(run))
     assert len(buffers) >= 2 * w.config.L
@@ -334,7 +339,7 @@ def test_prompt_cache_owns_its_buffers(engine_cls):
 def test_optimized_decode_has_no_data_movement_ops():
     w = _toy_weights()
     nr = 10
-    res = generate(w, GenerationRequest(_prompt(w.config, 1, 6), nr, mode="beam", bw=4))
+    res = generate(w, GenerationRequest(_prompt(w.config, 1, 6), nr, bw=4))
     assert res.counters.cat_ops == 0
     assert res.counters.index_select_ops == 0
     assert res.counters.layout_conversions == 2 * nr  # two per step, independent of L
@@ -344,7 +349,7 @@ def test_reference_decode_counts_cat_and_index_select():
     w = _toy_weights()
     nr = 6
     res = reference_generate(w, GenerationRequest(_prompt(w.config, 1, 6), nr,
-                                                  mode="beam", bw=4))
+                                                  bw=4))
     assert res.counters.cat_ops == 2 * w.config.L * nr
     assert res.counters.index_select_ops == 2 * w.config.L * nr
     assert res.counters.layout_conversions == 0
@@ -357,7 +362,7 @@ def test_reference_ledger_allocs_follow_contiguous_growth():
     bs, bw, n_prompt, nr = 1, 4, 6, 5
     engine = ReferenceEngine(w)
     engine.generate(GenerationRequest(_prompt(cfg, bs, n_prompt, seed=5), nr,
-                                      mode="beam", bw=bw))
+                                      bw=bw))
     allocs = [n for kind, n in engine.last_ledger.events if kind == "alloc"]
     tok = cache_token_bytes(cfg)
     assert sum(allocs[:cfg.L]) == bs * bw * n_prompt * tok  # prefill rows
@@ -373,13 +378,13 @@ def test_optimized_memory_summary_matches_formulas():
     cfg = w.config
     bs, bw, n_prompt, nr = 2, 4, 10, 20
     res = generate(w, GenerationRequest(_prompt(cfg, bs, n_prompt, seed=6), nr,
-                                        mode="beam", bw=bw))
+                                        bw=bw))
     tok = cache_token_bytes(cfg)
     assert res.memory["prompt_kv_bytes"] == bs * n_prompt * tok  # no beam factor
     assert res.memory["final_active_bytes"] == segment_cache_bytes(
         cfg, CacheShapeParams(bs, bw, n_prompt, nr))
     ref = reference_generate(w, GenerationRequest(_prompt(cfg, bs, n_prompt, seed=6), nr,
-                                                  mode="beam", bw=bw))
+                                                  bw=bw))
     assert ref.memory["prompt_kv_bytes"] == bs * bw * n_prompt * tok
 
 
@@ -387,7 +392,7 @@ def test_optimized_memory_summary_matches_formulas():
 
 def test_same_seed_bit_identical_tokens():
     w = _toy_weights(seed=21)
-    req = GenerationRequest(_prompt(w.config, 1, 8, seed=8), 10, mode="beam", bw=4)
+    req = GenerationRequest(_prompt(w.config, 1, 8, seed=8), 10, bw=4)
     a = generate(w, req)
     b = generate(ToyWeights.random(w.config, seed=21), req)
     assert np.array_equal(a.tokens, b.tokens)
@@ -404,6 +409,10 @@ def test_request_validation():
         GenerationRequest(np.zeros((1, 4), dtype=int), 4, mode="greedy", bw=2)
     with pytest.raises(ValueError):
         GenerationRequest(np.zeros((1, 4), dtype=int), 4, mode="sample")
+    with pytest.raises(ValueError, match="contradicts bw == 1"):
+        GenerationRequest(np.zeros((1, 4), dtype=int), 4, mode="beam")
+    assert GenerationRequest(np.zeros((1, 4), dtype=int), 4).mode == "greedy"
+    assert GenerationRequest(np.zeros((1, 4), dtype=int), 4, bw=2).mode == "beam"
     with pytest.raises(ValueError, match="batch is empty"):
         GenerationRequest(np.zeros((0, 4), dtype=int), 4)
     with pytest.raises(ValueError, match="n_response must be an integer"):
@@ -412,7 +421,7 @@ def test_request_validation():
         GenerationRequest(np.array([[1.7, 2.2]]), 4)
     for bad in (2.5, True, 4.0):
         with pytest.raises(ValueError, match="bw must be an integer"):
-            GenerationRequest(np.zeros((1, 4), dtype=int), 4, mode="beam", bw=bad)
+            GenerationRequest(np.zeros((1, 4), dtype=int), 4, bw=bad)
 
 
 @pytest.mark.parametrize("engine_cls", [OptimizedEngine, ReferenceEngine])
@@ -428,21 +437,21 @@ def test_vocab_smaller_than_beam_width_rejected_before_prefill(monkeypatch, engi
 
     monkeypatch.setattr(engine_cls, "_begin", refuse)
     with pytest.raises(ValueError, match="vocabulary of 2 cannot fill 4 beams"):
-        engine.generate(GenerationRequest(_prompt(w.config, 1, 3), nr, mode="beam", bw=4))
+        engine.generate(GenerationRequest(_prompt(w.config, 1, 3), nr, bw=4))
     assert engine.last_ledger is None
 
 
 def test_out_of_vocab_prompt_rejected():
     w = _toy_weights()
     with pytest.raises(ValueError):
-        generate(w, GenerationRequest(np.array([[w.config.vocab]]), 1, mode="greedy", bw=1))
+        generate(w, GenerationRequest(np.array([[w.config.vocab]]), 1, bw=1))
 
 
 def test_prompt_beyond_max_pos_rejected():
     cfg = toy_config(max_pos=16)
     w = ToyWeights.random(cfg, seed=0)
     with pytest.raises(ValueError):
-        generate(w, GenerationRequest(np.zeros((1, 10), dtype=int), 10, mode="greedy", bw=1))
+        generate(w, GenerationRequest(np.zeros((1, 10), dtype=int), 10, bw=1))
 
 
 # -- weight file round trip -------------------------------------------------------------------
@@ -492,5 +501,5 @@ def test_loaded_weights_generate_identically(tmp_path):
     w = _toy_weights(seed=34)
     path = tmp_path / "w.bin"
     save_weights(path, w)
-    req = GenerationRequest(_prompt(w.config, 1, 6, seed=9), 8, mode="greedy", bw=1)
+    req = GenerationRequest(_prompt(w.config, 1, 6, seed=9), 8, bw=1)
     assert np.array_equal(generate(w, req).tokens, generate(load_weights(path), req).tokens)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from seglm.config import ModelConfig, preset, toy_config
 from seglm.engine import OpCounters
 from seglm.kvcache import (STEP, CacheShapeParams, MemoryLedger, PromptKV, ResponseKV,
-                           StandardKV, cache_token_bytes, memsim_row,
+                           StandardKV, bs_max_under_budget, cache_token_bytes, memsim_row,
                            segment_cache_bytes, simulate_decode_memory,
                            standard_cache_bytes)
 
@@ -353,3 +353,13 @@ def test_simulator_is_deterministic():
     p = CacheShapeParams(2, 4, 64, 40)
     assert (simulate_decode_memory("segment", GPTJ, p).events
             == simulate_decode_memory("segment", GPTJ, p).events)
+
+
+@pytest.mark.parametrize("policy", ["segmnt", "Segment", "paged"])
+def test_unknown_policy_rejected_by_budget_inversion_and_simulator(policy):
+    """A misspelled policy must not fall through to the standard bound (14
+    for gptj-6b at 64e9 bytes, BW 4, 1024 + 1024 tokens)."""
+    with pytest.raises(ValueError, match="policy must be 'standard' or 'segment'"):
+        bs_max_under_budget(GPTJ, policy, 64 * 10**9, 4, 1024, 1024)
+    with pytest.raises(ValueError, match="policy must be 'standard' or 'segment'"):
+        simulate_decode_memory(policy, GPTJ, CacheShapeParams(2, 4, 8, 8))
