@@ -13,9 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-# Alias for readability: per batch item a [BW, N_response] matrix of slots.
-BeamIndices = np.ndarray
-
 
 class BeamSearchState:
     """Cumulative scores plus per-step token / parent history.
@@ -114,7 +111,7 @@ def beam_step(log_probs, state: BeamSearchState):
     return tokens, parents
 
 
-def build_gather_indices(parents: Sequence[np.ndarray], upto_step: int) -> BeamIndices:
+def build_gather_indices(parents: Sequence[np.ndarray], upto_step: int) -> np.ndarray:
     """Backtrack parent traces into the [BS, BW, upto_step] gather tensor.
 
     For each final slot w: cursor = w; for t' from upto_step-1 down to 0,

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,7 +67,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_memsim(args) -> int:
     rows = []
     for name in args.models:
-        cfg = preset(name).with_dtype_bytes(args.dtype_bytes)
+        cfg = replace(preset(name), dtype_bytes=args.dtype_bytes)
         budget = {}
         if args.budget_bytes is not None:
             budget["budget_bytes"] = args.budget_bytes
@@ -76,6 +77,9 @@ def cmd_memsim(args) -> int:
                         cfg, policy, args.budget_bytes, args.bw, args.n_prompt, args.n_response)
                 except ValueError as exc:  # name the preset: the table may list several
                     raise UsageError(f"{name}: {exc}") from None
+            if budget["bs_max_segment"] == budget["bs_max_standard"] == 0:
+                raise UsageError(f"{name}: budget of {args.budget_bytes} bytes is too small "
+                                 "for batch size 1")
         for bs in args.bs:
             p = CacheShapeParams(bs, args.bw, args.n_prompt, args.n_response)
             rows.append({**memsim_row(cfg, name, p), **budget})

@@ -32,6 +32,8 @@ from .ops import (LayerWeights, fused_qkv, gated_mlp, linear, log_softmax, rmsno
                   rope_table, to_batch_first, to_sequence_first)
 from .sdpa import SdpaDecodeInputs, sdpa_decode_fused, sdpa_prefill
 
+MAX_POS = 4096  # longest prompt plus response a request may ask for
+
 
 @dataclass
 class OpCounters:
@@ -130,22 +132,20 @@ class ToyWeights:
 
     def __init__(self, config: ModelConfig, embedding: np.ndarray,
                  layers: list[LayerWeights], final_norm: np.ndarray,
-                 head: np.ndarray, seed: int = 0):
+                 head: np.ndarray):
         self.config = config
         self.embedding = embedding
         self.layers = layers
         self.final_norm = final_norm
         self.head = head
-        self.seed = seed
         self.validate()
 
     @classmethod
-    def from_tensors(cls, config: ModelConfig, tensors: dict[str, np.ndarray],
-                     seed: int = 0) -> "ToyWeights":
+    def from_tensors(cls, config: ModelConfig, tensors: dict[str, np.ndarray]) -> "ToyWeights":
         """Weights from a {name: tensor} dict named as in ``weight_layout``."""
         layers = [LayerWeights(**{name.rsplit(".", 1)[1]: arr for name, arr in tensors.items()
                                   if name.startswith(f"layers.{i}.")}) for i in range(config.L)]
-        return cls(config, tensors["embedding"], layers, tensors["final_norm"], tensors["head"], seed)
+        return cls(config, tensors["embedding"], layers, tensors["final_norm"], tensors["head"])
 
     def validate(self) -> None:
         if len(self.layers) != self.config.L:
@@ -164,7 +164,7 @@ class ToyWeights:
         tensors = {name: np.ones(shape, dtype=np.float32) if "norm" in name
                    else (rng.standard_normal(shape) * WEIGHT_SCALE).astype(np.float32)
                    for name, shape in weight_layout(config)}
-        return cls.from_tensors(config, tensors, seed)
+        return cls.from_tensors(config, tensors)
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         """(name, tensor) for every weight, in ``weight_layout`` order."""
@@ -179,7 +179,7 @@ def save_weights(path, weights: ToyWeights) -> None:
     """JSON header (config + tensor manifest) followed by a raw little-endian
     float32 blob; the round trip is byte-exact."""
     manifest, _ = weight_manifest(weights.config)
-    header = {"config": asdict(weights.config), "seed": weights.seed, "tensors": manifest}
+    header = {"config": asdict(weights.config), "tensors": manifest}
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for _, arr in weights.named_tensors():
@@ -201,17 +201,22 @@ def _manifest_error(listed: list, names: list, expected: list[dict]) -> str:
 
 
 def load_weights(path) -> ToyWeights:
-    """Read a ``save_weights`` file. Its manifest must equal ``weight_manifest``
-    of its config, and its blob must end where that manifest does."""
+    """Read a ``save_weights`` file. Its header must hold exactly ``config``
+    and ``tensors``, its manifest must equal ``weight_manifest`` of its
+    config, and its blob must end where that manifest does."""
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode("utf-8"))
         blob = f.read()
     try:
+        extra = sorted(set(header) - {"config", "tensors"})
         config = ModelConfig(**header["config"])
         listed = header["tensors"]
         names = [entry["name"] for entry in listed]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"weight file {path} has a malformed header: {exc!r}") from None
+    if extra:
+        raise ValueError(f"weight file {path} header holds {extra[0]!r}; "
+                         "it may hold only 'config' and 'tensors'")
     manifest, end = weight_manifest(config)
     if listed != manifest:
         raise ValueError(f"weight file {path} {_manifest_error(listed, names, manifest)}")
@@ -221,7 +226,7 @@ def load_weights(path) -> ToyWeights:
     tensors = {entry["name"]: np.frombuffer(blob, dtype="<f4", count=prod(entry["shape"]),
                                             offset=entry["offset"]).reshape(entry["shape"]).copy()
                for entry in manifest}
-    return ToyWeights.from_tensors(config, tensors, header.get("seed", 0))
+    return ToyWeights.from_tensors(config, tensors)
 
 
 # --------------------------------------------------------------------------
@@ -241,8 +246,8 @@ class _DecoderEngine:
         cfg = self.config
         if request.prompt.min() < 0 or request.prompt.max() >= cfg.vocab:
             raise ValueError(f"prompt token ids must lie in [0, {cfg.vocab})")
-        if request.prompt.shape[1] + request.n_response > cfg.max_pos:
-            raise ValueError("prompt plus response exceeds the maximum position length")
+        if request.prompt.shape[1] + request.n_response > MAX_POS:
+            raise ValueError(f"prompt plus response exceeds the maximum position length {MAX_POS}")
         if request.bw > cfg.vocab:
             raise ValueError(f"vocabulary of {cfg.vocab} cannot fill {request.bw} beams")
 
@@ -301,19 +306,19 @@ class _DecoderEngine:
         returns the attention context in that same [..., H, D] shape.
         """
         cfg = self.config
-        table = rope_table(positions, cfg.D, cfg.rope_theta)
+        table = rope_table(positions, cfg.D)
         for layer, lw in enumerate(self.weights.layers):
-            h = rmsnorm(x, lw.rmsnorm_1, cfg.eps)
+            h = rmsnorm(x, lw.rmsnorm_1)
             q, k, v = fused_qkv(h, lw.w_qkv, cfg.H, cfg.D)
-            q, k = rope(q, k, table, cfg.rope_style)
+            q, k = rope(q, k, table)
             ctx = attend(layer, q, k, v)
             x = x + linear(ctx.reshape(x.shape), lw.w_o)
-            x = x + gated_mlp(rmsnorm(x, lw.rmsnorm_2, cfg.eps), lw.w_gate, lw.w_up, lw.w_down)
+            x = x + gated_mlp(rmsnorm(x, lw.rmsnorm_2), lw.w_gate, lw.w_up, lw.w_down)
         return x
 
     def _head(self, x):
         """Final norm and lm head on [rows, d_model]: returns (logits, hidden)."""
-        hidden = rmsnorm(x, self.weights.final_norm, self.config.eps)
+        hidden = rmsnorm(x, self.weights.final_norm)
         return linear(hidden, self.weights.head), hidden
 
     # subclass interface -----------------------------------------------------
@@ -459,12 +464,3 @@ class ReferenceEngine(_DecoderEngine):
                 "prompt_kv_bytes": standard_cache_bytes(self.config, prompt_only),
                 "kv_bytes": run.kv.total_bytes()}
 
-
-def generate(weights: ToyWeights, request: GenerationRequest) -> GenerationResult:
-    """Run the optimized engine."""
-    return OptimizedEngine(weights).generate(request)
-
-
-def reference_generate(weights: ToyWeights, request: GenerationRequest) -> GenerationResult:
-    """Run the reference engine (same contract, unfused pipeline)."""
-    return ReferenceEngine(weights).generate(request)

@@ -85,8 +85,8 @@ def _check_policy(policy: str) -> None:
 
 def bs_max_under_budget(config: ModelConfig, policy: str, budget_bytes: int,
                         bw: int, n_prompt: int, n_response: int) -> int:
-    """Largest BS whose cache fits the budget (inclusive). Raises when even
-    BS=1 does not fit.
+    """Largest BS whose cache fits the budget (inclusive); 0 when even BS=1
+    does not fit.
 
     A budget binds the final-step cache bytes of the closed forms above.
     Those equal the final active bytes of ``simulate_decode_memory`` and of
@@ -98,9 +98,7 @@ def bs_max_under_budget(config: ModelConfig, policy: str, budget_bytes: int,
     per_bs = fn(config, CacheShapeParams(1, bw, n_prompt, n_response))
     if per_bs <= 0:
         raise ValueError("degenerate request shape has no cache footprint")
-    if per_bs > budget_bytes:
-        raise ValueError(f"budget of {budget_bytes} bytes is too small for batch size 1")
-    return budget_bytes // per_bs
+    return max(budget_bytes // per_bs, 0)
 
 
 # --------------------------------------------------------------------------

@@ -75,13 +75,12 @@ def rope_table(positions, head_dim: int, theta: float = 10000.0):
     return np.cos(ang)[..., None, :], np.sin(ang)[..., None, :]
 
 
-def rope(q, k, table, style: str = "half"):
+def rope(q, k, table):
     """Rotary position embedding on (q, k) shaped [..., H, D].
 
     ``table`` is ``rope_table(positions, D, theta)``, whose positions
     broadcast against the leading dims of q/k, i.e. everything before the
-    trailing [H, D] axes. ``style`` selects the pair grouping: "half" pairs
-    (i, i+D/2), "interleaved" pairs (2i, 2i+1).
+    trailing [H, D] axes. Dimension i is paired with i + D/2.
     """
     q = _f32(q)
     k = _f32(k)
@@ -102,18 +101,11 @@ def rope(q, k, table, style: str = "half"):
         raise ValueError(f"positions {pos_shape} do not broadcast onto leading dims {lead}")
 
     def rotate(x: np.ndarray) -> np.ndarray:
-        if style == "half":
-            x1, x2 = x[..., :half], x[..., half:]
-            return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
-        if style == "interleaved":
-            x1, x2 = x[..., 0::2], x[..., 1::2]
-            out = np.empty_like(x)
-            out[..., 0::2] = x1 * cos - x2 * sin
-            out[..., 1::2] = x1 * sin + x2 * cos
-            return out
-        raise ValueError(f"unknown rope style {style!r}")
+        x1, x2 = x[..., :half], x[..., half:]
+        return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos],
+                              axis=-1).astype(np.float32, copy=False)
 
-    return rotate(q).astype(np.float32, copy=False), rotate(k).astype(np.float32, copy=False)
+    return rotate(q), rotate(k)
 
 
 def silu(x) -> np.ndarray:

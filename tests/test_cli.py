@@ -102,6 +102,18 @@ def test_memsim_budget_too_small_usage_error(capsys):
     assert captured.out == "" and "bloom-176b: budget of 8000000000 bytes" in captured.err
 
 
+def test_memsim_budget_only_segment_fits(capsys):
+    """A budget that holds BS=1 of the segment cache (2684354560 bytes) but
+    not of the standard one (4294967296) reports bs_max_standard 0."""
+    assert run_cli("memsim", "--models", "gptj-6b", "--bs", "1", "--bw", "4",
+                   "--n-prompt", "1024", "--n-response", "1024",
+                   "--budget-bytes", "3000000000", "--format", "json") == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    assert row["segment_bytes"] == 2_684_354_560 and row["standard_bytes"] == 4_294_967_296
+    assert row["bs_max_segment"] == 1
+    assert row["bs_max_standard"] == 0
+
+
 def test_bench_command_is_gone(capsys):
     """memsim --budget-bytes is the one command that inverts the cache bytes."""
     with pytest.raises(SystemExit) as e:
@@ -212,19 +224,26 @@ def test_gen_prompt_file_and_weight_round_trip(tmp_path):
     assert t1 == t2
 
 
+# config fields that are now constants of ops or the engine, with the value
+# every header written while they were fields held
+LEGACY_CONFIG_FIELDS = {"eps": 1e-5, "max_pos": 4096, "rope_style": "half", "rope_theta": 10000.0}
+
 # defect -> a word the error message must name
 MALFORMED_WEIGHT_FILES = {
     "missing-tensor": "head",
     "nan-weight": "embedding",
     "missing-config": "config",
-    "negative-eps": "eps",
-    "zero-rope-theta": "rope_theta",
     "activation-field": "activation",
     "fractional-L": "L must be an integer",
     "float-H": "H must be an integer",
     "legacy-step": "'step'",
-    "string-max-pos": "max_pos must be an integer",
-    "zero-max-pos": "max_pos must be an integer >= 1",
+    "legacy-file": "'eps'",  # the first legacy field in the header's sorted keys
+    "legacy-rope-style": "'rope_style'",
+    "legacy-eps": "'eps'",
+    "legacy-max-pos": "'max_pos'",
+    "legacy-rope-theta": "'rope_theta'",
+    "top-level-seed": "'seed'",
+    "top-level-unknown-key": "'comment'",
     "float-dtype-bytes": "dtype_bytes must be 2",
     "duplicate-tensor": "tensor 'final_norm' twice",
     "extra-layer": "tensor 'layers.1.",
@@ -245,20 +264,22 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
         blob = np.float32(np.nan).tobytes() + blob[4:]
     elif defect == "missing-config":
         del header["config"]
-    elif defect == "negative-eps":
-        header["config"]["eps"] = -1.0
-    elif defect == "zero-rope-theta":
-        header["config"]["rope_theta"] = 0.0
     elif defect == "fractional-L":
         header["config"]["L"] = 2.5
     elif defect == "float-H":
         header["config"]["H"] = 4.0
     elif defect == "legacy-step":  # a header written while the config carried the growth quantum
         header["config"]["step"] = 16
-    elif defect == "string-max-pos":
-        header["config"]["max_pos"] = "x"
-    elif defect == "zero-max-pos":
-        header["config"]["max_pos"] = 0
+    elif defect == "legacy-file":  # a header as saved while the config had those fields
+        header["config"].update(LEGACY_CONFIG_FIELDS)
+        header["seed"] = 0
+    elif defect.startswith("legacy-"):
+        field = defect[len("legacy-"):].replace("-", "_")
+        header["config"][field] = LEGACY_CONFIG_FIELDS[field]
+    elif defect == "top-level-seed":  # the draw's seed, once written back into the header
+        header["seed"] = 0
+    elif defect == "top-level-unknown-key":
+        header["comment"] = "toy weights"
     elif defect == "float-dtype-bytes":
         header["config"]["dtype_bytes"] = 2.0
     elif defect == "duplicate-tensor":
@@ -275,7 +296,7 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
     else:  # a header written while the config still had an activation option
         header["config"]["activation"] = "silu"
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    bad.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
     assert run_cli("gen", "--weights", str(bad), "--n-response", "2") == 2
     assert MALFORMED_WEIGHT_FILES[defect] in capsys.readouterr().err
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,14 +6,16 @@ import pytest
 
 from seglm import kvcache
 from seglm.config import toy_config
-from seglm.engine import (GenerationRequest, OptimizedEngine, ReferenceEngine,
-                          ToyWeights, generate, load_weights, reference_generate,
-                          save_weights)
+from seglm.engine import (MAX_POS, GenerationRequest, OptimizedEngine, ReferenceEngine,
+                          ToyWeights, load_weights, save_weights)
 from seglm.kvcache import (STEP, CacheShapeParams, PromptKV, ResponseKV, StandardKV,
                            cache_token_bytes, kv_bytes, segment_cache_bytes,
                            simulate_decode_memory)
 from seglm.ops import LayerWeights
 from seglm.sdpa import KEY_BLOCK
+
+
+EPS = 1e-5  # the rmsnorm epsilon every layer uses
 
 
 def _toy_weights(seed=7, **cfg_kw):
@@ -36,7 +39,7 @@ def test_single_layer_single_token_hand_trace():
     res = OptimizedEngine(w).generate(GenerationRequest(prompt, 0, bw=1))
 
     def rms(x):
-        return np.asarray(x, np.float64) / math.sqrt(np.mean(np.square(np.asarray(x, np.float64))) + cfg.eps)
+        return np.asarray(x, np.float64) / math.sqrt(np.mean(np.square(np.asarray(x, np.float64))) + EPS)
 
     lw = w.layers[0]
     x = w.embedding[1].astype(np.float64)
@@ -73,10 +76,10 @@ def test_identity_weight_model_reference_trace():
     w = ToyWeights(cfg, emb, [lw], np.ones(2, dtype=np.float32), head)
 
     prompt = np.array([[2]])
-    res = reference_generate(w, GenerationRequest(prompt, 1, bw=1))
+    res = ReferenceEngine(w).generate(GenerationRequest(prompt, 1, bw=1))
 
     def rms(x):
-        return x / math.sqrt(np.mean(np.square(x)) + cfg.eps)
+        return x / math.sqrt(np.mean(np.square(x)) + EPS)
 
     x = emb[2].astype(np.float64)
     x = x + rms(x)          # q = k = v = rms(x); single-token context is v; w_o = I
@@ -90,8 +93,8 @@ def test_greedy_cross_engine_tokens_identical():
     w = _toy_weights(seed=7)
     prompt = _prompt(w.config, 1, 8)
     req = GenerationRequest(prompt, 12, bw=1)
-    opt = generate(w, req)
-    ref = reference_generate(w, req)
+    opt = OptimizedEngine(w).generate(req)
+    ref = ReferenceEngine(w).generate(req)
     assert opt.tokens.shape == (1, 1, 12)
     assert np.array_equal(opt.tokens, ref.tokens)
     assert np.max(np.abs(opt.final_hidden - ref.final_hidden)) <= 1e-4
@@ -103,7 +106,7 @@ def test_beam_cross_engine_across_growth_boundaries():
     req = GenerationRequest(prompt, 40, bw=4)
     opt_engine = OptimizedEngine(w)
     opt = opt_engine.generate(req)
-    ref = reference_generate(w, req)
+    ref = ReferenceEngine(w).generate(req)
     assert opt.tokens.shape == (1, 4, 40)
     assert np.array_equal(opt.tokens, ref.tokens)
     assert np.max(np.abs(opt.final_hidden - ref.final_hidden)) <= 1e-4
@@ -118,8 +121,8 @@ def test_cross_engine_across_key_tiles(mode, bw):
     w = _toy_weights(seed=28)  # top-candidate gaps >= 1.8e-4 in both modes
     req = GenerationRequest(_prompt(w.config, 2, 150, seed=4), 70, bw=bw)
     assert req.mode == mode
-    opt = generate(w, req)
-    ref = reference_generate(w, req)
+    opt = OptimizedEngine(w).generate(req)
+    ref = ReferenceEngine(w).generate(req)
     assert opt.tokens.shape == (2, bw, 70)
     assert np.array_equal(opt.tokens, ref.tokens)
     assert np.max(np.abs(opt.final_hidden - ref.final_hidden)) <= 1e-4
@@ -131,13 +134,13 @@ def test_multi_batch_beam_cross_engine():
     w = _toy_weights(seed=19)
     prompt = _prompt(w.config, 3, 12, seed=12)
     req = GenerationRequest(prompt, 9, bw=4)
-    opt = generate(w, req)
-    ref = reference_generate(w, req)
+    opt = OptimizedEngine(w).generate(req)
+    ref = ReferenceEngine(w).generate(req)
     assert opt.tokens.shape == (3, 4, 9)
     assert np.array_equal(opt.tokens, ref.tokens)
     # swapping batch items permutes outputs the same way (independence)
     req_swapped = GenerationRequest(prompt[::-1].copy(), 9, bw=4)
-    swapped = generate(w, req_swapped)
+    swapped = OptimizedEngine(w).generate(req_swapped)
     assert np.array_equal(swapped.tokens, opt.tokens[::-1])
 
 
@@ -146,8 +149,8 @@ def test_prefill_logits_cross_engine():
         w = _toy_weights(seed=11)
         prompt = _prompt(w.config, 2, 16, seed=3)
         req = GenerationRequest(prompt, 0, bw=bw)
-        opt = generate(w, req)
-        ref = reference_generate(w, req)
+        opt = OptimizedEngine(w).generate(req)
+        ref = ReferenceEngine(w).generate(req)
         assert np.max(np.abs(opt.final_hidden - ref.final_hidden)) <= 1e-4
         logit_diff = np.abs(opt.final_hidden @ w.head - ref.final_hidden @ w.head)
         assert logit_diff.max() <= 1e-4
@@ -156,8 +159,8 @@ def test_prefill_logits_cross_engine():
 def test_single_decode_step_logits_cross_engine():
     w = _toy_weights(seed=13)
     req = GenerationRequest(_prompt(w.config, 2, 6, seed=10), 1, bw=1)
-    opt = generate(w, req)
-    ref = reference_generate(w, req)
+    opt = OptimizedEngine(w).generate(req)
+    ref = ReferenceEngine(w).generate(req)
     assert np.max(np.abs(opt.final_hidden @ w.head - ref.final_hidden @ w.head)) <= 1e-4
 
 
@@ -165,16 +168,15 @@ def test_layout_conversions_independent_of_depth():
     nr = 7
     for L in (1, 3):
         w = _toy_weights(seed=15, L=L)
-        res = generate(w, GenerationRequest(_prompt(w.config, 1, 5), nr,
-                                            bw=1))
+        res = OptimizedEngine(w).generate(GenerationRequest(_prompt(w.config, 1, 5), nr, bw=1))
         assert res.counters.layout_conversions == 2 * nr
 
 
 def test_zero_response_request():
     w = _toy_weights()
     req = GenerationRequest(_prompt(w.config, 2, 5), 0, bw=4)
-    opt = generate(w, req)
-    ref = reference_generate(w, req)
+    opt = OptimizedEngine(w).generate(req)
+    ref = ReferenceEngine(w).generate(req)
     assert opt.tokens.shape == (2, 4, 0)
     assert opt.first_token_latency_s > 0
     assert opt.next_token_latency_s is None
@@ -187,8 +189,8 @@ def test_zero_response_request():
 @pytest.mark.parametrize("seed, cfg_kw, bs, n_prompt, nr", [
     (0, {}, 1, 8, 20),  # crosses the response-cache growth at step 17
     (1, dict(L=3, H=2, D=8, vocab=32), 2, 5, 9),
-    (2, dict(L=1, H=4, D=16, vocab=96, rope_style="interleaved"), 3, 1, 6),
-], ids=["growth", "deep", "interleaved-rope"])
+    (2, dict(L=1, H=4, D=16, vocab=96), 3, 1, 6),
+], ids=["growth", "deep", "one-token-prompt"])
 def test_prefill_of_prompt_plus_response_reproduces_greedy_decode(
         engine_cls, seed, cfg_kw, bs, n_prompt, nr):
     """Prefilling the prompt plus the generated tokens must reach the final
@@ -339,7 +341,7 @@ def test_prompt_cache_owns_its_buffers(engine_cls):
 def test_optimized_decode_has_no_data_movement_ops():
     w = _toy_weights()
     nr = 10
-    res = generate(w, GenerationRequest(_prompt(w.config, 1, 6), nr, bw=4))
+    res = OptimizedEngine(w).generate(GenerationRequest(_prompt(w.config, 1, 6), nr, bw=4))
     assert res.counters.cat_ops == 0
     assert res.counters.index_select_ops == 0
     assert res.counters.layout_conversions == 2 * nr  # two per step, independent of L
@@ -348,8 +350,7 @@ def test_optimized_decode_has_no_data_movement_ops():
 def test_reference_decode_counts_cat_and_index_select():
     w = _toy_weights()
     nr = 6
-    res = reference_generate(w, GenerationRequest(_prompt(w.config, 1, 6), nr,
-                                                  bw=4))
+    res = ReferenceEngine(w).generate(GenerationRequest(_prompt(w.config, 1, 6), nr, bw=4))
     assert res.counters.cat_ops == 2 * w.config.L * nr
     assert res.counters.index_select_ops == 2 * w.config.L * nr
     assert res.counters.layout_conversions == 0
@@ -377,14 +378,13 @@ def test_optimized_memory_summary_matches_formulas():
     w = _toy_weights(seed=9)
     cfg = w.config
     bs, bw, n_prompt, nr = 2, 4, 10, 20
-    res = generate(w, GenerationRequest(_prompt(cfg, bs, n_prompt, seed=6), nr,
-                                        bw=bw))
+    req = GenerationRequest(_prompt(cfg, bs, n_prompt, seed=6), nr, bw=bw)
+    res = OptimizedEngine(w).generate(req)
     tok = cache_token_bytes(cfg)
     assert res.memory["prompt_kv_bytes"] == bs * n_prompt * tok  # no beam factor
     assert res.memory["final_active_bytes"] == segment_cache_bytes(
         cfg, CacheShapeParams(bs, bw, n_prompt, nr))
-    ref = reference_generate(w, GenerationRequest(_prompt(cfg, bs, n_prompt, seed=6), nr,
-                                                  bw=bw))
+    ref = ReferenceEngine(w).generate(req)
     assert ref.memory["prompt_kv_bytes"] == bs * bw * n_prompt * tok
 
 
@@ -393,8 +393,8 @@ def test_optimized_memory_summary_matches_formulas():
 def test_same_seed_bit_identical_tokens():
     w = _toy_weights(seed=21)
     req = GenerationRequest(_prompt(w.config, 1, 8, seed=8), 10, bw=4)
-    a = generate(w, req)
-    b = generate(ToyWeights.random(w.config, seed=21), req)
+    a = OptimizedEngine(w).generate(req)
+    b = OptimizedEngine(ToyWeights.random(w.config, seed=21)).generate(req)
     assert np.array_equal(a.tokens, b.tokens)
 
 
@@ -444,14 +444,26 @@ def test_vocab_smaller_than_beam_width_rejected_before_prefill(monkeypatch, engi
 def test_out_of_vocab_prompt_rejected():
     w = _toy_weights()
     with pytest.raises(ValueError):
-        generate(w, GenerationRequest(np.array([[w.config.vocab]]), 1, bw=1))
+        OptimizedEngine(w).generate(GenerationRequest(np.array([[w.config.vocab]]), 1, bw=1))
 
 
-def test_prompt_beyond_max_pos_rejected():
-    cfg = toy_config(max_pos=16)
-    w = ToyWeights.random(cfg, seed=0)
-    with pytest.raises(ValueError):
-        generate(w, GenerationRequest(np.zeros((1, 10), dtype=int), 10, bw=1))
+def test_prompt_beyond_max_pos_rejected(monkeypatch):
+    """A request one position over ``MAX_POS`` is rejected before any cache
+    is allocated; one at the limit gets as far as allocating."""
+    w = _toy_weights(L=1, H=1, D=2, vocab=4, ff_dim=2)
+    prompt = np.zeros((1, MAX_POS - 9), dtype=int)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run began before the request was checked")
+
+    for engine_cls in (OptimizedEngine, ReferenceEngine):
+        monkeypatch.setattr(engine_cls, "_begin", refuse)
+        engine = engine_cls(w)
+        with pytest.raises(ValueError, match=f"maximum position length {MAX_POS}"):
+            engine.generate(GenerationRequest(prompt, 10, bw=1))
+        assert engine.last_ledger is None
+        with pytest.raises(AssertionError, match="the run began"):
+            engine.generate(GenerationRequest(prompt, 9, bw=1))
 
 
 # -- weight file round trip -------------------------------------------------------------------
@@ -460,6 +472,8 @@ def test_weight_file_round_trip_is_byte_exact(tmp_path):
     w = _toy_weights(seed=33, L=2, H=2, D=8, vocab=16)
     path = tmp_path / "weights.bin"
     save_weights(path, w)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert set(header) == {"config", "tensors"}
     loaded = load_weights(path)
     assert loaded.config == w.config
     for (na, a), (nb, b) in zip(w.named_tensors(), loaded.named_tensors()):
@@ -502,4 +516,5 @@ def test_loaded_weights_generate_identically(tmp_path):
     path = tmp_path / "w.bin"
     save_weights(path, w)
     req = GenerationRequest(_prompt(w.config, 1, 6, seed=9), 8, bw=1)
-    assert np.array_equal(generate(w, req).tokens, generate(load_weights(path), req).tokens)
+    assert np.array_equal(OptimizedEngine(w).generate(req).tokens,
+                          OptimizedEngine(load_weights(path)).generate(req).tokens)

@@ -136,76 +136,54 @@ def test_rope_zero_positions_is_identity():
     assert np.allclose(k2, k, atol=1e-7)
 
 
-@pytest.mark.parametrize("style", ["half", "interleaved"])
-def test_rope_hand_rotation_d2(style):
+def test_rope_hand_rotation_d2():
     # D=2, pos=1, pair angle = 1 * theta^0 = 1 rad
     q = np.array([[[1.0, 0.0]]])  # [1 position, 1 head, D=2]
     k = np.zeros_like(q)
-    q2, _ = rope(q, k, rope_table(np.array([1]), 2), style=style)
+    q2, _ = rope(q, k, rope_table(np.array([1]), 2))
     assert abs(q2[0, 0, 0] - math.cos(1.0)) < 1e-6
     assert abs(q2[0, 0, 1] - math.sin(1.0)) < 1e-6
     assert abs(q2[0, 0, 0] - 0.54030) < 1e-4
     assert abs(q2[0, 0, 1] - 0.84147) < 1e-4
 
 
-@pytest.mark.parametrize("style", ["half", "interleaved"])
-def test_rope_preserves_pair_norms(style):
+def test_rope_preserves_pair_norms():
     rng = np.random.default_rng(5)
     q = rng.standard_normal((4, 2, 8)).astype(np.float32)
     k = rng.standard_normal((4, 2, 8)).astype(np.float32)
-    q2, k2 = rope(q, k, rope_table(np.arange(4), 8), style=style)
+    q2, k2 = rope(q, k, rope_table(np.arange(4), 8))
     for x, x2 in ((q, q2), (k, k2)):
-        if style == "half":
-            pairs = np.stack([x[..., :4], x[..., 4:]], axis=-1)
-            pairs2 = np.stack([x2[..., :4], x2[..., 4:]], axis=-1)
-        else:
-            pairs = np.stack([x[..., 0::2], x[..., 1::2]], axis=-1)
-            pairs2 = np.stack([x2[..., 0::2], x2[..., 1::2]], axis=-1)
+        pairs = np.stack([x[..., :4], x[..., 4:]], axis=-1)
+        pairs2 = np.stack([x2[..., :4], x2[..., 4:]], axis=-1)
         assert np.allclose(np.linalg.norm(pairs, axis=-1),
                            np.linalg.norm(pairs2, axis=-1), atol=1e-6)
 
 
-def test_rope_styles_differ_for_wide_heads():
-    rng = np.random.default_rng(6)
-    q = rng.standard_normal((1, 1, 8)).astype(np.float32)
-    k = q.copy()
-    qa, _ = rope(q, k, rope_table(np.array([3]), 8), style="half")
-    qb, _ = rope(q, k, rope_table(np.array([3]), 8), style="interleaved")
-    assert not np.allclose(qa, qb, atol=1e-4)
-
-
-def _rope_inline(x, positions, theta, style):
+def _rope_inline(x, positions, theta):
     """Rotary embedding with its angles computed in place, per call."""
     half = x.shape[-1] // 2
     inv_freq = np.power(np.float32(theta),
                         -(np.arange(half, dtype=np.float32) * np.float32(2.0 / x.shape[-1])))
     ang = np.asarray(positions, dtype=np.float32)[..., None] * inv_freq
     cos, sin = np.cos(ang)[..., None, :], np.sin(ang)[..., None, :]
-    if style == "half":
-        x1, x2 = x[..., :half], x[..., half:]
-        return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
-    out = np.empty_like(x)
-    x1, x2 = x[..., 0::2], x[..., 1::2]
-    out[..., 0::2] = x1 * cos - x2 * sin
-    out[..., 1::2] = x1 * sin + x2 * cos
-    return out
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
-@pytest.mark.parametrize("style", ["half", "interleaved"])
 @pytest.mark.parametrize("lead, positions", [
     ((3, 7), np.arange(7)[None, :]),  # prefill: [BS, Np] against [1, Np]
     ((1, 6), np.array([[41]])),       # decode: [1, rows] against [[p]]
 ], ids=["prefill", "decode"])
-def test_shared_rope_table_is_bit_identical_per_layer(style, lead, positions):
+def test_shared_rope_table_is_bit_identical_per_layer(lead, positions):
     """One table reused by every layer rotates exactly as angles computed
     afresh in each layer."""
     table = rope_table(positions, 16, 500.0)
     for layer in range(3):
         q = _normal(lead + (2, 16), 10 + layer)
         k = _normal(lead + (2, 16), 20 + layer)
-        q2, k2 = rope(q, k, table, style)
-        assert q2.tobytes() == _rope_inline(q, positions, 500.0, style).tobytes()
-        assert k2.tobytes() == _rope_inline(k, positions, 500.0, style).tobytes()
+        q2, k2 = rope(q, k, table)
+        assert q2.tobytes() == _rope_inline(q, positions, 500.0).tobytes()
+        assert k2.tobytes() == _rope_inline(k, positions, 500.0).tobytes()
 
 
 def test_rope_table_for_other_head_dim_rejected():
