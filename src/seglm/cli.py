@@ -124,6 +124,10 @@ def cmd_gen(args) -> int:
     else:
         cfg = _resolve_config(args)
         weights = ToyWeights.random(cfg, seed=args.seed)
+    # the engines check the weights before a prompt is read or a file written
+    engines = {name: engine(weights) for name, engine in
+               (("optimized", OptimizedEngine), ("reference", ReferenceEngine))
+               if args.engine in (name, "both")}
     prompt = _load_prompt(args, cfg)
     if args.save_weights:
         save_weights(args.save_weights, weights)
@@ -136,11 +140,7 @@ def cmd_gen(args) -> int:
                     "n_response": args.n_response, "mode": request.mode,
                     "bw": args.bw, "seed": args.seed},
     }
-    results = {}
-    if args.engine in ("optimized", "both"):
-        results["optimized"] = OptimizedEngine(weights).generate(request)
-    if args.engine in ("reference", "both"):
-        results["reference"] = ReferenceEngine(weights).generate(request)
+    results = {name: engine.generate(request) for name, engine in engines.items()}
     for name, res in results.items():
         report[name] = res.to_json_dict()
     if args.engine == "both":

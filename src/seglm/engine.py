@@ -238,6 +238,9 @@ class _DecoderEngine:
     decode framing, the attention each layer plugs in, and memory."""
 
     def __init__(self, weights: ToyWeights):
+        if weights.config.D % 2 != 0:
+            raise ValueError(f"head dim D must be even, got D={weights.config.D}: rotary "
+                             "embedding pairs dimension i with i+D/2")
         self.weights = weights
         self.config = weights.config
         self.last_ledger: MemoryLedger | None = None  # instrumentation for tests

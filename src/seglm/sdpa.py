@@ -31,7 +31,15 @@ import numpy as np
 
 from .kvcache import PromptKV, ResponseKV
 
-KEY_BLOCK = 64  # keys per tile in both streaming kernels
+# Keys per tile in both streaming kernels, chosen by measurement (2-core x86
+# host, BLAS on one thread, min of 20 calls, ms at KEY_BLOCK 64 / 128 / 256):
+#   sdpa_prefill on [2, 512, 8, 32]                     17.5 / 16.4 / 30.8
+#   sdpa_decode_fused, BS 2 x BW 4, 512 prompt + 48     0.96 / 0.89 / 1.02
+#   sdpa_decode_fused, BS 4 x BW 8, 64 prompt + 64      1.77 / 1.40 / 1.68
+#   sdpa_decode_fused, BS 4 x BW 1, 32 prompt + 160     0.48 / 0.49 / 0.54
+# At 256 each prefill score tile (KEY_BLOCK^2 x BS x H floats) is 4 MiB at
+# this shape, and half of every diagonal tile is computed only to be masked.
+KEY_BLOCK = 128
 
 
 class OnlineSoftmax:

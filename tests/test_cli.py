@@ -337,6 +337,15 @@ def test_gen_rejects_vocab_smaller_than_beam_width(capsys, engine, n_response):
     assert "vocabulary of 2 cannot fill 4 beams" in capsys.readouterr().err
 
 
+def test_gen_odd_head_dim_is_a_usage_error_naming_d(tmp_path, capsys):
+    saved = tmp_path / "w.npz"
+    assert run_cli("gen", "--H", "3", "--D", "5", "--n-response", "2",
+                   "--save-weights", str(saved)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "D=5" in captured.err
+    assert not saved.exists()  # refused before anything is written
+
+
 @pytest.mark.parametrize("flags", [("--bs", "4"), ("--random", "32")], ids=" ".join)
 def test_gen_rejects_random_prompt_flags_with_prompt_file(tmp_path, capsys, flags):
     prompt = tmp_path / "prompt.json"

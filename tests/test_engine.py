@@ -114,18 +114,28 @@ def test_beam_cross_engine_across_growth_boundaries():
 
 @pytest.mark.parametrize("mode,bw", [("greedy", 1), ("beam", 2)])
 def test_cross_engine_across_key_tiles(mode, bw):
-    """A 150-token prompt spans three prefill and prompt tiles and 70
-    response steps span two response tiles (and four 16-row cache growths),
-    so every tile edge of both kernels is crossed."""
-    assert (math.ceil(150 / KEY_BLOCK), math.ceil(70 / KEY_BLOCK)) == (3, 2)
-    w = _toy_weights(seed=28)  # top-candidate gaps >= 1.8e-4 in both modes
-    req = GenerationRequest(_prompt(w.config, 2, 150, seed=4), 70, bw=bw)
+    """A 2*KEY_BLOCK+22-token prompt spans three prefill and prompt tiles and
+    KEY_BLOCK+6 response steps span two response tiles (and several 16-row
+    cache growths), so every tile edge of both kernels is crossed."""
+    n_prompt, n_resp = 2 * KEY_BLOCK + 22, KEY_BLOCK + 6
+    assert (math.ceil(n_prompt / KEY_BLOCK), math.ceil(n_resp / KEY_BLOCK)) == (3, 2)
+    w = _toy_weights(seed=32)  # top-candidate gaps >= 5.6e-4 in both modes
+    req = GenerationRequest(_prompt(w.config, 2, n_prompt, seed=4), n_resp, bw=bw)
     assert req.mode == mode
     opt = OptimizedEngine(w).generate(req)
     ref = ReferenceEngine(w).generate(req)
-    assert opt.tokens.shape == (2, bw, 70)
+    assert opt.tokens.shape == (2, bw, n_resp)
     assert np.array_equal(opt.tokens, ref.tokens)
     assert np.max(np.abs(opt.final_hidden - ref.final_hidden)) <= 1e-4
+
+
+@pytest.mark.parametrize("engine", [OptimizedEngine, ReferenceEngine])
+def test_engines_reject_odd_head_dim_at_construction(engine):
+    """Rotary embedding pairs dimension i with i+D/2, so an odd D is refused
+    before any cache is allocated, whatever built the weights."""
+    w = _toy_weights(H=3, D=5)
+    with pytest.raises(ValueError, match=r"D=5.*i\+D/2"):
+        engine(w)
 
 
 def test_multi_batch_beam_cross_engine():

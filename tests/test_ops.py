@@ -23,6 +23,15 @@ def matmul_oracle(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(lead + (w.shape[1],))
 
 
+def _silu_oracle(x: np.ndarray) -> np.ndarray:
+    """x * sigmoid(x) with sigmoid taken from exp(-|x|) on each side of 0,
+    so neither branch can overflow."""
+    x = np.asarray(x, dtype=np.float32)
+    z = np.exp(-np.abs(x))
+    sig = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z)).astype(np.float32)
+    return x * sig
+
+
 def permute_oracle(arr: np.ndarray) -> np.ndarray:
     """Element-by-element index permutation (b, n, h, d) -> (n, b, h, d)."""
     b, n, h, d = arr.shape
@@ -229,9 +238,35 @@ def test_gated_mlp_matches_unfused_steps():
     assert np.allclose(gated_mlp(x, wg, wu, wd), expected, atol=1e-6)
 
 
+def test_gated_mlp_writes_only_its_own_buffers():
+    """At the engine's prefill shape the in-place MLP leaves its input and
+    weights bytewise unchanged and matches the unfused steps."""
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((1024, 256)).astype(np.float32)
+    wg, wu = (np.float32(0.02) * rng.standard_normal((256, 512), dtype=np.float32)
+              for _ in range(2))
+    wd = np.float32(0.02) * rng.standard_normal((512, 256), dtype=np.float32)
+    before = [a.tobytes() for a in (x, wg, wu, wd)]
+    y = gated_mlp(x, wg, wu, wd)
+    assert [a.tobytes() for a in (x, wg, wu, wd)] == before
+    expected = linear(_silu_oracle(linear(x, wg)) * linear(x, wu), wd)
+    assert np.max(np.abs(y - expected)) <= 1e-6
+
+
 def test_silu_extremes_do_not_overflow():
     y = silu(np.array([-1000.0, 0.0, 1000.0], dtype=np.float32))
     assert np.allclose(y, [0.0, 0.0, 1000.0])
+
+
+def test_silu_matches_oracle_over_float32_range():
+    big = np.finfo(np.float32).max
+    x = np.concatenate([np.linspace(-100, 100, 400_001, dtype=np.float32),
+                        np.array([1e4, -1e4, big, -big, 0.0, -0.0], dtype=np.float32)])
+    x_before = x.tobytes()
+    y = silu(x)
+    assert x.tobytes() == x_before  # silu never writes to its input
+    assert np.isfinite(y).all()
+    assert np.allclose(y, _silu_oracle(x), rtol=1e-5, atol=1e-6)
 
 
 # -- purity / misc --------------------------------------------------------------
