@@ -13,7 +13,8 @@ from .kvcache import (CacheShapeParams, MemoryLedger, PromptKV, ResponseKV, Stan
                       simulate_decode_memory, standard_cache_bytes)
 from .ops import (LayerWeights, fused_qkv, gated_mlp, linear, rmsnorm, rope, rope_table, silu,
                   to_batch_first, to_sequence_first)
-from .sdpa import OnlineSoftmax, SdpaDecodeInputs, sdpa_decode_fused, sdpa_decode_oracle, sdpa_prefill
+from .sdpa import (OnlineSoftmax, SdpaDecodeInputs, sdpa_decode_fused, sdpa_decode_oracle,
+                   sdpa_materialized, sdpa_prefill)
 
 __all__ = [
     "BeamSearchState", "beam_step", "build_gather_indices",
@@ -28,7 +29,7 @@ __all__ = [
     "LayerWeights", "fused_qkv", "gated_mlp", "linear", "rmsnorm", "rope", "rope_table", "silu",
     "to_batch_first", "to_sequence_first",
     "OnlineSoftmax", "SdpaDecodeInputs", "sdpa_decode_fused", "sdpa_decode_oracle",
-    "sdpa_prefill",
+    "sdpa_materialized", "sdpa_prefill",
 ]
 
 __version__ = "0.1.0"

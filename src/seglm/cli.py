@@ -2,7 +2,8 @@
 policy under a byte budget), generation runs, fusion reports, and the
 verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error. All CSV/JSON
+Exit codes: 0 success, 1 verification failure, 2 usage error (including a
+path that cannot be read or written). All CSV/JSON
 fields are recomputable from the inputs; wall-clock timings live under
 segregated "timing" keys.
 """
@@ -105,7 +106,12 @@ def _load_prompt(args, cfg: ModelConfig) -> np.ndarray:
         _reject(args, ("--bs", "--random"),
                 "cannot be combined with --prompt-file, whose ids fix the prompt")
         with open(args.prompt_file) as f:
-            prompt = np.asarray(json.load(f))  # GenerationRequest rejects non-integer ids
+            ids = json.load(f)
+        prompt = np.asarray(ids)  # GenerationRequest rejects non-integer ids
+        bools = [x for x in np.asarray(ids, dtype=object).flat if isinstance(x, bool)]
+        if bools:  # numpy would read [1, true, 3] as the ids [1, 1, 3]
+            raise UsageError(f"prompt file {args.prompt_file} holds the boolean "
+                             f"{json.dumps(bools[0])}: token ids must be integers")
         if prompt.ndim == 1:
             prompt = prompt[None, :]
     else:
@@ -224,7 +230,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

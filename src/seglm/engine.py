@@ -6,7 +6,7 @@ step's K/V into the pre-allocated segment cache, and calls the fused
 two-segment attention kernel, with no cat or index-select tensor ops during
 decode. The reference path is the conventional batch-first pipeline:
 beam-expanded prompt, per-step gather + concat into a contiguous cache, and
-materialized softmax attention with explicit transposes.
+``sdpa_materialized``, the full softmax both fused kernels are checked against.
 
 Both engines share token selection and one decoder-layer body
 (``_DecoderEngine._layers``) into which each plugs only its attention and KV
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
-from math import prod, sqrt
+from math import prod
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .kvcache import (CacheShapeParams, MemoryLedger, PromptKV, ResponseKV, Stan
                       standard_cache_bytes)
 from .ops import (LayerWeights, fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope,
                   rope_table, to_batch_first, to_sequence_first)
-from .sdpa import SdpaDecodeInputs, sdpa_decode_fused, sdpa_prefill
+from .sdpa import SdpaDecodeInputs, sdpa_decode_fused, sdpa_materialized, sdpa_prefill
 
 MAX_POS = 4096  # longest prompt plus response a request may ask for
 
@@ -217,6 +217,10 @@ def load_weights(path) -> ToyWeights:
     if extra:
         raise ValueError(f"weight file {path} header holds {extra[0]!r}; "
                          "it may hold only 'config' and 'tensors'")
+    # bounds L by the file's size before the manifest, of length O(L), is built
+    if len(listed) < config.L:
+        raise ValueError(f"weight file {path} lists {len(listed)} tensors, fewer than the "
+                         f"L={config.L} layers of its config")
     manifest, end = weight_manifest(config)
     if listed != manifest:
         raise ValueError(f"weight file {path} {_manifest_error(listed, names, manifest)}")
@@ -243,7 +247,8 @@ class _DecoderEngine:
                              "embedding pairs dimension i with i+D/2")
         self.weights = weights
         self.config = weights.config
-        self.last_ledger: MemoryLedger | None = None  # instrumentation for tests
+        # the last run's ledger, read by the tests and by perfbench/bench.py
+        self.last_ledger: MemoryLedger | None = None
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
         cfg = self.config
@@ -416,28 +421,10 @@ class ReferenceEngine(_DecoderEngine):
             kv=StandardKV(self.config, bs, request.bw, ledger, counters),
         )
 
-    @staticmethod
-    def _attention(q, k, v, causal: bool):
-        """Materialized softmax attention on [B, N, H, D] via explicit transposes."""
-        scale = np.float32(1.0 / sqrt(q.shape[-1]))
-        qt = q.transpose(0, 2, 1, 3)  # [B, H, Nq, D]
-        kt = k.transpose(0, 2, 1, 3)
-        vt = v.transpose(0, 2, 1, 3)
-        s = (qt @ kt.transpose(0, 1, 3, 2)) * scale  # [B, H, Nq, Nk]
-        if causal:
-            nq, nk = s.shape[-2], s.shape[-1]
-            keep = np.arange(nk)[None, :] <= np.arange(nq)[:, None] + (nk - nq)
-            s = np.where(keep, s, np.float32(-np.inf))
-        m = s.max(axis=-1, keepdims=True)
-        p = np.exp(s - m)
-        p = p / p.sum(axis=-1, keepdims=True)
-        ctx = p @ vt
-        return ctx.transpose(0, 2, 1, 3)  # back to [B, Nq, H, D]
-
     def _prefill(self, run: _ReferenceRun):
         def attend(layer, q, k, v):
             run.kv.store_prompt(layer, k, v)
-            return self._attention(q, k, v, causal=True)
+            return sdpa_materialized(q, k, v)
 
         prompt = np.repeat(run.request.prompt, run.request.bw, axis=0)  # beam-expanded [BS*BW, Np]
         positions = np.arange(prompt.shape[1])[None, :]
@@ -454,7 +441,7 @@ class ReferenceEngine(_DecoderEngine):
 
         def attend(layer, q, k, v):
             k_all, v_all = run.kv.step(layer, k, v, reorder)
-            return self._attention(q, k_all, v_all, causal=False)  # single newest query
+            return sdpa_materialized(q, k_all, v_all)  # the one newest query sees every key
 
         x = self._layers(x, positions, attend)
         return self._head(x[:, 0, :])

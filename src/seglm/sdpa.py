@@ -1,4 +1,4 @@
-"""Fused two-segment attention and its materializing oracle.
+"""Fused two-segment attention and the materialized attention that checks it.
 
 Both streaming kernels work one tile of ``KEY_BLOCK`` keys at a time through
 an online softmax (running max and normalizer, Milakov & Gimelshein, arXiv
@@ -17,10 +17,10 @@ one batch-first segment, skips the key tiles that lie wholly above the
 causal diagonal and masks only the diagonal tile; its score temporaries are
 bounded by KEY_BLOCK^2 x BS x H.
 
-Neither kernel materializes a full-length gathered K/V or score tensor. The
-oracle does: it gathers the full per-beam K/V and runs one full softmax,
-mirroring the unfused gather + concat + attention path, and is what the
-fused kernel is verified against.
+Neither kernel materializes a full-length gathered K/V or score tensor.
+``sdpa_materialized``, the one full-softmax attention, does; the reference
+engine attends with it, and the decode oracle gathers the full per-beam K/V
+(mirroring the unfused gather + concat path) and calls it.
 """
 from __future__ import annotations
 
@@ -222,29 +222,28 @@ def sdpa_decode_fused(inp: SdpaDecodeInputs) -> np.ndarray:
     return state.finalize().transpose(0, 2, 1, 3).reshape(1, bs * bw, h, d)
 
 
+def sdpa_materialized(q, k, v) -> np.ndarray:
+    """Full-softmax attention on batch-first [B, Nq, H, D] queries and [B, Nk, H, D]
+    keys and values, in the inputs' dtype. Query i sees keys j <= i + Nk - Nq
+    (bottom-right causal): Nq = Nk is causal prefill, Nq = 1 one decode step."""
+    qt, kt, vt = (x.transpose(0, 2, 1, 3) for x in (q, k, v))  # [B, H, N, D]
+    s = (qt @ kt.transpose(0, 1, 3, 2)) * q.dtype.type(1.0 / sqrt(q.shape[-1]))
+    nq, nk = s.shape[-2:]
+    keep = np.arange(nk)[None, :] <= np.arange(nq)[:, None] + (nk - nq)
+    s = np.where(keep, s, s.dtype.type(-np.inf))
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    return ((p / p.sum(axis=-1, keepdims=True)) @ vt).transpose(0, 2, 1, 3)
+
+
 def sdpa_decode_oracle(inp: SdpaDecodeInputs) -> np.ndarray:
-    """Materializing reference: gather the full per-beam K/V, then one full
-    softmax pass. Same contract as the fused kernel."""
+    """Materializing reference: gather the full per-beam K/V, then attend with
+    ``sdpa_materialized``. Same contract as the fused kernel."""
     bs, bw, n_prompt, n_resp, h, d = inp.dims
-    scale = np.float32(1.0 / sqrt(d))
-    q = inp.q.reshape(bs, bw, h, d)
-
-    parts_k = [np.broadcast_to(inp.prompt_k[:, None], (bs, bw, n_prompt, h, d))]
-    parts_v = [np.broadcast_to(inp.prompt_v[:, None], (bs, bw, n_prompt, h, d))]
-    if n_resp:
-        rk = inp.resp_k.reshape(n_resp, bs, bw, h, d).transpose(1, 0, 2, 3, 4)
-        rv = inp.resp_v.reshape(n_resp, bs, bw, h, d).transpose(1, 0, 2, 3, 4)
-        idx = inp.indices.transpose(0, 2, 1)[..., None, None]  # [BS, Nr, BW, 1, 1]
-        gk = np.take_along_axis(rk, idx, axis=2).transpose(0, 2, 1, 3, 4)
-        gv = np.take_along_axis(rv, idx, axis=2).transpose(0, 2, 1, 3, 4)
-        parts_k.append(gk)
-        parts_v.append(gv)
-    full_k = np.concatenate(parts_k, axis=2)
-    full_v = np.concatenate(parts_v, axis=2)
-
-    s = np.einsum("bwhd,bwnhd->bwnh", q, full_k) * scale
-    m = s.max(axis=2, keepdims=True)
-    w = np.exp(s - m)
-    w = w / w.sum(axis=2, keepdims=True)
-    out = np.einsum("bwnh,bwnhd->bwhd", w, full_v)
-    return out.reshape(1, bs * bw, h, d).astype(np.float32, copy=False)
+    idx = inp.indices.transpose(0, 2, 1)[..., None, None]  # [BS, Nr, BW, 1, 1]
+    full = []  # K, then V, as [BS*BW, N, H, D]: the shared prompt, then the gathered response
+    for prompt, resp in ((inp.prompt_k, inp.resp_k), (inp.prompt_v, inp.resp_v)):
+        shared = np.broadcast_to(prompt[:, None], (bs, bw, n_prompt, h, d))
+        resp = resp.reshape(n_resp, bs, bw, h, d).transpose(1, 0, 2, 3, 4)
+        gathered = np.take_along_axis(resp, idx, axis=2).transpose(0, 2, 1, 3, 4)
+        full.append(np.concatenate([shared, gathered], axis=2).reshape(bs * bw, -1, h, d))
+    return sdpa_materialized(inp.q.reshape(bs * bw, 1, h, d), *full).reshape(1, bs * bw, h, d)

@@ -43,6 +43,9 @@ def _run(name: str, fn) -> CheckResult:
     except AssertionError as exc:
         detail = str(exc) or "assertion failed"
         passed = False
+    except Exception as exc:  # a check that raises has failed; the other checks still run
+        detail = f"raised {type(exc).__name__}: {exc}"
+        passed = False
     return CheckResult(name, passed, detail, time.perf_counter() - t0)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seglm import engine, verify
 from seglm.cli import main
 from seglm.config import preset, toy_config
 from seglm.engine import ToyWeights, save_weights
@@ -301,6 +302,34 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
     assert MALFORMED_WEIGHT_FILES[defect] in capsys.readouterr().err
 
 
+def test_gen_rejects_weight_header_claiming_a_billion_layers(tmp_path, capsys):
+    """The header's L is checked against its tensor list before anything of
+    size L is built, so a tiny file cannot claim memory in proportion to L."""
+    bad = tmp_path / "huge-L.bin"
+    config = {"L": 10 ** 9, "H": 4, "D": 16, "ff_dim": 128, "vocab": 64, "dtype_bytes": 2}
+    bad.write_bytes(json.dumps({"config": config, "tensors": []}).encode() + b"\n")
+    t0 = time.perf_counter()
+    assert run_cli("gen", "--weights", str(bad), "--n-response", "2") == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "L=1000000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("gen", "--n-response", "1", "--out"),
+                                  ("memsim", "--bs", "1", "--out"),
+                                  ("gen", "--n-response", "1", "--weights"),
+                                  ("gen", "--n-response", "1", "--prompt-file"),
+                                  ("gen", "--n-response", "1", "--save-weights")],
+                         ids=lambda argv: f"{argv[0]} {argv[-1]}")
+def test_directory_path_is_a_usage_error_naming_it(tmp_path, capsys, argv):
+    """A path that cannot be read or written exits 2 naming it, not with a
+    traceback."""
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    assert run_cli(*argv, str(directory)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(directory) in err
+
+
 @pytest.mark.parametrize("flags", [("--dtype-bytes", "4"), ("--dtype-bytes", "2"), ("--L", "2"),
                                    ("--H", "4", "--D", "8"), ("--ff", "32"), ("--vocab", "64")],
                          ids=" ".join)
@@ -383,10 +412,11 @@ def test_gen_custom_model_flags_apply(tmp_path, flags, changed):
 
 
 def test_gen_invalid_token_ids_usage_error(tmp_path, capsys):
-    """Out-of-vocabulary, non-numeric and null ids are usage errors, not tracebacks."""
+    """Out-of-vocabulary, non-numeric, null and boolean ids are usage errors, not
+    tracebacks; numpy would read [1, true, 3] as [1, 1, 3]."""
     prompt = tmp_path / "bad.json"
     for ids, message in (([[9999]], "must lie in"), ([["a", "b"]], "integers"),
-                         ([[None, 1]], "integers")):
+                         ([[None, 1]], "integers"), ([[1, True, 3]], "boolean true")):
         prompt.write_text(json.dumps(ids))
         assert run_cli("gen", "--prompt-file", str(prompt), "--n-response", "2") == 2
         assert message in capsys.readouterr().err
@@ -450,6 +480,30 @@ def test_verify_quick_passes_within_a_minute(capsys):
     assert elapsed < 60.0
     assert out.count("PASS") == 8
     assert "FAIL" not in out
+
+
+def test_check_that_raises_is_a_failure():
+    def body():
+        raise ValueError("kernel bug")
+
+    res = verify._run("raising-check", body)
+    assert not res.passed and "ValueError: kernel bug" in res.detail
+
+
+def test_verify_reports_every_check_when_the_kernel_raises(monkeypatch, capsys):
+    """A check that raises is a FAIL line and exit 1, not a usage error, and
+    the other checks still run."""
+    def broken(inp):
+        raise ValueError("kernel bug")
+
+    monkeypatch.setattr(engine, "sdpa_decode_fused", broken)
+    monkeypatch.setattr(verify, "sdpa_decode_fused", broken)
+    assert run_cli("verify", "--quick") == 1
+    lines = capsys.readouterr().out.splitlines()
+    results = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
+    assert len(results) == 8
+    failed = [line for line in results if line.startswith("FAIL ")]
+    assert failed and all("ValueError: kernel bug" in line for line in failed)
 
 
 # -- README ---------------------------------------------------------------------------

@@ -8,23 +8,10 @@ from hypothesis import strategies as st
 from seglm.config import toy_config
 from seglm.kvcache import MemoryLedger, PromptKV, ResponseKV
 from seglm.sdpa import (KEY_BLOCK, OnlineSoftmax, SdpaDecodeInputs, sdpa_decode_fused,
-                        sdpa_decode_oracle, sdpa_prefill)
+                        sdpa_decode_oracle, sdpa_materialized, sdpa_prefill)
 
 # key counts on and next to the tile edges of both kernels
 TILE_EDGES = sorted({0, 1} | {k * KEY_BLOCK + e for k in (1, 2) for e in (-1, 0, 1)})
-
-
-def materialized_prefill_oracle(q, k, v):
-    """Full-score causal softmax attention on [BS, N, H, D], independent of
-    the streaming implementation."""
-    bs, n, h, d = q.shape
-    s = np.einsum("bihd,bjhd->bhij", q, k).astype(np.float64) / np.sqrt(d)
-    mask = np.tril(np.ones((n, n), dtype=bool))
-    s = np.where(mask, s, -np.inf)
-    m = s.max(axis=-1, keepdims=True)
-    w = np.exp(s - m)
-    w = w / w.sum(axis=-1, keepdims=True)
-    return np.einsum("bhij,bjhd->bihd", w, v)
 
 
 def _rand_inputs(rng, bs, bw, h, d, n_prompt, n_resp):
@@ -65,7 +52,8 @@ def test_prefill_matches_materialized_oracle():
     k = rng.standard_normal((2, 16, 4, 8)).astype(np.float32)
     v = rng.standard_normal((2, 16, 4, 8)).astype(np.float32)
     out = sdpa_prefill(q, k, v)
-    assert np.max(np.abs(out - materialized_prefill_oracle(q, k, v))) <= 1e-5
+    oracle = sdpa_materialized(q.astype(np.float64), k.astype(np.float64), v.astype(np.float64))
+    assert np.max(np.abs(out - oracle)) <= 1e-5
     assert out.shape == q.shape  # batch first, like the inputs
 
 
@@ -75,7 +63,8 @@ def test_prefill_matches_materialized_oracle():
 def test_prefill_matches_oracle_at_tile_edges(n, bs, h, d, seed):
     rng = np.random.default_rng(seed)
     q, k, v = (rng.standard_normal((bs, n, h, d)).astype(np.float32) for _ in range(3))
-    assert np.max(np.abs(sdpa_prefill(q, k, v) - materialized_prefill_oracle(q, k, v))) <= 1e-5
+    oracle = sdpa_materialized(q.astype(np.float64), k.astype(np.float64), v.astype(np.float64))
+    assert np.max(np.abs(sdpa_prefill(q, k, v) - oracle)) <= 1e-5
 
 
 def test_prefill_rejects_mismatched_shapes():
