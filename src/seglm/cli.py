@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -57,12 +58,9 @@ def _resolve_config(args) -> ModelConfig:
     return toy_config(**{name: value for name, value in fields.items() if value is not None})
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(path: str | None):
+    """The command's output: the file at ``path`` opened for writing, or stdout."""
+    return open(path, "w") if path else nullcontext(sys.stdout)
 
 
 def cmd_memsim(args) -> int:
@@ -91,13 +89,15 @@ def cmd_memsim(args) -> int:
         writer = csv.DictWriter(buf, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
-        _emit(buf.getvalue(), args.out)
+        text = buf.getvalue()
     else:
         for row in rows:  # display-only decimal-GB fields; bytes stay canonical
             row["standard_gb"] = round(row["standard_bytes"] / GB)
             row["segment_gb"] = round(row["segment_bytes"] / GB)
             row["saving_gb"] = round(row["saving_bytes"] / GB, 1)
-        _emit(json.dumps(rows, indent=2, sort_keys=True) + "\n", args.out)
+        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    with _output(args.out) as out:
+        out.write(text)
     return 0
 
 
@@ -146,13 +146,14 @@ def cmd_gen(args) -> int:
                     "n_response": args.n_response, "mode": request.mode,
                     "bw": args.bw, "seed": args.seed},
     }
-    results = {name: engine.generate(request) for name, engine in engines.items()}
-    for name, res in results.items():
-        report[name] = res.to_json_dict()
-    if args.engine == "both":
-        report["match"] = bool(np.array_equal(results["optimized"].tokens,
-                                              results["reference"].tokens))
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    with _output(args.out) as out:  # opened first: an unwritable path fails before the run
+        results = {name: engine.generate(request) for name, engine in engines.items()}
+        for name, res in results.items():
+            report[name] = res.to_json_dict()
+        if args.engine == "both":
+            report["match"] = bool(np.array_equal(results["optimized"].tokens,
+                                                  results["reference"].tokens))
+        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -164,7 +165,8 @@ def cmd_fusion_report(args) -> int:
         "standard": op_count_report(std),
         "optimized": op_count_report(opt),
     }
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    with _output(args.out) as out:
+        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from math import prod
 
@@ -104,14 +105,18 @@ class GenerationResult:
         }
 
 
-def weight_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Every weight tensor's name and shape, in weight-file and random-draw order."""
+def weight_layout(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Every weight tensor's name and shape, in weight-file and random-draw
+    order. A generator, so reading a prefix costs only its length."""
     dm, ff, vocab = config.d_model, config.ff_dim, config.vocab
     layer = [("rmsnorm_1", (dm,)), ("rmsnorm_2", (dm,)), ("w_qkv", (dm, 3 * dm)),
              ("w_o", (dm, dm)), ("w_gate", (dm, ff)), ("w_up", (dm, ff)), ("w_down", (ff, dm))]
-    return ([("embedding", (vocab, dm))]
-            + [(f"layers.{i}.{name}", shape) for i in range(config.L) for name, shape in layer]
-            + [("final_norm", (dm,)), ("head", (dm, vocab))])
+    yield "embedding", (vocab, dm)
+    for i in range(config.L):
+        for name, shape in layer:
+            yield f"layers.{i}.{name}", shape
+    yield "final_norm", (dm,)
+    yield "head", (dm, vocab)
 
 
 def weight_manifest(config: ModelConfig) -> tuple[list[dict], int]:
@@ -186,18 +191,19 @@ def save_weights(path, weights: ToyWeights) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _manifest_error(listed: list, names: list, expected: list[dict]) -> str:
-    """The first way manifest ``listed``, whose entries are named ``names``,
-    differs from ``expected``."""
-    known = [entry["name"] for entry in expected]
+def _name_error(names: list, config: ModelConfig) -> str | None:
+    """The first way tensor ``names`` differ from those of ``weight_layout``,
+    or None; reads at most one layout entry more than there are names."""
+    layout = (name for name, _ in weight_layout(config))
     for i, name in enumerate(names):
-        if name in names[:i]:
-            return f"lists tensor {name!r} twice"
-        if name not in known:
-            return f"holds tensor {name!r}, for which its config has no slot"
-        if listed[i] != expected[i]:
-            return f"lists {listed[i]} where its layout has {expected[i]}"
-    return f"has no tensor {expected[len(names)]['name']!r}"
+        want = next(layout, None)
+        if want is None or name != want:
+            if name in names[:i]:
+                return f"lists tensor {name!r} twice"
+            return (f"lists tensor {name!r} where its layout has "
+                    f"{'no more tensors' if want is None else repr(want)}")
+    want = next(layout, None)
+    return None if want is None else f"has no tensor {want!r}"
 
 
 def load_weights(path) -> ToyWeights:
@@ -217,13 +223,17 @@ def load_weights(path) -> ToyWeights:
     if extra:
         raise ValueError(f"weight file {path} header holds {extra[0]!r}; "
                          "it may hold only 'config' and 'tensors'")
-    # bounds L by the file's size before the manifest, of length O(L), is built
-    if len(listed) < config.L:
-        raise ValueError(f"weight file {path} lists {len(listed)} tensors, fewer than the "
-                         f"L={config.L} layers of its config")
+    count = 3 + 7 * config.L  # embedding, seven tensors per layer, final_norm, head
+    if len(listed) != count:  # checked before anything of size L is built
+        raise ValueError(f"weight file {path} lists {len(listed)} tensors where the "
+                         f"L={config.L} layers of its config take {count}: it "
+                         f"{_name_error(names, config)}")
     manifest, end = weight_manifest(config)
     if listed != manifest:
-        raise ValueError(f"weight file {path} {_manifest_error(listed, names, manifest)}")
+        error = _name_error(names, config) or next(
+            f"lists {got} where its layout has {want}"
+            for got, want in zip(listed, manifest) if got != want)
+        raise ValueError(f"weight file {path} {error}")
     if len(blob) != end:
         raise ValueError(f"weight file {path} holds {len(blob)} bytes of tensor data, but its "
                          f"manifest packs {end}, ending with tensor {manifest[-1]['name']!r}")
@@ -360,7 +370,7 @@ class OptimizedEngine(_DecoderEngine):
         return _OptimizedRun(
             request=request,
             prompt_kv=PromptKV(self.config, bs, n_prompt, ledger),
-            resp_kv=ResponseKV(self.config, bs, request.bw, ledger),
+            resp_kv=ResponseKV(self.config, bs, request.bw, request.n_response, ledger),
             counters=counters,
         )
 

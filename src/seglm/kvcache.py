@@ -3,19 +3,18 @@
 This module is the one statement of the segment policy. It has two rules:
 
 - The prompt is stored once per batch item, shared across beams: one
-  [L, BS, N_prompt, H, D] arena for all layers, batch first, allocated
-  whole when the run begins.
-- The response grows in fixed steps: one [L, N_step, BS*BW, H, D] arena for
-  all layers, sequence first, that grows by ``STEP`` rows per layer at a
-  time, all layers at once. Growth allocates the larger arena, copies the
-  written rows, then frees the old arena.
+  [L, BS, N_prompt, H, D] arena for all layers, batch first.
+- The response is stored per beam row: one [L, N_response, BS*BW, H, D]
+  arena for all layers, sequence first.
 
-So a run's ledger logs one prompt alloc, then one alloc and one free per
-growth: exactly the events of ``simulate_decode_memory("segment")``. The
-closed forms (``segment_cache_bytes``, ``standard_cache_bytes``) give the
-final-step bytes, and ``bs_max_under_budget`` inverts them. The standard
-baseline rebuilds one contiguous [BS*BW, N_total, H, D] buffer per decode
-step via gather (index select) and concat.
+A request fixes its response length before the run begins, so both arenas
+are allocated whole, at their final size, when it begins. A run's ledger
+therefore logs exactly two allocs and no free: the events of
+``simulate_decode_memory("segment")``. The closed forms
+(``segment_cache_bytes``, ``standard_cache_bytes``) give the final-step
+bytes, and ``bs_max_under_budget`` inverts them. The standard baseline
+rebuilds one contiguous [BS*BW, N_total, H, D] buffer per decode step via
+gather (index select) and concat.
 
 The ledger models sizes only, never addresses: fragmentation is
 reserved - active bytes. Every byte a cache accounts is read off the buffer
@@ -29,8 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-
-STEP = 16  # response-arena growth quantum, rows per layer
 
 # --------------------------------------------------------------------------
 # Size formulas
@@ -68,14 +65,9 @@ def standard_cache_bytes(config: ModelConfig, p: CacheShapeParams) -> int:
 
 
 def segment_cache_bytes(config: ModelConfig, p: CacheShapeParams) -> int:
-    """Segment-cache bytes at the last step.
-
-    The prompt is stored once per batch item (no beam factor); the response
-    buffer is rounded up to a whole number of growth steps:
-    BS * (Np + BW * ceil(Nr/STEP)*STEP) tokens.
-    """
-    rounded = -(-p.n_response // STEP) * STEP  # ceil
-    return p.bs * (p.n_prompt + p.bw * rounded) * cache_token_bytes(config)
+    """Segment-cache bytes: the prompt once per batch item (no beam factor)
+    and the response once per beam row, BS * (Np + BW*Nr) tokens."""
+    return p.bs * (p.n_prompt + p.bw * p.n_response) * cache_token_bytes(config)
 
 
 def _check_policy(policy: str) -> None:
@@ -90,8 +82,9 @@ def bs_max_under_budget(config: ModelConfig, policy: str, budget_bytes: int,
 
     A budget binds the final-step cache bytes of the closed forms above.
     Those equal the final active bytes of ``simulate_decode_memory`` and of
-    a run's ledger. They are not the ledger's reserved peak, which also
-    counts every block freed on the way (``MemoryLedger`` never reuses one).
+    a run's ledger. For the segment policy they are also its reserved peak,
+    as it frees nothing; the standard policy's reserved peak also counts
+    every buffer it freed on the way (``MemoryLedger`` never reuses one).
     """
     _check_policy(policy)
     fn = segment_cache_bytes if policy == "segment" else standard_cache_bytes
@@ -110,12 +103,10 @@ class MemoryLedger:
 
     Freed bytes stay reserved: no later alloc is served from them, so
     ``reserved_bytes`` never falls and is its own peak. A pool of freed
-    blocks would never serve an alloc anyway, because every cache
-    allocation is strictly larger than every block freed before it: a
-    response arena grows by ``STEP`` rows from the one it replaces, a
-    standard-cache step reallocates one more row than the last, and the
-    prompt arena is never freed. ``reserved_bytes`` is therefore the peak,
-    and fragmentation (reserved - active) is the sum of all frees.
+    blocks would never serve an alloc anyway: the segment caches free
+    nothing, and each standard-cache step reallocates one more row than the
+    buffer it frees. Fragmentation (reserved - active) is the sum of all
+    frees.
     """
 
     def __init__(self):
@@ -197,34 +188,27 @@ class PromptKV:
 
 
 class ResponseKV:
-    """Response K/V of all layers in one arena, [L, N_step, BS*BW, H, D].
+    """Response K/V of all layers in one arena, [L, N_response, BS*BW, H, D],
+    sequence first.
 
-    Each layer's rows [0, length(layer)) hold written data; the rest of the
-    shared capacity is reserved. All layers append in lockstep, so the
-    append that finds its layer full grows every layer by ``STEP`` rows at
-    once: one alloc of the larger arena, one copy, one free of the old one.
+    The arena is allocated at its final size, one ledger alloc, when the run
+    begins. Each layer's rows [0, n) hold its n appended steps; appending to
+    a full layer raises.
     """
 
-    def __init__(self, config: ModelConfig, bs: int, bw: int, ledger: MemoryLedger):
+    def __init__(self, config: ModelConfig, bs: int, bw: int, n_response: int,
+                 ledger: MemoryLedger):
         self.config = config
-        self.bs = bs
-        self.bw = bw
-        self.ledger = ledger
-        self._capacity = 0
+        self.rows = bs * bw
         self._length = [0] * config.L
-        self._k = np.zeros((config.L, 0, self.rows, config.H, config.D), dtype=np.float32)
+        self._k = np.zeros((config.L, n_response, self.rows, config.H, config.D),
+                           dtype=np.float32)
         self._v = np.zeros_like(self._k)
-
-    @property
-    def rows(self) -> int:
-        return self.bs * self.bw
-
-    def length(self, layer: int) -> int:
-        return self._length[layer]
+        ledger.alloc(kv_bytes(config, self._k, self._v))
 
     def capacity(self, layer: int) -> int:
         """Rows reserved per layer; the same for every layer."""
-        return self._capacity
+        return self._k.shape[1]
 
     def total_bytes(self) -> int:
         return kv_bytes(self.config, self._k, self._v)
@@ -239,25 +223,15 @@ class ResponseKV:
     def append(self, layer: int, k_t, v_t) -> None:
         k_row = self._as_row(k_t, "k_t")
         v_row = self._as_row(v_t, "v_t")
-
-        if self._length[layer] == self._capacity:
-            c = self.config
-            old_cap, new_cap = self._capacity, self._capacity + STEP
-            new_k = np.zeros((c.L, new_cap, self.rows, c.H, c.D), dtype=np.float32)
-            new_v = np.zeros_like(new_k)
-            new_k[:, :old_cap] = self._k
-            new_v[:, :old_cap] = self._v
-            self.ledger.alloc(kv_bytes(c, new_k, new_v))
-            self.ledger.free(kv_bytes(c, self._k, self._v))  # a no-op at the first growth
-            self._k, self._v, self._capacity = new_k, new_v, new_cap
-
         row = self._length[layer]
+        if row == self.capacity(layer):
+            raise ValueError(f"response arena of layer {layer} is full at {row} rows")
         self._k[layer, row] = k_row
         self._v[layer, row] = v_row
         self._length[layer] = row + 1
 
     def valid(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the written rows [0, length) of one layer's K and V."""
+        """Views of the written rows [0, n) of one layer's K and V."""
         n = self._length[layer]
         return self._k[layer, :n], self._v[layer, :n]
 
@@ -338,12 +312,6 @@ class StandardKV:
             )
         return a
 
-    def layer(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        k, v = self._k[i], self._v[i]
-        if k is None or v is None:
-            raise ValueError(f"cache for layer {i} not populated")
-        return k, v
-
 
 # --------------------------------------------------------------------------
 # Decode-phase allocation simulator
@@ -354,12 +322,10 @@ def simulate_decode_memory(policy: str, config: ModelConfig,
     """Replay the decode-phase allocation trace of one policy, sizes only,
     and return the ledger that logged it.
 
-    Segment: the all-layer prompt arena is part of the decode-phase live
-    set, so the trace opens with it; the all-layer response arena then grows
-    ``STEP`` rows at a time (alloc new, free old). Standard: the trace holds
-    only the per-step reallocation of the contiguous buffer; the
-    prefill-phase buffer it replaces at step 1 lives outside the decode
-    trace.
+    Segment: the two all-layer arenas, prompt then response, each
+    allocated once at its final size. Standard: the trace holds only the
+    per-step reallocation of the contiguous buffer; the prefill-phase buffer
+    it replaces at step 1 lives outside the decode trace.
     """
     _check_policy(policy)
     ledger = MemoryLedger()
@@ -367,14 +333,7 @@ def simulate_decode_memory(policy: str, config: ModelConfig,
 
     if policy == "segment":
         ledger.alloc(p.bs * p.n_prompt * tok)
-        cap = 0
-        for t in range(1, p.n_response + 1):
-            if t > cap:
-                new_cap = cap + STEP
-                ledger.alloc(p.bs * p.bw * new_cap * tok)
-                if cap:
-                    ledger.free(p.bs * p.bw * cap * tok)
-                cap = new_cap
+        ledger.alloc(p.bs * p.bw * p.n_response * tok)
     else:
         prev = 0
         for t in range(1, p.n_response + 1):

@@ -111,7 +111,7 @@ def check_sdpa_fused_vs_oracle(cases: int = 200) -> CheckResult:
 # -- 3: cross-engine token and hidden-state equivalence ----------------------
 
 def _cross_engine_configs():
-    """First config is pinned to cross both cache growths; the rest are random."""
+    """First config is pinned (a 40-step beam run); the rest are random."""
     rng = np.random.default_rng(CROSS_ENGINE_SEED)
     cases = [dict(L=2, H=4, D=16, vocab=64, bs=1, bw=4, n_prompt=32, n_response=40)]
     while len(cases) < CROSS_ENGINE_CONFIGS:
@@ -164,20 +164,21 @@ def check_cross_engine() -> CheckResult:
             diff = float(np.max(np.abs(opt.final_hidden - ref.final_hidden)))
             worst_hidden = max(worst_hidden, diff)
             assert diff <= 1e-4, f"final hidden states diverge by {diff:.2e} for case {case}"
-        return (f"{CROSS_ENGINE_CONFIGS} toy configs (incl. response length 40 crossing "
-                f"growth at steps 17 and 33): identical tokens, worst hidden |diff| = "
-                f"{worst_hidden:.2e}")
+        return (f"{CROSS_ENGINE_CONFIGS} toy configs (incl. a 40-step beam run): identical "
+                f"tokens, worst hidden |diff| = {worst_hidden:.2e}")
 
     return _run("cross-engine-equivalence", body)
 
 
-# -- 4: segment-cache growth -------------------------------------------------
+# -- 4: segment response arena ----------------------------------------------
 
-def check_growth_semantics() -> CheckResult:
+def check_response_arena() -> CheckResult:
     def body() -> str:
         cfg = toy_config(L=1, H=2, D=4)
         ledger = MemoryLedger()
-        cache = ResponseKV(cfg, bs=1, bw=2, ledger=ledger)
+        cache = ResponseKV(cfg, bs=1, bw=2, n_response=40, ledger=ledger)
+        closed_form = segment_cache_bytes(cfg, CacheShapeParams(1, 2, 0, 40))
+        assert ledger.events == [("alloc", closed_form)], ledger.events
         rng = np.random.default_rng(5)
         ks, vs = [], []
         for _ in range(40):
@@ -186,23 +187,22 @@ def check_growth_semantics() -> CheckResult:
             ks.append(k)
             vs.append(v)
             cache.append(0, k, v)
-        assert cache.capacity(0) == 48, cache.capacity(0)
-
-        def b(capacity):  # closed form: K and V arenas of `capacity` steps of BS*BW = 2 tokens
-            return capacity * 2 * cache_token_bytes(cfg)
-
-        expected_events = [("alloc", b(16)),
-                           ("alloc", b(32)), ("free", b(16)),
-                           ("alloc", b(48)), ("free", b(32))]
-        assert ledger.events == expected_events, ledger.events
         got_k, got_v = cache.valid(0)
         oracle_k = np.concatenate(ks, axis=0)
         oracle_v = np.concatenate(vs, axis=0)
         assert np.array_equal(got_k, oracle_k) and np.array_equal(got_v, oracle_v), \
             "cache rows differ from the running-concatenation oracle"
-        return "40 appends: capacities [16, 32, 48], one alloc + one free per growth, rows bit-exact"
+        try:
+            cache.append(0, ks[0], vs[0])
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("a 41st append into a 40-row arena did not raise")
+        assert ledger.events == [("alloc", closed_form)], ledger.events
+        return (f"one alloc of {closed_form} bytes (the closed form), 40 appends bit-exact, "
+                "the 41st raises, no further ledger event")
 
-    return _run("segment-growth-semantics", body)
+    return _run("segment-response-arena", body)
 
 
 # -- 5: fusion counts ---------------------------------------------------------
@@ -240,9 +240,12 @@ def check_fragmentation_model() -> CheckResult:
                           for t in range(1, p.n_response + 1))
         assert std.reserved_bytes == closed_form, (std.reserved_bytes, closed_form)
         seg = simulate_decode_memory("segment", cfg, p)
+        final = segment_cache_bytes(cfg, p)
+        assert seg.reserved_bytes == seg.active_bytes == final, (seg.reserved_bytes, final)
         assert seg.reserved_bytes < std.reserved_bytes, (seg.reserved_bytes, std.reserved_bytes)
         return (f"standard peak == per-step sum ({closed_form:,} bytes); "
-                f"segment peak {seg.reserved_bytes:,} < standard peak {std.reserved_bytes:,}")
+                f"segment peak == final active == closed form ({final:,}) "
+                f"< standard peak")
 
     return _run("fragmentation-model", body)
 
@@ -302,7 +305,7 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
         check_memsim_goldens(),
         check_sdpa_fused_vs_oracle(cases=sdpa_cases),
         check_cross_engine(),
-        check_growth_semantics(),
+        check_response_arena(),
         check_fusion_counts(),
         check_fragmentation_model(),
         check_bsmax_inversion(),

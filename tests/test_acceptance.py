@@ -46,8 +46,8 @@ def test_criterion_3_cross_engine_equivalence(capsys):
         _report(res, bound_s=120.0)
 
 
-def test_criterion_4_segment_growth_semantics(capsys):
-    res = verify.check_growth_semantics()
+def test_criterion_4_segment_response_arena(capsys):
+    res = verify.check_response_arena()
     with capsys.disabled():
         _report(res, bound_s=1.0)
 

@@ -314,6 +314,38 @@ def test_gen_rejects_weight_header_claiming_a_billion_layers(tmp_path, capsys):
     assert "L=1000000000" in capsys.readouterr().err
 
 
+def test_gen_rejects_short_tensor_list_before_building_the_manifest(tmp_path, capsys,
+                                                                    monkeypatch):
+    """A header's tensor count is checked against the exact count of its
+    config's layout, 3 + 7*L, before the O(L) manifest is built."""
+    def refuse(config):
+        raise AssertionError("weight_manifest was built for a header with the wrong count")
+
+    monkeypatch.setattr(engine, "weight_manifest", refuse)
+    bad = tmp_path / "many-layers.bin"
+    config = {"L": 100000, "H": 4, "D": 16, "ff_dim": 128, "vocab": 64, "dtype_bytes": 2}
+    tensors = [{"name": "x"}] * 1000
+    bad.write_bytes(json.dumps({"config": config, "tensors": tensors}).encode() + b"\n")
+    assert run_cli("gen", "--weights", str(bad), "--n-response", "2") == 2
+    err = capsys.readouterr().err
+    assert "lists 1000 tensors where the L=100000 layers of its config take 700003" in err
+    assert "tensor 'x' where its layout has 'embedding'" in err
+
+
+def test_gen_unwritable_out_fails_before_generating(tmp_path, capsys, monkeypatch):
+    """``--out`` is opened before the engines run, so a path that cannot be
+    written exits 2 at once instead of after the whole run."""
+    def refuse(self, request):
+        raise AssertionError("generate ran before --out was opened")
+
+    monkeypatch.setattr(engine.OptimizedEngine, "generate", refuse)
+    monkeypatch.setattr(engine.ReferenceEngine, "generate", refuse)
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    assert run_cli("gen", "--n-response", "512", "--random", "256", "--out", str(directory)) == 2
+    assert str(directory) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [("gen", "--n-response", "1", "--out"),
                                   ("memsim", "--bs", "1", "--out"),
                                   ("gen", "--n-response", "1", "--weights"),

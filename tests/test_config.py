@@ -30,7 +30,7 @@ def test_config_validation():
         ModelConfig(L=0, H=1, D=1, ff_dim=1, vocab=1)
     with pytest.raises(ValueError):
         ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, dtype_bytes=3)
-    with pytest.raises(TypeError, match="step"):  # the growth quantum is kvcache.STEP
+    with pytest.raises(TypeError, match="step"):  # no config field sizes the response arena
         ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, step=16)
     for name, bad in (("L", 2.5), ("H", 4.0), ("D", True), ("ff_dim", "8"), ("vocab", None)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from seglm import kvcache
 from seglm.config import toy_config
 from seglm.engine import (MAX_POS, GenerationRequest, OptimizedEngine, ReferenceEngine,
                           ToyWeights, load_weights, save_weights)
-from seglm.kvcache import (STEP, CacheShapeParams, PromptKV, ResponseKV, StandardKV,
+from seglm.kvcache import (CacheShapeParams, PromptKV, ResponseKV, StandardKV,
                            cache_token_bytes, kv_bytes, segment_cache_bytes,
                            simulate_decode_memory)
 from seglm.ops import LayerWeights
@@ -115,8 +114,8 @@ def test_beam_cross_engine_across_growth_boundaries():
 @pytest.mark.parametrize("mode,bw", [("greedy", 1), ("beam", 2)])
 def test_cross_engine_across_key_tiles(mode, bw):
     """A 2*KEY_BLOCK+22-token prompt spans three prefill and prompt tiles and
-    KEY_BLOCK+6 response steps span two response tiles (and several 16-row
-    cache growths), so every tile edge of both kernels is crossed."""
+    KEY_BLOCK+6 response steps span two response tiles, so every tile edge
+    of both kernels is crossed."""
     n_prompt, n_resp = 2 * KEY_BLOCK + 22, KEY_BLOCK + 6
     assert (math.ceil(n_prompt / KEY_BLOCK), math.ceil(n_resp / KEY_BLOCK)) == (3, 2)
     w = _toy_weights(seed=32)  # top-candidate gaps >= 5.6e-4 in both modes
@@ -197,7 +196,7 @@ def test_zero_response_request():
 
 @pytest.mark.parametrize("engine_cls", [OptimizedEngine, ReferenceEngine])
 @pytest.mark.parametrize("seed, cfg_kw, bs, n_prompt, nr", [
-    (0, {}, 1, 8, 20),  # crosses the response-cache growth at step 17
+    (0, {}, 1, 8, 20),
     (1, dict(L=3, H=2, D=8, vocab=32), 2, 5, 9),
     (2, dict(L=1, H=4, D=16, vocab=96), 3, 1, 6),
 ], ids=["growth", "deep", "one-token-prompt"])
@@ -215,25 +214,7 @@ def test_prefill_of_prompt_plus_response_reproduces_greedy_decode(
     assert np.max(np.abs(prefilled.final_hidden - decoded.final_hidden)) <= 1e-4
 
 
-# -- growth invisibility ---------------------------------------------------------------
-
-def test_cache_growth_is_semantically_invisible(monkeypatch):
-    """A run whose response cache grows 32 rows at a time (so never grows in
-    20 steps) must generate exactly the same tokens and final hidden state as
-    the default that grows 16 -> 32 at step 17."""
-    w = _toy_weights(seed=5)
-    prompt = _prompt(w.config, 1, 8, seed=4)
-    req = GenerationRequest(prompt, 20, bw=4)
-    grown_engine, single_engine = OptimizedEngine(w), OptimizedEngine(w)
-    grown = grown_engine.generate(req)
-    monkeypatch.setattr(kvcache, "STEP", 32)
-    single = single_engine.generate(req)
-    frees = [[e for e in eng.last_ledger.events if e[0] == "free"]
-             for eng in (grown_engine, single_engine)]
-    assert len(frees[0]) == 1 and frees[1] == []  # one all-layer arena growth
-    assert np.array_equal(grown.tokens, single.tokens)
-    assert np.array_equal(grown.final_hidden, single.final_hidden)
-
+# -- ledger --------------------------------------------------------------------------------
 
 def _assert_allocs_exceed_earlier_frees(events):
     largest_free = 0
@@ -247,18 +228,21 @@ def _assert_allocs_exceed_earlier_frees(events):
 
 def test_every_alloc_exceeds_every_earlier_free():
     """The premise of the ledger's no-reuse model: no freed block could serve
-    a later allocation, on engine runs that cross the 16-row growth and in
-    the decode-memory simulator."""
+    a later allocation. The standard policy frees a smaller buffer than each
+    one it allocates; the segment policy, in engine runs and in the
+    decode-memory simulator, frees nothing at all."""
     w = _toy_weights(seed=11)
-    for engine_cls in (OptimizedEngine, ReferenceEngine):
-        for bs, bw in ((2, 1), (1, 4)):
-            engine = engine_cls(w)
-            engine.generate(GenerationRequest(_prompt(w.config, bs, 9), 20, bw=bw))
-            _assert_allocs_exceed_earlier_frees(engine.last_ledger.events)
+    for bs, bw in ((2, 1), (1, 4)):
+        request = GenerationRequest(_prompt(w.config, bs, 9), 20, bw=bw)
+        reference, optimized = ReferenceEngine(w), OptimizedEngine(w)
+        reference.generate(request)
+        _assert_allocs_exceed_earlier_frees(reference.last_ledger.events)
+        optimized.generate(request)
+        assert all(kind == "alloc" for kind, _ in optimized.last_ledger.events)
 
-    for policy in ("segment", "standard"):
-        ledger = simulate_decode_memory(policy, w.config, CacheShapeParams(2, 4, 40, 40))
-        _assert_allocs_exceed_earlier_frees(ledger.events)
+    p = CacheShapeParams(2, 4, 40, 40)
+    _assert_allocs_exceed_earlier_frees(simulate_decode_memory("standard", w.config, p).events)
+    assert all(kind == "alloc" for kind, _ in simulate_decode_memory("segment", w.config, p).events)
 
 
 @pytest.mark.parametrize("mode,bs,bw,nr", [("greedy", 2, 1, 32), ("greedy", 1, 1, 20),
@@ -266,18 +250,22 @@ def test_every_alloc_exceeds_every_earlier_free():
                                            ("beam", 2, 2, 37), ("beam", 1, 4, 0)])
 def test_optimized_ledger_matches_segment_simulator(mode, bs, bw, nr):
     """The runtime logs the segment policy event for event as the simulator
-    states it: one alloc of the all-layer prompt arena, then one alloc and
-    one free per growth of the all-layer response arena."""
+    states it: one alloc of the all-layer prompt arena, one of the all-layer
+    response arena at its final size, and no free."""
     w = _toy_weights(seed=13, L=3)
     n_prompt = 7
     engine = OptimizedEngine(w)
     req = GenerationRequest(_prompt(w.config, bs, n_prompt), nr, bw=bw)
     assert req.mode == mode
-    engine.generate(req)
-    simulated = simulate_decode_memory("segment", w.config, CacheShapeParams(bs, bw, n_prompt, nr))
+    res = engine.generate(req)
+    p = CacheShapeParams(bs, bw, n_prompt, nr)
+    simulated = simulate_decode_memory("segment", w.config, p)
     assert engine.last_ledger.events == simulated.events
-    assert simulated.events[0] == ("alloc", bs * n_prompt * cache_token_bytes(w.config))
-    assert sum(kind == "free" for kind, _ in simulated.events) == max(0, -(-nr // STEP) - 1)
+    tok = cache_token_bytes(w.config)
+    response = [("alloc", bs * bw * nr * tok)] if nr else []  # an empty arena logs nothing
+    assert simulated.events == [("alloc", bs * n_prompt * tok)] + response
+    assert (res.memory["peak_reserved_bytes"] == res.memory["final_active_bytes"]
+            == segment_cache_bytes(w.config, p))
 
 
 def _cache_buffers(run):
@@ -318,7 +306,7 @@ def _reconciled(engine_cls, checked_runs):
 @pytest.mark.parametrize("mode,bs,bw", [("greedy", 2, 1), ("beam", 1, 4), ("beam", 2, 2)])
 def test_ledger_active_bytes_equal_live_cache_bytes(engine_cls, mode, bs, bw):
     """Ledger reconciliation: at every step the alloc/free log agrees with
-    the buffers the caches actually hold, across the 16-row growth."""
+    the buffers the caches actually hold; only the standard cache frees."""
     w = _toy_weights(seed=15, L=3)
     nr = 20
     checked = []
@@ -327,7 +315,8 @@ def test_ledger_active_bytes_equal_live_cache_bytes(engine_cls, mode, bs, bw):
     assert req.mode == mode
     res = engine.generate(req)
     assert len(checked) == nr + 1  # prefill and every decode step
-    assert any(kind == "free" for kind, _ in engine.last_ledger.events)
+    frees = any(kind == "free" for kind, _ in engine.last_ledger.events)
+    assert frees == (engine_cls is ReferenceEngine)
     assert res.tokens.shape == (bs, bw, nr)
 
 
@@ -392,8 +381,9 @@ def test_optimized_memory_summary_matches_formulas():
     res = OptimizedEngine(w).generate(req)
     tok = cache_token_bytes(cfg)
     assert res.memory["prompt_kv_bytes"] == bs * n_prompt * tok  # no beam factor
-    assert res.memory["final_active_bytes"] == segment_cache_bytes(
-        cfg, CacheShapeParams(bs, bw, n_prompt, nr))
+    assert (res.memory["final_active_bytes"] == res.memory["peak_reserved_bytes"]
+            == segment_cache_bytes(cfg, CacheShapeParams(bs, bw, n_prompt, nr)))
+    assert res.memory["fragmentation_bytes"] == 0
     ref = ReferenceEngine(w).generate(req)
     assert ref.memory["prompt_kv_bytes"] == bs * bw * n_prompt * tok
 

@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 
 from seglm.config import ModelConfig, preset, toy_config
 from seglm.engine import OpCounters
-from seglm.kvcache import (STEP, CacheShapeParams, MemoryLedger, PromptKV, ResponseKV,
+from seglm.kvcache import (CacheShapeParams, MemoryLedger, PromptKV, ResponseKV,
                            StandardKV, bs_max_under_budget, cache_token_bytes, memsim_row,
                            segment_cache_bytes, simulate_decode_memory,
                            standard_cache_bytes)
@@ -49,7 +47,7 @@ def test_segment_bytes_gptj_golden():
 
 
 def test_segment_equals_standard_without_beams_or_rounding():
-    p = CacheShapeParams(3, 1, 100, 64)  # bw=1 and n_response % 16 == 0
+    p = CacheShapeParams(3, 1, 100, 37)  # bw=1: no beam shares the prompt
     assert segment_cache_bytes(GPTJ, p) == standard_cache_bytes(GPTJ, p)
 
 
@@ -66,24 +64,16 @@ def test_shape_params_reject_zero_beam_width_but_allow_empty_shapes():
     assert standard_cache_bytes(GPTJ, p) == segment_cache_bytes(GPTJ, p) == 0
 
 
-def test_growth_quantum_is_a_cache_constant():
-    """The response arena's growth quantum belongs to the cache policy, not
-    to the model: a config has no field for it."""
-    assert STEP == 16
-    assert "step" not in {f.name for f in fields(ModelConfig)}
-    p = CacheShapeParams(1, 1, 0, 1)
-    assert segment_cache_bytes(GPTJ, p) == STEP * cache_token_bytes(GPTJ)
-
-
 @settings(max_examples=100, deadline=None)
-@given(bs=st.integers(1, 8), bw=st.integers(2, 8),
-       n_prompt=st.integers(0, 4096), n_response=st.integers(1, 4096))
+@given(bs=st.integers(1, 8), bw=st.integers(1, 8),
+       n_prompt=st.integers(0, 4096), n_response=st.integers(0, 4096))
 def test_segment_smaller_whenever_prompt_duplication_dominates(bs, bw, n_prompt, n_response):
-    cfg = GPTJ
+    """BS*(Np + BW*Nr) <= BS*BW*(Np + Nr) at every shape, equal exactly when
+    no prompt row is duplicated across beams (BW == 1 or Np == 0)."""
     p = CacheShapeParams(bs, bw, n_prompt, n_response)
-    rounded = -(-n_response // STEP) * STEP
-    if n_prompt * (bw - 1) > bw * (rounded - n_response):
-        assert segment_cache_bytes(cfg, p) < standard_cache_bytes(cfg, p)
+    seg, std = segment_cache_bytes(GPTJ, p), standard_cache_bytes(GPTJ, p)
+    assert seg <= std
+    assert (seg == std) == (bw == 1 or n_prompt == 0)
 
 
 def test_memsim_row_fields():
@@ -130,37 +120,23 @@ def _rows(rng, cfg, n):
     return rng.standard_normal((1, n, cfg.H, cfg.D)).astype(np.float32)
 
 
-def test_first_append_allocates_initial_block():
+def test_arena_is_allocated_whole_before_the_first_append():
     cfg = toy_config(L=1)
     led = MemoryLedger()
-    cache = ResponseKV(cfg, bs=1, bw=1, ledger=led)
+    cache = ResponseKV(cfg, bs=1, bw=1, n_response=16, ledger=led)
+    assert led.events == [("alloc", _arena_bytes(cfg, 1, 16))]
+    assert cache.valid(0)[0].shape[0] == 0
     rng = np.random.default_rng(1)
     cache.append(0, _rows(rng, cfg, 1), _rows(rng, cfg, 1))
-    assert cache.length(0) == 1
+    assert cache.valid(0)[0].shape[0] == 1
     assert cache.capacity(0) == 16
-    assert led.events == [("alloc", _arena_bytes(cfg, 1, 16))]
-
-
-def test_seventeenth_append_grows_and_preserves_rows():
-    cfg = toy_config(L=1)
-    led = MemoryLedger()
-    cache = ResponseKV(cfg, bs=1, bw=1, ledger=led)
-    rng = np.random.default_rng(2)
-    ks = [_rows(rng, cfg, 1) for _ in range(17)]
-    vs = [_rows(rng, cfg, 1) for _ in range(17)]
-    for k, v in zip(ks, vs):
-        cache.append(0, k, v)
-    assert cache.capacity(0) == 32
-    got_k, _ = cache.valid(0)
-    assert np.array_equal(got_k[:16], np.concatenate([k[0][None] for k in ks[:16]]).reshape(16, 1, cfg.H, cfg.D))
-    frees = [e for e in led.events if e[0] == "free"]
-    assert frees == [("free", _arena_bytes(cfg, 1, 16))]
+    assert led.events == [("alloc", _arena_bytes(cfg, 1, 16))]  # appending allocates nothing
 
 
 def test_forty_appends_capacity_and_concat_oracle():
     cfg = toy_config(L=1, H=2, D=4)
     led = MemoryLedger()
-    cache = ResponseKV(cfg, bs=2, bw=2, ledger=led)
+    cache = ResponseKV(cfg, bs=2, bw=2, n_response=40, ledger=led)
     rng = np.random.default_rng(3)
     ks, vs = [], []
     for _ in range(40):
@@ -169,35 +145,20 @@ def test_forty_appends_capacity_and_concat_oracle():
         ks.append(k)
         vs.append(v)
         cache.append(0, k, v)
-    assert cache.capacity(0) == 48
+    assert cache.capacity(0) == 40
     got_k, got_v = cache.valid(0)
     assert np.array_equal(got_k, np.concatenate(ks, axis=0))
     assert np.array_equal(got_v, np.concatenate(vs, axis=0))
-    allocs = [n for kind, n in led.events if kind == "alloc"]
-    frees = [n for kind, n in led.events if kind == "free"]
-    assert allocs == [_arena_bytes(cfg, 4, c) for c in (16, 32, 48)]
-    assert len(frees) == 2  # one free per growth-with-copy
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 80))
-def test_capacity_is_always_rounded_up_to_step(n):
-    cfg = toy_config(L=1, H=1, D=2)
-    cache = ResponseKV(cfg, bs=1, bw=1, ledger=MemoryLedger())
-    rng = np.random.default_rng(n)
-    for i in range(n):
-        cache.append(0, _rows(rng, cfg, 1), _rows(rng, cfg, 1))
-        length = cache.length(0)
-        assert cache.capacity(0) == -(-length // 16) * 16
+    assert led.events == [("alloc", _arena_bytes(cfg, 4, 40))]  # one alloc, no free
 
 
 def test_response_kv_layers_grow_in_lockstep():
-    """Layers appended in lockstep, as a decode step does, share one capacity;
-    each growth is one alloc and one free of the all-layer arena, and every
-    layer's rows still equal the concatenation of what it was given."""
+    """Layers appended in lockstep, as a decode step does, fill one
+    all-layer arena allocated once; every layer's rows equal the
+    concatenation of what it was given, and a full layer refuses a row."""
     cfg = toy_config(L=3, H=1, D=2)
     led = MemoryLedger()
-    cache = ResponseKV(cfg, bs=1, bw=2, ledger=led)
+    cache = ResponseKV(cfg, bs=1, bw=2, n_response=33, ledger=led)
     rng = np.random.default_rng(7)
     assert all(cache.valid(layer)[0].shape == (0, 2, cfg.H, cfg.D) for layer in range(cfg.L))
     written = [([], []) for _ in range(cfg.L)]
@@ -207,26 +168,25 @@ def test_response_kv_layers_grow_in_lockstep():
             written[layer][0].append(k)
             written[layer][1].append(v)
             cache.append(layer, k, v)
-            assert cache.length(layer) == t
-            assert cache.capacity(layer) == -(-t // 16) * 16
+            assert cache.valid(layer)[0].shape[0] == t
+            assert cache.capacity(layer) == 33
 
-    def b(capacity):
-        return _arena_bytes(cfg, 2, capacity)
-
-    assert b(16) == cfg.L * 2 * 16 * 2 * cfg.H * cfg.D * cfg.dtype_bytes
-    assert led.events == [("alloc", b(16)),
-                          ("alloc", b(32)), ("free", b(16)),
-                          ("alloc", b(48)), ("free", b(32))]
-    assert cache.total_bytes() == b(48) == led.active_bytes
+    arena = _arena_bytes(cfg, 2, 33)
+    assert arena == cfg.L * 2 * 33 * 2 * cfg.H * cfg.D * cfg.dtype_bytes
+    assert led.events == [("alloc", arena)]
+    assert cache.total_bytes() == arena == led.active_bytes
     for layer, (ks, vs) in enumerate(written):
         got_k, got_v = cache.valid(layer)
         assert np.array_equal(got_k, np.concatenate(ks, axis=0))
         assert np.array_equal(got_v, np.concatenate(vs, axis=0))
+    with pytest.raises(ValueError, match="layer 1 is full at 33 rows"):
+        cache.append(1, _rows(rng, cfg, 2), _rows(rng, cfg, 2))
+    assert led.events == [("alloc", arena)]
 
 
 def test_response_kv_shape_mismatch():
     cfg = toy_config(L=1)
-    cache = ResponseKV(cfg, bs=1, bw=2, ledger=MemoryLedger())
+    cache = ResponseKV(cfg, bs=1, bw=2, n_response=4, ledger=MemoryLedger())
     with pytest.raises(ValueError):
         cache.append(0, np.zeros((1, 3, cfg.H, cfg.D)), np.zeros((1, 3, cfg.H, cfg.D)))
     with pytest.raises(ValueError):  # a row without its leading step axis
@@ -274,8 +234,7 @@ def test_standard_step_identity_reorder_equals_concat():
     kv.store_prompt(0, k0, k0.copy())
     steps = [rng.standard_normal((2, 1, cfg.H, cfg.D)).astype(np.float32) for _ in range(3)]
     for s in steps:
-        kv.step(0, s, s.copy(), np.array([0, 1]))
-    got_k, _ = kv.layer(0)
+        got_k, _ = kv.step(0, s, s.copy(), np.array([0, 1]))
     assert np.array_equal(got_k, np.concatenate([k0] + steps, axis=1))
 
 
@@ -329,7 +288,8 @@ def test_standard_step_reorder_out_of_range():
 ])
 def test_simulator_segment_final_active_matches_formula(params):
     ledger = simulate_decode_memory("segment", GPTJ, params)
-    assert ledger.active_bytes == segment_cache_bytes(GPTJ, params)
+    assert ledger.active_bytes == ledger.reserved_bytes == segment_cache_bytes(GPTJ, params)
+    assert [kind for kind, _ in ledger.events] == ["alloc"] * (1 + (params.n_response > 0))
 
 
 def test_simulator_standard_peak_is_arithmetic_series():

@@ -181,7 +181,7 @@ def test_from_caches_rejects_batch_first_q():
     prompt_kv = PromptKV(cfg, bs=1, n_prompt=3, ledger=MemoryLedger())
     kv = rng.standard_normal((1, 3, cfg.H, cfg.D)).astype(np.float32)
     prompt_kv.store(0, kv, kv)
-    resp_kv = ResponseKV(cfg, bs=1, bw=2, ledger=MemoryLedger())
+    resp_kv = ResponseKV(cfg, bs=1, bw=2, n_response=1, ledger=MemoryLedger())
     row = rng.standard_normal((1, 2, cfg.H, cfg.D)).astype(np.float32)
     resp_kv.append(0, row, row)
     indices = np.zeros((1, 2, 1), dtype=np.int64)
