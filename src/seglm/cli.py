@@ -146,7 +146,9 @@ def cmd_gen(args) -> int:
                     "n_response": args.n_response, "mode": request.mode,
                     "bw": args.bw, "seed": args.seed},
     }
-    with _output(args.out) as out:  # opened first: an unwritable path fails before the run
+    for engine in engines.values():  # before --out is opened, which truncates it
+        engine.check_request(request)
+    with _output(args.out) as out:  # opened before the run: an unwritable path fails at once
         results = {name: engine.generate(request) for name, engine in engines.items()}
         for name, res in results.items():
             report[name] = res.to_json_dict()

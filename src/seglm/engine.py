@@ -107,16 +107,19 @@ class GenerationResult:
 
 def weight_layout(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Every weight tensor's name and shape, in weight-file and random-draw
-    order. A generator, so reading a prefix costs only its length."""
+    order. A generator, so reading a prefix costs only its length.
+
+    Every projection (the ``w_*`` tensors and ``head``) is output-major,
+    [out, in]; the embedding is [vocab, d_model]."""
     dm, ff, vocab = config.d_model, config.ff_dim, config.vocab
-    layer = [("rmsnorm_1", (dm,)), ("rmsnorm_2", (dm,)), ("w_qkv", (dm, 3 * dm)),
-             ("w_o", (dm, dm)), ("w_gate", (dm, ff)), ("w_up", (dm, ff)), ("w_down", (ff, dm))]
+    layer = [("rmsnorm_1", (dm,)), ("rmsnorm_2", (dm,)), ("w_qkv", (3 * dm, dm)),
+             ("w_o", (dm, dm)), ("w_gate", (ff, dm)), ("w_up", (ff, dm)), ("w_down", (dm, ff))]
     yield "embedding", (vocab, dm)
     for i in range(config.L):
         for name, shape in layer:
             yield f"layers.{i}.{name}", shape
     yield "final_norm", (dm,)
-    yield "head", (dm, vocab)
+    yield "head", (vocab, dm)
 
 
 def weight_manifest(config: ModelConfig) -> tuple[list[dict], int]:
@@ -164,11 +167,22 @@ class ToyWeights:
     @classmethod
     def random(cls, config: ModelConfig, seed: int = 0) -> "ToyWeights":
         """Draw every tensor in layout order, except the norm gains, which are
-        ones; the draws are standard normals times ``WEIGHT_SCALE``."""
+        ones; the draws are standard normals times ``WEIGHT_SCALE``.
+
+        Each projection is drawn input-major, [in, out], and stored transposed,
+        so a seed gives the same model as when projections were stored
+        input-major; the float32 conversion writes the transpose."""
         rng = np.random.default_rng(seed)
-        tensors = {name: np.ones(shape, dtype=np.float32) if "norm" in name
-                   else (rng.standard_normal(shape) * WEIGHT_SCALE).astype(np.float32)
-                   for name, shape in weight_layout(config)}
+
+        def draw(name, shape):
+            if "norm" in name:
+                return np.ones(shape, dtype=np.float32)
+            if name == "embedding":
+                return (rng.standard_normal(shape) * WEIGHT_SCALE).astype(np.float32)
+            drawn = rng.standard_normal(shape[::-1]) * WEIGHT_SCALE
+            return drawn.T.astype(np.float32, order="C")
+
+        tensors = {name: draw(name, shape) for name, shape in weight_layout(config)}
         return cls.from_tensors(config, tensors)
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
@@ -260,7 +274,9 @@ class _DecoderEngine:
         # the last run's ledger, read by the tests and by perfbench/bench.py
         self.last_ledger: MemoryLedger | None = None
 
-    def generate(self, request: GenerationRequest) -> GenerationResult:
+    def check_request(self, request: GenerationRequest) -> None:
+        """Raise ValueError if this model cannot run ``request``; ``generate``
+        calls it before anything is allocated."""
         cfg = self.config
         if request.prompt.min() < 0 or request.prompt.max() >= cfg.vocab:
             raise ValueError(f"prompt token ids must lie in [0, {cfg.vocab})")
@@ -269,6 +285,8 @@ class _DecoderEngine:
         if request.bw > cfg.vocab:
             raise ValueError(f"vocabulary of {cfg.vocab} cannot fill {request.bw} beams")
 
+    def generate(self, request: GenerationRequest) -> GenerationResult:
+        self.check_request(request)
         bs, _ = request.prompt.shape
         bw = request.bw
         nr = request.n_response

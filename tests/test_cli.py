@@ -250,6 +250,7 @@ MALFORMED_WEIGHT_FILES = {
     "extra-layer": "tensor 'layers.1.",
     "overlapping-offset": "'final_norm'",
     "trailing-bytes": "bytes of tensor data",
+    "input-major-projections": "'layers.0.w_qkv'",
 }
 
 
@@ -294,6 +295,14 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
                 t["offset"] = embedding_offset
     elif defect == "trailing-bytes":
         blob += bytes(8)
+    elif defect == "input-major-projections":  # as saved while projections were [in, out]
+        projections = [t for t in header["tensors"]
+                       if len(t["shape"]) == 2 and t["name"] != "embedding"]
+        for t in projections:
+            t["shape"].reverse()
+        weights = dict(ToyWeights.random(toy_config(), seed=0).named_tensors())
+        blob = b"".join((weights[t["name"]].T if t in projections else weights[t["name"]])
+                        .astype("<f4").tobytes() for t in header["tensors"])
     else:  # a header written while the config still had an activation option
         header["config"]["activation"] = "silu"
     bad = tmp_path / "bad.bin"
@@ -344,6 +353,24 @@ def test_gen_unwritable_out_fails_before_generating(tmp_path, capsys, monkeypatc
     directory.mkdir()
     assert run_cli("gen", "--n-response", "512", "--random", "256", "--out", str(directory)) == 2
     assert str(directory) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("request_args", [
+    ("--prompt-file", "PROMPT"),                  # id 999 outside the vocabulary of 64
+    ("--n-response", "5000"),                     # prompt plus response beyond MAX_POS
+    ("--bw", "65"),                               # more beams than the vocabulary of 64 fills
+], ids=["out-of-vocab", "beyond-max-pos", "bw-over-vocab"])
+def test_gen_rejected_request_leaves_existing_out_unchanged(tmp_path, capsys, request_args):
+    """A request the engine rejects fails before ``--out`` is opened, so an
+    existing file there keeps its bytes."""
+    prompt = tmp_path / "prompt.json"
+    prompt.write_text("[[1, 2, 999]]")
+    out = tmp_path / "out.json"
+    out.write_text('{"old": 1}\n')
+    argv = [str(prompt) if arg == "PROMPT" else arg for arg in request_args]
+    assert run_cli("gen", *argv, "--out", str(out)) == 2
+    assert out.read_bytes() == b'{"old": 1}\n'
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [("gen", "--n-response", "1", "--out"),

@@ -43,17 +43,17 @@ def test_single_layer_single_token_hand_trace():
     lw = w.layers[0]
     x = w.embedding[1].astype(np.float64)
     h = rms(x) * lw.rmsnorm_1
-    qkv = h @ lw.w_qkv
+    qkv = lw.w_qkv @ h  # projections are output-major [out, in]
     v = qkv[4:6]  # single prompt token: attention context == value
-    x = x + v @ lw.w_o
+    x = x + lw.w_o @ v
     h2 = rms(x) * lw.rmsnorm_2
-    gate = h2 @ lw.w_gate
-    x = x + ((gate / (1 + np.exp(-gate))) * (h2 @ lw.w_up)) @ lw.w_down
+    gate = lw.w_gate @ h2
+    x = x + lw.w_down @ ((gate / (1 + np.exp(-gate))) * (lw.w_up @ h2))
     hidden = rms(x) * w.final_norm
-    logits = hidden @ w.head
+    logits = w.head @ hidden
 
     assert np.max(np.abs(res.final_hidden[0] - hidden)) < 1e-5
-    assert np.max(np.abs(res.final_hidden[0] @ w.head - logits)) < 1e-5
+    assert np.max(np.abs(w.head @ res.final_hidden[0] - logits)) < 1e-5
 
 
 def test_identity_weight_model_reference_trace():
@@ -64,14 +64,14 @@ def test_identity_weight_model_reference_trace():
     lw = LayerWeights(
         rmsnorm_1=np.ones(2, dtype=np.float32),
         rmsnorm_2=np.ones(2, dtype=np.float32),
-        w_qkv=np.concatenate([eye, eye, eye], axis=1),
+        w_qkv=np.concatenate([eye, eye, eye], axis=0),  # output-major q, k, v row blocks
         w_o=eye,
         w_gate=np.zeros((2, 2), dtype=np.float32),
         w_up=np.zeros((2, 2), dtype=np.float32),
         w_down=np.zeros((2, 2), dtype=np.float32),
     )
     emb = np.array([[0.5, 0.1], [0.2, -0.4], [-0.3, 0.3], [0.1, 0.9]], dtype=np.float32)
-    head = np.array([[1.0, 0.0, -1.0, 0.5], [0.0, 1.0, 0.5, -1.0]], dtype=np.float32)
+    head = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5], [0.5, -1.0]], dtype=np.float32)
     w = ToyWeights(cfg, emb, [lw], np.ones(2, dtype=np.float32), head)
 
     prompt = np.array([[2]])
@@ -82,7 +82,7 @@ def test_identity_weight_model_reference_trace():
 
     x = emb[2].astype(np.float64)
     x = x + rms(x)          # q = k = v = rms(x); single-token context is v; w_o = I
-    logits = rms(x) @ head  # zero MLP leaves the residual unchanged
+    logits = head @ rms(x)  # zero MLP leaves the residual unchanged
     assert res.tokens[0, 0, 0] == int(np.argmax(logits))
 
 
@@ -161,7 +161,7 @@ def test_prefill_logits_cross_engine():
         opt = OptimizedEngine(w).generate(req)
         ref = ReferenceEngine(w).generate(req)
         assert np.max(np.abs(opt.final_hidden - ref.final_hidden)) <= 1e-4
-        logit_diff = np.abs(opt.final_hidden @ w.head - ref.final_hidden @ w.head)
+        logit_diff = np.abs(opt.final_hidden @ w.head.T - ref.final_hidden @ w.head.T)
         assert logit_diff.max() <= 1e-4
 
 
@@ -170,7 +170,7 @@ def test_single_decode_step_logits_cross_engine():
     req = GenerationRequest(_prompt(w.config, 2, 6, seed=10), 1, bw=1)
     opt = OptimizedEngine(w).generate(req)
     ref = ReferenceEngine(w).generate(req)
-    assert np.max(np.abs(opt.final_hidden @ w.head - ref.final_hidden @ w.head)) <= 1e-4
+    assert np.max(np.abs(opt.final_hidden @ w.head.T - ref.final_hidden @ w.head.T)) <= 1e-4
 
 
 def test_layout_conversions_independent_of_depth():
@@ -488,7 +488,8 @@ def test_weight_file_round_trip_is_byte_exact(tmp_path):
                          ids=["toy", "L3"])
 def test_random_weights_follow_the_hand_written_draw(cfg):
     """One Gaussian stream drawn in file order: embedding, then per layer
-    w_qkv, w_o, w_gate, w_up, w_down, then head; every norm gain is one."""
+    w_qkv, w_o, w_gate, w_up, w_down, then head; every norm gain is one.
+    Each projection is drawn input-major [in, out] and stored transposed."""
     rng = np.random.default_rng(4)
 
     def draw(*shape):
@@ -496,9 +497,9 @@ def test_random_weights_follow_the_hand_written_draw(cfg):
 
     dm, ff, vocab = cfg.d_model, cfg.ff_dim, cfg.vocab
     embedding = draw(vocab, dm)
-    layers = [(draw(dm, 3 * dm), draw(dm, dm), draw(dm, ff), draw(dm, ff), draw(ff, dm))
-              for _ in range(cfg.L)]
-    head = draw(dm, vocab)
+    layers = [(draw(dm, 3 * dm).T, draw(dm, dm).T, draw(dm, ff).T, draw(dm, ff).T,
+               draw(ff, dm).T) for _ in range(cfg.L)]
+    head = draw(dm, vocab).T
 
     ones = np.ones(dm, dtype=np.float32)
     w = ToyWeights.random(cfg, seed=4)

@@ -5,22 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seglm.ops import (fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope, rope_table,
-                       silu, to_batch_first, to_sequence_first)
+from seglm.ops import (ROW_BOUND, fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope,
+                       rope_table, silu, to_batch_first, to_sequence_first)
 
 
 def matmul_oracle(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Triple-loop matmul over the last axis, independent of BLAS."""
+    """Triple-loop x @ w.T over the last axis for an output-major weight
+    w [out, in], independent of BLAS."""
     lead = x.shape[:-1]
     x2 = x.reshape(-1, x.shape[-1])
-    out = np.zeros((x2.shape[0], w.shape[1]), dtype=np.float64)
+    out = np.zeros((x2.shape[0], w.shape[0]), dtype=np.float64)
     for i in range(x2.shape[0]):
-        for j in range(w.shape[1]):
+        for j in range(w.shape[0]):
             acc = 0.0
             for k in range(x2.shape[1]):
-                acc += float(x2[i, k]) * float(w[k, j])
+                acc += float(x2[i, k]) * float(w[j, k])
             out[i, j] = acc
-    return out.reshape(lead + (w.shape[1],))
+    return out.reshape(lead + (w.shape[0],))
 
 
 def _silu_oracle(x: np.ndarray) -> np.ndarray:
@@ -92,8 +93,27 @@ def test_linear_identity_weight():
 def test_linear_matches_triple_loop_oracle():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 3)).astype(np.float32)
-    w = rng.standard_normal((3, 4)).astype(np.float32)
+    w = rng.standard_normal((4, 3)).astype(np.float32)  # output-major [out, in]
     assert np.allclose(linear(x, w), matmul_oracle(x, w), atol=1e-6)
+
+
+@pytest.mark.parametrize("rows", [1, 4, 8, 32, ROW_BOUND, ROW_BOUND + 1, 1024])
+def test_linear_matches_oracle_on_both_sides_of_the_row_bound(rows):
+    """Either product orientation gives a C-contiguous float32 result equal to
+    the triple loop, for 1-D, 2-D and 3-D inputs; the rows of a product just
+    above the bound equal those computed just below it."""
+    rng = np.random.default_rng(rows)
+    w = rng.uniform(-1, 1, (6, 5)).astype(np.float32)  # output-major [out, in]
+    x = rng.uniform(-1, 1, (rows, 5)).astype(np.float32)
+    split = next(k for k in (2, 3, 1) if rows % k == 0)
+    leads = [(rows,), (split, rows // split)] + ([()] if rows == 1 else [])
+    expected = matmul_oracle(x, w)
+    for lead in leads:
+        y = linear(x.reshape(lead + (5,)), w)
+        assert y.shape == lead + (6,) and y.dtype == np.float32 and y.flags.c_contiguous
+        assert np.max(np.abs(y.reshape(rows, 6) - expected)) <= 1e-6
+    if rows == ROW_BOUND + 1:
+        assert np.max(np.abs(linear(x, w)[:ROW_BOUND] - linear(x[:ROW_BOUND], w))) <= 1e-6
 
 
 def test_linear_dimension_mismatch():
@@ -108,22 +128,22 @@ def test_fused_qkv_equals_column_split_linears():
     heads, d = 2, 4
     dm = heads * d
     x = rng.standard_normal((3, 5, dm)).astype(np.float32)
-    w = rng.standard_normal((dm, 3 * dm)).astype(np.float32)
+    w = rng.standard_normal((3 * dm, dm)).astype(np.float32)
     q, k, v = fused_qkv(x, w, heads, d)
-    for i, part in enumerate((q, k, v)):
-        ref = linear(x, w[:, i * dm:(i + 1) * dm]).reshape(3, 5, heads, d)
+    for i, part in enumerate((q, k, v)):  # q, k, v are the weight's row blocks
+        ref = linear(x, w[i * dm:(i + 1) * dm]).reshape(3, 5, heads, d)
         assert np.allclose(part, ref, atol=1e-6, rtol=0)
 
 
 def test_fused_qkv_zero_input():
-    q, k, v = fused_qkv(np.zeros((2, 4)), np.ones((4, 12)), 2, 2)
+    q, k, v = fused_qkv(np.zeros((2, 4)), np.ones((12, 4)), 2, 2)
     assert not q.any() and not k.any() and not v.any()
     assert q.shape == (2, 2, 2)
 
 
 def test_fused_qkv_scalar_case():
     # d_model = 1: y = x * w, split into thirds
-    q, k, v = fused_qkv(np.array([[2.0]]), np.array([[1.0, 2.0, 3.0]]), 1, 1)
+    q, k, v = fused_qkv(np.array([[2.0]]), np.array([[1.0], [2.0], [3.0]]), 1, 1)
     assert q.reshape(-1).tolist() == [2.0]
     assert k.reshape(-1).tolist() == [4.0]
     assert v.reshape(-1).tolist() == [6.0]
@@ -216,7 +236,7 @@ def test_rope_position_length_mismatch_rejected():
 
 def test_gated_mlp_zero_input():
     rng = np.random.default_rng(7)
-    w = [rng.standard_normal(s).astype(np.float32) for s in ((4, 6), (4, 6), (6, 4))]
+    w = [rng.standard_normal(s).astype(np.float32) for s in ((6, 4), (6, 4), (4, 6))]
     assert not gated_mlp(np.zeros((2, 4)), *w).any()
 
 
@@ -230,11 +250,11 @@ def test_gated_mlp_scalar_value():
 def test_gated_mlp_matches_unfused_steps():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((3, 4)).astype(np.float32)
-    wg = rng.standard_normal((4, 6)).astype(np.float32)
-    wu = rng.standard_normal((4, 6)).astype(np.float32)
-    wd = rng.standard_normal((6, 4)).astype(np.float32)
-    gate = x @ wg
-    expected = (gate * (1.0 / (1.0 + np.exp(-gate))) * (x @ wu)) @ wd
+    wg = rng.standard_normal((6, 4)).astype(np.float32)
+    wu = rng.standard_normal((6, 4)).astype(np.float32)
+    wd = rng.standard_normal((4, 6)).astype(np.float32)
+    gate = x @ wg.T
+    expected = (gate * (1.0 / (1.0 + np.exp(-gate))) * (x @ wu.T)) @ wd.T
     assert np.allclose(gated_mlp(x, wg, wu, wd), expected, atol=1e-6)
 
 
@@ -243,9 +263,9 @@ def test_gated_mlp_writes_only_its_own_buffers():
     weights bytewise unchanged and matches the unfused steps."""
     rng = np.random.default_rng(10)
     x = rng.standard_normal((1024, 256)).astype(np.float32)
-    wg, wu = (np.float32(0.02) * rng.standard_normal((256, 512), dtype=np.float32)
+    wg, wu = (np.float32(0.02) * rng.standard_normal((512, 256), dtype=np.float32)
               for _ in range(2))
-    wd = np.float32(0.02) * rng.standard_normal((512, 256), dtype=np.float32)
+    wd = np.float32(0.02) * rng.standard_normal((256, 512), dtype=np.float32)
     before = [a.tobytes() for a in (x, wg, wu, wd)]
     y = gated_mlp(x, wg, wu, wd)
     assert [a.tobytes() for a in (x, wg, wu, wd)] == before
