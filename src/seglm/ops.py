@@ -18,13 +18,21 @@ def _f32(x) -> np.ndarray:
 
 
 def rmsnorm(x, weight, eps: float = 1e-5) -> np.ndarray:
-    """y_i = x_i / sqrt(mean_j(x_j^2) + eps) * weight_i, per trailing vector."""
+    """y_i = x_i / sqrt(mean_j(x_j^2) + eps) * weight_i, per trailing vector.
+
+    Raises ValueError if a mean square is not finite: squaring in float32
+    overflows once the input reaches ~1.8e19, and the vector would otherwise
+    normalize to 0.
+    """
     x = _f32(x)
     weight = _f32(weight)
     if weight.ndim != 1 or x.shape[-1] != weight.shape[0]:
         raise ValueError(f"weight {weight.shape} does not match trailing dim of {x.shape}")
     # np.mean's own arithmetic, without its Python-level wrapper
     ms = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
+    if not np.maximum.reduce(ms, axis=None, initial=0) < np.inf:  # inf or nan
+        raise ValueError("rmsnorm: the mean square of the input overflows float32 "
+                         "(not finite); the hidden state is too large to normalize")
     return (x / np.sqrt(ms + np.float32(eps)) * weight).astype(np.float32, copy=False)
 
 
@@ -44,21 +52,36 @@ def rmsnorm(x, weight, eps: float = 1e-5) -> np.ndarray:
 # with either form, so the bound is 128.
 ROW_BOUND = 128
 
+# Rows up to which ``linear`` first copies x.T to C order, running
+# (w @ ascontiguousarray(x.T)).T; same host and pass as above, median over 9
+# interleaved sets of the fastest of 20 passes, ms:
+#   rows                      1     2     3     4     5     6     7     8    16    32
+#   (w @ x.T).T, C          0.67  0.98  1.91  1.71  2.55  2.76  3.32  2.40  2.94  4.28
+#   (w @ C(x.T)).T, C       0.67  0.85  1.17  1.16  1.37  2.11  2.55  2.49  2.98  4.30
+# OpenBLAS multiplies a transposed few-column operand on a slower path, and
+# the copy is at most 7 rows of x. From 8 rows the two tie (and from 16 they
+# are bit-identical), so the 8-row and 32-row beam decodes keep the first form.
+SMALL_ROW_BOUND = 7
+
 
 def linear(x, w) -> np.ndarray:
     """y = x @ w.T over the trailing dimension, for an output-major weight
     ``w`` [out, in] (the ``torch.nn.Linear`` layout).
 
     Up to ``ROW_BOUND`` rows of ``x`` the product runs as (w @ x.T).T, which
-    streams the weight once, and is copied to C order; above it, as x @ w.T.
-    The result is always a C-contiguous float32 array.
+    streams the weight once, and is copied to C order; up to
+    ``SMALL_ROW_BOUND`` rows x.T is copied to C order first. Above
+    ``ROW_BOUND`` it runs as x @ w.T. The result is always a C-contiguous
+    float32 array.
     """
     x = _f32(x)
     w = _f32(w)
     if w.ndim != 2 or x.shape[-1] != w.shape[1]:
         raise ValueError(f"cannot contract {x.shape} with weight {w.shape}")
     x2 = x.reshape(-1, w.shape[1])
-    if x2.shape[0] <= ROW_BOUND:
+    if x2.shape[0] <= SMALL_ROW_BOUND:
+        y = np.ascontiguousarray((w @ np.ascontiguousarray(x2.T)).T)
+    elif x2.shape[0] <= ROW_BOUND:
         y = np.ascontiguousarray((w @ x2.T).T)
     else:
         y = x2 @ w.T

@@ -9,7 +9,9 @@ segments: first the beam-shared prompt K/V (batch first, never expanded per
 beam; each tile is one [BW, D] x [D, tile] product per item and head), then
 the response K/V (sequence first), gathered through the beam indices with one
 fancy index per tile, and normalizes once at the end: one softmax over both
-segments, with the index select fused into the pass. Its temporaries are
+segments, with the index select fused into the pass. At BW = 1 every index is
+0, so the response is streamed as plain slices, each viewed batch first and
+folded like a prompt tile, without a gather or a copy. Its temporaries are
 bounded by KEY_BLOCK x BS*BW x H x D.
 
 The prefill kernel runs the same recurrence over query tiles x key tiles of
@@ -36,9 +38,11 @@ from .kvcache import PromptKV, ResponseKV
 #   sdpa_prefill on [2, 512, 8, 32]                     17.5 / 16.4 / 30.8
 #   sdpa_decode_fused, BS 2 x BW 4, 512 prompt + 48     0.96 / 0.89 / 1.02
 #   sdpa_decode_fused, BS 4 x BW 8, 64 prompt + 64      1.77 / 1.40 / 1.68
-#   sdpa_decode_fused, BS 4 x BW 1, 32 prompt + 160     0.48 / 0.49 / 0.54
-# At 256 each prefill score tile (KEY_BLOCK^2 x BS x H floats) is 4 MiB at
-# this shape, and half of every diagonal tile is computed only to be masked.
+#   sdpa_decode_fused, BS 4 x BW 1, 32 prompt + 160     0.20 / 0.16 / 0.14
+# (the BW 1 row is the median of 7 such minima). 256 wins only there, where
+# the 160 response keys fit one tile. At 256 each prefill score tile
+# (KEY_BLOCK^2 x BS x H floats) is 4 MiB at this shape, and half of every
+# diagonal tile is computed only to be masked.
 KEY_BLOCK = 128
 
 
@@ -189,10 +193,16 @@ class SdpaDecodeInputs:
         return cls(q, pk, pv, rk, rv, indices)
 
 
+def _fold_batch_first(state: OnlineSoftmax, q, kt, vt) -> None:
+    """Fold one batch-first [BS, n, H, D] key/value tile, shared by every beam
+    of an item, into ``state``: one [BW, D] x [D, n] product per item and head."""
+    state.update(q @ kt.transpose(0, 2, 3, 1), vt.transpose(0, 2, 1, 3))
+
+
 def sdpa_decode_fused(inp: SdpaDecodeInputs) -> np.ndarray:
     """Single-pass decode attention: stream the shared prompt segment, then
-    the beam-gathered response segment, tile by tile through one online
-    softmax.
+    the beam-gathered response segment (plain slices at BW = 1), tile by
+    tile through one online softmax.
 
     Returns the context as [1, BS*BW, H, D]. The (batch, head) iteration
     space is embarrassingly parallel; results do not depend on scheduling.
@@ -203,21 +213,27 @@ def sdpa_decode_fused(inp: SdpaDecodeInputs) -> np.ndarray:
     state = OnlineSoftmax((bs, h, bw), d)
 
     for t0 in range(0, n_prompt, KEY_BLOCK):
-        kt = inp.prompt_k[:, t0:t0 + KEY_BLOCK]  # [BS, n, H, D], shared by every beam
-        vt = inp.prompt_v[:, t0:t0 + KEY_BLOCK]
-        state.update(q @ kt.transpose(0, 2, 3, 1), vt.transpose(0, 2, 1, 3))
+        _fold_batch_first(state, q, inp.prompt_k[:, t0:t0 + KEY_BLOCK],
+                          inp.prompt_v[:, t0:t0 + KEY_BLOCK])
 
-    rk = inp.resp_k.reshape(n_resp, bs, bw, h, d)
-    rv = inp.resp_v.reshape(n_resp, bs, bw, h, d)
-    item = np.arange(bs)[:, None, None]
-    for t0 in range(0, n_resp, KEY_BLOCK):
-        t1 = min(t0 + KEY_BLOCK, n_resp)
-        # fused index select: the tile's rows on each beam's ancestry path
-        sel = (np.arange(t0, t1), item, inp.indices[:, :, t0:t1])
-        kt = rk[sel]  # [BS, BW, n, H, D]
-        vt = rv[sel]
-        s = np.matmul(q[..., None, :], kt.transpose(0, 3, 1, 4, 2))[..., 0, :]
-        state.update(s, vt.transpose(0, 3, 1, 2, 4))
+    if bw == 1:
+        # every index is 0, so the select is the identity: a response tile is
+        # a plain slice [n, BS, H, D], viewed batch first without a copy
+        for t0 in range(0, n_resp, KEY_BLOCK):
+            _fold_batch_first(state, q, inp.resp_k[t0:t0 + KEY_BLOCK].transpose(1, 0, 2, 3),
+                              inp.resp_v[t0:t0 + KEY_BLOCK].transpose(1, 0, 2, 3))
+    else:
+        rk = inp.resp_k.reshape(n_resp, bs, bw, h, d)
+        rv = inp.resp_v.reshape(n_resp, bs, bw, h, d)
+        item = np.arange(bs)[:, None, None]
+        for t0 in range(0, n_resp, KEY_BLOCK):
+            t1 = min(t0 + KEY_BLOCK, n_resp)
+            # fused index select: the tile's rows on each beam's ancestry path
+            sel = (np.arange(t0, t1), item, inp.indices[:, :, t0:t1])
+            kt = rk[sel]  # [BS, BW, n, H, D]
+            vt = rv[sel]
+            s = np.matmul(q[..., None, :], kt.transpose(0, 3, 1, 4, 2))[..., 0, :]
+            state.update(s, vt.transpose(0, 3, 1, 2, 4))
 
     return state.finalize().transpose(0, 2, 1, 3).reshape(1, bs * bw, h, d)
 

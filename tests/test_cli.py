@@ -311,6 +311,19 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
     assert MALFORMED_WEIGHT_FILES[defect] in capsys.readouterr().err
 
 
+def test_gen_rejects_weights_whose_hidden_state_overflows_rmsnorm(tmp_path, capsys):
+    """A valid file whose embedding is all 3e38 squares to inf in the first
+    rmsnorm; the run fails naming the overflow instead of emitting tokens
+    from all-tied logits."""
+    weights = ToyWeights.random(toy_config(), seed=0)
+    weights.embedding[:] = 3e38
+    path = tmp_path / "huge-embedding.bin"
+    save_weights(path, weights)
+    with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's own, from the square
+        assert run_cli("gen", "--weights", str(path), "--n-response", "2") == 2
+    assert "overflows float32" in capsys.readouterr().err
+
+
 def test_gen_rejects_weight_header_claiming_a_billion_layers(tmp_path, capsys):
     """The header's L is checked against its tensor list before anything of
     size L is built, so a tiny file cannot claim memory in proportion to L."""

@@ -142,6 +142,15 @@ def test_decode_fused_vs_oracle_at_tile_edges(n_prompt, n_resp, bs, bw, h, d, se
     assert np.max(np.abs(sdpa_decode_fused(inp) - sdpa_decode_oracle(inp))) <= 1e-4
 
 
+@pytest.mark.parametrize("n_prompt", [0, 3, KEY_BLOCK + 1])
+@pytest.mark.parametrize("n_resp", [1, KEY_BLOCK - 1, KEY_BLOCK, KEY_BLOCK + 1, 2 * KEY_BLOCK + 1])
+def test_decode_fused_vs_oracle_at_bw_1(n_prompt, n_resp):
+    """At BW = 1 the response tiles are read as plain slices, not gathered."""
+    inp = _rand_inputs(np.random.default_rng(n_prompt * 1000 + n_resp), 3, 1, 2, 8,
+                       n_prompt, n_resp)
+    assert np.max(np.abs(sdpa_decode_fused(inp) - sdpa_decode_oracle(inp))) <= 1e-4
+
+
 def test_kernels_fold_one_update_per_tile(monkeypatch):
     """Decode folds ceil(Np/B) + ceil(Nr/B) tiles, each key once; prefill of
     T query tiles folds only the T(T+1)/2 tiles on or below the causal
@@ -155,12 +164,14 @@ def test_kernels_fold_one_update_per_tile(monkeypatch):
 
     monkeypatch.setattr(OnlineSoftmax, "update", counting_update)
     rng = np.random.default_rng(14)
-    for n_prompt, n_resp in [(1, 0), (0, 1), (KEY_BLOCK, KEY_BLOCK), (150, 70),
-                             (2 * KEY_BLOCK + 1, KEY_BLOCK - 1)]:
-        widths.clear()
-        sdpa_decode_fused(_rand_inputs(rng, 2, 2, 2, 4, n_prompt, n_resp))
-        assert len(widths) == math.ceil(n_prompt / KEY_BLOCK) + math.ceil(n_resp / KEY_BLOCK)
-        assert sum(widths) == n_prompt + n_resp
+    for bw in (1, 2):
+        for n_prompt, n_resp in [(1, 0), (0, 1), (KEY_BLOCK, KEY_BLOCK), (150, 70),
+                                 (2 * KEY_BLOCK + 1, KEY_BLOCK - 1)]:
+            widths.clear()
+            sdpa_decode_fused(_rand_inputs(rng, 2, bw, 2, 4, n_prompt, n_resp))
+            assert len(widths) == (math.ceil(n_prompt / KEY_BLOCK)
+                                   + math.ceil(n_resp / KEY_BLOCK))
+            assert sum(widths) == n_prompt + n_resp
     for n in (1, KEY_BLOCK, KEY_BLOCK + 1, 3 * KEY_BLOCK - 1, 4 * KEY_BLOCK):
         widths.clear()
         q = rng.standard_normal((1, n, 2, 4)).astype(np.float32)
@@ -202,6 +213,17 @@ def test_decode_indices_out_of_range_rejected():
     )
     with pytest.raises(ValueError):
         SdpaDecodeInputs(indices=np.full((1, 2, 2), 2), **inp_kwargs)
+
+
+def test_decode_indices_out_of_range_rejected_at_bw_1():
+    """The BW = 1 kernel never reads the indices, so ``validate`` alone must
+    reject any index other than 0."""
+    rng = np.random.default_rng(15)
+    inp = _rand_inputs(rng, bs=2, bw=1, h=1, d=4, n_prompt=3, n_resp=2)
+    indices = np.zeros((2, 1, 2), dtype=np.int64)
+    indices[1, 0, 1] = 1
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        SdpaDecodeInputs(inp.q, inp.prompt_k, inp.prompt_v, inp.resp_k, inp.resp_v, indices)
 
 
 # -- oracle cross-checks --------------------------------------------------------------
