@@ -11,7 +11,7 @@ from .fusion import OpGraph, OpNode, apply_fusion_passes, build_standard_decoder
 from .kvcache import (CacheShapeParams, MemoryLedger, PromptKV, ResponseKV, StandardKV,
                       cache_token_bytes, kv_bytes, segment_cache_bytes,
                       simulate_decode_memory, standard_cache_bytes)
-from .ops import (LayerWeights, fused_qkv, gated_mlp, linear, rmsnorm, rope, rope_table, silu,
+from .ops import (LayerWeights, fused_qkv, gated_mlp, linear, rmsnorm, rope, rope_table,
                   to_batch_first, to_sequence_first)
 from .sdpa import (OnlineSoftmax, SdpaDecodeInputs, sdpa_decode_fused, sdpa_decode_oracle,
                    sdpa_materialized, sdpa_prefill)
@@ -26,7 +26,7 @@ __all__ = [
     "CacheShapeParams", "MemoryLedger", "PromptKV", "ResponseKV",
     "StandardKV", "cache_token_bytes", "kv_bytes", "segment_cache_bytes",
     "simulate_decode_memory", "standard_cache_bytes",
-    "LayerWeights", "fused_qkv", "gated_mlp", "linear", "rmsnorm", "rope", "rope_table", "silu",
+    "LayerWeights", "fused_qkv", "gated_mlp", "linear", "rmsnorm", "rope", "rope_table",
     "to_batch_first", "to_sequence_first",
     "OnlineSoftmax", "SdpaDecodeInputs", "sdpa_decode_fused", "sdpa_decode_oracle",
     "sdpa_materialized", "sdpa_prefill",

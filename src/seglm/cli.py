@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -38,8 +38,6 @@ MODEL_FLAGS = {
     "--D": dict(type=int, help="head dimension (default 16)"),
     "--ff": dict(type=int, help="MLP hidden width (default 2*H*D)"),
     "--vocab": dict(type=int, help="vocabulary size (default 64)"),
-    "--dtype-bytes": dict(type=int, choices=(2, 4),
-                          help="accounting bytes per cached element (default 2)"),
 }
 BUDGET_COLUMNS = ("budget_bytes", "bs_max_segment", "bs_max_standard")
 
@@ -53,8 +51,7 @@ def _reject(args, flags, reason: str) -> None:
 
 def _resolve_config(args) -> ModelConfig:
     """``toy_config()`` with each model flag the command line set overriding its field."""
-    fields = {"L": args.L, "H": args.H, "D": args.D, "ff_dim": args.ff, "vocab": args.vocab,
-              "dtype_bytes": args.dtype_bytes}
+    fields = {"L": args.L, "H": args.H, "D": args.D, "ff_dim": args.ff, "vocab": args.vocab}
     return toy_config(**{name: value for name, value in fields.items() if value is not None})
 
 
@@ -66,7 +63,7 @@ def _output(path: str | None):
 def cmd_memsim(args) -> int:
     rows = []
     for name in args.models:
-        cfg = replace(preset(name), dtype_bytes=args.dtype_bytes)
+        cfg = preset(name)
         budget = {}
         if args.budget_bytes is not None:
             budget["budget_bytes"] = args.budget_bytes
@@ -140,8 +137,7 @@ def cmd_gen(args) -> int:
     request = GenerationRequest(prompt, args.n_response, bw=args.bw)
 
     report: dict = {
-        "config": {"L": cfg.L, "H": cfg.H, "D": cfg.D, "ff_dim": cfg.ff_dim,
-                   "vocab": cfg.vocab, "dtype_bytes": cfg.dtype_bytes},
+        "config": asdict(cfg),
         "request": {"bs": int(prompt.shape[0]), "n_prompt": int(prompt.shape[1]),
                     "n_response": args.n_response, "mode": request.mode,
                     "bw": args.bw, "seed": args.seed},
@@ -193,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bw", type=int, default=4)
     p.add_argument("--n-prompt", type=int, default=1024)
     p.add_argument("--n-response", type=int, default=128)
-    p.add_argument("--dtype-bytes", type=int, choices=(2, 4), default=2)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--budget-bytes", type=int,
                    help="add the largest batch of each policy whose cache fits this budget")

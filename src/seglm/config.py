@@ -1,10 +1,10 @@
-"""Model configurations: decoder geometry plus the cache-accounting width.
+"""Model configurations: decoder geometry.
 
 A config holds only what a run or the memory accounting reads. The constants
 every model shares are stated once, where they are used: the norm epsilon
 and rotary base as the defaults of ``ops.rmsnorm`` and ``ops.rope_table``,
-the rotary pairing (i, i+D/2) in ``ops.rope``, and the position limit as
-``engine.MAX_POS``.
+the rotary pairing (i, i+D/2) in ``ops.rope``, the position limit as
+``engine.MAX_POS``, and the fp16 accounting width as ``kvcache.DTYPE_BYTES``.
 """
 from __future__ import annotations
 
@@ -14,28 +14,20 @@ from numbers import Integral
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Decoder geometry and the cache-accounting width.
-
-    ``L``/``H``/``D`` drive both compute shapes and cache byte accounting.
-    ``dtype_bytes`` is the bookkeeping size per cached element (2 for fp16
-    accounting); arithmetic is always carried out in float32 regardless.
-    """
+    """Decoder geometry. ``L``/``H``/``D`` drive both compute shapes and
+    cache byte accounting; arithmetic is always carried out in float32."""
 
     L: int
     H: int
     D: int
     ff_dim: int
     vocab: int
-    dtype_bytes: int = 2
 
     def __post_init__(self) -> None:
         for name in ("L", "H", "D", "ff_dim", "vocab"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.dtype_bytes, Integral) or self.dtype_bytes not in (2, 4):
-            raise ValueError("dtype_bytes must be 2 (fp16 accounting) or 4 (fp32), "
-                             f"got {self.dtype_bytes!r}")
 
     @property
     def d_model(self) -> int:
@@ -43,7 +35,7 @@ class ModelConfig:
 
 
 # ff_dim / vocab values mirror the public checkpoints but are never
-# load-bearing: memory accounting uses only L, H, D and dtype_bytes.
+# load-bearing: memory accounting uses only L, H and D.
 PRESETS: dict[str, ModelConfig] = {
     "gptj-6b": ModelConfig(L=32, H=32, D=128, ff_dim=16384, vocab=50400),
     "llama2-13b": ModelConfig(L=40, H=40, D=128, ff_dim=13824, vocab=32000),
@@ -60,8 +52,8 @@ def preset(name: str) -> ModelConfig:
 
 
 def toy_config(L: int = 2, H: int = 4, D: int = 16, vocab: int = 64,
-               ff_dim: int | None = None, **kwargs) -> ModelConfig:
+               ff_dim: int | None = None) -> ModelConfig:
     """Small configuration for desk-scale runs and tests."""
     if ff_dim is None:
         ff_dim = 2 * H * D
-    return ModelConfig(L=L, H=H, D=D, ff_dim=ff_dim, vocab=vocab, **kwargs)
+    return ModelConfig(L=L, H=H, D=D, ff_dim=ff_dim, vocab=vocab)

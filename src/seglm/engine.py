@@ -285,6 +285,9 @@ class _DecoderEngine:
         if request.bw > cfg.vocab:
             raise ValueError(f"vocabulary of {cfg.vocab} cannot fill {request.bw} beams")
 
+    # A value numpy would warn about reaches rmsnorm's or beam_step's own
+    # non-finite check, which names it; numpy's warning would only come first.
+    @np.errstate(over="ignore", invalid="ignore")
     def generate(self, request: GenerationRequest) -> GenerationResult:
         self.check_request(request)
         bs, _ = request.prompt.shape

@@ -18,8 +18,8 @@ gather (index select) and concat.
 
 The ledger models sizes only, never addresses: fragmentation is
 reserved - active bytes. Every byte a cache accounts is read off the buffer
-that holds it by ``kv_bytes``: element count times the config's
-``dtype_bytes`` (2 for fp16 bookkeeping), even though stored data is float32.
+that holds it by ``kv_bytes``: element count times ``DTYPE_BYTES``, the fp16
+width the paper counts its saving in, even though stored data is float32.
 """
 from __future__ import annotations
 
@@ -28,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
+
+DTYPE_BYTES = 2  # accounted bytes per cached element: fp16, though buffers hold float32
 
 # --------------------------------------------------------------------------
 # Size formulas
@@ -49,14 +51,14 @@ class CacheShapeParams:
             raise ValueError(f"beam width bw must be >= 1, got {self.bw}")
 
 
-def kv_bytes(config: ModelConfig, *buffers: np.ndarray) -> int:
-    """Accounted bytes of cache buffers: element count x ``config.dtype_bytes``."""
-    return sum(b.size for b in buffers) * config.dtype_bytes
+def kv_bytes(*buffers: np.ndarray) -> int:
+    """Accounted bytes of cache buffers: element count x ``DTYPE_BYTES``."""
+    return sum(b.size for b in buffers) * DTYPE_BYTES
 
 
 def cache_token_bytes(config: ModelConfig) -> int:
-    """Bytes of cached K+V for one token across all layers: 2*L*H*D*dtype_bytes."""
-    return 2 * config.L * config.H * config.D * config.dtype_bytes
+    """Bytes of cached K+V for one token across all layers: 2*L*H*D*DTYPE_BYTES."""
+    return 2 * config.L * config.H * config.D * DTYPE_BYTES
 
 
 def standard_cache_bytes(config: ModelConfig, p: CacheShapeParams) -> int:
@@ -161,14 +163,13 @@ class PromptKV:
     """
 
     def __init__(self, config: ModelConfig, bs: int, n_prompt: int, ledger: MemoryLedger):
-        self.config = config
         self._stored = [False] * config.L
         self._k = np.zeros((config.L, bs, n_prompt, config.H, config.D), dtype=np.float32)
         self._v = np.zeros_like(self._k)
-        ledger.alloc(kv_bytes(config, self._k, self._v))
+        ledger.alloc(kv_bytes(self._k, self._v))
 
     def total_bytes(self) -> int:
-        return kv_bytes(self.config, self._k, self._v)
+        return kv_bytes(self._k, self._v)
 
     def store(self, layer: int, k, v) -> None:
         if self._stored[layer]:
@@ -204,14 +205,14 @@ class ResponseKV:
         self._k = np.zeros((config.L, n_response, self.rows, config.H, config.D),
                            dtype=np.float32)
         self._v = np.zeros_like(self._k)
-        ledger.alloc(kv_bytes(config, self._k, self._v))
+        ledger.alloc(kv_bytes(self._k, self._v))
 
     def capacity(self, layer: int) -> int:
         """Rows reserved per layer; the same for every layer."""
         return self._k.shape[1]
 
     def total_bytes(self) -> int:
-        return kv_bytes(self.config, self._k, self._v)
+        return kv_bytes(self._k, self._v)
 
     def _as_row(self, x, name: str) -> np.ndarray:
         c = self.config
@@ -259,7 +260,7 @@ class StandardKV:
         return self.bs * self.bw
 
     def total_bytes(self) -> int:
-        return kv_bytes(self.config, *(a for a in self._k + self._v if a is not None))
+        return kv_bytes(*(a for a in self._k + self._v if a is not None))
 
     def store_prompt(self, layer: int, k, v) -> None:
         c = self.config
@@ -271,7 +272,7 @@ class StandardKV:
             raise ValueError("prompt already stored for this layer")
         self._k[layer] = k
         self._v[layer] = v
-        self.ledger.alloc(kv_bytes(c, k, v))
+        self.ledger.alloc(kv_bytes(k, v))
 
     def step(self, layer: int, k_t, v_t, beam_reorder) -> tuple[np.ndarray, np.ndarray]:
         """Gather past rows by ``beam_reorder`` (global row indices in
@@ -297,8 +298,8 @@ class StandardKV:
         new_v = np.concatenate([gathered_v, v_row], axis=1)
         self.counters.cat_ops += 2
 
-        self.ledger.alloc(kv_bytes(self.config, new_k, new_v))
-        self.ledger.free(kv_bytes(self.config, old_k, old_v))
+        self.ledger.alloc(kv_bytes(new_k, new_v))
+        self.ledger.free(kv_bytes(old_k, old_v))
         self._k[layer] = new_k
         self._v[layer] = new_v
         return new_k, new_v
@@ -356,7 +357,6 @@ def memsim_row(config: ModelConfig, model: str, p: CacheShapeParams) -> dict:
         "BW": p.bw,
         "N_prompt": p.n_prompt,
         "N_response": p.n_response,
-        "dtype_bytes": config.dtype_bytes,
         "standard_bytes": std,
         "segment_bytes": seg,
         "ratio": (seg / std) if std else 0.0,
@@ -364,5 +364,5 @@ def memsim_row(config: ModelConfig, model: str, p: CacheShapeParams) -> dict:
     }
 
 
-MEMSIM_COLUMNS = ("model", "BS", "BW", "N_prompt", "N_response", "dtype_bytes",
+MEMSIM_COLUMNS = ("model", "BS", "BW", "N_prompt", "N_response",
                   "standard_bytes", "segment_bytes", "ratio", "saving_bytes")

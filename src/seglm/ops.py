@@ -160,37 +160,24 @@ def rope(q, k, table):
     return rotate(q), rotate(k)
 
 
-def _silu_inplace(a: np.ndarray) -> np.ndarray:
-    """a <- a * sigmoid(a) in place, with sigmoid(a) = (1 + tanh(a/2)) / 2.
-
-    tanh saturates at +-1 instead of overflowing, so every float32 input,
-    up to +-3.4e38, gives a finite result and raises no warning. The
-    sigmoid factor takes the one scratch buffer.
-    """
-    s = np.multiply(a, np.float32(0.5))
-    np.tanh(s, out=s)
-    s += np.float32(1)
-    s *= np.float32(0.5)
-    a *= s
-    return a
-
-
-def silu(x) -> np.ndarray:
-    """x * sigmoid(x) = x * (1 + tanh(x/2)) / 2, overflow-free, into a new
-    array; ``x`` is never written."""
-    return _silu_inplace(np.array(x, dtype=np.float32))
-
-
 def gated_mlp(x, w_gate, w_up, w_down) -> np.ndarray:
     """y = linear(silu(linear(x, w_gate)) * linear(x, w_up), w_down), as the
     paper's LinearActivation and LinearMul. The weights are output-major:
     ``w_gate`` and ``w_up`` [ff, d_model], ``w_down`` [d_model, ff].
 
-    The SiLU and the product with the up projection are applied in place on
-    the gate projection's own buffer; ``x`` and the weights are not written.
+    SiLU is a * sigmoid(a) with sigmoid(a) = (1 + tanh(a/2)) / 2: tanh
+    saturates at +-1 instead of overflowing, so every float32 input, up to
+    +-3.4e38, gives a finite result and raises no warning. The SiLU and the
+    product with the up projection are applied in place on the gate
+    projection's own buffer, with the sigmoid factor in one scratch buffer;
+    ``x`` and the weights are not written.
     """
     act = linear(x, w_gate)
-    _silu_inplace(act)
+    s = np.multiply(act, np.float32(0.5))
+    np.tanh(s, out=s)
+    s += np.float32(1)
+    s *= np.float32(0.5)
+    act *= s
     act *= linear(x, w_up)
     return linear(act, w_down)
 

@@ -28,6 +28,7 @@ def test_memsim_csv_golden_row(tmp_path):
     with out.open() as f:
         rows = list(csv.DictReader(f))
     assert list(rows[0].keys()) == list(MEMSIM_COLUMNS)
+    assert "dtype_bytes" not in rows[0]  # the fp16 width is a constant, not a column
     row = rows[0]
     assert int(row["standard_bytes"]) == 137_438_953_472
     assert int(row["segment_bytes"]) == 85_899_345_920
@@ -113,6 +114,16 @@ def test_memsim_budget_only_segment_fits(capsys):
     assert row["segment_bytes"] == 2_684_354_560 and row["standard_bytes"] == 4_294_967_296
     assert row["bs_max_segment"] == 1
     assert row["bs_max_standard"] == 0
+
+
+@pytest.mark.parametrize("cmd", ["gen", "memsim"])
+def test_dtype_bytes_flag_is_gone(capsys, cmd):
+    """The fp16 accounting width is ``kvcache.DTYPE_BYTES``, a constant, so
+    no command takes a flag for it."""
+    with pytest.raises(SystemExit) as e:
+        run_cli(cmd, "--dtype-bytes", "2")
+    assert e.value.code == 2
+    assert "unrecognized arguments: --dtype-bytes 2" in capsys.readouterr().err
 
 
 def test_bench_command_is_gone(capsys):
@@ -227,7 +238,8 @@ def test_gen_prompt_file_and_weight_round_trip(tmp_path):
 
 # config fields that are now constants of ops or the engine, with the value
 # every header written while they were fields held
-LEGACY_CONFIG_FIELDS = {"eps": 1e-5, "max_pos": 4096, "rope_style": "half", "rope_theta": 10000.0}
+LEGACY_CONFIG_FIELDS = {"dtype_bytes": 2, "eps": 1e-5, "max_pos": 4096, "rope_style": "half",
+                        "rope_theta": 10000.0}
 
 # defect -> a word the error message must name
 MALFORMED_WEIGHT_FILES = {
@@ -238,14 +250,14 @@ MALFORMED_WEIGHT_FILES = {
     "fractional-L": "L must be an integer",
     "float-H": "H must be an integer",
     "legacy-step": "'step'",
-    "legacy-file": "'eps'",  # the first legacy field in the header's sorted keys
+    "legacy-file": "'dtype_bytes'",  # the first legacy field in the header's sorted keys
+    "legacy-dtype-bytes": "'dtype_bytes'",
     "legacy-rope-style": "'rope_style'",
     "legacy-eps": "'eps'",
     "legacy-max-pos": "'max_pos'",
     "legacy-rope-theta": "'rope_theta'",
     "top-level-seed": "'seed'",
     "top-level-unknown-key": "'comment'",
-    "float-dtype-bytes": "dtype_bytes must be 2",
     "duplicate-tensor": "tensor 'final_norm' twice",
     "extra-layer": "tensor 'layers.1.",
     "overlapping-offset": "'final_norm'",
@@ -282,8 +294,6 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
         header["seed"] = 0
     elif defect == "top-level-unknown-key":
         header["comment"] = "toy weights"
-    elif defect == "float-dtype-bytes":
-        header["config"]["dtype_bytes"] = 2.0
     elif defect == "duplicate-tensor":
         header["tensors"] += [t for t in header["tensors"] if t["name"] == "final_norm"]
     elif defect == "extra-layer":  # the blob holds two layers, the config says one
@@ -313,22 +323,28 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
 
 def test_gen_rejects_weights_whose_hidden_state_overflows_rmsnorm(tmp_path, capsys):
     """A valid file whose embedding is all 3e38 squares to inf in the first
-    rmsnorm; the run fails naming the overflow instead of emitting tokens
-    from all-tied logits."""
-    weights = ToyWeights.random(toy_config(), seed=0)
-    weights.embedding[:] = 3e38
-    path = tmp_path / "huge-embedding.bin"
-    save_weights(path, weights)
-    with pytest.warns(RuntimeWarning, match="overflow"):  # numpy's own, from the square
-        assert run_cli("gen", "--weights", str(path), "--n-response", "2") == 2
-    assert "overflows float32" in capsys.readouterr().err
+    rmsnorm, and one whose head is all 3e38 gives logits of inf - inf; each
+    run fails naming the non-finite value instead of emitting tokens from
+    all-tied logits. The runtime's own check reports it: numpy prints no
+    RuntimeWarning first, which pytest's warnings-as-errors setting would
+    raise instead."""
+    for tensor, message in (("embedding", "overflows float32"),
+                            ("head", "log-probs row 0 holds NaN or +inf")):
+        weights = ToyWeights.random(toy_config(), seed=0)
+        getattr(weights, tensor)[:] = 3e38
+        path = tmp_path / f"huge-{tensor}.bin"
+        save_weights(path, weights)
+        for engine_name in ("optimized", "reference"):
+            assert run_cli("gen", "--weights", str(path), "--engine", engine_name,
+                           "--n-response", "2") == 2
+            assert message in capsys.readouterr().err, (tensor, engine_name)
 
 
 def test_gen_rejects_weight_header_claiming_a_billion_layers(tmp_path, capsys):
     """The header's L is checked against its tensor list before anything of
     size L is built, so a tiny file cannot claim memory in proportion to L."""
     bad = tmp_path / "huge-L.bin"
-    config = {"L": 10 ** 9, "H": 4, "D": 16, "ff_dim": 128, "vocab": 64, "dtype_bytes": 2}
+    config = {"L": 10 ** 9, "H": 4, "D": 16, "ff_dim": 128, "vocab": 64}
     bad.write_bytes(json.dumps({"config": config, "tensors": []}).encode() + b"\n")
     t0 = time.perf_counter()
     assert run_cli("gen", "--weights", str(bad), "--n-response", "2") == 2
@@ -345,7 +361,7 @@ def test_gen_rejects_short_tensor_list_before_building_the_manifest(tmp_path, ca
 
     monkeypatch.setattr(engine, "weight_manifest", refuse)
     bad = tmp_path / "many-layers.bin"
-    config = {"L": 100000, "H": 4, "D": 16, "ff_dim": 128, "vocab": 64, "dtype_bytes": 2}
+    config = {"L": 100000, "H": 4, "D": 16, "ff_dim": 128, "vocab": 64}
     tensors = [{"name": "x"}] * 1000
     bad.write_bytes(json.dumps({"config": config, "tensors": tensors}).encode() + b"\n")
     assert run_cli("gen", "--weights", str(bad), "--n-response", "2") == 2
@@ -402,8 +418,8 @@ def test_directory_path_is_a_usage_error_naming_it(tmp_path, capsys, argv):
     assert err.startswith("error:") and str(directory) in err
 
 
-@pytest.mark.parametrize("flags", [("--dtype-bytes", "4"), ("--dtype-bytes", "2"), ("--L", "2"),
-                                   ("--H", "4", "--D", "8"), ("--ff", "32"), ("--vocab", "64")],
+@pytest.mark.parametrize("flags", [("--L", "2"), ("--H", "4", "--D", "8"), ("--ff", "32"),
+                                   ("--vocab", "64")],
                          ids=" ".join)
 def test_gen_rejects_model_flags_with_weights(tmp_path, capsys, flags):
     """A weight file fixes the model, so a model flag next to it is an error,
@@ -455,7 +471,7 @@ def test_gen_rejects_random_prompt_flags_with_prompt_file(tmp_path, capsys, flag
     assert flags[0] in capsys.readouterr().err
 
 
-TOY_CONFIG = {"L": 2, "H": 4, "D": 16, "ff_dim": 128, "vocab": 64, "dtype_bytes": 2}
+TOY_CONFIG = {"L": 2, "H": 4, "D": 16, "ff_dim": 128, "vocab": 64}
 
 
 # model flags -> the config fields they change from TOY_CONFIG
@@ -465,7 +481,6 @@ MODEL_FLAG_CASES = [
     (("--D", "8"), {"D": 8, "ff_dim": 64}),
     (("--ff", "12"), {"ff_dim": 12}),
     (("--vocab", "32"), {"vocab": 32}),
-    (("--dtype-bytes", "4"), {"dtype_bytes": 4}),
     (("--L", "1", "--H", "2", "--D", "4", "--ff", "12", "--vocab", "32"),
      {"L": 1, "H": 2, "D": 4, "ff_dim": 12, "vocab": 32}),
 ]
@@ -528,7 +543,7 @@ def test_fusion_report_totals_and_stability(capsys):
 def test_fusion_report_takes_no_model_flags(capsys):
     """The analysis graph does not depend on the model, so the report has no
     model flags to ignore."""
-    for flag in ("--model", "--L", "--dtype-bytes"):
+    for flag in ("--model", "--L", "--vocab"):
         with pytest.raises(SystemExit) as e:
             run_cli("fusion-report", flag, "4")
         assert e.value.code == 2

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from seglm.config import PRESETS, ModelConfig, preset, toy_config
+from seglm.kvcache import DTYPE_BYTES, cache_token_bytes
 
 
 def test_preset_geometry():
@@ -17,7 +18,8 @@ def test_preset_geometry():
         cfg = preset(name)
         assert (cfg.L, cfg.H, cfg.D) == (L, H, D)
         assert cfg.d_model == H * D
-        assert cfg.dtype_bytes == 2
+        assert cache_token_bytes(cfg) == 2 * L * H * D * 2  # K and V, fp16 accounting
+    assert DTYPE_BYTES == 2
 
 
 def test_unknown_preset():
@@ -28,16 +30,11 @@ def test_unknown_preset():
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(L=0, H=1, D=1, ff_dim=1, vocab=1)
-    with pytest.raises(ValueError):
-        ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, dtype_bytes=3)
     with pytest.raises(TypeError, match="step"):  # no config field sizes the response arena
         ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, step=16)
     for name, bad in (("L", 2.5), ("H", 4.0), ("D", True), ("ff_dim", "8"), ("vocab", None)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             ModelConfig(**{"L": 1, "H": 1, "D": 1, "ff_dim": 1, "vocab": 1, name: bad})
-    for bad in (2.0, True):
-        with pytest.raises(ValueError, match="dtype_bytes"):
-            ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, dtype_bytes=bad)
 
 
 def test_toy_config_defaults():
@@ -48,20 +45,12 @@ def test_toy_config_defaults():
 
 
 def test_config_holds_only_what_a_run_or_the_accounting_reads():
-    """The norm epsilon, rotary base and layout, and the position limit are
-    constants of the ops and the engine, not config fields."""
-    assert [f.name for f in dataclasses.fields(ModelConfig)] == [
-        "L", "H", "D", "ff_dim", "vocab", "dtype_bytes"]
-    for legacy in ("max_pos", "rope_theta", "rope_style", "eps"):
+    """The norm epsilon, rotary base and layout, the position limit and the
+    fp16 accounting width are constants of the ops, the engine and the
+    cache, not config fields."""
+    assert [f.name for f in dataclasses.fields(ModelConfig)] == ["L", "H", "D", "ff_dim", "vocab"]
+    for legacy in ("max_pos", "rope_theta", "rope_style", "eps", "dtype_bytes"):
         with pytest.raises(TypeError, match=legacy):
             ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, **{legacy: 1})
-
-
-def test_dtype_override_is_a_new_config():
-    """memsim's --dtype-bytes replaces one field of a preset, validated again."""
-    cfg = preset("gptj-6b")
-    fp32 = dataclasses.replace(cfg, dtype_bytes=4)
-    assert fp32.dtype_bytes == 4 and cfg.dtype_bytes == 2
-    assert (fp32.L, fp32.H, fp32.D) == (cfg.L, cfg.H, cfg.D)
-    with pytest.raises(ValueError, match="dtype_bytes"):
-        dataclasses.replace(cfg, dtype_bytes=3)
+    with pytest.raises(TypeError, match="dtype_bytes"):
+        toy_config(dtype_bytes=2)

@@ -281,12 +281,15 @@ def _cache_buffers(run):
 
 def _reconciled(engine_cls, checked_runs):
     """``engine_cls`` asserting, after prefill and after every decode step,
-    that the ledger's active bytes are exactly the bytes of the live caches."""
+    that the ledger's active bytes are exactly the bytes of the live caches:
+    by the caches' own rule, and as half of numpy's ``nbytes`` (float32 held,
+    fp16 accounted), which no width or element count in ``kv_bytes`` reaches."""
     class Reconciled(engine_cls):
         def _check(self, run):
             buffers = list(_cache_buffers(run))
             assert buffers and all(b.dtype == np.float32 for b in buffers)
-            assert self.last_ledger.active_bytes == kv_bytes(self.config, *buffers)
+            assert self.last_ledger.active_bytes == kv_bytes(*buffers)
+            assert 2 * self.last_ledger.active_bytes == sum(b.nbytes for b in buffers)
             checked_runs.append(run)
 
         def _prefill(self, run):
@@ -396,6 +399,17 @@ def test_same_seed_bit_identical_tokens():
     a = OptimizedEngine(w).generate(req)
     b = OptimizedEngine(ToyWeights.random(w.config, seed=21)).generate(req)
     assert np.array_equal(a.tokens, b.tokens)
+
+
+@pytest.mark.parametrize("engine_cls", [OptimizedEngine, ReferenceEngine])
+def test_generate_leaves_the_callers_numpy_error_state_alone(engine_cls):
+    """``generate`` silences numpy's overflow and invalid-value warnings only
+    while it runs; the caller's settings hold again afterwards."""
+    w = _toy_weights(seed=22)
+    with np.errstate(over="raise", invalid="raise"):
+        before = np.geterr()
+        engine_cls(w).generate(GenerationRequest(_prompt(w.config, 1, 4), 3, bw=2))
+        assert np.geterr() == before
 
 
 # -- request validation --------------------------------------------------------------------

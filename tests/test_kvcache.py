@@ -16,8 +16,8 @@ GPTJ = preset("gptj-6b")
 # -- size formulas --------------------------------------------------------------
 
 def test_cache_token_bytes_unit_config():
-    cfg = ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1, dtype_bytes=2)
-    assert cache_token_bytes(cfg) == 4
+    cfg = ModelConfig(L=1, H=1, D=1, ff_dim=1, vocab=1)
+    assert cache_token_bytes(cfg) == 4  # K and V of one element, 2 bytes each
 
 
 def test_cache_token_bytes_presets():
@@ -172,7 +172,7 @@ def test_response_kv_layers_grow_in_lockstep():
             assert cache.capacity(layer) == 33
 
     arena = _arena_bytes(cfg, 2, 33)
-    assert arena == cfg.L * 2 * 33 * 2 * cfg.H * cfg.D * cfg.dtype_bytes
+    assert arena == cfg.L * 2 * 33 * 2 * cfg.H * cfg.D * 2  # fp16 accounting
     assert led.events == [("alloc", arena)]
     assert cache.total_bytes() == arena == led.active_bytes
     for layer, (ks, vs) in enumerate(written):
@@ -263,7 +263,7 @@ def test_standard_step_reserved_is_per_step_sum():
         kv.step(0, s, s, np.array([0, 1]))
 
     def block(n):  # closed form: K and V of 2 rows of n tokens, one layer
-        return 2 * 2 * n * cfg.H * cfg.D * cfg.dtype_bytes
+        return 2 * 2 * n * cfg.H * cfg.D * 2  # fp16 accounting
 
     expected = block(n_prompt) + sum(block(n_prompt + t) for t in range(1, n_steps + 1))
     assert led.reserved_bytes == expected

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seglm.ops import (ROW_BOUND, SMALL_ROW_BOUND, fused_qkv, gated_mlp, linear, log_softmax,
-                       rmsnorm, rope, rope_table, silu, to_batch_first, to_sequence_first)
+                       rmsnorm, rope, rope_table, to_batch_first, to_sequence_first)
 
 
 def matmul_oracle(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -290,8 +290,19 @@ def test_gated_mlp_writes_only_its_own_buffers():
     assert np.max(np.abs(y - expected)) <= 1e-6
 
 
+def _silu_through_gated_mlp(x) -> np.ndarray:
+    """SiLU of ``x`` read off a one-unit gated MLP whose gate reads ``x``, whose
+    up projection reads a constant-1 column and whose down projection is 1,
+    so the output is exactly the MLP's SiLU of ``x``."""
+    x = np.asarray(x, dtype=np.float32)
+    inputs = np.stack([x, np.ones_like(x)], axis=1)
+    w_gate = np.array([[1.0, 0.0]], dtype=np.float32)
+    w_up = np.array([[0.0, 1.0]], dtype=np.float32)
+    return gated_mlp(inputs, w_gate, w_up, np.ones((1, 1), dtype=np.float32))[:, 0]
+
+
 def test_silu_extremes_do_not_overflow():
-    y = silu(np.array([-1000.0, 0.0, 1000.0], dtype=np.float32))
+    y = _silu_through_gated_mlp([-1000.0, 0.0, 1000.0])
     assert np.allclose(y, [0.0, 0.0, 1000.0])
 
 
@@ -299,9 +310,7 @@ def test_silu_matches_oracle_over_float32_range():
     big = np.finfo(np.float32).max
     x = np.concatenate([np.linspace(-100, 100, 400_001, dtype=np.float32),
                         np.array([1e4, -1e4, big, -big, 0.0, -0.0], dtype=np.float32)])
-    x_before = x.tobytes()
-    y = silu(x)
-    assert x.tobytes() == x_before  # silu never writes to its input
+    y = _silu_through_gated_mlp(x)
     assert np.isfinite(y).all()
     assert np.allclose(y, _silu_oracle(x), rtol=1e-5, atol=1e-6)
 
