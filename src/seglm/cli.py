@@ -98,12 +98,15 @@ def cmd_memsim(args) -> int:
     return 0
 
 
-def _load_prompt(args, cfg: ModelConfig) -> np.ndarray:
+def _load_prompt(args, cfg: ModelConfig, seed: int | None) -> np.ndarray:
     if args.prompt_file:
         _reject(args, ("--bs", "--random"),
                 "cannot be combined with --prompt-file, whose ids fix the prompt")
         with open(args.prompt_file) as f:
-            ids = json.load(f)
+            try:
+                ids = json.load(f)
+            except ValueError as exc:  # not UTF-8 or not JSON
+                raise UsageError(f"malformed prompt file {args.prompt_file}: {exc}") from None
         prompt = np.asarray(ids)  # GenerationRequest rejects non-integer ids
         bools = [x for x in np.asarray(ids, dtype=object).flat if isinstance(x, bool)]
         if bools:  # numpy would read [1, true, 3] as the ids [1, 1, 3]
@@ -112,13 +115,19 @@ def _load_prompt(args, cfg: ModelConfig) -> np.ndarray:
         if prompt.ndim == 1:
             prompt = prompt[None, :]
     else:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(seed)
         prompt = rng.integers(0, cfg.vocab, size=(1 if args.bs is None else args.bs,
                                                   16 if args.random is None else args.random))
     return prompt  # the engine rejects ids outside the vocabulary
 
 
 def cmd_gen(args) -> int:
+    if args.weights and args.prompt_file:  # nothing is drawn
+        _reject(args, ("--seed",), "cannot be combined with both --weights and "
+                "--prompt-file, which leave nothing to draw")
+        seed = None
+    else:
+        seed = 0 if args.seed is None else args.seed
     if args.weights:
         _reject(args, MODEL_FLAGS,
                 "cannot be combined with --weights, whose file holds the model config")
@@ -126,12 +135,12 @@ def cmd_gen(args) -> int:
         cfg = weights.config
     else:
         cfg = _resolve_config(args)
-        weights = ToyWeights.random(cfg, seed=args.seed)
+        weights = ToyWeights.random(cfg, seed=seed)
     # the engines check the weights before a prompt is read or a file written
     engines = {name: engine(weights) for name, engine in
                (("optimized", OptimizedEngine), ("reference", ReferenceEngine))
                if args.engine in (name, "both")}
-    prompt = _load_prompt(args, cfg)
+    prompt = _load_prompt(args, cfg, seed)
     if args.save_weights:
         save_weights(args.save_weights, weights)
     request = GenerationRequest(prompt, args.n_response, bw=args.bw)
@@ -140,7 +149,7 @@ def cmd_gen(args) -> int:
         "config": asdict(cfg),
         "request": {"bs": int(prompt.shape[0]), "n_prompt": int(prompt.shape[1]),
                     "n_response": args.n_response, "mode": request.mode,
-                    "bw": args.bw, "seed": args.seed},
+                    "bw": args.bw, "seed": seed},
     }
     for engine in engines.values():  # before --out is opened, which truncates it
         engine.check_request(request)
@@ -205,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, metavar="N",
                    help="draw a random prompt of N tokens per batch item (default 16)")
     p.add_argument("--n-response", type=int, default=128)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="seed of the drawn weights and random prompt (default 0)")
     p.add_argument("--weights", help="load weights from file")
     p.add_argument("--save-weights", help="save the run's weights to file")
     p.add_argument("--out")

@@ -107,7 +107,8 @@ class GenerationResult:
 
 def weight_layout(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Every weight tensor's name and shape, in weight-file and random-draw
-    order. A generator, so reading a prefix costs only its length.
+    order. A generator, so reading a prefix costs only its length: the
+    loader walks it only as far as a file's blob reaches.
 
     Every projection (the ``w_*`` tensors and ``head``) is output-major,
     [out, in]; the embedding is [vocab, d_model]."""
@@ -120,16 +121,6 @@ def weight_layout(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
             yield f"layers.{i}.{name}", shape
     yield "final_norm", (dm,)
     yield "head", (vocab, dm)
-
-
-def weight_manifest(config: ModelConfig) -> tuple[list[dict], int]:
-    """The weight file's tensor manifest, ``weight_layout`` packed back to back
-    as float32, and the blob length it covers."""
-    manifest, offset = [], 0
-    for name, shape in weight_layout(config):
-        manifest.append({"name": name, "shape": list(shape), "offset": offset})
-        offset += 4 * prod(shape)
-    return manifest, offset
 
 
 WEIGHT_SCALE = 0.02  # standard deviation of every drawn weight
@@ -195,66 +186,50 @@ class ToyWeights:
 
 
 def save_weights(path, weights: ToyWeights) -> None:
-    """JSON header (config + tensor manifest) followed by a raw little-endian
-    float32 blob; the round trip is byte-exact."""
-    manifest, _ = weight_manifest(weights.config)
-    header = {"config": asdict(weights.config), "tensors": manifest}
+    """A one-line JSON header, ``{"config": {...}}``, then every tensor of
+    ``weight_layout`` packed back to back as little-endian float32; the
+    round trip is byte-exact."""
+    header = {"config": asdict(weights.config)}
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for _, arr in weights.named_tensors():
             f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _name_error(names: list, config: ModelConfig) -> str | None:
-    """The first way tensor ``names`` differ from those of ``weight_layout``,
-    or None; reads at most one layout entry more than there are names."""
-    layout = (name for name, _ in weight_layout(config))
-    for i, name in enumerate(names):
-        want = next(layout, None)
-        if want is None or name != want:
-            if name in names[:i]:
-                return f"lists tensor {name!r} twice"
-            return (f"lists tensor {name!r} where its layout has "
-                    f"{'no more tensors' if want is None else repr(want)}")
-    want = next(layout, None)
-    return None if want is None else f"has no tensor {want!r}"
-
-
 def load_weights(path) -> ToyWeights:
-    """Read a ``save_weights`` file. Its header must hold exactly ``config``
-    and ``tensors``, its manifest must equal ``weight_manifest`` of its
-    config, and its blob must end where that manifest does."""
+    """Read a ``save_weights`` file. Its header must hold exactly ``config``,
+    and its blob exactly the tensors of that config's layout. The layout is
+    walked only as far as the blob reaches, so a header claiming a huge
+    ``L`` costs no more than the file's size."""
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
+        line = f.readline()
         blob = f.read()
-    try:
-        extra = sorted(set(header) - {"config", "tensors"})
+    try:  # ValueError: not UTF-8, not JSON, or a config field out of range
+        header = json.loads(line.decode("utf-8"))
+        extra = sorted(set(header) - {"config"})
         config = ModelConfig(**header["config"])
-        listed = header["tensors"]
-        names = [entry["name"] for entry in listed]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"weight file {path} has a malformed header: {exc!r}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"weight file {path} has a malformed header: "
+                         f"{type(exc).__name__}: {exc}") from None
     if extra:
         raise ValueError(f"weight file {path} header holds {extra[0]!r}; "
-                         "it may hold only 'config' and 'tensors'")
-    count = 3 + 7 * config.L  # embedding, seven tensors per layer, final_norm, head
-    if len(listed) != count:  # checked before anything of size L is built
-        raise ValueError(f"weight file {path} lists {len(listed)} tensors where the "
-                         f"L={config.L} layers of its config take {count}: it "
-                         f"{_name_error(names, config)}")
-    manifest, end = weight_manifest(config)
-    if listed != manifest:
-        error = _name_error(names, config) or next(
-            f"lists {got} where its layout has {want}"
-            for got, want in zip(listed, manifest) if got != want)
-        raise ValueError(f"weight file {path} {error}")
-    if len(blob) != end:
-        raise ValueError(f"weight file {path} holds {len(blob)} bytes of tensor data, but its "
-                         f"manifest packs {end}, ending with tensor {manifest[-1]['name']!r}")
-    tensors = {entry["name"]: np.frombuffer(blob, dtype="<f4", count=prod(entry["shape"]),
-                                            offset=entry["offset"]).reshape(entry["shape"]).copy()
-               for entry in manifest}
-    return ToyWeights.from_tensors(config, tensors)
+                         "it may hold only 'config'")
+    tensors, offset = {}, 0
+    for name, shape in weight_layout(config):
+        count = prod(shape)
+        if offset + 4 * count > len(blob):
+            raise ValueError(f"weight file {path} holds {len(blob)} bytes of tensor data, "
+                             f"which end inside tensor {name!r} of its config (L={config.L})")
+        tensors[name] = np.frombuffer(blob, dtype="<f4", count=count,
+                                      offset=offset).reshape(shape).copy()
+        offset += 4 * count
+    if offset != len(blob):
+        raise ValueError(f"weight file {path} holds {len(blob) - offset} bytes past the "
+                         f"last tensor of its config (L={config.L})")
+    try:
+        return ToyWeights.from_tensors(config, tensors)
+    except ValueError as exc:  # a non-finite value
+        raise ValueError(f"weight file {path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------

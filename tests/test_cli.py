@@ -2,6 +2,7 @@ import csv
 import json
 import shlex
 import time
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from seglm import engine, verify
 from seglm.cli import main
 from seglm.config import preset, toy_config
-from seglm.engine import ToyWeights, save_weights
+from seglm.engine import ToyWeights, save_weights, weight_layout
 from seglm.kvcache import (MEMSIM_COLUMNS, CacheShapeParams, segment_cache_bytes,
                            standard_cache_bytes)
 
@@ -231,9 +232,26 @@ def test_gen_prompt_file_and_weight_round_trip(tmp_path):
     out2 = tmp_path / "r2.json"
     assert run_cli("gen", "--engine", "optimized", "--prompt-file", str(prompt),
                    "--n-response", "4", "--weights", str(wfile), "--out", str(out2)) == 0
-    t1 = json.loads(out1.read_text())["optimized"]["tokens"]
-    t2 = json.loads(out2.read_text())["optimized"]["tokens"]
-    assert t1 == t2
+    r1, r2 = json.loads(out1.read_text()), json.loads(out2.read_text())
+    assert r1["optimized"]["tokens"] == r2["optimized"]["tokens"]
+    assert (r1["request"]["seed"], r2["request"]["seed"]) == (0, None)  # the second drew nothing
+
+
+def test_gen_rejects_seed_with_weights_and_prompt_file(tmp_path, capsys):
+    """With both files nothing is drawn, so --seed would be ignored; with
+    either file alone it draws the other's part, and the report records it."""
+    prompt = tmp_path / "prompt.json"
+    prompt.write_text(json.dumps([[1, 2, 3]]))
+    wfile = tmp_path / "weights.bin"
+    save_weights(wfile, ToyWeights.random(toy_config(), seed=0))
+    assert run_cli("gen", "--weights", str(wfile), "--prompt-file", str(prompt),
+                   "--seed", "5", "--n-response", "2") == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "--weights" in err and "--prompt-file" in err
+    for source in (("--weights", str(wfile)), ("--prompt-file", str(prompt))):
+        out = tmp_path / "out.json"
+        assert run_cli("gen", *source, "--seed", "5", "--n-response", "2", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["request"]["seed"] == 5
 
 
 # config fields that are now constants of ops or the engine, with the value
@@ -241,9 +259,10 @@ def test_gen_prompt_file_and_weight_round_trip(tmp_path):
 LEGACY_CONFIG_FIELDS = {"dtype_bytes": 2, "eps": 1e-5, "max_pos": 4096, "rope_style": "half",
                         "rope_theta": 10000.0}
 
-# defect -> a word the error message must name
+# defect -> a word the error message must name, besides the file's path
 MALFORMED_WEIGHT_FILES = {
-    "missing-tensor": "head",
+    "empty-file": "malformed header",
+    "non-utf8-header": "malformed header",
     "nan-weight": "embedding",
     "missing-config": "config",
     "activation-field": "activation",
@@ -258,11 +277,10 @@ MALFORMED_WEIGHT_FILES = {
     "legacy-rope-theta": "'rope_theta'",
     "top-level-seed": "'seed'",
     "top-level-unknown-key": "'comment'",
-    "duplicate-tensor": "tensor 'final_norm' twice",
-    "extra-layer": "tensor 'layers.1.",
-    "overlapping-offset": "'final_norm'",
-    "trailing-bytes": "bytes of tensor data",
-    "input-major-projections": "'layers.0.w_qkv'",
+    "parent-format": "'tensors'",
+    "truncated-blob": "end inside tensor 'head'",
+    "extra-layer": "bytes past the last tensor of its config (L=1)",
+    "trailing-bytes": "holds 8 bytes past the last tensor",
 }
 
 
@@ -272,8 +290,11 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
     save_weights(good, ToyWeights.random(toy_config(), seed=0))
     header_line, blob = good.read_bytes().split(b"\n", 1)
     header = json.loads(header_line)
-    if defect == "missing-tensor":
-        header["tensors"] = [t for t in header["tensors"] if t["name"] != "head"]
+    if defect == "parent-format":  # as saved with a manifest of the config's layout
+        offset, header["tensors"] = 0, []
+        for name, shape in weight_layout(toy_config()):
+            header["tensors"].append({"name": name, "offset": offset, "shape": list(shape)})
+            offset += 4 * prod(shape)
     elif defect == "nan-weight":  # the embedding is the first tensor in the blob
         blob = np.float32(np.nan).tobytes() + blob[4:]
     elif defect == "missing-config":
@@ -294,31 +315,20 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
         header["seed"] = 0
     elif defect == "top-level-unknown-key":
         header["comment"] = "toy weights"
-    elif defect == "duplicate-tensor":
-        header["tensors"] += [t for t in header["tensors"] if t["name"] == "final_norm"]
+    elif defect == "truncated-blob":
+        blob = blob[:-4]
     elif defect == "extra-layer":  # the blob holds two layers, the config says one
         header["config"]["L"] = 1
-    elif defect == "overlapping-offset":  # final_norm would read the embedding's first row
-        embedding_offset = header["tensors"][0]["offset"]
-        for t in header["tensors"]:
-            if t["name"] == "final_norm":
-                t["offset"] = embedding_offset
     elif defect == "trailing-bytes":
         blob += bytes(8)
-    elif defect == "input-major-projections":  # as saved while projections were [in, out]
-        projections = [t for t in header["tensors"]
-                       if len(t["shape"]) == 2 and t["name"] != "embedding"]
-        for t in projections:
-            t["shape"].reverse()
-        weights = dict(ToyWeights.random(toy_config(), seed=0).named_tensors())
-        blob = b"".join((weights[t["name"]].T if t in projections else weights[t["name"]])
-                        .astype("<f4").tobytes() for t in header["tensors"])
-    else:  # a header written while the config still had an activation option
+    elif defect == "activation-field":  # written while the config had an activation option
         header["config"]["activation"] = "silu"
+    data = json.dumps(header, sort_keys=True).encode() + b"\n" + blob
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+    bad.write_bytes({"empty-file": b"", "non-utf8-header": b"\xff" + data}.get(defect, data))
     assert run_cli("gen", "--weights", str(bad), "--n-response", "2") == 2
-    assert MALFORMED_WEIGHT_FILES[defect] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert MALFORMED_WEIGHT_FILES[defect] in err and str(bad) in err
 
 
 def test_gen_rejects_weights_whose_hidden_state_overflows_rmsnorm(tmp_path, capsys):
@@ -341,33 +351,17 @@ def test_gen_rejects_weights_whose_hidden_state_overflows_rmsnorm(tmp_path, caps
 
 
 def test_gen_rejects_weight_header_claiming_a_billion_layers(tmp_path, capsys):
-    """The header's L is checked against its tensor list before anything of
-    size L is built, so a tiny file cannot claim memory in proportion to L."""
+    """The loader walks the header's layout only as far as the blob reaches,
+    so a small file cannot make it work or allocate in proportion to L."""
     bad = tmp_path / "huge-L.bin"
     config = {"L": 10 ** 9, "H": 4, "D": 16, "ff_dim": 128, "vocab": 64}
-    bad.write_bytes(json.dumps({"config": config, "tensors": []}).encode() + b"\n")
+    embedding = bytes(4 * 64 * 64)  # 16 KiB, the one tensor before layer 0
+    bad.write_bytes(json.dumps({"config": config}).encode() + b"\n" + embedding)
     t0 = time.perf_counter()
     assert run_cli("gen", "--weights", str(bad), "--n-response", "2") == 2
     assert time.perf_counter() - t0 < 1.0
-    assert "L=1000000000" in capsys.readouterr().err
-
-
-def test_gen_rejects_short_tensor_list_before_building_the_manifest(tmp_path, capsys,
-                                                                    monkeypatch):
-    """A header's tensor count is checked against the exact count of its
-    config's layout, 3 + 7*L, before the O(L) manifest is built."""
-    def refuse(config):
-        raise AssertionError("weight_manifest was built for a header with the wrong count")
-
-    monkeypatch.setattr(engine, "weight_manifest", refuse)
-    bad = tmp_path / "many-layers.bin"
-    config = {"L": 100000, "H": 4, "D": 16, "ff_dim": 128, "vocab": 64}
-    tensors = [{"name": "x"}] * 1000
-    bad.write_bytes(json.dumps({"config": config, "tensors": tensors}).encode() + b"\n")
-    assert run_cli("gen", "--weights", str(bad), "--n-response", "2") == 2
     err = capsys.readouterr().err
-    assert "lists 1000 tensors where the L=100000 layers of its config take 700003" in err
-    assert "tensor 'x' where its layout has 'embedding'" in err
+    assert "inside tensor 'layers.0.rmsnorm_1'" in err and "L=1000000000" in err
 
 
 def test_gen_unwritable_out_fails_before_generating(tmp_path, capsys, monkeypatch):
@@ -431,8 +425,7 @@ def test_gen_rejects_model_flags_with_weights(tmp_path, capsys, flags):
     assert flags[0] in err and "--weights" in err
 
 
-@pytest.mark.parametrize("flags", [(), ("--dtype-bytes", "4")], ids=lambda f: " ".join(f) or "bare")
-def test_gen_rejects_accounting_only_presets(monkeypatch, capsys, flags):
+def test_gen_rejects_accounting_only_presets(monkeypatch, capsys):
     """Presets serve only memsim's accounting, and their weights would take
     GBs, so gen has no --model flag: argparse rejects one before any weights
     are drawn."""
@@ -441,7 +434,7 @@ def test_gen_rejects_accounting_only_presets(monkeypatch, capsys, flags):
 
     monkeypatch.setattr(ToyWeights, "random", refuse)
     with pytest.raises(SystemExit) as e:
-        run_cli("gen", "--model", "llama2-13b", *flags, "--n-response", "2")
+        run_cli("gen", "--model", "llama2-13b", "--n-response", "2")
     assert e.value.code == 2
     assert "unrecognized arguments: --model llama2-13b" in capsys.readouterr().err
 
@@ -499,12 +492,14 @@ def test_gen_custom_model_flags_apply(tmp_path, flags, changed):
 
 
 def test_gen_invalid_token_ids_usage_error(tmp_path, capsys):
-    """Out-of-vocabulary, non-numeric, null and boolean ids are usage errors, not
-    tracebacks; numpy would read [1, true, 3] as [1, 1, 3]."""
+    """Out-of-vocabulary, non-numeric, null and boolean ids, and a file that is
+    not JSON, are usage errors, not tracebacks; numpy would read [1, true, 3]
+    as [1, 1, 3]."""
     prompt = tmp_path / "bad.json"
-    for ids, message in (([[9999]], "must lie in"), ([["a", "b"]], "integers"),
-                         ([[None, 1]], "integers"), ([[1, True, 3]], "boolean true")):
-        prompt.write_text(json.dumps(ids))
+    for text, message in (("[[9999]]", "must lie in"), ('[["a", "b"]]', "integers"),
+                          ("[[null, 1]]", "integers"), ("[[1, true, 3]]", "boolean true"),
+                          ("[[1, 2", f"malformed prompt file {prompt}")):
+        prompt.write_text(text)
         assert run_cli("gen", "--prompt-file", str(prompt), "--n-response", "2") == 2
         assert message in capsys.readouterr().err
 
