@@ -278,7 +278,11 @@ MALFORMED_WEIGHT_FILES = {
     "top-level-seed": "'seed'",
     "top-level-unknown-key": "'comment'",
     "parent-format": "'tensors'",
+    "overlapping-offset": "'tensors'",
+    "input-major-projections": "'tensors'",
     "truncated-blob": "end inside tensor 'head'",
+    "missing-tensor": "end inside tensor 'head'",
+    "duplicate-tensor": "holds 256 bytes past the last tensor",  # final_norm: 64 floats
     "extra-layer": "bytes past the last tensor of its config (L=1)",
     "trailing-bytes": "holds 8 bytes past the last tensor",
 }
@@ -290,11 +294,29 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
     save_weights(good, ToyWeights.random(toy_config(), seed=0))
     header_line, blob = good.read_bytes().split(b"\n", 1)
     header = json.loads(header_line)
-    if defect == "parent-format":  # as saved with a manifest of the config's layout
+    if defect in ("parent-format", "overlapping-offset", "input-major-projections"):
+        # as saved with a manifest of the config's layout; it is refused
+        # whatever the manifest says, so a defect in it cannot be misread
         offset, header["tensors"] = 0, []
         for name, shape in weight_layout(toy_config()):
             header["tensors"].append({"name": name, "offset": offset, "shape": list(shape)})
             offset += 4 * prod(shape)
+        if defect == "overlapping-offset":  # final_norm would read the embedding's first row
+            header["tensors"][-2]["offset"] = header["tensors"][0]["offset"]
+        elif defect == "input-major-projections":  # as saved while projections were [in, out]
+            weights = dict(ToyWeights.random(toy_config(), seed=0).named_tensors())
+            for t in header["tensors"]:
+                if len(t["shape"]) == 2 and t["name"] != "embedding":
+                    t["shape"].reverse()
+                    weights[t["name"]] = weights[t["name"]].T
+            blob = b"".join(weights[t["name"]].astype("<f4").tobytes() for t in header["tensors"])
+    elif defect == "missing-tensor":  # the blob stops where head would start
+        blob = blob[:-4 * prod(dict(weight_layout(toy_config()))["head"])]
+    elif defect == "duplicate-tensor":  # final_norm written twice, before head
+        shapes = dict(weight_layout(toy_config()))
+        head_start = len(blob) - 4 * prod(shapes["head"])
+        norm_bytes = blob[head_start - 4 * prod(shapes["final_norm"]):head_start]
+        blob = blob[:head_start] + norm_bytes + blob[head_start:]
     elif defect == "nan-weight":  # the embedding is the first tensor in the blob
         blob = np.float32(np.nan).tobytes() + blob[4:]
     elif defect == "missing-config":
