@@ -107,13 +107,20 @@ def _load_prompt(args, cfg: ModelConfig, seed: int | None) -> np.ndarray:
                 ids = json.load(f)
             except ValueError as exc:  # not UTF-8 or not JSON
                 raise UsageError(f"malformed prompt file {args.prompt_file}: {exc}") from None
-        prompt = np.asarray(ids)  # GenerationRequest rejects non-integer ids
+        shape_error = UsageError(f"malformed prompt file {args.prompt_file}: token ids must be "
+                                 "[...] or [[...], ...], with rows of one length, none empty")
+        try:
+            prompt = np.asarray(ids)  # GenerationRequest rejects non-integer ids
+        except ValueError:  # nested lists of different lengths
+            raise shape_error from None
+        if prompt.ndim == 1:
+            prompt = prompt[None, :]
+        if prompt.ndim != 2 or prompt.size == 0:
+            raise shape_error
         bools = [x for x in np.asarray(ids, dtype=object).flat if isinstance(x, bool)]
         if bools:  # numpy would read [1, true, 3] as the ids [1, 1, 3]
             raise UsageError(f"prompt file {args.prompt_file} holds the boolean "
                              f"{json.dumps(bools[0])}: token ids must be integers")
-        if prompt.ndim == 1:
-            prompt = prompt[None, :]
     else:
         rng = np.random.default_rng(seed)
         prompt = rng.integers(0, cfg.vocab, size=(1 if args.bs is None else args.bs,

@@ -16,8 +16,19 @@ bounded by KEY_BLOCK x BS*BW x H x D.
 
 The prefill kernel runs the same recurrence over query tiles x key tiles of
 one batch-first segment, skips the key tiles that lie wholly above the
-causal diagonal and masks only the diagonal tile; its score temporaries are
-bounded by KEY_BLOCK^2 x BS x H.
+causal diagonal and masks only the diagonal tile, adding one precomputed
+0/-inf bias to it in place; the shift and the exp also run in place on
+each fresh score tile. Its score tiles are held keys major,
+[BS, H, keys, queries] = K_tile @ Q_tile^T, with the accumulator as
+[BS, H, D, queries], so the running max and the normalizer reduce across
+contiguous rows of queries: on a [2, 8, 128, 128] tile numpy takes the max
+about 3x and the sum about 1.3x faster that way than along the last axis.
+Its score temporaries are bounded by KEY_BLOCK^2 x BS x H. The decode
+kernel keeps its keys last: with only BW queries per product, keys major
+is slower there.
+
+Both kernels start the recurrence from their first tile, so a prompt of at
+most KEY_BLOCK tokens is prefilled as one exact masked softmax.
 
 Neither kernel materializes a full-length gathered K/V or score tensor.
 ``sdpa_materialized``, the one full-softmax attention, does; the reference
@@ -34,56 +45,92 @@ import numpy as np
 from .kvcache import PromptKV, ResponseKV
 
 # Keys per tile in both streaming kernels, chosen by measurement (2-core x86
-# host, BLAS on one thread, min of 20 calls, ms at KEY_BLOCK 64 / 128 / 256):
-#   sdpa_prefill on [2, 512, 8, 32]                     17.5 / 16.4 / 30.8
-#   sdpa_decode_fused, BS 2 x BW 4, 512 prompt + 48     0.96 / 0.89 / 1.02
-#   sdpa_decode_fused, BS 4 x BW 8, 64 prompt + 64      1.77 / 1.40 / 1.68
-#   sdpa_decode_fused, BS 4 x BW 1, 32 prompt + 160     0.20 / 0.16 / 0.14
-# (the BW 1 row is the median of 7 such minima). 256 wins only there, where
-# the 160 response keys fit one tile. At 256 each prefill score tile
-# (KEY_BLOCK^2 x BS x H floats) is 4 MiB at this shape, and half of every
-# diagonal tile is computed only to be masked.
+# host, BLAS on one thread, ms at KEY_BLOCK 64 / 128 / 256, median of 15
+# alternating minima of 20 calls):
+#   sdpa_prefill on [2, 512, 8, 32]                     16.68 / 14.87 / 24.92
+#   sdpa_decode_fused, BS 2 x BW 4, 512 prompt + 48     0.87 / 0.71 / 0.64
+#   sdpa_decode_fused, BS 4 x BW 8, 64 prompt + 64      1.27 / 1.27 / 1.27
+#   sdpa_decode_fused, BS 4 x BW 1, 32 prompt + 160     0.26 / 0.22 / 0.19
+# (a second run read 17.19 / 15.42 / 26.45 for prefill). Prefill takes 128.
+# At 256 each prefill score tile (KEY_BLOCK^2 x BS x H floats) is 4 MiB at
+# this shape, and half of every diagonal tile is computed only to be
+# masked; decode alone would take 256.
 KEY_BLOCK = 128
+# the shift of a query none of whose keys so far is unmasked
+_LOWEST = np.finfo(np.float32).min
 
 
 class OnlineSoftmax:
     """Streaming softmax-weighted accumulation over tiles of keys.
 
-    Per row, a tile of n scores s_j with values v_j is folded in as
+    Per query, a tile of n scores s_j with values v_j is folded in as
         m' = max(m, max_j s_j); alpha = e^(m-m'); p_j = e^(s_j-m')
         l' = alpha*l + sum_j p_j; acc' = alpha*acc + sum_j p_j v_j
-    Starting from m = -inf, l = 0, acc = 0, acc/l is the exact attention
-    output over the keys processed so far, in any order and tiling. A masked
-    key (score -inf) gets weight 0, and a row none of whose keys so far is
-    unmasked keeps m = -inf, l = 0, acc = 0.
+    The state before any tile is m = -inf, l = 0, acc = 0; the first tile
+    replaces it with its own max, sum and products rather than rescaling it,
+    so one tile is one exact softmax. After each tile, acc/l is the exact
+    attention output over the keys processed so far, in any order and
+    tiling. A masked key (score -inf) gets weight 0, and a query none of
+    whose keys so far is unmasked keeps m = -inf, l = 0, acc = 0.
+
+    The key axis of a tile is the state's layout, fixed by the kernel that
+    builds it. ``lead_shape`` is the shape of m and l, one entry per query.
+    Keys last: ``scores`` is [*lead, n], ``acc`` is [*lead, D]. Keys major:
+    ``scores`` is [*lead[:-1], n, lead[-1]], so the max and the sum reduce
+    across contiguous rows of queries, ``values`` is the transposed
+    [*lead[:-1], D, n] tile and ``acc`` is [*lead[:-1], D, lead[-1]].
+
+    With ``in_place``, the caller gives up each score tile it passes: the
+    shift and the exp overwrite it instead of allocating a new one.
     """
 
-    def __init__(self, lead_shape: tuple[int, ...], d: int):
+    def __init__(self, lead_shape: tuple[int, ...], d: int, keys_major: bool = False,
+                 in_place: bool = False):
+        self.axis = -2 if keys_major else -1
+        self.in_place = in_place
+        # indexes a per-query array so that it broadcasts over a tile's keys
+        self.over_keys = np.s_[..., None, :] if keys_major else np.s_[..., None]
+        acc_shape = (lead_shape[:-1] + (d,) + lead_shape[-1:] if keys_major
+                     else lead_shape + (d,))
         self.m = np.full(lead_shape, -np.inf, dtype=np.float32)
         self.l = np.zeros(lead_shape, dtype=np.float32)
-        self.acc = np.zeros(lead_shape + (d,), dtype=np.float32)
+        self.acc = np.zeros(acc_shape, dtype=np.float32)
+        self.tiles = 0
 
     def update(self, scores: np.ndarray, values: np.ndarray) -> None:
-        """Fold in one tile: ``scores`` is [*lead, n]. ``values`` is either
-        [*lead, n, D], one block per row, or [*lead[:-1], n, D], one block
-        shared by every row along the last lead axis, which makes the
-        product one matrix multiply per group of rows."""
-        m_new = np.maximum(self.m, scores.max(axis=-1))
-        # a row with no unmasked key yet shifts by 0, not by -inf, so its
-        # weights are e^-inf = 0 rather than e^nan
-        shift = np.where(m_new > -np.inf, m_new, np.float32(0))
-        alpha = np.exp(self.m - shift)
-        p = np.exp(scores - shift[..., None])
-        if values.ndim > p.ndim:
+        """Fold in one tile of ``scores``, laid out as the state's key axis
+        says. Keys last, ``values`` is either [*lead, n, D], one block per
+        query, or [*lead[:-1], n, D], one block shared by every query along
+        the last lead axis, which makes the product one matrix multiply per
+        group of queries. Keys major, ``values`` is [*lead[:-1], D, n]."""
+        axis = self.axis
+        m_tile = scores.max(axis=axis)
+        m_new = np.maximum(self.m, m_tile) if self.tiles else m_tile
+        # a query with no unmasked key yet shifts by the lowest finite float,
+        # not by -inf, so its weights are e^-inf = 0 rather than e^nan
+        shift = np.maximum(m_new, _LOWEST)
+        p = np.subtract(scores, shift[self.over_keys], out=scores if self.in_place else None)
+        np.exp(p, out=p)
+        if axis == -2:
+            pv = values @ p
+        elif values.ndim > p.ndim:
             pv = np.matmul(p[..., None, :], values)[..., 0, :]
         else:
-            pv = np.matmul(p, values)
-        self.l = alpha * self.l + p.sum(axis=-1)
-        self.acc = alpha[..., None] * self.acc + pv
+            pv = p @ values
+        if self.tiles:
+            alpha = np.exp(self.m - shift)
+            self.l *= alpha
+            self.l += p.sum(axis=axis)
+            self.acc *= alpha[self.over_keys]
+            self.acc += pv
+        else:
+            self.l = p.sum(axis=axis)
+            self.acc = pv
         self.m = m_new
+        self.tiles += 1
 
     def finalize(self) -> np.ndarray:
-        return self.acc / self.l[..., None]
+        return self.acc / self.l[self.over_keys]
 
 
 def sdpa_prefill(q, k, v) -> np.ndarray:
@@ -91,6 +138,7 @@ def sdpa_prefill(q, k, v) -> np.ndarray:
 
     Inputs and output are [BS, N, H, D] batch first; no layout conversion is
     performed. Query i attends keys j <= i, with scores scaled by 1/sqrt(D).
+    Score tiles are keys x queries (see the module docstring).
     """
     q = np.asarray(q, dtype=np.float32)
     k = np.asarray(k, dtype=np.float32)
@@ -103,24 +151,26 @@ def sdpa_prefill(q, k, v) -> np.ndarray:
     if n == 0:
         raise ValueError("attention over zero keys is undefined")
 
-    # [BS, H, N, D] views, so each tile pair is one batched matrix multiply
-    qh = q.transpose(0, 2, 1, 3) * np.float32(1.0 / sqrt(d))
-    kt = k.transpose(0, 2, 3, 1)  # [BS, H, D, N]
-    vh = v.transpose(0, 2, 1, 3)
-    causal = np.tril(np.ones((KEY_BLOCK, KEY_BLOCK), dtype=bool))
-    out = np.empty((bs, h, n, d), dtype=np.float32)
+    # [BS, H, ...] views, so each tile pair is one batched matrix multiply
+    qt = q.transpose(0, 2, 3, 1) * np.float32(1.0 / sqrt(d))  # [BS, H, D, N]
+    kh = k.transpose(0, 2, 1, 3)  # [BS, H, N, D]
+    vt = v.transpose(0, 2, 3, 1)  # [BS, H, D, N]
+    b = min(n, KEY_BLOCK)
+    # the diagonal tile's causal mask, keys x queries: key j is hidden from query i < j
+    causal = np.tril(np.full((b, b), -np.inf, dtype=np.float32), -1)
+    out = np.empty((bs, h, d, n), dtype=np.float32)
     for q0 in range(0, n, KEY_BLOCK):
         q1 = min(q0 + KEY_BLOCK, n)
-        state = OnlineSoftmax((bs, h, q1 - q0), d)
+        state = OnlineSoftmax((bs, h, q1 - q0), d, keys_major=True, in_place=True)
         # key tiles past the diagonal one lie wholly above it and are skipped
         for k0 in range(0, q1, KEY_BLOCK):
             k1 = min(k0 + KEY_BLOCK, n)
-            s = qh[:, :, q0:q1] @ kt[..., k0:k1]
+            s = kh[:, :, k0:k1] @ qt[..., q0:q1]  # [BS, H, keys, queries]
             if k0 == q0:  # the diagonal tile: query q0+i sees keys q0..q0+i
-                s = np.where(causal[:q1 - q0, :k1 - k0], s, np.float32(-np.inf))
-            state.update(s, vh[:, :, k0:k1])
-        out[:, :, q0:q1] = state.finalize()
-    return out.transpose(0, 2, 1, 3)
+                s += causal[:q1 - q0, :q1 - q0]
+            state.update(s, vt[..., k0:k1])
+        out[..., q0:q1] = state.finalize()
+    return out.transpose(0, 3, 1, 2)
 
 
 @dataclass

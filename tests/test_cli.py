@@ -526,6 +526,17 @@ def test_gen_invalid_token_ids_usage_error(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[[1, 2, 3], [4, 5]]", "[[[1, 2]]]", '{"a": 1}', "[]"],
+                         ids=["ragged-rows", "three-levels", "object", "empty"])
+def test_gen_prompt_file_of_the_wrong_shape_names_the_file(tmp_path, capsys, text):
+    """A prompt file that is not one row or a rectangle of rows is reported as
+    a malformed prompt file, not with numpy's or the engine's text."""
+    prompt = tmp_path / "shape.json"
+    prompt.write_text(text)
+    assert run_cli("gen", "--prompt-file", str(prompt), "--n-response", "2") == 2
+    assert f"malformed prompt file {prompt}" in capsys.readouterr().err
+
+
 def test_gen_fractional_token_ids_usage_error(tmp_path, capsys):
     prompt = tmp_path / "fractional.json"
     prompt.write_text(json.dumps([[1.7, 2.2]]))

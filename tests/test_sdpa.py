@@ -180,6 +180,57 @@ def test_kernels_fold_one_update_per_tile(monkeypatch):
         assert len(widths) == tiles * (tiles + 1) // 2
 
 
+@pytest.mark.parametrize("n", [1, KEY_BLOCK, KEY_BLOCK + 1, 3 * KEY_BLOCK - 1])
+def test_kernels_keep_their_score_tile_bounds(monkeypatch, n):
+    """Every score tile a kernel folds stays within its docstring's bound:
+    KEY_BLOCK^2 x BS x H in prefill, KEY_BLOCK x BS*BW x H in decode."""
+    sizes = []
+    update = OnlineSoftmax.update
+
+    def recording_update(self, scores, values):
+        sizes.append(scores.size)
+        update(self, scores, values)
+
+    monkeypatch.setattr(OnlineSoftmax, "update", recording_update)
+    rng = np.random.default_rng(16)
+    bs, h, d = 2, 3, 4
+    q = rng.standard_normal((bs, n, h, d)).astype(np.float32)
+    sdpa_prefill(q, q, q)
+    assert sizes and max(sizes) <= KEY_BLOCK ** 2 * bs * h
+    for bw in (1, 3):
+        sizes.clear()
+        sdpa_decode_fused(_rand_inputs(rng, bs, bw, h, d, n_prompt=n, n_resp=n))
+        assert sizes and max(sizes) <= KEY_BLOCK * bs * bw * h
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_prefill_rescales_when_a_later_key_tile_raises_the_max(seed):
+    """The scores ramp up along the keys and are scaled x30, so a query's
+    running max rises in later key tiles, often by more than float32's exp
+    range: the earlier tiles' rescale factor alpha underflows to 0. q and k
+    are small integers, so every score is exact in float32 and the gap to
+    the float64 oracle is the recurrence's own."""
+    bs, n, h, d = 3, 3 * KEY_BLOCK + 5, 8, 16
+    rng = np.random.default_rng(200 + seed)
+    q, k = (rng.integers(-1, 2, (bs, n, h, d)).astype(np.float32) for _ in range(2))
+    v = rng.standard_normal((bs, n, h, d)).astype(np.float32)
+    q[..., 0] = 2
+    k[..., 0] = (np.arange(n) // 16)[None, :, None]
+    q *= np.float32(30)
+    q64, k64, v64 = (x.astype(np.float64) for x in (q, k, v))
+
+    # per query, how far each key tile's max rises above the max of the tiles before it
+    s = np.einsum("bqhd,bkhd->bhqk", q64, k64) / math.sqrt(d)
+    s = np.where(np.tril(np.ones((n, n), dtype=bool)), s, -np.inf)
+    tile_max = np.stack([s[..., t:t + KEY_BLOCK].max(axis=-1) for t in range(0, n, KEY_BLOCK)])
+    rise = tile_max[1:] - np.maximum.accumulate(tile_max, axis=0)[:-1]
+    assert ((rise > 0) & (rise < 50)).any()  # alpha strictly between 0 and 1
+    assert (rise > 104).any()  # e^-104 is 0 in float32
+
+    oracle = sdpa_materialized(q64, k64, v64)
+    assert np.max(np.abs(sdpa_prefill(q, k, v) - oracle)) <= 1e-5
+
+
 def test_decode_zero_keys_rejected():
     with pytest.raises(ValueError):
         _rand_inputs(np.random.default_rng(6), bs=1, bw=1, h=1, d=4, n_prompt=0, n_resp=0)
