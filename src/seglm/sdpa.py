@@ -73,24 +73,21 @@ class OnlineSoftmax:
     tiling. A masked key (score -inf) gets weight 0, and a query none of
     whose keys so far is unmasked keeps m = -inf, l = 0, acc = 0.
 
-    The key axis of a tile is the state's layout, fixed by the kernel that
-    builds it. ``lead_shape`` is the shape of m and l, one entry per query.
-    Keys last: ``scores`` is [*lead, n], ``acc`` is [*lead, D]. Keys major:
-    ``scores`` is [*lead[:-1], n, lead[-1]], so the max and the sum reduce
+    ``lead_shape`` is the shape of m and l, one entry per query. A tile's
+    ``scores`` are [*lead, n], keys last, and ``acc`` is [*lead, D].
+    ``sdpa_prefill`` alone builds its state with ``_keys_major``: then
+    ``scores`` are [*lead[:-1], n, lead[-1]], so the max and the sum reduce
     across contiguous rows of queries, ``values`` is the transposed
-    [*lead[:-1], D, n] tile and ``acc`` is [*lead[:-1], D, lead[-1]].
-
-    With ``in_place``, the caller gives up each score tile it passes: the
-    shift and the exp overwrite it instead of allocating a new one.
+    [*lead[:-1], D, n] tile and ``acc`` is [*lead[:-1], D, lead[-1]]. A
+    keys-major update consumes its score tile: the shift and the exp
+    overwrite it instead of allocating a new one.
     """
 
-    def __init__(self, lead_shape: tuple[int, ...], d: int, keys_major: bool = False,
-                 in_place: bool = False):
-        self.axis = -2 if keys_major else -1
-        self.in_place = in_place
+    def __init__(self, lead_shape: tuple[int, ...], d: int, *, _keys_major: bool = False):
+        self.axis = -2 if _keys_major else -1
         # indexes a per-query array so that it broadcasts over a tile's keys
-        self.over_keys = np.s_[..., None, :] if keys_major else np.s_[..., None]
-        acc_shape = (lead_shape[:-1] + (d,) + lead_shape[-1:] if keys_major
+        self.over_keys = np.s_[..., None, :] if _keys_major else np.s_[..., None]
+        acc_shape = (lead_shape[:-1] + (d,) + lead_shape[-1:] if _keys_major
                      else lead_shape + (d,))
         self.m = np.full(lead_shape, -np.inf, dtype=np.float32)
         self.l = np.zeros(lead_shape, dtype=np.float32)
@@ -109,7 +106,8 @@ class OnlineSoftmax:
         # a query with no unmasked key yet shifts by the lowest finite float,
         # not by -inf, so its weights are e^-inf = 0 rather than e^nan
         shift = np.maximum(m_new, _LOWEST)
-        p = np.subtract(scores, shift[self.over_keys], out=scores if self.in_place else None)
+        # a keys-major tile is the kernel's own fresh product, overwritten here
+        p = np.subtract(scores, shift[self.over_keys], out=scores if axis == -2 else None)
         np.exp(p, out=p)
         if axis == -2:
             pv = values @ p
@@ -161,7 +159,7 @@ def sdpa_prefill(q, k, v) -> np.ndarray:
     out = np.empty((bs, h, d, n), dtype=np.float32)
     for q0 in range(0, n, KEY_BLOCK):
         q1 = min(q0 + KEY_BLOCK, n)
-        state = OnlineSoftmax((bs, h, q1 - q0), d, keys_major=True, in_place=True)
+        state = OnlineSoftmax((bs, h, q1 - q0), d, _keys_major=True)
         # key tiles past the diagonal one lie wholly above it and are skipped
         for k0 in range(0, q1, KEY_BLOCK):
             k1 = min(k0 + KEY_BLOCK, n)

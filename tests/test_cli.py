@@ -514,27 +514,21 @@ def test_gen_custom_model_flags_apply(tmp_path, flags, changed):
 
 
 def test_gen_invalid_token_ids_usage_error(tmp_path, capsys):
-    """Out-of-vocabulary, non-numeric, null and boolean ids, and a file that is
-    not JSON, are usage errors, not tracebacks; numpy would read [1, true, 3]
-    as [1, 1, 3]."""
+    """Out-of-vocabulary, non-numeric, null and boolean ids, a file that is
+    not JSON, and ids that are not one row or a rectangle of rows, are usage
+    errors, not tracebacks; numpy would read [1, true, 3] as [1, 1, 3]."""
     prompt = tmp_path / "bad.json"
     for text, message in (("[[9999]]", "must lie in"), ('[["a", "b"]]', "integers"),
                           ("[[null, 1]]", "integers"), ("[[1, true, 3]]", "boolean true"),
-                          ("[[1, 2", f"malformed prompt file {prompt}")):
+                          ("[[1, 2", f"malformed prompt file {prompt}"),
+                          ("[[1, 2, 3], [4, 5]]", f"malformed prompt file {prompt}"),
+                          ("[[[1, 2]]]", f"malformed prompt file {prompt}"),
+                          ('{"a": 1}', f"malformed prompt file {prompt}"),
+                          ("[]", f"malformed prompt file {prompt}"),
+                          ("[[]]", f"malformed prompt file {prompt}")):
         prompt.write_text(text)
         assert run_cli("gen", "--prompt-file", str(prompt), "--n-response", "2") == 2
         assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("text", ["[[1, 2, 3], [4, 5]]", "[[[1, 2]]]", '{"a": 1}', "[]"],
-                         ids=["ragged-rows", "three-levels", "object", "empty"])
-def test_gen_prompt_file_of_the_wrong_shape_names_the_file(tmp_path, capsys, text):
-    """A prompt file that is not one row or a rectangle of rows is reported as
-    a malformed prompt file, not with numpy's or the engine's text."""
-    prompt = tmp_path / "shape.json"
-    prompt.write_text(text)
-    assert run_cli("gen", "--prompt-file", str(prompt), "--n-response", "2") == 2
-    assert f"malformed prompt file {prompt}" in capsys.readouterr().err
 
 
 def test_gen_fractional_token_ids_usage_error(tmp_path, capsys):
