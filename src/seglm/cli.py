@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -129,6 +130,14 @@ def _load_prompt(args, cfg: ModelConfig, seed: int | None) -> np.ndarray:
 
 
 def cmd_gen(args) -> int:
+    paths = {flag: os.path.realpath(path) for flag, path in
+             (("--weights", args.weights), ("--prompt-file", args.prompt_file),
+              ("--save-weights", args.save_weights), ("--out", args.out)) if path}
+    for written in ("--save-weights", "--out"):  # checked before any file is read or written
+        for flag, path in paths.items():
+            if flag != written and path == paths.get(written):
+                raise UsageError(f"{written} and {flag} name the same file, {path}; "
+                                 "gen would overwrite it")
     if args.weights and args.prompt_file:  # nothing is drawn
         _reject(args, ("--seed",), "cannot be combined with both --weights and "
                 "--prompt-file, which leave nothing to draw")

@@ -29,8 +29,8 @@ from .beam import BeamSearchState, beam_step, build_gather_indices
 from .config import ModelConfig
 from .kvcache import (CacheShapeParams, MemoryLedger, PromptKV, ResponseKV, StandardKV,
                       standard_cache_bytes)
-from .ops import (LayerWeights, fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope,
-                  rope_table, to_batch_first, to_sequence_first)
+from .ops import (fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope, rope_table,
+                  to_batch_first, to_sequence_first)
 from .sdpa import SdpaDecodeInputs, sdpa_decode_fused, sdpa_materialized, sdpa_prefill
 
 MAX_POS = 4096  # longest prompt plus response a request may ask for
@@ -127,33 +127,36 @@ WEIGHT_SCALE = 0.02  # standard deviation of every drawn weight
 
 
 class ToyWeights:
-    """Seeded Gaussian weights for desk-scale runs; no real checkpoints."""
+    """Seeded Gaussian weights for desk-scale runs; no real checkpoints.
 
-    def __init__(self, config: ModelConfig, embedding: np.ndarray,
-                 layers: list[LayerWeights], final_norm: np.ndarray,
-                 head: np.ndarray):
-        self.config = config
-        self.embedding = embedding
-        self.layers = layers
-        self.final_norm = final_norm
-        self.head = head
-        self.validate()
+    ``tensors`` maps each name of ``weight_layout(config)`` to its array and
+    is checked once, here: every layout name present, no other name, each
+    shape as laid out and every value finite. ``embedding``, ``final_norm``,
+    ``head`` and ``layers[i]`` (layer i's arrays, keyed ``rmsnorm_1`` ...
+    ``w_down``) refer into it."""
 
-    @classmethod
-    def from_tensors(cls, config: ModelConfig, tensors: dict[str, np.ndarray]) -> "ToyWeights":
-        """Weights from a {name: tensor} dict named as in ``weight_layout``."""
-        layers = [LayerWeights(**{name.rsplit(".", 1)[1]: arr for name, arr in tensors.items()
-                                  if name.startswith(f"layers.{i}.")}) for i in range(config.L)]
-        return cls(config, tensors["embedding"], layers, tensors["final_norm"], tensors["head"])
-
-    def validate(self) -> None:
-        if len(self.layers) != self.config.L:
-            raise ValueError(f"expected {self.config.L} layers, got {len(self.layers)}")
-        for (name, arr), (_, shape) in zip(self.named_tensors(), weight_layout(self.config)):
+    def __init__(self, config: ModelConfig, tensors: dict[str, np.ndarray]):
+        shapes = dict(weight_layout(config))
+        extra = sorted(tensors.keys() - shapes.keys())
+        if extra:
+            raise ValueError(f"weight tensor {extra[0]} is not in the layout of its config "
+                             f"(L={config.L})")
+        for name, shape in shapes.items():
+            arr = tensors.get(name)
+            if arr is None:
+                raise ValueError(f"weight tensor {name} is missing")
             if arr.shape != shape:
                 raise ValueError(f"weight tensor {name}: expected shape {shape}, got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"weight tensor {name} holds non-finite values")
+        self.config = config
+        self.tensors = tensors
+        self.embedding = tensors["embedding"]
+        self.final_norm = tensors["final_norm"]
+        self.head = tensors["head"]
+        self.layers = [{name[len(prefix):]: arr for name, arr in tensors.items()
+                        if name.startswith(prefix)}
+                       for prefix in (f"layers.{i}." for i in range(config.L))]
 
     @classmethod
     def random(cls, config: ModelConfig, seed: int = 0) -> "ToyWeights":
@@ -173,16 +176,7 @@ class ToyWeights:
             drawn = rng.standard_normal(shape[::-1]) * WEIGHT_SCALE
             return drawn.T.astype(np.float32, order="C")
 
-        tensors = {name: draw(name, shape) for name, shape in weight_layout(config)}
-        return cls.from_tensors(config, tensors)
-
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """(name, tensor) for every weight, in ``weight_layout`` order."""
-        out = []
-        for name, _ in weight_layout(self.config):
-            *layer, field = name.split(".")
-            out.append((name, getattr(self.layers[int(layer[1])] if layer else self, field)))
-        return out
+        return cls(config, {name: draw(name, shape) for name, shape in weight_layout(config)})
 
 
 def save_weights(path, weights: ToyWeights) -> None:
@@ -192,8 +186,8 @@ def save_weights(path, weights: ToyWeights) -> None:
     header = {"config": asdict(weights.config)}
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for _, arr in weights.named_tensors():
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        for name, _ in weight_layout(weights.config):
+            f.write(np.ascontiguousarray(weights.tensors[name], dtype="<f4").tobytes())
 
 
 def load_weights(path) -> ToyWeights:
@@ -227,7 +221,7 @@ def load_weights(path) -> ToyWeights:
         raise ValueError(f"weight file {path} holds {len(blob) - offset} bytes past the "
                          f"last tensor of its config (L={config.L})")
     try:
-        return ToyWeights.from_tensors(config, tensors)
+        return ToyWeights(config, tensors)
     except ValueError as exc:  # a non-finite value
         raise ValueError(f"weight file {path}: {exc}") from None
 
@@ -322,12 +316,12 @@ class _DecoderEngine:
         cfg = self.config
         table = rope_table(positions, cfg.D)
         for layer, lw in enumerate(self.weights.layers):
-            h = rmsnorm(x, lw.rmsnorm_1)
-            q, k, v = fused_qkv(h, lw.w_qkv, cfg.H, cfg.D)
+            h = rmsnorm(x, lw["rmsnorm_1"])
+            q, k, v = fused_qkv(h, lw["w_qkv"], cfg.H, cfg.D)
             q, k = rope(q, k, table)
             ctx = attend(layer, q, k, v)
-            x = x + linear(ctx.reshape(x.shape), lw.w_o)
-            x = x + gated_mlp(rmsnorm(x, lw.rmsnorm_2), lw.w_gate, lw.w_up, lw.w_down)
+            x = x + linear(ctx.reshape(x.shape), lw["w_o"])
+            x = x + gated_mlp(rmsnorm(x, lw["rmsnorm_2"]), lw["w_gate"], lw["w_up"], lw["w_down"])
         return x
 
     def _head(self, x):

@@ -126,9 +126,6 @@ class OpGraph:
     def count_kind(self, kind: str) -> int:
         return sum(1 for n in self.nodes.values() if n.kind == kind)
 
-    def count_tag(self, tag: str) -> int:
-        return sum(1 for n in self.nodes.values() if tag in n.tags)
-
 
 def build_standard_decoder_graph(phase: str) -> OpGraph:
     """Conventional decoder layer: fine-grained primitives plus the transpose /

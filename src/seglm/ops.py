@@ -8,8 +8,6 @@ first and once after the last decoder layer of each optimized decode step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -205,22 +203,3 @@ def log_softmax(x, axis: int = -1) -> np.ndarray:
     m = x.max(axis=axis, keepdims=True)
     s = x - m
     return s - np.log(np.sum(np.exp(s), axis=axis, keepdims=True))
-
-
-@dataclass
-class LayerWeights:
-    """Weights of one decoder layer; ``engine.weight_layout`` gives their shapes.
-
-    Every projection is output-major, [out, in], and ``linear`` multiplies by
-    its transpose: ``w_qkv`` [3 * d_model, d_model] (q, k, v row blocks),
-    ``w_o`` [d_model, d_model], ``w_gate`` and ``w_up`` [ff, d_model],
-    ``w_down`` [d_model, ff].
-    """
-
-    rmsnorm_1: np.ndarray
-    rmsnorm_2: np.ndarray
-    w_qkv: np.ndarray
-    w_o: np.ndarray
-    w_gate: np.ndarray
-    w_up: np.ndarray
-    w_down: np.ndarray

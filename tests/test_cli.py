@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shlex
 import time
 from math import prod
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import seglm
 from seglm import engine, verify
 from seglm.cli import main
 from seglm.config import preset, toy_config
@@ -304,7 +306,7 @@ def test_gen_rejects_malformed_weight_file(tmp_path, capsys, defect):
         if defect == "overlapping-offset":  # final_norm would read the embedding's first row
             header["tensors"][-2]["offset"] = header["tensors"][0]["offset"]
         elif defect == "input-major-projections":  # as saved while projections were [in, out]
-            weights = dict(ToyWeights.random(toy_config(), seed=0).named_tensors())
+            weights = dict(ToyWeights.random(toy_config(), seed=0).tensors)
             for t in header["tensors"]:
                 if len(t["shape"]) == 2 and t["name"] != "embedding":
                     t["shape"].reverse()
@@ -416,6 +418,30 @@ def test_gen_rejected_request_leaves_existing_out_unchanged(tmp_path, capsys, re
     assert run_cli("gen", *argv, "--out", str(out)) == 2
     assert out.read_bytes() == b'{"old": 1}\n'
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("written,read", [
+    ("--out", "--weights"), ("--out", "--prompt-file"), ("--out", "--save-weights"),
+    ("--save-weights", "--weights"), ("--save-weights", "--prompt-file"),
+], ids=lambda flag: flag[2:])
+def test_gen_refuses_to_overwrite_a_file_it_reads_or_writes(tmp_path, capsys, written, read):
+    """``--out`` or ``--save-weights`` naming the same file as ``--weights``,
+    ``--prompt-file`` or each other (here through a symlink) exits 2 naming
+    both flags, before any file is read or written."""
+    shared = tmp_path / "shared"
+    if read == "--prompt-file":
+        shared.write_text("[[1, 2, 3, 4]]")
+    else:  # a weight file the run could load
+        save_weights(shared, ToyWeights.random(toy_config(), seed=0))
+    before = shared.read_bytes()
+    link = tmp_path / "link"
+    link.symlink_to(shared)
+    assert run_cli("gen", "--engine", "optimized", "--n-response", "2",
+                   written, str(shared), read, str(link)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "name the same file" in err
+    assert written in err and read in err
+    assert shared.read_bytes() == before
 
 
 @pytest.mark.parametrize("argv", [("gen", "--n-response", "1", "--out"),
@@ -629,3 +655,14 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     (tmp_path / "prompt.json").write_text(json.dumps([[1, 2, 3, 4]]))
     for argv in commands:
         assert main(argv[1:]) == 0, " ".join(argv)
+
+
+# -- package ----------------------------------------------------------------------------
+
+def test_package_version_matches_pyproject():
+    """``seglm.__version__``, which the benchmark writes into every result's
+    environment, is the version ``pyproject.toml`` declares. Read with a
+    regex: Python 3.10 has no ``tomllib``."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version\s*=\s*"([^"]+)"', pyproject, re.MULTILINE)
+    assert declared and seglm.__version__ == declared.group(1)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -11,7 +12,6 @@ from seglm.engine import (MAX_POS, GenerationRequest, OptimizedEngine, Reference
 from seglm.kvcache import (CacheShapeParams, PromptKV, ResponseKV, StandardKV,
                            cache_token_bytes, kv_bytes, segment_cache_bytes,
                            simulate_decode_memory)
-from seglm.ops import LayerWeights
 from seglm.sdpa import KEY_BLOCK
 
 
@@ -43,13 +43,13 @@ def test_single_layer_single_token_hand_trace():
 
     lw = w.layers[0]
     x = w.embedding[1].astype(np.float64)
-    h = rms(x) * lw.rmsnorm_1
-    qkv = lw.w_qkv @ h  # projections are output-major [out, in]
+    h = rms(x) * lw["rmsnorm_1"]
+    qkv = lw["w_qkv"] @ h  # projections are output-major [out, in]
     v = qkv[4:6]  # single prompt token: attention context == value
-    x = x + lw.w_o @ v
-    h2 = rms(x) * lw.rmsnorm_2
-    gate = lw.w_gate @ h2
-    x = x + lw.w_down @ ((gate / (1 + np.exp(-gate))) * (lw.w_up @ h2))
+    x = x + lw["w_o"] @ v
+    h2 = rms(x) * lw["rmsnorm_2"]
+    gate = lw["w_gate"] @ h2
+    x = x + lw["w_down"] @ ((gate / (1 + np.exp(-gate))) * (lw["w_up"] @ h2))
     hidden = rms(x) * w.final_norm
     logits = w.head @ hidden
 
@@ -62,18 +62,20 @@ def test_identity_weight_model_reference_trace():
     checked against the reference engine's first generated token."""
     cfg = toy_config(L=1, H=1, D=2, vocab=4, ff_dim=2)
     eye = np.eye(2, dtype=np.float32)
-    lw = LayerWeights(
-        rmsnorm_1=np.ones(2, dtype=np.float32),
-        rmsnorm_2=np.ones(2, dtype=np.float32),
-        w_qkv=np.concatenate([eye, eye, eye], axis=0),  # output-major q, k, v row blocks
-        w_o=eye,
-        w_gate=np.zeros((2, 2), dtype=np.float32),
-        w_up=np.zeros((2, 2), dtype=np.float32),
-        w_down=np.zeros((2, 2), dtype=np.float32),
-    )
     emb = np.array([[0.5, 0.1], [0.2, -0.4], [-0.3, 0.3], [0.1, 0.9]], dtype=np.float32)
     head = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5], [0.5, -1.0]], dtype=np.float32)
-    w = ToyWeights(cfg, emb, [lw], np.ones(2, dtype=np.float32), head)
+    w = ToyWeights(cfg, {
+        "embedding": emb,
+        "layers.0.rmsnorm_1": np.ones(2, dtype=np.float32),
+        "layers.0.rmsnorm_2": np.ones(2, dtype=np.float32),
+        "layers.0.w_qkv": np.concatenate([eye, eye, eye], axis=0),  # output-major q, k, v row blocks
+        "layers.0.w_o": eye,
+        "layers.0.w_gate": np.zeros((2, 2), dtype=np.float32),
+        "layers.0.w_up": np.zeros((2, 2), dtype=np.float32),
+        "layers.0.w_down": np.zeros((2, 2), dtype=np.float32),
+        "final_norm": np.ones(2, dtype=np.float32),
+        "head": head,
+    })
 
     prompt = np.array([[2]])
     res = ReferenceEngine(w).generate(GenerationRequest(prompt, 1, bw=1))
@@ -491,12 +493,40 @@ def test_weight_file_round_trip_is_byte_exact(tmp_path):
     assert header == {"config": asdict(w.config)}
     loaded = load_weights(path)
     assert loaded.config == w.config
-    for (na, a), (nb, b) in zip(w.named_tensors(), loaded.named_tensors()):
-        assert na == nb
-        assert a.tobytes() == b.tobytes()
+    assert list(loaded.tensors) == list(w.tensors)
+    for name, a in w.tensors.items():
+        assert a.tobytes() == loaded.tensors[name].tobytes()
     path2 = tmp_path / "again.bin"
     save_weights(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+WEIGHT_MAP_DEFECTS = {  # defect -> the error it raises, naming the tensor
+    "missing-name": "weight tensor layers.1.w_o is missing",
+    "extra-name": "weight tensor layers.2.w_qkv is not in the layout of its config (L=2)",
+    "misshapen": "weight tensor layers.0.w_up: expected shape (128, 64), got (64, 128)",
+    "non-finite": "weight tensor head holds non-finite values",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(WEIGHT_MAP_DEFECTS))
+def test_weights_constructor_checks_the_map(defect):
+    """``ToyWeights(config, tensors)`` takes a map holding exactly the names
+    of ``weight_layout(config)``, each with its laid-out shape and finite
+    values, and refuses any other map naming the tensor at fault."""
+    cfg = toy_config()  # L=2, d_model 64, ff_dim 128
+    tensors = dict(ToyWeights.random(cfg, seed=0).tensors)
+    if defect == "missing-name":
+        del tensors["layers.1.w_o"]
+    elif defect == "extra-name":  # a third layer under L = 2
+        tensors["layers.2.w_qkv"] = tensors["layers.1.w_qkv"]
+    elif defect == "misshapen":  # input-major, as projections were once stored
+        tensors["layers.0.w_up"] = tensors["layers.0.w_up"].T
+    else:
+        tensors["head"] = tensors["head"].copy()
+        tensors["head"][3, 5] = np.inf
+    with pytest.raises(ValueError, match=re.escape(WEIGHT_MAP_DEFECTS[defect])):
+        ToyWeights(cfg, tensors)
 
 
 @pytest.mark.parametrize("cfg", [toy_config(), toy_config(L=3, H=2, D=4, vocab=10, ff_dim=6)],
@@ -521,8 +551,8 @@ def test_random_weights_follow_the_hand_written_draw(cfg):
     assert len(w.layers) == cfg.L
     pairs = [(w.embedding, embedding), (w.final_norm, ones), (w.head, head)]
     for lw, drawn in zip(w.layers, layers):
-        pairs += zip((lw.w_qkv, lw.w_o, lw.w_gate, lw.w_up, lw.w_down), drawn)
-        pairs += [(lw.rmsnorm_1, ones), (lw.rmsnorm_2, ones)]
+        pairs += zip((lw["w_qkv"], lw["w_o"], lw["w_gate"], lw["w_up"], lw["w_down"]), drawn)
+        pairs += [(lw["rmsnorm_1"], ones), (lw["rmsnorm_2"], ones)]
     for got, want in pairs:
         np.testing.assert_array_equal(got, want, strict=True)
 

@@ -63,8 +63,9 @@ def test_fused_graph_has_exactly_nine_ops(phase):
 @pytest.mark.parametrize("phase", ["prefill", "decode"])
 def test_fused_graph_removes_orange_and_yellow_classes(phase):
     o = apply_fusion_passes(build_standard_decoder_graph(phase))
-    assert o.count_tag("data-movement") == 0
-    assert o.count_tag("element-wise") == 0
+    by_tag = op_count_report(o)["counts"]["by_tag"]
+    assert by_tag["data-movement"] == 0
+    assert by_tag["element-wise"] == 0
 
 
 def test_fusion_is_idempotent():
