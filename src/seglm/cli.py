@@ -138,6 +138,8 @@ def cmd_gen(args) -> int:
             if flag != written and path == paths.get(written):
                 raise UsageError(f"{written} and {flag} name the same file, {path}; "
                                  "gen would overwrite it")
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.weights and args.prompt_file:  # nothing is drawn
         _reject(args, ("--seed",), "cannot be combined with both --weights and "
                 "--prompt-file, which leave nothing to draw")

@@ -131,9 +131,9 @@ class ToyWeights:
 
     ``tensors`` maps each name of ``weight_layout(config)`` to its array and
     is checked once, here: every layout name present, no other name, each
-    shape as laid out and every value finite. ``embedding``, ``final_norm``,
-    ``head`` and ``layers[i]`` (layer i's arrays, keyed ``rmsnorm_1`` ...
-    ``w_down``) refer into it."""
+    shape as laid out, every array float32 and every value finite.
+    ``embedding``, ``final_norm``, ``head`` and ``layers[i]`` (layer i's
+    arrays, keyed ``rmsnorm_1`` ... ``w_down``) refer into it."""
 
     def __init__(self, config: ModelConfig, tensors: dict[str, np.ndarray]):
         shapes = dict(weight_layout(config))
@@ -147,6 +147,8 @@ class ToyWeights:
                 raise ValueError(f"weight tensor {name} is missing")
             if arr.shape != shape:
                 raise ValueError(f"weight tensor {name}: expected shape {shape}, got {arr.shape}")
+            if arr.dtype != np.float32:  # save_weights writes float32
+                raise ValueError(f"weight tensor {name}: expected float32, got {arr.dtype}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"weight tensor {name} holds non-finite values")
         self.config = config

@@ -34,53 +34,39 @@ def rmsnorm(x, weight, eps: float = 1e-5) -> np.ndarray:
     return (x / np.sqrt(ms + np.float32(eps)) * weight).astype(np.float32, copy=False)
 
 
-# Rows up to which ``linear`` computes (w @ x.T).T rather than x @ w.T, chosen
-# by measurement (2-core x86 host, numpy 2.4.6 with OpenBLAS 0.3.31 on one
-# thread; median of 11 interleaved sets, ms for one pass over the 21
-# projections of the L 4, H 8, D 32, ff 512, vocab 256 model; x @ W with an
-# input-major copy of each weight for comparison):
-#   rows              1     4     8    32    64   128   192   256   1024
-#   (w @ x.T).T, C  0.73  1.45  2.44  4.64  7.32 11.54 15.46 22.28 120.27
-#   x @ w.T         0.72  2.87  4.34  6.08  8.03 11.20 13.62 18.87  71.03
-#   x @ W           0.65  1.02  3.95  6.06  7.95 11.33 14.05 19.27  74.22
-# Both forms are one GEMM over the same stored weight; they differ only in
-# which operand the BLAS packs and which it streams. The C-contiguous copy of
-# the transposed product is what makes the first form lose at many rows. The
-# two tie from about 96 to 128 rows, and a 128-row prefill took the same time
-# with either form, so the bound is 128.
-ROW_BOUND = 128
-
-# Rows up to which ``linear`` first copies x.T to C order, running
-# (w @ ascontiguousarray(x.T)).T; same host and pass as above, median over 9
-# interleaved sets of the fastest of 20 passes, ms:
-#   rows                      1     2     3     4     5     6     7     8    16    32
-#   (w @ x.T).T, C          0.67  0.98  1.91  1.71  2.55  2.76  3.32  2.40  2.94  4.28
-#   (w @ C(x.T)).T, C       0.67  0.85  1.17  1.16  1.37  2.11  2.55  2.49  2.98  4.30
-# OpenBLAS multiplies a transposed few-column operand on a slower path, and
-# the copy is at most 7 rows of x. From 8 rows the two tie (and from 16 they
-# are bit-identical), so the 8-row and 32-row beam decodes keep the first form.
-SMALL_ROW_BOUND = 7
+# Rows up to which ``linear`` computes (w @ ascontiguousarray(x.T)).T rather
+# than x @ w.T, chosen by measurement (2-core x86 host, numpy 2.4.6 with
+# OpenBLAS 0.3.31 on one thread; ms for one pass over the 21 projections of
+# the L 4, H 8, D 32, ff 512, vocab 256 model, median of 9 alternating sets of
+# the fastest of 15 passes). The benchmark's decode steps run 4, 8 and 32
+# rows, its warm-up prefills 32 and 64, and its prefills 128, 256 and 1024:
+#   rows                 4     8    32    64    80    96   128   256   1024
+#   (w @ C(x.T)).T, C  0.83  1.76  3.48  5.61  6.90  7.97  9.91 18.50 115.74
+#   x @ w.T            1.90  3.25  4.54  5.97  7.02  7.58  9.01 14.75  70.18
+# Both forms are one GEMM over the same stored weight; they differ in which
+# operand the BLAS packs and which it streams. The copies of x.T and of the
+# product make the first form lose at many rows; without the copy of x.T,
+# OpenBLAS would multiply a transposed few-column operand on a slower path.
+# The two cross between 80 and 96 rows, and agree bit for bit from 32 rows.
+ROW_BOUND = 80
 
 
 def linear(x, w) -> np.ndarray:
     """y = x @ w.T over the trailing dimension, for an output-major weight
     ``w`` [out, in] (the ``torch.nn.Linear`` layout).
 
-    Up to ``ROW_BOUND`` rows of ``x`` the product runs as (w @ x.T).T, which
-    streams the weight once, and is copied to C order; up to
-    ``SMALL_ROW_BOUND`` rows x.T is copied to C order first. Above
-    ``ROW_BOUND`` it runs as x @ w.T. The result is always a C-contiguous
-    float32 array.
+    Up to ``ROW_BOUND`` rows of ``x`` the product runs as
+    (w @ ascontiguousarray(x.T)).T, which streams the weight once, and is
+    copied to C order; above it, as x @ w.T. The result is always a
+    C-contiguous float32 array.
     """
     x = _f32(x)
     w = _f32(w)
     if w.ndim != 2 or x.shape[-1] != w.shape[1]:
         raise ValueError(f"cannot contract {x.shape} with weight {w.shape}")
     x2 = x.reshape(-1, w.shape[1])
-    if x2.shape[0] <= SMALL_ROW_BOUND:
+    if x2.shape[0] <= ROW_BOUND:
         y = np.ascontiguousarray((w @ np.ascontiguousarray(x2.T)).T)
-    elif x2.shape[0] <= ROW_BOUND:
-        y = np.ascontiguousarray((w @ x2.T).T)
     else:
         y = x2 @ w.T
     return y.reshape(x.shape[:-1] + (w.shape[0],))

@@ -402,14 +402,16 @@ def test_gen_unwritable_out_fails_before_generating(tmp_path, capsys, monkeypatc
     assert str(directory) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("request_args", [
-    ("--prompt-file", "PROMPT"),                  # id 999 outside the vocabulary of 64
-    ("--n-response", "5000"),                     # prompt plus response beyond MAX_POS
-    ("--bw", "65"),                               # more beams than the vocabulary of 64 fills
-], ids=["out-of-vocab", "beyond-max-pos", "bw-over-vocab"])
-def test_gen_rejected_request_leaves_existing_out_unchanged(tmp_path, capsys, request_args):
-    """A request the engine rejects fails before ``--out`` is opened, so an
-    existing file there keeps its bytes."""
+@pytest.mark.parametrize("request_args,message", [
+    (("--prompt-file", "PROMPT"), "must lie in"),  # id 999 outside the vocabulary of 64
+    (("--n-response", "5000"), "maximum position"),  # prompt plus response beyond MAX_POS
+    (("--bw", "65"), "cannot fill 65 beams"),  # more beams than the vocabulary of 64 fills
+    (("--seed", "-1", "--prompt-file", "PROMPT"), "--seed must be >= 0"),  # checked first
+], ids=["out-of-vocab", "beyond-max-pos", "bw-over-vocab", "negative-seed"])
+def test_gen_rejected_request_leaves_existing_out_unchanged(tmp_path, capsys, request_args,
+                                                            message):
+    """A request the engine rejects, or a negative seed, fails before
+    ``--out`` is opened, so an existing file there keeps its bytes."""
     prompt = tmp_path / "prompt.json"
     prompt.write_text("[[1, 2, 999]]")
     out = tmp_path / "out.json"
@@ -417,7 +419,8 @@ def test_gen_rejected_request_leaves_existing_out_unchanged(tmp_path, capsys, re
     argv = [str(prompt) if arg == "PROMPT" else arg for arg in request_args]
     assert run_cli("gen", *argv, "--out", str(out)) == 2
     assert out.read_bytes() == b'{"old": 1}\n'
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 @pytest.mark.parametrize("written,read", [

@@ -506,14 +506,15 @@ WEIGHT_MAP_DEFECTS = {  # defect -> the error it raises, naming the tensor
     "extra-name": "weight tensor layers.2.w_qkv is not in the layout of its config (L=2)",
     "misshapen": "weight tensor layers.0.w_up: expected shape (128, 64), got (64, 128)",
     "non-finite": "weight tensor head holds non-finite values",
+    "non-float32": "weight tensor layers.1.w_gate: expected float32, got float64",
 }
 
 
 @pytest.mark.parametrize("defect", sorted(WEIGHT_MAP_DEFECTS))
 def test_weights_constructor_checks_the_map(defect):
     """``ToyWeights(config, tensors)`` takes a map holding exactly the names
-    of ``weight_layout(config)``, each with its laid-out shape and finite
-    values, and refuses any other map naming the tensor at fault."""
+    of ``weight_layout(config)``, each float32 with its laid-out shape and
+    finite values, and refuses any other map naming the tensor at fault."""
     cfg = toy_config()  # L=2, d_model 64, ff_dim 128
     tensors = dict(ToyWeights.random(cfg, seed=0).tensors)
     if defect == "missing-name":
@@ -522,6 +523,8 @@ def test_weights_constructor_checks_the_map(defect):
         tensors["layers.2.w_qkv"] = tensors["layers.1.w_qkv"]
     elif defect == "misshapen":  # input-major, as projections were once stored
         tensors["layers.0.w_up"] = tensors["layers.0.w_up"].T
+    elif defect == "non-float32":  # save_weights would write it as float32
+        tensors["layers.1.w_gate"] = tensors["layers.1.w_gate"].astype(np.float64)
     else:
         tensors["head"] = tensors["head"].copy()
         tensors["head"][3, 5] = np.inf
