@@ -50,6 +50,16 @@ def _reject(args, flags, reason: str) -> None:
         raise UsageError(f"{', '.join(given)} {reason}")
 
 
+def _check_counts(args, minimums: dict[str, int]) -> None:
+    """A usage error naming the first count flag the command line set below
+    its minimum in ``minimums`` (flag -> least value)."""
+    for flag, least in minimums.items():
+        values = getattr(args, flag[2:].replace("-", "_"))
+        for value in values if isinstance(values, list) else [values]:
+            if value is not None and value < least:
+                raise UsageError(f"{flag} must be >= {least}, got {value}")
+
+
 def _resolve_config(args) -> ModelConfig:
     """``toy_config()`` with each model flag the command line set overriding its field."""
     fields = {"L": args.L, "H": args.H, "D": args.D, "ff_dim": args.ff, "vocab": args.vocab}
@@ -62,6 +72,8 @@ def _output(path: str | None):
 
 
 def cmd_memsim(args) -> int:
+    _check_counts(args, {"--bs": 0, "--bw": 1, "--n-prompt": 0, "--n-response": 0,
+                         "--budget-bytes": 0})
     rows = []
     for name in args.models:
         cfg = preset(name)
@@ -138,8 +150,7 @@ def cmd_gen(args) -> int:
             if flag != written and path == paths.get(written):
                 raise UsageError(f"{written} and {flag} name the same file, {path}; "
                                  "gen would overwrite it")
-    if args.seed is not None and args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    _check_counts(args, {"--seed": 0, "--bs": 1, "--random": 1, "--bw": 1, "--n-response": 0})
     if args.weights and args.prompt_file:  # nothing is drawn
         _reject(args, ("--seed",), "cannot be combined with both --weights and "
                 "--prompt-file, which leave nothing to draw")

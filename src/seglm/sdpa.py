@@ -4,15 +4,15 @@ Both streaming kernels work one tile of ``KEY_BLOCK`` keys at a time through
 an online softmax (running max and normalizer, Milakov & Gimelshein, arXiv
 1805.02867; tiling as in FlashAttention, Dao et al., arXiv 2205.14135).
 
-The decode kernel makes a single pass per (batch, beam, head) over two
-segments: first the beam-shared prompt K/V (batch first, never expanded per
-beam; each tile is one [BW, D] x [D, tile] product per item and head), then
-the response K/V (sequence first), gathered through the beam indices with one
-fancy index per tile, and normalizes once at the end: one softmax over both
-segments, with the index select fused into the pass. At BW = 1 every index is
-0, so the response is streamed as plain slices, each viewed batch first and
-folded like a prompt tile, without a gather or a copy. Its temporaries are
-bounded by KEY_BLOCK x BS*BW x H x D.
+The decode kernel makes one pass over two segments, every tile folded by
+the same batch-first product, and normalizes once at the end: one softmax
+over both, with the index select fused into the pass. A prompt tile (batch
+first, shared by the beams, never expanded) is one [BW, D] x [D, tile]
+product per item and head. The state is then regrouped once into BS*BW rows
+of one query each, and a response tile (sequence first) is gathered by
+global row through the beam indices as one [BS*BW, tile, H, D] fancy index;
+at BW = 1 every index is 0, so it is a plain slice viewed batch first, with
+no copy. Its temporaries are bounded by KEY_BLOCK x BS*BW x H x D.
 
 The prefill kernel runs the same recurrence over query tiles x key tiles of
 one batch-first segment, skips the key tiles that lie wholly above the
@@ -24,7 +24,7 @@ each fresh score tile. Its score tiles are held keys major,
 contiguous rows of queries: on a [2, 8, 128, 128] tile numpy takes the max
 about 3x and the sum about 1.3x faster that way than along the last axis.
 Its score temporaries are bounded by KEY_BLOCK^2 x BS x H. The decode
-kernel keeps its keys last: with only BW queries per product, keys major
+kernel keeps its keys last: with at most BW queries per product, keys major
 is slower there.
 
 Both kernels start the recurrence from their first tile, so a prompt of at
@@ -73,8 +73,10 @@ class OnlineSoftmax:
     tiling. A masked key (score -inf) gets weight 0, and a query none of
     whose keys so far is unmasked keeps m = -inf, l = 0, acc = 0.
 
-    ``lead_shape`` is the shape of m and l, one entry per query. A tile's
-    ``scores`` are [*lead, n], keys last, and ``acc`` is [*lead, D].
+    ``lead_shape`` is the shape of m and l, one entry per query. Keys last,
+    a tile's ``scores`` are [*lead, n] and its ``values`` [*lead[:-1], n, D],
+    one block shared by the queries along the last lead axis, so the product
+    is one matrix multiply per group of queries; ``acc`` is [*lead, D].
     ``sdpa_prefill`` alone builds its state with ``_keys_major``: then
     ``scores`` are [*lead[:-1], n, lead[-1]], so the max and the sum reduce
     across contiguous rows of queries, ``values`` is the transposed
@@ -95,11 +97,8 @@ class OnlineSoftmax:
         self.tiles = 0
 
     def update(self, scores: np.ndarray, values: np.ndarray) -> None:
-        """Fold in one tile of ``scores``, laid out as the state's key axis
-        says. Keys last, ``values`` is either [*lead, n, D], one block per
-        query, or [*lead[:-1], n, D], one block shared by every query along
-        the last lead axis, which makes the product one matrix multiply per
-        group of queries. Keys major, ``values`` is [*lead[:-1], D, n]."""
+        """Fold in one tile of ``scores`` and ``values``, laid out as the
+        state's key axis says (see the class docstring)."""
         axis = self.axis
         m_tile = scores.max(axis=axis)
         m_new = np.maximum(self.m, m_tile) if self.tiles else m_tile
@@ -109,12 +108,7 @@ class OnlineSoftmax:
         # a keys-major tile is the kernel's own fresh product, overwritten here
         p = np.subtract(scores, shift[self.over_keys], out=scores if axis == -2 else None)
         np.exp(p, out=p)
-        if axis == -2:
-            pv = values @ p
-        elif values.ndim > p.ndim:
-            pv = np.matmul(p[..., None, :], values)[..., 0, :]
-        else:
-            pv = p @ values
+        pv = values @ p if axis == -2 else p @ values
         if self.tiles:
             alpha = np.exp(self.m - shift)
             self.l *= alpha
@@ -242,8 +236,8 @@ class SdpaDecodeInputs:
 
 
 def _fold_batch_first(state: OnlineSoftmax, q, kt, vt) -> None:
-    """Fold one batch-first [BS, n, H, D] key/value tile, shared by every beam
-    of an item, into ``state``: one [BW, D] x [D, n] product per item and head."""
+    """Fold one batch-first [B, n, H, D] key/value tile into ``state`` of lead
+    [B, H, G]: one [G, D] x [D, n] product per row and head of q [B, H, G, D]."""
     state.update(q @ kt.transpose(0, 2, 3, 1), vt.transpose(0, 2, 1, 3))
 
 
@@ -256,34 +250,34 @@ def sdpa_decode_fused(inp: SdpaDecodeInputs) -> np.ndarray:
     space is embarrassingly parallel; results do not depend on scheduling.
     """
     bs, bw, n_prompt, n_resp, h, d = inp.dims
-    # rows as [BS, H, BW]: the beams of an item are the rows of one product
-    q = inp.q.reshape(bs, bw, h, d).transpose(0, 2, 1, 3) * np.float32(1.0 / sqrt(d))
+    rows = bs * bw
+    q = inp.q.reshape(bs, bw, h, d) * np.float32(1.0 / sqrt(d))
+    # prompt: the beams of an item are the queries of one product, lead [BS, H, BW]
     state = OnlineSoftmax((bs, h, bw), d)
-
     for t0 in range(0, n_prompt, KEY_BLOCK):
-        _fold_batch_first(state, q, inp.prompt_k[:, t0:t0 + KEY_BLOCK],
+        _fold_batch_first(state, q.transpose(0, 2, 1, 3), inp.prompt_k[:, t0:t0 + KEY_BLOCK],
                           inp.prompt_v[:, t0:t0 + KEY_BLOCK])
 
-    if bw == 1:
-        # every index is 0, so the select is the identity: a response tile is
-        # a plain slice [n, BS, H, D], viewed batch first without a copy
-        for t0 in range(0, n_resp, KEY_BLOCK):
-            _fold_batch_first(state, q, inp.resp_k[t0:t0 + KEY_BLOCK].transpose(1, 0, 2, 3),
-                              inp.resp_v[t0:t0 + KEY_BLOCK].transpose(1, 0, 2, 3))
-    else:
-        rk = inp.resp_k.reshape(n_resp, bs, bw, h, d)
-        rv = inp.resp_v.reshape(n_resp, bs, bw, h, d)
-        item = np.arange(bs)[:, None, None]
-        for t0 in range(0, n_resp, KEY_BLOCK):
-            t1 = min(t0 + KEY_BLOCK, n_resp)
-            # fused index select: the tile's rows on each beam's ancestry path
-            sel = (np.arange(t0, t1), item, inp.indices[:, :, t0:t1])
-            kt = rk[sel]  # [BS, BW, n, H, D]
-            vt = rv[sel]
-            s = np.matmul(q[..., None, :], kt.transpose(0, 3, 1, 4, 2))[..., 0, :]
-            state.update(s, vt.transpose(0, 3, 1, 2, 4))
+    # response: each row is an item with one query, lead [BS*BW, H, 1]
+    q = q.reshape(rows, h, 1, d)
+    state.m = state.m.swapaxes(1, 2).reshape(rows, h, 1)
+    state.l = state.l.swapaxes(1, 2).reshape(rows, h, 1)
+    state.acc = state.acc.swapaxes(1, 2).reshape(rows, h, 1, d)
+    for t0 in range(0, n_resp, KEY_BLOCK):
+        t1 = min(t0 + KEY_BLOCK, n_resp)
+        if bw == 1:
+            # every index is 0, so the select is the identity: a response tile
+            # is a plain slice [n, BS, H, D], viewed batch first without a copy
+            kt = inp.resp_k[t0:t1].transpose(1, 0, 2, 3)
+            vt = inp.resp_v[t0:t1].transpose(1, 0, 2, 3)
+        else:
+            # fused index select: row item*BW + j reads row item*BW + indices[item, j, t]
+            src = inp.indices[:, :, t0:t1] + bw * np.arange(bs)[:, None, None]
+            sel = (np.arange(t0, t1), src.reshape(rows, t1 - t0))
+            kt, vt = inp.resp_k[sel], inp.resp_v[sel]  # [BS*BW, n, H, D]
+        _fold_batch_first(state, q, kt, vt)
 
-    return state.finalize().transpose(0, 2, 1, 3).reshape(1, bs * bw, h, d)
+    return state.finalize().reshape(1, rows, h, d)
 
 
 def sdpa_materialized(q, k, v) -> np.ndarray:

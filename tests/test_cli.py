@@ -67,6 +67,19 @@ def test_zero_beam_width_is_a_usage_error_naming_bw(capsys, argv):
     assert captured.out == "" and "bw must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("flags", [("--bs", "-1"), ("--bs", "4", "-1"), ("--n-prompt", "-5"),
+                                   ("--n-response", "-1"), ("--budget-bytes", "-1")],
+                         ids=" ".join)
+def test_memsim_negative_count_is_a_usage_error_naming_it(tmp_path, capsys, flags):
+    """A negative batch size, token count or byte budget is refused naming its
+    flag, before ``--out`` is opened."""
+    out = tmp_path / "mem.csv"
+    assert run_cli("memsim", "--models", "gptj-6b", *flags, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{flags[0]} must be >= 0, got {flags[-1]}" in captured.err
+    assert not out.exists()
+
+
 def test_memsim_budget_boundary_is_inclusive(capsys):
     cfg = preset("gptj-6b")
     budget = segment_cache_bytes(cfg, CacheShapeParams(4, 4, 1024, 1024))
@@ -407,11 +420,17 @@ def test_gen_unwritable_out_fails_before_generating(tmp_path, capsys, monkeypatc
     (("--n-response", "5000"), "maximum position"),  # prompt plus response beyond MAX_POS
     (("--bw", "65"), "cannot fill 65 beams"),  # more beams than the vocabulary of 64 fills
     (("--seed", "-1", "--prompt-file", "PROMPT"), "--seed must be >= 0"),  # checked first
-], ids=["out-of-vocab", "beyond-max-pos", "bw-over-vocab", "negative-seed"])
+    (("--random", "-1"), "--random must be >= 1, got -1"),
+    (("--random", "0"), "--random must be >= 1, got 0"),
+    (("--bs", "-1"), "--bs must be >= 1, got -1"),
+    (("--bs", "0"), "--bs must be >= 1, got 0"),
+], ids=["out-of-vocab", "beyond-max-pos", "bw-over-vocab", "negative-seed", "negative-random",
+        "zero-random", "negative-bs", "zero-bs"])
 def test_gen_rejected_request_leaves_existing_out_unchanged(tmp_path, capsys, request_args,
                                                             message):
-    """A request the engine rejects, or a negative seed, fails before
-    ``--out`` is opened, so an existing file there keeps its bytes."""
+    """A request the engine rejects, a negative seed or a count flag below its
+    minimum fails before ``--out`` is opened, so an existing file there keeps
+    its bytes."""
     prompt = tmp_path / "prompt.json"
     prompt.write_text("[[1, 2, 999]]")
     out = tmp_path / "out.json"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from seglm import sdpa
 from seglm.config import toy_config
 from seglm.kvcache import MemoryLedger, PromptKV, ResponseKV
 from seglm.sdpa import (KEY_BLOCK, OnlineSoftmax, SdpaDecodeInputs, sdpa_decode_fused,
@@ -178,6 +179,31 @@ def test_kernels_fold_one_update_per_tile(monkeypatch):
         sdpa_prefill(q, q, q)
         tiles = math.ceil(n / KEY_BLOCK)
         assert len(widths) == tiles * (tiles + 1) // 2
+
+
+@pytest.mark.parametrize("bw", [1, 2, 3])
+def test_decode_reads_greedy_response_tiles_without_a_gather(monkeypatch, bw):
+    """Every decode tile goes through ``_fold_batch_first``. Prompt tiles are
+    views of the prompt K/V. At BW = 1 a response tile is a view of the
+    response K/V, not a gathered copy; at BW > 1 it is gathered."""
+    tiles = []
+    fold = sdpa._fold_batch_first
+
+    def recording_fold(state, q, kt, vt):
+        tiles.append((kt, vt))
+        fold(state, q, kt, vt)
+
+    monkeypatch.setattr(sdpa, "_fold_batch_first", recording_fold)
+    n_prompt, n_resp = KEY_BLOCK + 1, 2 * KEY_BLOCK + 1
+    inp = _rand_inputs(np.random.default_rng(17), 2, bw, 2, 4, n_prompt, n_resp)
+    sdpa_decode_fused(inp)
+    prompt_tiles = math.ceil(n_prompt / KEY_BLOCK)
+    assert len(tiles) == prompt_tiles + math.ceil(n_resp / KEY_BLOCK)
+    for kt, vt in tiles[:prompt_tiles]:
+        assert np.shares_memory(kt, inp.prompt_k) and np.shares_memory(vt, inp.prompt_v)
+    for kt, vt in tiles[prompt_tiles:]:
+        assert kt.shape[0] == 2 * bw
+        assert np.shares_memory(kt, inp.resp_k) == np.shares_memory(vt, inp.resp_v) == (bw == 1)
 
 
 @pytest.mark.parametrize("n", [1, KEY_BLOCK, KEY_BLOCK + 1, 3 * KEY_BLOCK - 1])
