@@ -13,7 +13,10 @@ Both engines share token selection and one decoder-layer body
 cache, so token-for-token equality between them exercises exactly the
 optimized pipeline (layouts, segment cache, fused kernel) against the unfused
 one. The shared layer body itself is checked by hand traces and by the
-prefill/decode consistency of each engine.
+prefill/decode consistency of each engine. The optimized prefill runs its
+last layer past K/V on the last prompt position alone, the only one the
+head reads; the reference prefill runs every layer on every row, so their
+equality checks that cut as well.
 """
 from __future__ import annotations
 
@@ -308,12 +311,20 @@ class _DecoderEngine:
             min_top_gap=state.min_top_gap,
         )
 
-    def _layers(self, x, positions, attend):
+    def _layers(self, x, positions, attend, read=None):
         """Run the decoder stack on hidden states ``x`` [..., d_model].
 
         ``attend(layer, q, k, v)`` gets the rotated q, k and v, each [..., H, D]
         over the leading dims of ``x``, caches K/V the engine's way, and
-        returns the attention context in that same [..., H, D] shape.
+        returns the attention context in q's shape.
+
+        ``read`` indexes the rows of ``x`` whose output the caller reads; by
+        default, all of them. The last layer still projects k and v on every
+        row, since the cache must hold every position's K/V, but cuts q and
+        the residual stream to ``read`` before attention, so its attention
+        queries, o-proj, second norm and MLP run on those rows alone, and
+        the stack returns only them. No earlier layer is cut: each of its
+        rows feeds the keys and values of the layers after it.
         """
         cfg = self.config
         table = rope_table(positions, cfg.D)
@@ -321,6 +332,8 @@ class _DecoderEngine:
             h = rmsnorm(x, lw["rmsnorm_1"])
             q, k, v = fused_qkv(h, lw["w_qkv"], cfg.H, cfg.D)
             q, k = rope(q, k, table)
+            if read is not None and layer == cfg.L - 1:
+                q, x = q[read], x[read]
             ctx = attend(layer, q, k, v)
             x = x + linear(ctx.reshape(x.shape), lw["w_o"])
             x = x + gated_mlp(rmsnorm(x, lw["rmsnorm_2"]), lw["w_gate"], lw["w_up"], lw["w_down"])
@@ -373,7 +386,8 @@ class OptimizedEngine(_DecoderEngine):
 
         prompt = run.request.prompt  # [BS, Np]; no beam expansion
         positions = np.arange(prompt.shape[1])[None, :]
-        x = self._layers(self.weights.embedding[prompt], positions, attend)
+        # only the last prompt position reaches the head
+        x = self._layers(self.weights.embedding[prompt], positions, attend, np.s_[:, -1:])
         logits, hidden = self._head(x[:, -1, :])
         # beams share the single prompt computation; replicate for selection
         bw = run.request.bw

@@ -18,7 +18,14 @@ The prefill kernel runs the same recurrence over query tiles x key tiles of
 one batch-first segment, skips the key tiles that lie wholly above the
 causal diagonal and masks only the diagonal tile, adding one precomputed
 0/-inf bias to it in place; the shift and the exp also run in place on
-each fresh score tile. Its score tiles are held keys major,
+each fresh score tile. Its queries may be only the last Nq <= Nk positions
+of the segment, bottom-right aligned as in FlashAttention-2 (Dao, arXiv
+2307.08691): the optimized engine's last layer attends with the last
+prompt position alone, and a prompt chunk (Sarathi, Agrawal et al., arXiv
+2308.16369) would attend with its own positions over every key so far.
+Query tiles stay aligned to KEY_BLOCK positions, clipped to the queries
+present, so the diagonal tile's mask is a slice of the same one bias and
+Nq = Nk tiles exactly as a whole prefill. Its score tiles are held keys major,
 [BS, H, keys, queries] = K_tile @ Q_tile^T, with the accumulator as
 [BS, H, D, queries], so the running max and the normalizer reduce across
 contiguous rows of queries: on a [2, 8, 128, 128] tile numpy takes the max
@@ -126,42 +133,53 @@ class OnlineSoftmax:
 
 
 def sdpa_prefill(q, k, v) -> np.ndarray:
-    """Causal tiled attention over one batch-first segment.
+    """Causal tiled attention of the last Nq positions of one batch-first
+    segment over all Nk of its keys, Nq <= Nk.
 
-    Inputs and output are [BS, N, H, D] batch first; no layout conversion is
-    performed. Query i attends keys j <= i, with scores scaled by 1/sqrt(D).
-    Score tiles are keys x queries (see the module docstring).
+    q is [BS, Nq, H, D] and k, v are [BS, Nk, H, D], batch first; the output
+    is q's shape and no layout conversion is performed. Causality is bottom
+    right, as in ``sdpa_materialized``: query i sits at position
+    i + Nk - Nq and attends keys j <= i + Nk - Nq, with scores scaled by
+    1/sqrt(D). Nq = Nk is a whole causal prefill. Query tiles start at
+    positions that are multiples of KEY_BLOCK, clipped to the queries'
+    positions, so key tiles and query tiles share their edges and only the
+    diagonal tile is masked. Score tiles are keys x queries (see the module
+    docstring).
     """
     q = np.asarray(q, dtype=np.float32)
     k = np.asarray(k, dtype=np.float32)
     v = np.asarray(v, dtype=np.float32)
     if q.ndim != 4:
-        raise ValueError(f"q must be [BS, N, H, D], got {q.shape}")
-    if not (q.shape == k.shape == v.shape):
+        raise ValueError(f"q must be [BS, Nq, H, D], got {q.shape}")
+    if k.shape != v.shape or q.shape[2:] != k.shape[2:] or q.shape[0] != k.shape[0]:
         raise ValueError(f"shape mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
-    bs, n, h, d = q.shape
+    bs, nq, h, d = q.shape
+    n = k.shape[1]
     if n == 0:
         raise ValueError("attention over zero keys is undefined")
+    if not 0 < nq <= n:
+        raise ValueError(f"Nq must lie in [1, Nk]: got {nq} queries over {n} keys")
 
     # [BS, H, ...] views, so each tile pair is one batched matrix multiply
-    qt = q.transpose(0, 2, 3, 1) * np.float32(1.0 / sqrt(d))  # [BS, H, D, N]
-    kh = k.transpose(0, 2, 1, 3)  # [BS, H, N, D]
-    vt = v.transpose(0, 2, 3, 1)  # [BS, H, D, N]
+    qt = q.transpose(0, 2, 3, 1) * np.float32(1.0 / sqrt(d))  # [BS, H, D, Nq]
+    kh = k.transpose(0, 2, 1, 3)  # [BS, H, Nk, D]
+    vt = v.transpose(0, 2, 3, 1)  # [BS, H, D, Nk]
+    first = n - nq  # the position of query 0
     b = min(n, KEY_BLOCK)
     # the diagonal tile's causal mask, keys x queries: key j is hidden from query i < j
     causal = np.tril(np.full((b, b), -np.inf, dtype=np.float32), -1)
-    out = np.empty((bs, h, d, n), dtype=np.float32)
-    for q0 in range(0, n, KEY_BLOCK):
-        q1 = min(q0 + KEY_BLOCK, n)
-        state = OnlineSoftmax((bs, h, q1 - q0), d, _keys_major=True)
+    out = np.empty((bs, h, d, nq), dtype=np.float32)
+    for t0 in range(first - first % KEY_BLOCK, n, KEY_BLOCK):
+        a0, a1 = max(t0, first), min(t0 + KEY_BLOCK, n)  # this tile's query positions
+        state = OnlineSoftmax((bs, h, a1 - a0), d, _keys_major=True)
         # key tiles past the diagonal one lie wholly above it and are skipped
-        for k0 in range(0, q1, KEY_BLOCK):
+        for k0 in range(0, a1, KEY_BLOCK):
             k1 = min(k0 + KEY_BLOCK, n)
-            s = kh[:, :, k0:k1] @ qt[..., q0:q1]  # [BS, H, keys, queries]
-            if k0 == q0:  # the diagonal tile: query q0+i sees keys q0..q0+i
-                s += causal[:q1 - q0, :q1 - q0]
+            s = kh[:, :, k0:k1] @ qt[..., a0 - first:a1 - first]  # [BS, H, keys, queries]
+            if k0 == t0:  # the diagonal tile: the query at position a sees keys t0..a
+                s += causal[:k1 - k0, a0 - t0:a1 - t0]
             state.update(s, vt[..., k0:k1])
-        out[..., q0:q1] = state.finalize()
+        out[..., a0 - first:a1 - first] = state.finalize()
     return out.transpose(0, 3, 1, 2)
 
 

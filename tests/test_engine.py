@@ -6,6 +6,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import seglm.engine as engine_module
+from seglm import ops
 from seglm.config import toy_config
 from seglm.engine import (MAX_POS, GenerationRequest, OptimizedEngine, ReferenceEngine,
                           ToyWeights, load_weights, save_weights)
@@ -193,6 +195,35 @@ def test_zero_response_request():
     assert opt.first_token_latency_s > 0
     assert opt.next_token_latency_s is None
     assert np.array_equal(opt.tokens, ref.tokens)
+
+
+def test_optimized_prefill_trims_only_the_last_layer(monkeypatch):
+    """The optimized prefill runs the last layer's o-proj and MLP on the last
+    prompt position alone; its qkv projection and every earlier layer see
+    every row. The reference prefill is not trimmed: every projection sees
+    every beam-expanded row, so it stays an independent oracle of the trim."""
+    rows = []
+    linear = ops.linear
+
+    def recording_linear(x, w):
+        rows.append(x.size // x.shape[-1])
+        return linear(x, w)
+
+    # ops.linear serves fused_qkv and gated_mlp; the engine's own name, o-proj and head
+    monkeypatch.setattr(ops, "linear", recording_linear)
+    monkeypatch.setattr(engine_module, "linear", recording_linear)
+    w = _toy_weights()
+    bs, bw, n_prompt, L = 2, 2, 9, w.config.L
+    req = GenerationRequest(_prompt(w.config, bs, n_prompt), 0, bw=bw)
+    per_layer = 5  # qkv, o-proj, gate, up, down
+
+    OptimizedEngine(w).generate(req)
+    # every row up to the last layer's qkv; then its o-proj, gate, up, down and the head
+    assert rows == [bs * n_prompt] * ((L - 1) * per_layer + 1) + [bs] * per_layer
+
+    rows.clear()
+    ReferenceEngine(w).generate(req)
+    assert rows == [bs * bw * n_prompt] * (L * per_layer) + [bs * bw]
 
 
 # -- prefill/decode consistency ------------------------------------------------------

@@ -59,22 +59,36 @@ def test_prefill_matches_materialized_oracle():
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.sampled_from([n for n in TILE_EDGES if n >= 1]), bs=st.integers(1, 2),
-       h=st.integers(1, 3), d=st.sampled_from([4, 16]), seed=st.integers(0, 2**32 - 1))
-def test_prefill_matches_oracle_at_tile_edges(n, bs, h, d, seed):
+@given(n=st.sampled_from([n for n in TILE_EDGES if n >= 1]),
+       nq=st.sampled_from([1, 2, KEY_BLOCK - 1, KEY_BLOCK, KEY_BLOCK + 1, None]),
+       bs=st.integers(1, 2), h=st.integers(1, 3), d=st.sampled_from([4, 16]),
+       seed=st.integers(0, 2**32 - 1))
+def test_prefill_matches_oracle_at_tile_edges(n, nq, bs, h, d, seed):
+    """The last ``nq`` positions (None: all n) attend every key before them,
+    so Nk - Nq falls both on and off a tile edge."""
+    nq = n if nq is None else nq
+    assume(nq <= n)
     rng = np.random.default_rng(seed)
-    q, k, v = (rng.standard_normal((bs, n, h, d)).astype(np.float32) for _ in range(3))
+    k, v = (rng.standard_normal((bs, n, h, d)).astype(np.float32) for _ in range(2))
+    q = rng.standard_normal((bs, nq, h, d)).astype(np.float32)
     oracle = sdpa_materialized(q.astype(np.float64), k.astype(np.float64), v.astype(np.float64))
-    assert np.max(np.abs(sdpa_prefill(q, k, v) - oracle)) <= 1e-5
+    out = sdpa_prefill(q, k, v)
+    assert out.shape == q.shape
+    assert np.max(np.abs(out - oracle)) <= 1e-5
 
 
 def test_prefill_rejects_mismatched_shapes():
     rng = np.random.default_rng(3)
     q = rng.standard_normal((1, 2, 1, 4)).astype(np.float32)
     with pytest.raises(ValueError):
-        sdpa_prefill(q, q[:, :1], q)
+        sdpa_prefill(q, q[:, :1], q)  # more queries than keys
     with pytest.raises(ValueError):
         sdpa_prefill(q[0], q[0], q[0])
+    for other in (np.concatenate([q, q]), np.concatenate([q, q], axis=2), q[..., :2]):
+        with pytest.raises(ValueError):  # BS, H or D of q differs from k's
+            sdpa_prefill(other, q, q)
+    with pytest.raises(ValueError):
+        sdpa_prefill(q[:, :0], q, q)  # zero queries over two keys
 
 
 def test_prefill_zero_length_rejected():
@@ -155,7 +169,7 @@ def test_decode_fused_vs_oracle_at_bw_1(n_prompt, n_resp):
 def test_kernels_fold_one_update_per_tile(monkeypatch):
     """Decode folds ceil(Np/B) + ceil(Nr/B) tiles, each key once; prefill of
     T query tiles folds only the T(T+1)/2 tiles on or below the causal
-    diagonal."""
+    diagonal, and of the last query alone ceil(Nk/B) tiles."""
     widths = []
     update = OnlineSoftmax.update
 
@@ -179,6 +193,9 @@ def test_kernels_fold_one_update_per_tile(monkeypatch):
         sdpa_prefill(q, q, q)
         tiles = math.ceil(n / KEY_BLOCK)
         assert len(widths) == tiles * (tiles + 1) // 2
+        widths.clear()
+        sdpa_prefill(q[:, -1:], q, q)  # one query folds each key tile once
+        assert len(widths) == tiles
 
 
 @pytest.mark.parametrize("bw", [1, 2, 3])
