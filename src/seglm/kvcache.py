@@ -3,7 +3,9 @@
 This module is the one statement of the segment policy. It has two rules:
 
 - The prompt is stored once per batch item, shared across beams: one
-  [L, BS, N_prompt, H, D] arena for all layers, batch first.
+  K and one V arena for all layers, batch first, each (item, head) panel
+  contiguous: K keys last, [L, BS, H, D, N_prompt], and V head major,
+  [L, BS, H, N_prompt, D]. Callers see [BS, N_prompt, H, D] views.
 - The response is stored per beam row: one [L, N_response, BS*BW, H, D]
   arena for all layers, sequence first.
 
@@ -155,17 +157,26 @@ def _owned(x) -> np.ndarray:
 
 
 class PromptKV:
-    """Prompt K/V of all layers in one arena, [L, BS, N_prompt, H, D], batch
-    first and shared by every beam.
+    """Prompt K/V of all layers, batch first and shared by every beam, in one
+    K arena [L, BS, H, D, N_prompt] (keys last) and one V arena
+    [L, BS, H, N_prompt, D] (head major).
 
-    The arena is allocated whole, one ledger alloc, when the run begins.
+    The memory order is the decode kernel's: a prompt tile's scores are one
+    [BW, D] x [D, tile] product and its weighted sum one [BW, tile] x
+    [tile, D] product per item and head, so each (item, head) panel of K^T
+    and of V is contiguous rather than N_prompt rows at a stride of H*D
+    elements. ``store`` takes batch-first [BS, N_prompt, H, D] K/V and its
+    one copy into the arena is the layout conversion; ``layer`` returns
+    [BS, N_prompt, H, D] views of the arena, transposed back without a copy.
+
+    Both arenas are allocated whole, one ledger alloc, when the run begins.
     Each layer's slice is written once at prefill and immutable afterwards.
     """
 
     def __init__(self, config: ModelConfig, bs: int, n_prompt: int, ledger: MemoryLedger):
         self._stored = [False] * config.L
-        self._k = np.zeros((config.L, bs, n_prompt, config.H, config.D), dtype=np.float32)
-        self._v = np.zeros_like(self._k)
+        self._k = np.zeros((config.L, bs, config.H, config.D, n_prompt), dtype=np.float32)
+        self._v = np.zeros((config.L, bs, config.H, n_prompt, config.D), dtype=np.float32)
         ledger.alloc(kv_bytes(self._k, self._v))
 
     def total_bytes(self) -> int:
@@ -175,17 +186,19 @@ class PromptKV:
         if self._stored[layer]:
             raise ValueError("prompt KV is write-once")
         k, v = np.asarray(k), np.asarray(v)
-        expect = self._k.shape[1:]
+        bs, h, n_prompt, d = self._v.shape[1:]
+        expect = (bs, n_prompt, h, d)
         if k.shape != expect or v.shape != expect:
             raise ValueError(f"prompt K/V must be batch-first {expect}, got {k.shape} / {v.shape}")
-        self._k[layer] = k
-        self._v[layer] = v
+        self._k[layer] = k.transpose(0, 2, 3, 1)
+        self._v[layer] = v.transpose(0, 2, 1, 3)
         self._stored[layer] = True
 
     def layer(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of one layer's K and V as [BS, N_prompt, H, D]."""
         if not self._stored[i]:
             raise ValueError(f"prompt KV for layer {i} not populated")
-        return self._k[i], self._v[i]
+        return self._k[i].transpose(0, 3, 1, 2), self._v[i].transpose(0, 2, 1, 3)
 
 
 class ResponseKV:

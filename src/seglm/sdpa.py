@@ -1,18 +1,22 @@
 """Fused two-segment attention and the materialized attention that checks it.
 
-Both streaming kernels work one tile of ``KEY_BLOCK`` keys at a time through
-an online softmax (running max and normalizer, Milakov & Gimelshein, arXiv
-1805.02867; tiling as in FlashAttention, Dao et al., arXiv 2205.14135).
+Both streaming kernels work one tile of keys at a time (``KEY_BLOCK`` keys
+in prefill, ``DECODE_BLOCK`` in decode) through an online softmax (running
+max and normalizer, Milakov & Gimelshein, arXiv 1805.02867; tiling as in
+FlashAttention, Dao et al., arXiv 2205.14135).
 
 The decode kernel makes one pass over two segments, every tile folded by
 the same batch-first product, and normalizes once at the end: one softmax
 over both, with the index select fused into the pass. A prompt tile (batch
 first, shared by the beams, never expanded) is one [BW, D] x [D, tile]
-product per item and head. The state is then regrouped once into BS*BW rows
-of one query each, and a response tile (sequence first) is gathered by
-global row through the beam indices as one [BS*BW, tile, H, D] fancy index;
-at BW = 1 every index is 0, so it is a plain slice viewed batch first, with
-no copy. Its temporaries are bounded by KEY_BLOCK x BS*BW x H x D.
+product per item and head; ``PromptKV`` stores K keys last and V head
+major, so that product and the weighted sum read contiguous per-head panels
+of K^T and V, the order FlashAttention streams its K/V tiles in. The state
+is then regrouped once into BS*BW rows of one query each, and a response
+tile (sequence first) is gathered by global row through the beam indices as
+one [BS*BW, tile, H, D] fancy index; at BW = 1 every index is 0, so it is a
+plain slice viewed batch first, with no copy. Its temporaries are bounded by
+DECODE_BLOCK x BS*BW x H x D.
 
 The prefill kernel runs the same recurrence over query tiles x key tiles of
 one batch-first segment, skips the key tiles that lie wholly above the
@@ -51,18 +55,27 @@ import numpy as np
 
 from .kvcache import PromptKV, ResponseKV
 
-# Keys per tile in both streaming kernels, chosen by measurement (2-core x86
-# host, BLAS on one thread, ms at KEY_BLOCK 64 / 128 / 256, median of 15
-# alternating minima of 20 calls):
-#   sdpa_prefill on [2, 512, 8, 32]                     16.68 / 14.87 / 24.92
-#   sdpa_decode_fused, BS 2 x BW 4, 512 prompt + 48     0.87 / 0.71 / 0.64
-#   sdpa_decode_fused, BS 4 x BW 8, 64 prompt + 64      1.27 / 1.27 / 1.27
-#   sdpa_decode_fused, BS 4 x BW 1, 32 prompt + 160     0.26 / 0.22 / 0.19
-# (a second run read 17.19 / 15.42 / 26.45 for prefill). Prefill takes 128.
-# At 256 each prefill score tile (KEY_BLOCK^2 x BS x H floats) is 4 MiB at
-# this shape, and half of every diagonal tile is computed only to be
-# masked; decode alone would take 256.
+# Keys per tile in sdpa_prefill, chosen by measurement (2-core x86 host,
+# BLAS on one thread, ms at KEY_BLOCK 64 / 128 / 256, median of 15
+# alternating minima of 20 calls): on [2, 512, 8, 32], 16.68 / 14.87 / 24.92
+# (a second run read 17.19 / 15.42 / 26.45). At 256 each score tile
+# (KEY_BLOCK^2 x BS x H floats) is 4 MiB at this shape, and half of every
+# diagonal tile is computed only to be masked.
 KEY_BLOCK = 128
+# Keys per tile in sdpa_decode_fused, both segments, chosen by measurement
+# (same host, H 8, D 32, the prompt in PromptKV's arena, ms at width
+# 128 / 256 / 512 / 1024, median over 25 interleaved rounds of the minimum
+# of 9 calls):
+#   BS 2 x BW 4, 512 prompt + 24      0.488 / 0.419 / 0.372 / 0.365
+#   BS 2 x BW 4, 512 prompt + 48      0.449 / 0.392 / 0.359 / 0.363
+#   BS 4 x BW 1, 32 prompt + 150      0.218 / 0.182 / 0.182 / 0.180
+#   BS 4 x BW 1, 32 prompt + 160      0.148 / 0.121 / 0.121 / 0.123
+#   BS 4 x BW 8, 64 prompt + 32       0.792 / 0.780 / 0.787 / 0.788
+# A batch-first [BS, N_prompt, H, D] prompt at width 128, the layout and
+# width prefill uses, read 0.564 and 0.518 ms at the two long-prompt rows.
+# 1024 gains nothing over 512 and doubles the bound on the score tile,
+# DECODE_BLOCK x BS*BW x H floats.
+DECODE_BLOCK = 512
 # the shift of a query none of whose keys so far is unmasked
 _LOWEST = np.finfo(np.float32).min
 
@@ -190,6 +203,9 @@ class SdpaDecodeInputs:
     q is [1, BS*BW, H, D]; prompt K/V are [BS, N_prompt, H, D] batch first
     (beam-shared); response K/V are [N_response, BS*BW, H, D] sequence first;
     indices is the [BS, BW, N_response] gather tensor with values in [0, BW).
+    Any strides are read as they are. The fast prompt layout is
+    ``PromptKV.layer``'s: views of a keys-last K and a head-major V arena,
+    so each (item, head) panel a prompt tile reads is contiguous.
     """
 
     q: np.ndarray
@@ -272,17 +288,17 @@ def sdpa_decode_fused(inp: SdpaDecodeInputs) -> np.ndarray:
     q = inp.q.reshape(bs, bw, h, d) * np.float32(1.0 / sqrt(d))
     # prompt: the beams of an item are the queries of one product, lead [BS, H, BW]
     state = OnlineSoftmax((bs, h, bw), d)
-    for t0 in range(0, n_prompt, KEY_BLOCK):
-        _fold_batch_first(state, q.transpose(0, 2, 1, 3), inp.prompt_k[:, t0:t0 + KEY_BLOCK],
-                          inp.prompt_v[:, t0:t0 + KEY_BLOCK])
+    for t0 in range(0, n_prompt, DECODE_BLOCK):
+        _fold_batch_first(state, q.transpose(0, 2, 1, 3), inp.prompt_k[:, t0:t0 + DECODE_BLOCK],
+                          inp.prompt_v[:, t0:t0 + DECODE_BLOCK])
 
     # response: each row is an item with one query, lead [BS*BW, H, 1]
     q = q.reshape(rows, h, 1, d)
     state.m = state.m.swapaxes(1, 2).reshape(rows, h, 1)
     state.l = state.l.swapaxes(1, 2).reshape(rows, h, 1)
     state.acc = state.acc.swapaxes(1, 2).reshape(rows, h, 1, d)
-    for t0 in range(0, n_resp, KEY_BLOCK):
-        t1 = min(t0 + KEY_BLOCK, n_resp)
+    for t0 in range(0, n_resp, DECODE_BLOCK):
+        t1 = min(t0 + DECODE_BLOCK, n_resp)
         if bw == 1:
             # every index is 0, so the select is the identity: a response tile
             # is a plain slice [n, BS, H, D], viewed batch first without a copy

@@ -17,7 +17,7 @@ from .fusion import apply_fusion_passes, build_standard_decoder_graph, op_count_
 from .kvcache import (CacheShapeParams, MemoryLedger, ResponseKV, bs_max_under_budget,
                       cache_token_bytes, memsim_row, segment_cache_bytes,
                       simulate_decode_memory, standard_cache_bytes)
-from .sdpa import KEY_BLOCK, SdpaDecodeInputs, sdpa_decode_fused, sdpa_decode_oracle
+from .sdpa import DECODE_BLOCK, SdpaDecodeInputs, sdpa_decode_fused, sdpa_decode_oracle
 
 GB = 10 ** 9  # decimal GB for display
 SDPA_SEED = 1234           # seed of the randomized fused-vs-oracle shapes
@@ -74,15 +74,15 @@ def _random_decode_inputs(rng: np.random.Generator) -> SdpaDecodeInputs:
     bw = int(rng.integers(1, 5))
     h = int(rng.integers(1, 9))
     d = int(rng.choice([16, 32, 64]))
-    # both segments reach their third key tile
-    n_prompt = int(rng.integers(0, 2 * KEY_BLOCK + 33))
-    n_resp = int(rng.integers(0, 2 * KEY_BLOCK + 2))
+    # both segments reach their third decode tile
+    n_prompt = int(rng.integers(0, 2 * DECODE_BLOCK + 33))
+    n_resp = int(rng.integers(0, 2 * DECODE_BLOCK + 2))
     if n_prompt + n_resp == 0:
         n_prompt = 1
     rows = bs * bw
 
     def g(*shape):
-        return rng.standard_normal(shape).astype(np.float32)
+        return rng.standard_normal(shape, dtype=np.float32)
 
     return SdpaDecodeInputs(
         q=g(1, rows, h, d),

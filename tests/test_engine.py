@@ -14,7 +14,7 @@ from seglm.engine import (MAX_POS, GenerationRequest, OptimizedEngine, Reference
 from seglm.kvcache import (CacheShapeParams, PromptKV, ResponseKV, StandardKV,
                            cache_token_bytes, kv_bytes, segment_cache_bytes,
                            simulate_decode_memory)
-from seglm.sdpa import KEY_BLOCK
+from seglm.sdpa import DECODE_BLOCK, KEY_BLOCK
 
 
 EPS = 1e-5  # the rmsnorm epsilon every layer uses
@@ -118,12 +118,12 @@ def test_beam_cross_engine_bw4_over_40_steps():
 
 @pytest.mark.parametrize("mode,bw", [("greedy", 1), ("beam", 2)])
 def test_cross_engine_across_key_tiles(mode, bw):
-    """A 2*KEY_BLOCK+22-token prompt spans three prefill and prompt tiles and
-    KEY_BLOCK+6 response steps span two response tiles, so every tile edge
-    of both kernels is crossed."""
-    n_prompt, n_resp = 2 * KEY_BLOCK + 22, KEY_BLOCK + 6
-    assert (math.ceil(n_prompt / KEY_BLOCK), math.ceil(n_resp / KEY_BLOCK)) == (3, 2)
-    w = _toy_weights(seed=32)  # top-candidate gaps >= 5.6e-4 in both modes
+    """A DECODE_BLOCK+22-token prompt spans five prefill tiles and two
+    decode prompt tiles, so both kernels cross their tile edges; KEY_BLOCK+6
+    response steps follow it."""
+    n_prompt, n_resp = DECODE_BLOCK + 22, KEY_BLOCK + 6
+    assert (math.ceil(n_prompt / KEY_BLOCK), math.ceil(n_prompt / DECODE_BLOCK)) == (5, 2)
+    w = _toy_weights(seed=42)  # top-candidate gaps >= 6.0e-4 in both modes
     req = GenerationRequest(_prompt(w.config, 2, n_prompt, seed=4), n_resp, bw=bw)
     assert req.mode == mode
     opt = OptimizedEngine(w).generate(req)

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from seglm import sdpa
 from seglm.config import toy_config
 from seglm.kvcache import MemoryLedger, PromptKV, ResponseKV
-from seglm.sdpa import (KEY_BLOCK, OnlineSoftmax, SdpaDecodeInputs, sdpa_decode_fused,
-                        sdpa_decode_oracle, sdpa_materialized, sdpa_prefill)
+from seglm.sdpa import (DECODE_BLOCK, KEY_BLOCK, OnlineSoftmax, SdpaDecodeInputs,
+                        sdpa_decode_fused, sdpa_decode_oracle, sdpa_materialized, sdpa_prefill)
 
-# key counts on and next to the tile edges of both kernels
+# key counts on and next to the prefill tile edges
 TILE_EDGES = sorted({0, 1} | {k * KEY_BLOCK + e for k in (1, 2) for e in (-1, 0, 1)})
+# key counts on and next to the first decode tile edge, and one past the second
+DECODE_EDGES = [DECODE_BLOCK - 1, DECODE_BLOCK, DECODE_BLOCK + 1, 2 * DECODE_BLOCK + 1]
 
 
 def _rand_inputs(rng, bs, bw, h, d, n_prompt, n_resp):
@@ -148,7 +150,8 @@ def test_decode_fused_vs_oracle_randomized(seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n_prompt=st.sampled_from(TILE_EDGES), n_resp=st.sampled_from(TILE_EDGES),
+@given(n_prompt=st.sampled_from(sorted({*TILE_EDGES, *DECODE_EDGES})),
+       n_resp=st.sampled_from(sorted({*TILE_EDGES, *DECODE_EDGES})),
        bs=st.integers(1, 3), bw=st.integers(1, 4), h=st.integers(1, 3),
        d=st.sampled_from([4, 16]), seed=st.integers(0, 2**32 - 1))
 def test_decode_fused_vs_oracle_at_tile_edges(n_prompt, n_resp, bs, bw, h, d, seed):
@@ -157,8 +160,9 @@ def test_decode_fused_vs_oracle_at_tile_edges(n_prompt, n_resp, bs, bw, h, d, se
     assert np.max(np.abs(sdpa_decode_fused(inp) - sdpa_decode_oracle(inp))) <= 1e-4
 
 
-@pytest.mark.parametrize("n_prompt", [0, 3, KEY_BLOCK + 1])
-@pytest.mark.parametrize("n_resp", [1, KEY_BLOCK - 1, KEY_BLOCK, KEY_BLOCK + 1, 2 * KEY_BLOCK + 1])
+@pytest.mark.parametrize("n_prompt", sorted({0, 3, KEY_BLOCK + 1, *DECODE_EDGES}))
+@pytest.mark.parametrize("n_resp", sorted({1, KEY_BLOCK - 1, KEY_BLOCK, KEY_BLOCK + 1,
+                                           2 * KEY_BLOCK + 1, *DECODE_EDGES}))
 def test_decode_fused_vs_oracle_at_bw_1(n_prompt, n_resp):
     """At BW = 1 the response tiles are read as plain slices, not gathered."""
     inp = _rand_inputs(np.random.default_rng(n_prompt * 1000 + n_resp), 3, 1, 2, 8,
@@ -167,9 +171,10 @@ def test_decode_fused_vs_oracle_at_bw_1(n_prompt, n_resp):
 
 
 def test_kernels_fold_one_update_per_tile(monkeypatch):
-    """Decode folds ceil(Np/B) + ceil(Nr/B) tiles, each key once; prefill of
-    T query tiles folds only the T(T+1)/2 tiles on or below the causal
-    diagonal, and of the last query alone ceil(Nk/B) tiles."""
+    """Decode folds ceil(Np/W) + ceil(Nr/W) tiles of W = DECODE_BLOCK keys,
+    each key once; prefill of T query tiles of B = KEY_BLOCK keys folds only
+    the T(T+1)/2 tiles on or below the causal diagonal, and of the last
+    query alone ceil(Nk/B) tiles."""
     widths = []
     update = OnlineSoftmax.update
 
@@ -180,12 +185,12 @@ def test_kernels_fold_one_update_per_tile(monkeypatch):
     monkeypatch.setattr(OnlineSoftmax, "update", counting_update)
     rng = np.random.default_rng(14)
     for bw in (1, 2):
-        for n_prompt, n_resp in [(1, 0), (0, 1), (KEY_BLOCK, KEY_BLOCK), (150, 70),
-                                 (2 * KEY_BLOCK + 1, KEY_BLOCK - 1)]:
+        for n_prompt, n_resp in [(1, 0), (0, 1), (DECODE_BLOCK, DECODE_BLOCK),
+                                 (DECODE_BLOCK + 22, 70), (2 * DECODE_BLOCK + 1, DECODE_BLOCK - 1)]:
             widths.clear()
             sdpa_decode_fused(_rand_inputs(rng, 2, bw, 2, 4, n_prompt, n_resp))
-            assert len(widths) == (math.ceil(n_prompt / KEY_BLOCK)
-                                   + math.ceil(n_resp / KEY_BLOCK))
+            assert len(widths) == (math.ceil(n_prompt / DECODE_BLOCK)
+                                   + math.ceil(n_resp / DECODE_BLOCK))
             assert sum(widths) == n_prompt + n_resp
     for n in (1, KEY_BLOCK, KEY_BLOCK + 1, 3 * KEY_BLOCK - 1, 4 * KEY_BLOCK):
         widths.clear()
@@ -211,11 +216,11 @@ def test_decode_reads_greedy_response_tiles_without_a_gather(monkeypatch, bw):
         fold(state, q, kt, vt)
 
     monkeypatch.setattr(sdpa, "_fold_batch_first", recording_fold)
-    n_prompt, n_resp = KEY_BLOCK + 1, 2 * KEY_BLOCK + 1
+    n_prompt, n_resp = DECODE_BLOCK + 1, 2 * DECODE_BLOCK + 1
     inp = _rand_inputs(np.random.default_rng(17), 2, bw, 2, 4, n_prompt, n_resp)
     sdpa_decode_fused(inp)
-    prompt_tiles = math.ceil(n_prompt / KEY_BLOCK)
-    assert len(tiles) == prompt_tiles + math.ceil(n_resp / KEY_BLOCK)
+    prompt_tiles = math.ceil(n_prompt / DECODE_BLOCK)
+    assert len(tiles) == prompt_tiles + math.ceil(n_resp / DECODE_BLOCK)
     for kt, vt in tiles[:prompt_tiles]:
         assert np.shares_memory(kt, inp.prompt_k) and np.shares_memory(vt, inp.prompt_v)
     for kt, vt in tiles[prompt_tiles:]:
@@ -226,7 +231,9 @@ def test_decode_reads_greedy_response_tiles_without_a_gather(monkeypatch, bw):
 @pytest.mark.parametrize("n", [1, KEY_BLOCK, KEY_BLOCK + 1, 3 * KEY_BLOCK - 1])
 def test_kernels_keep_their_score_tile_bounds(monkeypatch, n):
     """Every score tile a kernel folds stays within its docstring's bound:
-    KEY_BLOCK^2 x BS x H in prefill, KEY_BLOCK x BS*BW x H in decode."""
+    KEY_BLOCK^2 x BS x H in prefill, DECODE_BLOCK x BS*BW x H in decode.
+    Decode runs on n keys scaled from prefill's tile width to its own, so
+    both kernels meet the same positions relative to their tile edges."""
     sizes = []
     update = OnlineSoftmax.update
 
@@ -242,8 +249,9 @@ def test_kernels_keep_their_score_tile_bounds(monkeypatch, n):
     assert sizes and max(sizes) <= KEY_BLOCK ** 2 * bs * h
     for bw in (1, 3):
         sizes.clear()
-        sdpa_decode_fused(_rand_inputs(rng, bs, bw, h, d, n_prompt=n, n_resp=n))
-        assert sizes and max(sizes) <= KEY_BLOCK * bs * bw * h
+        n_decode = n * DECODE_BLOCK // KEY_BLOCK
+        sdpa_decode_fused(_rand_inputs(rng, bs, bw, h, d, n_prompt=n_decode, n_resp=n_decode))
+        assert sizes and max(sizes) <= DECODE_BLOCK * bs * bw * h
 
 
 @pytest.mark.parametrize("seed", range(3))
