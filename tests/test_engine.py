@@ -119,11 +119,12 @@ def test_beam_cross_engine_bw4_over_40_steps():
 @pytest.mark.parametrize("mode,bw", [("greedy", 1), ("beam", 2)])
 def test_cross_engine_across_key_tiles(mode, bw):
     """A DECODE_BLOCK+22-token prompt spans five prefill tiles and two
-    decode prompt tiles, so both kernels cross their tile edges; KEY_BLOCK+6
-    response steps follow it."""
-    n_prompt, n_resp = DECODE_BLOCK + 22, KEY_BLOCK + 6
+    decode prompt tiles, and DECODE_BLOCK+6 response steps grow the response
+    into a second decode tile, so both kernels cross every tile edge."""
+    n_prompt, n_resp = DECODE_BLOCK + 22, DECODE_BLOCK + 6
     assert (math.ceil(n_prompt / KEY_BLOCK), math.ceil(n_prompt / DECODE_BLOCK)) == (5, 2)
-    w = _toy_weights(seed=42)  # top-candidate gaps >= 6.0e-4 in both modes
+    assert math.ceil(n_resp / DECODE_BLOCK) == 2
+    w = _toy_weights(seed=79)  # top-candidate gaps >= 2.4e-4 in both modes
     req = GenerationRequest(_prompt(w.config, 2, n_prompt, seed=4), n_resp, bw=bw)
     assert req.mode == mode
     opt = OptimizedEngine(w).generate(req)

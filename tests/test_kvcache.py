@@ -211,6 +211,11 @@ def test_prompt_kv_store_once_and_bytes():
     for layer, (k, v) in enumerate(kvs):
         got_k, got_v = pk.layer(layer)
         assert np.array_equal(got_k, k) and np.array_equal(got_v, v)
+        # the arena holds K keys last and V head major: the batch-first views
+        # transpose to C-contiguous [BS, H, D, N] K and [BS, H, N, D] V panels
+        assert got_k.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert got_v.transpose(0, 2, 1, 3).flags.c_contiguous
+        assert np.shares_memory(got_k, pk.layer(layer)[0])  # views, not copies
     assert led.events == [("alloc", pk.total_bytes())]  # storing allocates nothing
     with pytest.raises(ValueError, match="write-once"):
         pk.store(0, *kvs[1])
@@ -218,29 +223,6 @@ def test_prompt_kv_store_once_and_bytes():
     with pytest.raises(ValueError):  # sequence-first [N_prompt, BS, H, D] is the wrong shape
         PromptKV(cfg, bs=3, n_prompt=5, ledger=led).store(
             0, np.zeros((5, 3, cfg.H, cfg.D), dtype=np.float32), kvs[0][1])
-
-
-def test_prompt_kv_stores_contiguous_head_panels():
-    """The arena holds K keys last and V head major: ``layer``'s batch-first
-    views transpose to C-contiguous [BS, H, D, N_prompt] K and
-    [BS, H, N_prompt, D] V panels without a copy, the round trip is
-    bit-exact, and the two arenas are still one alloc of the closed form."""
-    cfg = toy_config(L=2)
-    bs, n_prompt = 3, 7
-    led = MemoryLedger()
-    pk = PromptKV(cfg, bs=bs, n_prompt=n_prompt, ledger=led)
-    rng = np.random.default_rng(1)
-    for layer in range(cfg.L):
-        k, v = (rng.standard_normal((bs, n_prompt, cfg.H, cfg.D)).astype(np.float32)
-                for _ in range(2))
-        pk.store(layer, k, v)
-        got_k, got_v = pk.layer(layer)
-        assert got_k.shape == got_v.shape == (bs, n_prompt, cfg.H, cfg.D)
-        assert got_k.transpose(0, 2, 3, 1).flags.c_contiguous
-        assert got_v.transpose(0, 2, 1, 3).flags.c_contiguous
-        assert np.array_equal(got_k, k) and np.array_equal(got_v, v)
-        assert np.shares_memory(got_k, pk.layer(layer)[0])  # views, not copies
-    assert led.events == [("alloc", bs * n_prompt * cache_token_bytes(cfg))]
 
 
 # -- standard cache ----------------------------------------------------------------
