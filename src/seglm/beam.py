@@ -130,6 +130,9 @@ def build_gather_indices(parents: Sequence[np.ndarray], upto_step: int) -> np.nd
     for t, record in enumerate(records):
         if np.shape(record) != expected:
             raise ValueError(f"parents[{t}] has shape {np.shape(record)}, expected {expected}")
+        dtype = np.asarray(record).dtype
+        if dtype.kind not in "iu":
+            raise ValueError(f"parents[{t}] must hold integer slots, got dtype {dtype}")
     p = np.stack(records)  # [upto_step, BS, BW]
     bs, bw = expected
     out_of_range = ((p < 0) | (p >= bw)).any(axis=(1, 2))

@@ -8,15 +8,17 @@ decode. The reference path is the conventional batch-first pipeline:
 beam-expanded prompt, per-step gather + concat into a contiguous cache, and
 ``sdpa_materialized``, the full softmax both fused kernels are checked against.
 
-Both engines share token selection and one decoder-layer body
-(``_DecoderEngine._layers``) into which each plugs only its attention and KV
-cache, so token-for-token equality between them exercises exactly the
-optimized pipeline (layouts, segment cache, fused kernel) against the unfused
-one. The shared layer body itself is checked by hand traces and by the
-prefill/decode consistency of each engine. The optimized prefill runs its
-last layer past K/V on the last prompt position alone, the only one the
-head reads; the reference prefill runs every layer on every row, so their
-equality checks that cut as well.
+An engine keeps only the model and the generation loop; each request is a run
+of the engine's cache policy (``_SegmentRun``, ``_StandardRun``) that owns its
+caches, counters and steps. Both engines share token selection and one
+decoder-layer body (``_DecoderEngine._layers``) into which each run plugs only
+its attention and KV cache, so token-for-token equality between them
+exercises exactly the optimized pipeline (layouts, segment cache, fused
+kernel) against the unfused one. The shared layer body itself is checked by
+hand traces and by the prefill/decode consistency of each engine. The
+optimized prefill runs its last layer past K/V on the last prompt position
+alone, the only one the head reads; the reference prefill runs every layer
+on every row, so their equality checks that cut as well.
 """
 from __future__ import annotations
 
@@ -236,8 +238,10 @@ def load_weights(path) -> ToyWeights:
 # --------------------------------------------------------------------------
 
 class _DecoderEngine:
-    """Shared generation loop and decoder stack; subclasses provide prefill /
-    decode framing, the attention each layer plugs in, and memory."""
+    """Shared generation loop and decoder stack. ``generate`` drives the
+    ``prefill``, ``decode_step`` and ``cache_bytes`` of a subclass's run."""
+
+    run_class: type  # called as run_class(engine, request, ledger)
 
     def __init__(self, weights: ToyWeights):
         if weights.config.D % 2 != 0:
@@ -267,13 +271,12 @@ class _DecoderEngine:
         bs, _ = request.prompt.shape
         bw = request.bw
         nr = request.n_response
-        counters = OpCounters()
         ledger = MemoryLedger()
         self.last_ledger = ledger
-        run = self._begin(request, ledger, counters)
+        run = self.run_class(self, request, ledger)
 
         t0 = time.perf_counter()
-        logits, hidden = self._prefill(run)  # [BS*BW, vocab], [BS*BW, d_model]
+        logits, hidden = run.prefill()  # [BS*BW, vocab], [BS*BW, d_model]
         state = BeamSearchState(bs, bw)
         if nr > 0:
             beam_step(log_softmax(logits), state)
@@ -283,7 +286,7 @@ class _DecoderEngine:
         for t in range(1, nr + 1):
             ts = time.perf_counter()
             current = state.tokens_history[-1].reshape(-1)
-            logits, hidden = self._decode_step(run, current, t, state)
+            logits, hidden = run.decode_step(current, t, state)
             if t < nr:  # the final step yields the final hidden state only
                 beam_step(log_softmax(logits), state)
             step_times.append(time.perf_counter() - ts)
@@ -303,11 +306,11 @@ class _DecoderEngine:
             first_token_latency_s=first_s,
             next_token_latency_s=next_s,
             total_latency_s=total_s,
-            memory={**self._cache_bytes(run),
+            memory={**run.cache_bytes(),
                     "final_active_bytes": ledger.active_bytes,
                     "peak_reserved_bytes": ledger.reserved_bytes,
                     "fragmentation_bytes": ledger.fragmentation},
-            counters=counters,
+            counters=run.counters,
             min_top_gap=state.min_top_gap,
         )
 
@@ -344,129 +347,115 @@ class _DecoderEngine:
         hidden = rmsnorm(x, self.weights.final_norm)
         return linear(hidden, self.weights.head), hidden
 
-    # subclass interface -----------------------------------------------------
-    def _begin(self, request, ledger, counters):
-        raise NotImplementedError
 
-    def _prefill(self, run):
-        raise NotImplementedError
+class _SegmentRun:
+    """One request on the segment cache: prompt K/V once per item, response K/V in an arena."""
 
-    def _decode_step(self, run, tokens, t, state):
-        raise NotImplementedError
-
-    def _cache_bytes(self, run) -> dict:
-        """The cache policy and the bytes each of its caches holds."""
-        raise NotImplementedError
-
-
-@dataclass
-class _OptimizedRun:
-    request: GenerationRequest
-    prompt_kv: PromptKV
-    resp_kv: ResponseKV
-    counters: OpCounters
-
-
-class OptimizedEngine(_DecoderEngine):
-    """Sequence-first decode, segment KV cache, fused two-segment attention."""
-
-    def _begin(self, request, ledger, counters) -> _OptimizedRun:
+    def __init__(self, engine: _DecoderEngine, request: GenerationRequest, ledger: MemoryLedger):
         bs, n_prompt = request.prompt.shape
-        return _OptimizedRun(
-            request=request,
-            prompt_kv=PromptKV(self.config, bs, n_prompt, ledger),
-            resp_kv=ResponseKV(self.config, bs, request.bw, request.n_response, ledger),
-            counters=counters,
-        )
+        self.engine = engine
+        self.request = request
+        self.prompt_kv = PromptKV(engine.config, bs, n_prompt, ledger)
+        self.resp_kv = ResponseKV(engine.config, bs, request.bw, request.n_response, ledger)
+        self.counters = OpCounters()
 
-    def _prefill(self, run: _OptimizedRun):
+    def prefill(self):
         def attend(layer, q, k, v):
-            run.prompt_kv.store(layer, k, v)
+            self.prompt_kv.store(layer, k, v)
             return sdpa_prefill(q, k, v)
 
-        prompt = run.request.prompt  # [BS, Np]; no beam expansion
+        engine = self.engine
+        prompt = self.request.prompt  # [BS, Np]; no beam expansion
         positions = np.arange(prompt.shape[1])[None, :]
         # only the last prompt position reaches the head
-        x = self._layers(self.weights.embedding[prompt], positions, attend, np.s_[:, -1:])
-        logits, hidden = self._head(x[:, -1, :])
+        x = engine._layers(engine.weights.embedding[prompt], positions, attend, np.s_[:, -1:])
+        logits, hidden = engine._head(x[:, -1, :])
         # beams share the single prompt computation; replicate for selection
-        bw = run.request.bw
+        bw = self.request.bw
         return np.repeat(logits, bw, axis=0), np.repeat(hidden, bw, axis=0)
 
-    def _decode_step(self, run: _OptimizedRun, tokens, t, state):
-        cfg = self.config
+    def decode_step(self, tokens, t, state):
+        engine = self.engine
+        cfg = engine.config
         rows = tokens.size  # BS*BW
-        n_prompt = run.request.prompt.shape[1]
+        n_prompt = self.request.prompt.shape[1]
 
-        x = to_sequence_first(self.weights.embedding[tokens].reshape(rows, 1, cfg.H, cfg.D))
-        run.counters.layout_conversions += 1
+        x = to_sequence_first(engine.weights.embedding[tokens].reshape(rows, 1, cfg.H, cfg.D))
+        self.counters.layout_conversions += 1
 
         positions = np.array([[n_prompt + t - 1]])
         indices = state.gather_indices  # [BS, BW, t], grown by beam_step
 
         def attend(layer, q, k, v):
-            run.resp_kv.append(layer, k, v)  # row t-1 of the pre-allocated arena
+            self.resp_kv.append(layer, k, v)  # row t-1 of the pre-allocated arena
             return sdpa_decode_fused(SdpaDecodeInputs.from_caches(
-                q, run.prompt_kv, run.resp_kv, layer, indices))
+                q, self.prompt_kv, self.resp_kv, layer, indices))
 
-        x = self._layers(x.reshape(1, rows, cfg.d_model), positions, attend)
+        x = engine._layers(x.reshape(1, rows, cfg.d_model), positions, attend)
         x = to_batch_first(x.reshape(1, rows, cfg.H, cfg.D))
-        run.counters.layout_conversions += 1
-        return self._head(x.reshape(rows, cfg.d_model))
+        self.counters.layout_conversions += 1
+        return engine._head(x.reshape(rows, cfg.d_model))
 
-    def _cache_bytes(self, run: _OptimizedRun) -> dict:
+    def cache_bytes(self) -> dict:
         return {"policy": "segment",
-                "prompt_kv_bytes": run.prompt_kv.total_bytes(),
-                "response_kv_bytes": run.resp_kv.total_bytes()}
+                "prompt_kv_bytes": self.prompt_kv.total_bytes(),
+                "response_kv_bytes": self.resp_kv.total_bytes()}
 
 
-@dataclass
-class _ReferenceRun:
-    request: GenerationRequest
-    kv: StandardKV
+class OptimizedEngine(_DecoderEngine):
+    """Sequence-first decode, segment KV cache, fused two-segment attention."""
+
+    run_class = _SegmentRun
+
+
+class _StandardRun:
+    """One request on the standard cache: one beam-expanded K/V buffer per layer."""
+
+    def __init__(self, engine: _DecoderEngine, request: GenerationRequest, ledger: MemoryLedger):
+        self.engine = engine
+        self.request = request
+        self.counters = OpCounters()
+        self.kv = StandardKV(engine.config, request.prompt.shape[0], request.bw, ledger,
+                             self.counters)
+
+    def prefill(self):
+        def attend(layer, q, k, v):
+            self.kv.store_prompt(layer, k, v)
+            return sdpa_materialized(q, k, v)
+
+        engine = self.engine
+        prompt = np.repeat(self.request.prompt, self.request.bw, axis=0)  # beam-expanded [BS*BW, Np]
+        positions = np.arange(prompt.shape[1])[None, :]
+        x = engine._layers(engine.weights.embedding[prompt], positions, attend)
+        return engine._head(x[:, -1, :])
+
+    def decode_step(self, tokens, t, state):
+        engine = self.engine
+        bs, n_prompt = self.request.prompt.shape
+        bw = self.request.bw
+        x = engine.weights.embedding[tokens][:, None, :]  # [B, 1, dm] batch first throughout
+        positions = np.array([[n_prompt + t - 1]])
+        parents = state.parents_history[t - 1]
+        reorder = (np.arange(bs)[:, None] * bw + parents).reshape(-1)
+
+        def attend(layer, q, k, v):
+            k_all, v_all = self.kv.step(layer, k, v, reorder)
+            return sdpa_materialized(q, k_all, v_all)  # the one newest query sees every key
+
+        x = engine._layers(x, positions, attend)
+        return engine._head(x[:, 0, :])
+
+    def cache_bytes(self) -> dict:
+        bs, n_prompt = self.request.prompt.shape
+        prompt_only = CacheShapeParams(bs, self.request.bw, n_prompt, 0)
+        return {"policy": "standard",
+                # closed form: after step 1 no buffer holds the prompt rows alone
+                "prompt_kv_bytes": standard_cache_bytes(self.engine.config, prompt_only),
+                "kv_bytes": self.kv.total_bytes()}
 
 
 class ReferenceEngine(_DecoderEngine):
     """Batch-first baseline: beam-expanded prompt, contiguous cache rebuilt by
     gather + concat each step, materialized softmax attention."""
 
-    def _begin(self, request, ledger, counters) -> _ReferenceRun:
-        bs, _ = request.prompt.shape
-        return _ReferenceRun(
-            request=request,
-            kv=StandardKV(self.config, bs, request.bw, ledger, counters),
-        )
-
-    def _prefill(self, run: _ReferenceRun):
-        def attend(layer, q, k, v):
-            run.kv.store_prompt(layer, k, v)
-            return sdpa_materialized(q, k, v)
-
-        prompt = np.repeat(run.request.prompt, run.request.bw, axis=0)  # beam-expanded [BS*BW, Np]
-        positions = np.arange(prompt.shape[1])[None, :]
-        x = self._layers(self.weights.embedding[prompt], positions, attend)
-        return self._head(x[:, -1, :])
-
-    def _decode_step(self, run: _ReferenceRun, tokens, t, state):
-        bs, n_prompt = run.request.prompt.shape
-        bw = run.request.bw
-        x = self.weights.embedding[tokens][:, None, :]  # [B, 1, dm] batch first throughout
-        positions = np.array([[n_prompt + t - 1]])
-        parents = state.parents_history[t - 1]
-        reorder = (np.arange(bs)[:, None] * bw + parents).reshape(-1)
-
-        def attend(layer, q, k, v):
-            k_all, v_all = run.kv.step(layer, k, v, reorder)
-            return sdpa_materialized(q, k_all, v_all)  # the one newest query sees every key
-
-        x = self._layers(x, positions, attend)
-        return self._head(x[:, 0, :])
-
-    def _cache_bytes(self, run: _ReferenceRun) -> dict:
-        bs, n_prompt = run.request.prompt.shape
-        prompt_only = CacheShapeParams(bs, run.request.bw, n_prompt, 0)
-        return {"policy": "standard",
-                # closed form: after step 1 no buffer holds the prompt rows alone
-                "prompt_kv_bytes": standard_cache_bytes(self.config, prompt_only),
-                "kv_bytes": run.kv.total_bytes()}
-
+    run_class = _StandardRun

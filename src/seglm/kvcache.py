@@ -297,6 +297,8 @@ class StandardKV:
         reorder = np.asarray(beam_reorder)
         if reorder.shape != (rows,):
             raise ValueError(f"beam_reorder must have shape ({rows},), got {reorder.shape}")
+        if reorder.dtype.kind not in "iu":
+            raise ValueError(f"beam_reorder must hold integer rows, got dtype {reorder.dtype}")
         if reorder.size and (reorder.min() < 0 or reorder.max() >= rows):
             raise ValueError("beam_reorder index out of range")
 

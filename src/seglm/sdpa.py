@@ -237,6 +237,8 @@ class SdpaDecodeInputs:
         rows = self.q.shape[1]
         if self.q.shape[2:] != (h, d):
             raise ValueError(f"q head dims {self.q.shape[2:]} do not match prompt ({h}, {d})")
+        if self.indices.dtype.kind not in "iu":  # bool included: a mask is not an index
+            raise ValueError(f"indices must be integers, got dtype {self.indices.dtype}")
         if self.indices.ndim != 3 or self.indices.shape[0] != bs:
             raise ValueError(f"indices must be [BS, BW, N_response], got {self.indices.shape}")
         bw = self.indices.shape[1]

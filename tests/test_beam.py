@@ -250,8 +250,12 @@ def test_mid_run_backtrack_uses_prefix_of_history():
 
 
 def test_out_of_range_parents_rejected():
-    with pytest.raises(ValueError):
-        build_gather_indices([np.array([[0, 5]])], 1)
+    for records, match in [([np.array([[0, 5]])], "out-of-range"),
+                           ([np.array([[0, 1]]), np.array([[0.0, 1.0]])],
+                            r"parents\[1\] .* dtype float64"),
+                           ([np.array([[False, True]])], r"parents\[0\] .* dtype bool")]:
+        with pytest.raises(ValueError, match=match):
+            build_gather_indices(records, len(records))
 
 
 def test_too_few_parent_records_rejected():

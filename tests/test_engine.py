@@ -315,27 +315,32 @@ def _cache_buffers(run):
 
 
 def _reconciled(engine_cls, checked_runs):
-    """``engine_cls`` asserting, after prefill and after every decode step,
-    that the ledger's active bytes are exactly the bytes of the live caches:
-    by the caches' own rule, and as half of numpy's ``nbytes`` (float32 held,
-    fp16 accounted), which no width or element count in ``kv_bytes`` reaches."""
-    class Reconciled(engine_cls):
-        def _check(self, run):
-            buffers = list(_cache_buffers(run))
+    """``engine_cls`` whose run asserts, after prefill and after every decode
+    step, that the ledger's active bytes are exactly the bytes of the live
+    caches: by the caches' own rule, and as half of numpy's ``nbytes``
+    (float32 held, fp16 accounted), which no width or element count in
+    ``kv_bytes`` reaches."""
+    class ReconciledRun(engine_cls.run_class):
+        def _check(self):
+            buffers = list(_cache_buffers(self))
+            active = self.engine.last_ledger.active_bytes
             assert buffers and all(b.dtype == np.float32 for b in buffers)
-            assert self.last_ledger.active_bytes == kv_bytes(*buffers)
-            assert 2 * self.last_ledger.active_bytes == sum(b.nbytes for b in buffers)
-            checked_runs.append(run)
+            assert active == kv_bytes(*buffers)
+            assert 2 * active == sum(b.nbytes for b in buffers)
+            checked_runs.append(self)
 
-        def _prefill(self, run):
-            out = super()._prefill(run)
-            self._check(run)
+        def prefill(self):
+            out = super().prefill()
+            self._check()
             return out
 
-        def _decode_step(self, run, tokens, t, state):
-            out = super()._decode_step(run, tokens, t, state)
-            self._check(run)
+        def decode_step(self, tokens, t, state):
+            out = super().decode_step(tokens, t, state)
+            self._check()
             return out
+
+    class Reconciled(engine_cls):
+        run_class = ReconciledRun
 
     return Reconciled
 
@@ -437,6 +442,25 @@ def test_same_seed_bit_identical_tokens():
 
 
 @pytest.mark.parametrize("engine_cls", [OptimizedEngine, ReferenceEngine])
+def test_one_engine_serves_requests_of_different_shapes(engine_cls):
+    """Each request's state lives in its run: one engine serving requests of
+    different batch sizes, beam widths and lengths in turn gives each of them
+    what a fresh engine gives, down to the ledger's events."""
+    w = _toy_weights(seed=23)
+    shared = engine_cls(w)
+    for seed, (bs, bw, n_prompt, nr) in enumerate([(2, 4, 9, 6), (3, 1, 5, 0), (1, 2, 17, 4)]):
+        req = GenerationRequest(_prompt(w.config, bs, n_prompt, seed=seed), nr, bw=bw)
+        fresh = engine_cls(w)
+        got, want = shared.generate(req), fresh.generate(req)
+        assert got.tokens.shape == (bs, bw, nr)
+        assert np.array_equal(got.tokens, want.tokens)
+        assert got.final_hidden.tobytes() == want.final_hidden.tobytes()
+        assert got.memory == want.memory
+        assert got.counters == want.counters
+        assert shared.last_ledger.events == fresh.last_ledger.events
+
+
+@pytest.mark.parametrize("engine_cls", [OptimizedEngine, ReferenceEngine])
 def test_generate_leaves_the_callers_numpy_error_state_alone(engine_cls):
     """``generate`` silences numpy's overflow and invalid-value warnings only
     while it runs; the caller's settings hold again afterwards."""
@@ -484,7 +508,7 @@ def test_vocab_smaller_than_beam_width_rejected_before_prefill(monkeypatch, engi
     def refuse(*args, **kwargs):
         raise AssertionError("the run began before the request was checked")
 
-    monkeypatch.setattr(engine_cls, "_begin", refuse)
+    monkeypatch.setattr(engine_cls, "run_class", refuse)
     with pytest.raises(ValueError, match="vocabulary of 2 cannot fill 4 beams"):
         engine.generate(GenerationRequest(_prompt(w.config, 1, 3), nr, bw=4))
     assert engine.last_ledger is None
@@ -506,7 +530,7 @@ def test_prompt_beyond_max_pos_rejected(monkeypatch):
         raise AssertionError("the run began before the request was checked")
 
     for engine_cls in (OptimizedEngine, ReferenceEngine):
-        monkeypatch.setattr(engine_cls, "_begin", refuse)
+        monkeypatch.setattr(engine_cls, "run_class", refuse)
         engine = engine_cls(w)
         with pytest.raises(ValueError, match=f"maximum position length {MAX_POS}"):
             engine.generate(GenerationRequest(prompt, 10, bw=1))

@@ -278,9 +278,11 @@ def test_standard_step_reorder_out_of_range():
     cfg = toy_config(L=1)
     kv = _standard_kv(cfg, bs=1, bw=2)
     kv.store_prompt(0, np.zeros((2, 2, cfg.H, cfg.D)), np.zeros((2, 2, cfg.H, cfg.D)))
-    with pytest.raises(ValueError):
-        kv.step(0, np.zeros((2, 1, cfg.H, cfg.D)), np.zeros((2, 1, cfg.H, cfg.D)),
-                np.array([0, 2]))
+    for reorder, match in [(np.array([0, 2]), "out of range"),
+                           (np.array([0.0, 1.0]), "dtype float64"),  # in range, not an index
+                           (np.array([True, True]), "dtype bool")]:  # a mask of every row
+        with pytest.raises(ValueError, match=match):
+            kv.step(0, np.zeros((2, 1, cfg.H, cfg.D)), np.zeros((2, 1, cfg.H, cfg.D)), reorder)
 
 
 # -- decode-phase simulator ----------------------------------------------------------

@@ -313,19 +313,25 @@ def test_decode_indices_out_of_range_rejected():
         resp_k=rng.standard_normal((2, 2, 1, 4)).astype(np.float32),
         resp_v=rng.standard_normal((2, 2, 1, 4)).astype(np.float32),
     )
-    with pytest.raises(ValueError):
-        SdpaDecodeInputs(indices=np.full((1, 2, 2), 2), **inp_kwargs)
+    for indices, match in [(np.full((1, 2, 2), 2), r"\[0, 2\)"),
+                           (np.ones((1, 2, 2)), "dtype float64"),  # in range, but not an index
+                           (np.ones((1, 2, 2), dtype=bool), "dtype bool")]:
+        with pytest.raises(ValueError, match=match):
+            SdpaDecodeInputs(indices=indices, **inp_kwargs)
 
 
 def test_decode_indices_out_of_range_rejected_at_bw_1():
     """The BW = 1 kernel never reads the indices, so ``validate`` alone must
-    reject any index other than 0."""
+    reject any index other than an integer 0."""
     rng = np.random.default_rng(15)
     inp = _rand_inputs(rng, bs=2, bw=1, h=1, d=4, n_prompt=3, n_resp=2)
-    indices = np.zeros((2, 1, 2), dtype=np.int64)
-    indices[1, 0, 1] = 1
-    with pytest.raises(ValueError, match=r"\[0, 1\)"):
-        SdpaDecodeInputs(inp.q, inp.prompt_k, inp.prompt_v, inp.resp_k, inp.resp_v, indices)
+    one_past = np.zeros((2, 1, 2), dtype=np.int64)
+    one_past[1, 0, 1] = 1
+    for indices, match in [(one_past, r"\[0, 1\)"),
+                           (np.full((2, 1, 2), 0.5), "dtype float64"),  # in range, not an index
+                           (np.zeros((2, 1, 2), dtype=bool), "dtype bool")]:
+        with pytest.raises(ValueError, match=match):
+            SdpaDecodeInputs(inp.q, inp.prompt_k, inp.prompt_v, inp.resp_k, inp.resp_v, indices)
 
 
 # -- oracle cross-checks --------------------------------------------------------------
