@@ -19,12 +19,30 @@ hand traces and by the prefill/decode consistency of each engine. The
 optimized prefill runs its last layer past K/V on the last prompt position
 alone, the only one the head reads; the reference prefill runs every layer
 on every row, so their equality checks that cut as well.
+
+The optimized prefill splits the batch into ``min(PREFILL_WIDTH, BS)``
+contiguous groups of items, ``PREFILL_WIDTH`` being the number of CPUs the
+process may run on. Each group runs the decoder stack on its own prompts
+and stores its own items' K/V; the caller's thread runs the first group and
+one process-wide thread pool the others, each under the caller's numpy
+error state, and the head then runs once on every item's last row. One
+group (one CPU, or BS = 1) is one plain call on the caller's thread, bit
+for bit the unsplit stack. A split changes only how many rows each
+projection multiplies at once: where a group's count falls in another BLAS
+rounding class than the whole batch's, values move in the last bits. On
+the benchmark's shapes only the last layer's trimmed rows did, one per
+item of a group, which moves the prefill's logits and hidden state.
+Counters and ledger events never change, and a token can flip only at a
+selection that close to a tie. Decode is not split.
 """
 from __future__ import annotations
 
 import json
+import os
+import threading
 import time
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from math import prod
 
@@ -39,6 +57,57 @@ from .ops import (fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope, rope
 from .sdpa import SdpaDecodeInputs, sdpa_decode_fused, sdpa_materialized, sdpa_prefill
 
 MAX_POS = 4096  # longest prompt plus response a request may ask for
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Most groups an optimized prefill splits its batch items into, one per
+# usable CPU. The caller's thread runs the first group and one process-wide
+# pool of PREFILL_WIDTH - 1 threads, created on first use, runs the rest.
+PREFILL_WIDTH = _usable_cpus()
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the pool object was copied but none of its threads
+    were, so a task submitted to it would never run."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork on Windows
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _in_groups(fn, n_items: int) -> list:
+    """``fn(items)`` over ``min(PREFILL_WIDTH, n_items)`` contiguous ranges of
+    near-equal size that split ``range(n_items)``, concurrently; the results
+    in item order. One group is a plain call on the caller's thread.
+
+    Every group has run to its end when this returns or raises; a group's
+    exception is raised here, the first group's before any other."""
+    global _pool
+    n = min(PREFILL_WIDTH, n_items)
+    groups = [range(n_items * g // n, n_items * (g + 1) // n) for g in range(n)]
+    if n == 1:
+        return [fn(groups[0])]
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(PREFILL_WIDTH - 1, thread_name_prefix="seglm-prefill")
+    futures = [_pool.submit(fn, items) for items in groups[1:]]
+    try:
+        first = fn(groups[0])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
 
 
 @dataclass
@@ -360,15 +429,24 @@ class _SegmentRun:
         self.counters = OpCounters()
 
     def prefill(self):
-        def attend(layer, q, k, v):
-            self.prompt_kv.store(layer, k, v)
-            return sdpa_prefill(q, k, v)
-
         engine = self.engine
         prompt = self.request.prompt  # [BS, Np]; no beam expansion
         positions = np.arange(prompt.shape[1])[None, :]
-        # only the last prompt position reaches the head
-        x = engine._layers(engine.weights.embedding[prompt], positions, attend, np.s_[:, -1:])
+        errors = np.geterr()
+
+        def group_layers(items):
+            def attend(layer, q, k, v):
+                self.prompt_kv.store(layer, k, v, items)
+                return sdpa_prefill(q, k, v)
+
+            # a pool thread starts from numpy's default error state, not the caller's
+            with np.errstate(**errors):
+                # only the last prompt position reaches the head
+                return engine._layers(engine.weights.embedding[prompt[items.start:items.stop]],
+                                      positions, attend, np.s_[:, -1:])
+
+        # the items' prompts are independent, so groups of them run on separate cores
+        x = np.concatenate(_in_groups(group_layers, prompt.shape[0]))
         logits, hidden = engine._head(x[:, -1, :])
         # beams share the single prompt computation; replicate for selection
         bw = self.request.bw

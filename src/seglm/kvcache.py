@@ -6,6 +6,8 @@ This module is the one statement of the segment policy. It has two rules:
   K and one V arena for all layers, batch first, each (item, head) panel
   contiguous: K keys last, [L, BS, H, D, N_prompt], and V head major,
   [L, BS, H, N_prompt, D]. Callers see [BS, N_prompt, H, D] views.
+  Prefill writes each layer in contiguous ranges of items, one per group
+  of items it runs on its own thread, each (layer, item) exactly once.
 - The response is stored per beam row: one [L, N_response, BS*BW, H, D]
   arena for all layers, sequence first.
 
@@ -25,6 +27,7 @@ width the paper counts its saving in, even though stored data is float32.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,11 +173,17 @@ class PromptKV:
     [BS, N_prompt, H, D] views of the arena, transposed back without a copy.
 
     Both arenas are allocated whole, one ledger alloc, when the run begins.
-    Each layer's slice is written once at prefill and immutable afterwards.
+    ``store`` writes one layer's K/V for one contiguous range of batch items,
+    so groups of items can be prefilled apart, each on its own thread; each
+    (layer, item) slice is written once at prefill and immutable afterwards.
+    ``layer(i)`` reads a layer only once every item of it has been stored.
     """
 
     def __init__(self, config: ModelConfig, bs: int, n_prompt: int, ledger: MemoryLedger):
-        self._stored = [False] * config.L
+        # per layer, whether each item is stored; plain lists, so that every
+        # ndarray attribute of the cache is an accounted buffer
+        self._stored = [[False] * bs for _ in range(config.L)]
+        self._claim = threading.Lock()  # groups of items store from their own threads
         self._k = np.zeros((config.L, bs, config.H, config.D, n_prompt), dtype=np.float32)
         self._v = np.zeros((config.L, bs, config.H, n_prompt, config.D), dtype=np.float32)
         ledger.alloc(kv_bytes(self._k, self._v))
@@ -182,22 +191,34 @@ class PromptKV:
     def total_bytes(self) -> int:
         return kv_bytes(self._k, self._v)
 
-    def store(self, layer: int, k, v) -> None:
-        if self._stored[layer]:
-            raise ValueError("prompt KV is write-once")
-        k, v = np.asarray(k), np.asarray(v)
+    def store(self, layer: int, k, v, items: range | None = None) -> None:
+        """Write layer ``layer``'s batch-first [len(items), N_prompt, H, D] K/V
+        for the batch items ``items``, a non-empty step-1 range within
+        [0, BS); by default every item."""
         bs, h, n_prompt, d = self._v.shape[1:]
-        expect = (bs, n_prompt, h, d)
+        if items is None:
+            items = range(bs)
+        if not (isinstance(items, range) and items.step == 1
+                and 0 <= items.start < items.stop <= bs):
+            raise ValueError(f"items must be a non-empty step-1 range within [0, {bs}), "
+                             f"got {items!r}")
+        k, v = np.asarray(k), np.asarray(v)
+        expect = (len(items), n_prompt, h, d)
         if k.shape != expect or v.shape != expect:
             raise ValueError(f"prompt K/V must be batch-first {expect}, got {k.shape} / {v.shape}")
-        self._k[layer] = k.transpose(0, 2, 3, 1)
-        self._v[layer] = v.transpose(0, 2, 1, 3)
-        self._stored[layer] = True
+        rows, stored = slice(items.start, items.stop), self._stored[layer]
+        with self._claim:
+            if any(stored[rows]):
+                raise ValueError(f"prompt KV is write-once: layer {layer} already holds some "
+                                 f"of items [{items.start}, {items.stop})")
+            stored[rows] = [True] * len(items)
+        self._k[layer, rows] = k.transpose(0, 2, 3, 1)
+        self._v[layer, rows] = v.transpose(0, 2, 1, 3)
 
     def layer(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of one layer's K and V as [BS, N_prompt, H, D]."""
-        if not self._stored[i]:
-            raise ValueError(f"prompt KV for layer {i} not populated")
+        if not all(self._stored[i]):
+            raise ValueError(f"prompt KV for layer {i} not populated for every item")
         return self._k[i].transpose(0, 3, 1, 2), self._v[i].transpose(0, 2, 1, 3)
 
 

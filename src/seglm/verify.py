@@ -115,9 +115,12 @@ def check_sdpa_fused_vs_oracle(cases: int = 200) -> CheckResult:
 # -- 3: cross-engine token and hidden-state equivalence ----------------------
 
 def _cross_engine_configs():
-    """First config is pinned (a 40-step beam run); the rest are random."""
+    """The first two configs are pinned: a 40-step beam run, and BS 3, which
+    a prefill on two cores splits unevenly (items [0, 1) and [1, 3)); the
+    rest are random."""
     rng = np.random.default_rng(CROSS_ENGINE_SEED)
-    cases = [dict(L=2, H=4, D=16, vocab=64, bs=1, bw=4, n_prompt=32, n_response=40)]
+    cases = [dict(L=2, H=4, D=16, vocab=64, bs=1, bw=4, n_prompt=32, n_response=40),
+             dict(L=2, H=4, D=16, vocab=64, bs=3, bw=4, n_prompt=40, n_response=12)]
     while len(cases) < CROSS_ENGINE_CONFIGS:
         bw = int(rng.choice([1, 4]))
         vocab = int(rng.integers(max(16, bw), 129))
@@ -168,8 +171,8 @@ def check_cross_engine() -> CheckResult:
             diff = float(np.max(np.abs(opt.final_hidden - ref.final_hidden)))
             worst_hidden = max(worst_hidden, diff)
             assert diff <= 1e-4, f"final hidden states diverge by {diff:.2e} for case {case}"
-        return (f"{CROSS_ENGINE_CONFIGS} toy configs (incl. a 40-step beam run): identical "
-                f"tokens, worst hidden |diff| = {worst_hidden:.2e}")
+        return (f"{CROSS_ENGINE_CONFIGS} toy configs (incl. a 40-step beam run and a BS 3 run): "
+                f"identical tokens, worst hidden |diff| = {worst_hidden:.2e}")
 
     return _run("cross-engine-equivalence", body)
 

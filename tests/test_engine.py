@@ -1,6 +1,11 @@
 import json
 import math
+import multiprocessing
+import os
 import re
+import sys
+import threading
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -198,33 +203,135 @@ def test_zero_response_request():
     assert np.array_equal(opt.tokens, ref.tokens)
 
 
-def test_optimized_prefill_trims_only_the_last_layer(monkeypatch):
-    """The optimized prefill runs the last layer's o-proj and MLP on the last
-    prompt position alone; its qkv projection and every earlier layer see
-    every row. The reference prefill is not trimmed: every projection sees
-    every beam-expanded row, so it stays an independent oracle of the trim."""
-    rows = []
+def _record_projections(monkeypatch):
+    """Patch every projection to record (weight, rows of x, thread) per call;
+    ops.linear serves fused_qkv and gated_mlp, the engine's own name o-proj
+    and head."""
+    calls = []
     linear = ops.linear
 
     def recording_linear(x, w):
-        rows.append(x.size // x.shape[-1])
+        calls.append((id(w), x.size // x.shape[-1], threading.get_ident()))
         return linear(x, w)
 
-    # ops.linear serves fused_qkv and gated_mlp; the engine's own name, o-proj and head
     monkeypatch.setattr(ops, "linear", recording_linear)
     monkeypatch.setattr(engine_module, "linear", recording_linear)
+    return calls
+
+
+def test_optimized_prefill_trims_only_the_last_layer(monkeypatch):
+    """The optimized prefill runs the last layer's o-proj and MLP on the last
+    prompt position alone; its qkv projection and every earlier layer see
+    every row. The batch is split into groups of items, each projected on
+    its own rows, so per projection the rows summed over the groups are
+    those of one whole-batch call; groups interleave, so calls are compared
+    without regard to order. The reference prefill is neither split nor
+    trimmed: every projection sees every beam-expanded row, so it stays an
+    independent oracle of both."""
+    monkeypatch.setattr(engine_module, "PREFILL_WIDTH", 2)
+    calls = _record_projections(monkeypatch)
     w = _toy_weights()
-    bs, bw, n_prompt, L = 2, 2, 9, w.config.L
+    bs, bw, n_prompt, L = 3, 2, 9, w.config.L
     req = GenerationRequest(_prompt(w.config, bs, n_prompt), 0, bw=bw)
     per_layer = 5  # qkv, o-proj, gate, up, down
+    name_of = {id(a): name for name, a in w.tensors.items()}
 
     OptimizedEngine(w).generate(req)
-    # every row up to the last layer's qkv; then its o-proj, gate, up, down and the head
-    assert rows == [bs * n_prompt] * ((L - 1) * per_layer + 1) + [bs] * per_layer
+    rows, n_calls = Counter(), Counter()
+    for weight, n, _ in calls:
+        rows[name_of[weight]] += n
+        n_calls[name_of[weight]] += 1
+    trimmed = {f"layers.{L - 1}.{p}" for p in ("w_o", "w_gate", "w_up", "w_down")}
+    expected = {name: bs if name in trimmed else bs * n_prompt
+                for name in name_of.values() if name.split(".")[-1].startswith("w_")}
+    assert rows == {**expected, "head": bs}
+    # a projection per group, items [0, 1) and [1, 3); the head once on all BS rows
+    assert n_calls == {**{name: 2 for name in expected}, "head": 1}
 
-    rows.clear()
+    calls.clear()
     ReferenceEngine(w).generate(req)
-    assert rows == [bs * bw * n_prompt] * (L * per_layer) + [bs * bw]
+    assert [n for _, n, _ in calls] == [bs * bw * n_prompt] * (L * per_layer) + [bs * bw]
+
+
+def test_prefill_at_pool_width_one_is_one_call_on_the_callers_thread(monkeypatch):
+    """With one usable CPU the optimized prefill is one whole-batch pass on
+    the caller's thread, the order of projections that of the unsplit stack."""
+    monkeypatch.setattr(engine_module, "PREFILL_WIDTH", 1)
+    calls = _record_projections(monkeypatch)
+    w = _toy_weights()
+    bs, n_prompt, L = 3, 9, w.config.L
+    OptimizedEngine(w).generate(GenerationRequest(_prompt(w.config, bs, n_prompt), 0, bw=2))
+    per_layer = 5
+    # every row up to the last layer's qkv; then its o-proj, gate, up, down and the head
+    assert [n for _, n, _ in calls] == ([bs * n_prompt] * ((L - 1) * per_layer + 1)
+                                        + [bs] * per_layer)
+    assert {thread for _, _, thread in calls} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("huge_items", [[0, 1, 2], [2]], ids=["all", "pool-group-only"])
+def test_prefill_groups_run_under_the_callers_numpy_error_state(monkeypatch, huge_items):
+    """A pool thread starts from numpy's default error state; each group runs
+    under the caller's, so a hidden state that overflows reaches rmsnorm's
+    own check in every group. Without that, numpy's RuntimeWarning, raised
+    as an error by this suite's warnings setting, would come first."""
+    monkeypatch.setattr(engine_module, "PREFILL_WIDTH", 2)
+    w = _toy_weights(seed=23)
+    prompt = _prompt(w.config, 3, 4) % (w.config.vocab - 1)
+    prompt[huge_items] = w.config.vocab - 1  # the one token whose embedding row is huge
+    w.embedding[-1] = 3e38
+    with pytest.raises(ValueError, match="overflows float32"):
+        OptimizedEngine(w).generate(GenerationRequest(prompt, 2))
+
+
+def test_prefill_groups_on_more_threads_than_cores_store_every_item(monkeypatch):
+    """Eight one-item groups on a fresh pool of seven threads, with the
+    interpreter switching threads every microsecond: every item of every
+    layer is stored exactly once (a lost or doubled store would raise at
+    the first decode step's read of the prompt arena), and the tokens are
+    the one-group prefill's."""
+    w = _toy_weights(seed=31)
+    req = GenerationRequest(_prompt(w.config, 8, 6), 3, bw=2)
+    monkeypatch.setattr(engine_module, "PREFILL_WIDTH", 1)
+    serial = OptimizedEngine(w).generate(req)
+    monkeypatch.setattr(engine_module, "PREFILL_WIDTH", 8)
+    monkeypatch.setattr(engine_module, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = OptimizedEngine(w).generate(req)
+    finally:
+        sys.setswitchinterval(interval)
+        engine_module._pool.shutdown()
+    assert np.array_equal(split.tokens, serial.tokens) and serial.min_top_gap > 1e-3
+    assert np.max(np.abs(split.final_hidden - serial.final_hidden)) <= 1e-5
+
+
+def _split_prefill_in_child(weights, request, queue):
+    queue.put(OptimizedEngine(weights).generate(request).tokens)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_runs_a_split_prefill(monkeypatch):
+    """A forked child inherits the parent's pool object but not its threads;
+    its own split prefill must get threads of its own rather than wait on a
+    queue no thread serves."""
+    monkeypatch.setattr(engine_module, "PREFILL_WIDTH", 2)
+    w = _toy_weights(seed=26)
+    req = GenerationRequest(_prompt(w.config, 2, 5), 2)
+    want = OptimizedEngine(w).generate(req).tokens  # the parent's pool now exists
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_split_prefill_in_child, args=(w, req, queue))
+    child.start()
+    try:
+        got = queue.get(timeout=20)
+    finally:
+        child.join(timeout=20)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert np.array_equal(got, want)
 
 
 # -- prefill/decode consistency ------------------------------------------------------
