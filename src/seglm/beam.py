@@ -44,6 +44,9 @@ class BeamSearchState:
         self.tokens_history.append(tokens)
         self.parents_history.append(parents)
         prev = self.gather_indices
+        if self.bw == 1:  # one slot, so every index is 0
+            self.gather_indices = np.zeros(prev.shape[:2] + (prev.shape[2] + 1,), dtype=np.int64)
+            return
         grown = np.empty(prev.shape[:2] + (prev.shape[2] + 1,), dtype=np.int64)
         grown[:, :, :-1] = prev[np.arange(self.bs)[:, None], parents]
         grown[:, :, -1] = np.arange(self.bw)
@@ -79,7 +82,8 @@ def beam_step(log_probs, state: BeamSearchState):
     ``log_probs`` is [BS*BW, V] of log-softmax outputs; -inf is allowed, NaN
     and +inf are rejected. Candidates are cum_log_probs[w] + log_probs[w, v];
     ties break toward the smaller (w, v) pair. Returns (tokens, parents),
-    each [BS, BW], and records them on the state.
+    each [BS, BW], and records them on the state. At BW = 1 the ranking is
+    an argmax (``_argmax_step``).
     """
     lp = np.asarray(log_probs, dtype=np.float64)
     bs, bw = state.bs, state.bw
@@ -93,6 +97,8 @@ def beam_step(log_probs, state: BeamSearchState):
         row = int(np.argmin((lp < np.inf).all(axis=1)))
         raise ValueError(f"log-probs row {row} holds NaN or +inf")
 
+    if bw == 1:
+        return _argmax_step(lp, state)
     flat = (state.cum_log_probs[:, :, None] + lp.reshape(bs, bw, vocab)).reshape(bs, -1)
     order = _top_order(flat, min(bw + 1, flat.shape[1]))
     ranked = np.take_along_axis(flat, order, axis=1)
@@ -107,6 +113,26 @@ def beam_step(log_probs, state: BeamSearchState):
     parents = top // vocab
     tokens = top % vocab
     state.cum_log_probs[:] = ranked[:, :bw]
+    state.record(tokens, parents)
+    return tokens, parents
+
+
+def _argmax_step(lp: np.ndarray, state: BeamSearchState):
+    """``beam_step`` at BW = 1: each item's first maximum, the token the
+    stable ranking puts first, with the gap to the second-best candidate."""
+    scores = state.cum_log_probs + lp  # [BS, V]
+    rows = np.arange(state.bs)
+    top = np.argmax(scores, axis=1)
+    best = scores[rows, top]
+    if scores.shape[1] >= 2:
+        scores[rows, top] = -np.inf  # the runner-up is the largest of the rest
+        second = scores.max(axis=1)
+        finite = np.isfinite(second)
+        gaps = np.subtract(best, second, where=finite, out=np.full(finite.shape, np.inf))
+        state.min_top_gap = min(state.min_top_gap, float(gaps.min()))
+    tokens = top[:, None]
+    parents = np.zeros_like(tokens)
+    state.cum_log_probs[:, 0] = best
     state.record(tokens, parents)
     return tokens, parents
 

@@ -22,11 +22,13 @@ on every row, so their equality checks that cut as well.
 
 The optimized prefill splits the batch into ``min(PREFILL_WIDTH, BS)``
 contiguous groups of items, ``PREFILL_WIDTH`` being the number of CPUs the
-process may run on. Each group runs the decoder stack on its own prompts
-and stores its own items' K/V; the caller's thread runs the first group and
-one process-wide thread pool the others, each under the caller's numpy
-error state, and the head then runs once on every item's last row. One
-group (one CPU, or BS = 1) is one plain call on the caller's thread, bit
+process may run on, unless the loaded OpenBLAS runs more than one thread
+per call, which already spreads each product over the cores. Each group
+runs the decoder stack on its own prompts and stores its own items' K/V;
+the caller's thread runs the first group and one process-wide thread pool
+the others, each under the caller's numpy error state, and the head then
+runs once on every item's last row. One group (one CPU, a multi-threaded
+BLAS, or BS = 1) is one plain call on the caller's thread, bit
 for bit the unsplit stack. A split changes only how many rows each
 projection multiplies at once: where a group's count falls in another BLAS
 rounding class than the whole batch's, values move in the last bits. On
@@ -37,6 +39,8 @@ selection that close to a tie. Decode is not split.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import os
 import threading
@@ -69,8 +73,9 @@ def _usable_cpus() -> int:
 
 
 # Most groups an optimized prefill splits its batch items into, one per
-# usable CPU. The caller's thread runs the first group and one process-wide
-# pool of PREFILL_WIDTH - 1 threads, created on first use, runs the rest.
+# usable CPU, when the BLAS runs one thread per call. The caller's thread
+# runs the first group and one process-wide pool of PREFILL_WIDTH - 1
+# threads, created on first use, runs the rest.
 PREFILL_WIDTH = _usable_cpus()
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -87,15 +92,59 @@ if hasattr(os, "register_at_fork"):  # no fork on Windows
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+# The names threadpoolctl looks up for OpenBLAS's thread count: numpy's
+# wheels bundle it as scipy_openblas, with a 64_ suffix on 64-bit indices.
+_OPENBLAS_GET_THREADS = tuple(f"{prefix}openblas_get_num_threads{suffix}"
+                              for prefix in ("", "scipy_") for suffix in ("", "64_"))
+
+
+@functools.cache
+def _openblas_get_threads():
+    """The loaded OpenBLAS's thread-count getter, found as threadpoolctl
+    finds it: a library mapped into this process whose file name holds
+    ``openblas``, asked through ctypes. None if there is none or the
+    platform has no /proc/self/maps."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {fields[5].strip() for fields in (line.split(None, 5) for line in maps)
+                     if len(fields) == 6 and "openblas" in os.path.basename(fields[5])}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_GET_THREADS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads the loaded OpenBLAS runs per call, or None if unknown."""
+    getter = _openblas_get_threads()
+    return None if getter is None else getter()
+
+
 def _in_groups(fn, n_items: int) -> list:
     """``fn(items)`` over ``min(PREFILL_WIDTH, n_items)`` contiguous ranges of
     near-equal size that split ``range(n_items)``, concurrently; the results
     in item order. One group is a plain call on the caller's thread.
 
+    An OpenBLAS that runs more than one thread per call already spreads
+    each product over the cores, and two callers of it oversubscribe them,
+    so then there is one group. A count that cannot be read (no OpenBLAS
+    found) leaves the split as it is.
+
     Every group has run to its end when this returns or raises; a group's
     exception is raised here, the first group's before any other."""
     global _pool
     n = min(PREFILL_WIDTH, n_items)
+    if n > 1 and _blas_threads() not in (None, 1):
+        n = 1
     groups = [range(n_items * g // n, n_items * (g + 1) // n) for g in range(n)]
     if n == 1:
         return [fn(groups[0])]
@@ -383,12 +432,15 @@ class _DecoderEngine:
             min_top_gap=state.min_top_gap,
         )
 
-    def _layers(self, x, positions, attend, read=None):
+    def _layers(self, x, table, attend, read=None):
         """Run the decoder stack on hidden states ``x`` [..., d_model].
 
-        ``attend(layer, q, k, v)`` gets the rotated q, k and v, each [..., H, D]
-        over the leading dims of ``x``, caches K/V the engine's way, and
-        returns the attention context in q's shape.
+        ``table`` is the ``rope_table`` of the positions of ``x``, shared by
+        every layer. ``attend(layer, q, k, v)`` gets the rotated q and k and
+        the v, each [..., H, D] over the leading dims of ``x``, caches K/V
+        the engine's way, and returns the attention context in q's shape.
+        q and k are rotated in one pass, as one block of 2H heads, and
+        reach ``attend`` as views of it.
 
         ``read`` indexes the rows of ``x`` whose output the caller reads; by
         default, all of them. The last layer still projects k and v on every
@@ -399,17 +451,29 @@ class _DecoderEngine:
         rows feeds the keys and values of the layers after it.
         """
         cfg = self.config
-        table = rope_table(positions, cfg.D)
         for layer, lw in enumerate(self.weights.layers):
             h = rmsnorm(x, lw["rmsnorm_1"])
-            q, k, v = fused_qkv(h, lw["w_qkv"], cfg.H, cfg.D)
-            q, k = rope(q, k, table)
+            qk, v = fused_qkv(h, lw["w_qkv"], cfg.H, cfg.D)
+            qk = rope(qk, table)
+            q, k = qk[..., :cfg.H, :], qk[..., cfg.H:, :]
             if read is not None and layer == cfg.L - 1:
                 q, x = q[read], x[read]
             ctx = attend(layer, q, k, v)
             x = x + linear(ctx.reshape(x.shape), lw["w_o"])
             x = x + gated_mlp(rmsnorm(x, lw["rmsnorm_2"]), lw["w_gate"], lw["w_up"], lw["w_down"])
         return x
+
+    def _prefill_table(self, request: GenerationRequest):
+        """The rotary table of prompt positions 0 .. n_prompt - 1, as [1, n_prompt]."""
+        return rope_table(np.arange(request.prompt.shape[1])[None, :], self.config.D)
+
+    def _decode_table(self, request: GenerationRequest):
+        """The rotary table of every decode position of ``request``, built
+        once per run: row t - 1 is step t's table, of position
+        n_prompt + t - 1, as [1, 1], which broadcasts over the step's rows."""
+        n_prompt = request.prompt.shape[1]
+        positions = np.arange(n_prompt, n_prompt + request.n_response)[:, None, None]
+        return rope_table(positions, self.config.D)
 
     def _head(self, x):
         """Final norm and lm head on [rows, d_model]: returns (logits, hidden)."""
@@ -427,11 +491,12 @@ class _SegmentRun:
         self.prompt_kv = PromptKV(engine.config, bs, n_prompt, ledger)
         self.resp_kv = ResponseKV(engine.config, bs, request.bw, request.n_response, ledger)
         self.counters = OpCounters()
+        self.decode_table = engine._decode_table(request)
 
     def prefill(self):
         engine = self.engine
         prompt = self.request.prompt  # [BS, Np]; no beam expansion
-        positions = np.arange(prompt.shape[1])[None, :]
+        table = engine._prefill_table(self.request)
         errors = np.geterr()
 
         def group_layers(items):
@@ -443,7 +508,7 @@ class _SegmentRun:
             with np.errstate(**errors):
                 # only the last prompt position reaches the head
                 return engine._layers(engine.weights.embedding[prompt[items.start:items.stop]],
-                                      positions, attend, np.s_[:, -1:])
+                                      table, attend, np.s_[:, -1:])
 
         # the items' prompts are independent, so groups of them run on separate cores
         x = np.concatenate(_in_groups(group_layers, prompt.shape[0]))
@@ -456,12 +521,11 @@ class _SegmentRun:
         engine = self.engine
         cfg = engine.config
         rows = tokens.size  # BS*BW
-        n_prompt = self.request.prompt.shape[1]
 
         x = to_sequence_first(engine.weights.embedding[tokens].reshape(rows, 1, cfg.H, cfg.D))
         self.counters.layout_conversions += 1
 
-        positions = np.array([[n_prompt + t - 1]])
+        cos, sin = self.decode_table
         indices = state.gather_indices  # [BS, BW, t], grown by beam_step
 
         def attend(layer, q, k, v):
@@ -469,7 +533,7 @@ class _SegmentRun:
             return sdpa_decode_fused(SdpaDecodeInputs.from_caches(
                 q, self.prompt_kv, self.resp_kv, layer, indices))
 
-        x = engine._layers(x.reshape(1, rows, cfg.d_model), positions, attend)
+        x = engine._layers(x.reshape(1, rows, cfg.d_model), (cos[t - 1], sin[t - 1]), attend)
         x = to_batch_first(x.reshape(1, rows, cfg.H, cfg.D))
         self.counters.layout_conversions += 1
         return engine._head(x.reshape(rows, cfg.d_model))
@@ -495,6 +559,7 @@ class _StandardRun:
         self.counters = OpCounters()
         self.kv = StandardKV(engine.config, request.prompt.shape[0], request.bw, ledger,
                              self.counters)
+        self.decode_table = engine._decode_table(request)
 
     def prefill(self):
         def attend(layer, q, k, v):
@@ -503,16 +568,16 @@ class _StandardRun:
 
         engine = self.engine
         prompt = np.repeat(self.request.prompt, self.request.bw, axis=0)  # beam-expanded [BS*BW, Np]
-        positions = np.arange(prompt.shape[1])[None, :]
-        x = engine._layers(engine.weights.embedding[prompt], positions, attend)
+        x = engine._layers(engine.weights.embedding[prompt], engine._prefill_table(self.request),
+                           attend)
         return engine._head(x[:, -1, :])
 
     def decode_step(self, tokens, t, state):
         engine = self.engine
-        bs, n_prompt = self.request.prompt.shape
+        bs = self.request.prompt.shape[0]
         bw = self.request.bw
         x = engine.weights.embedding[tokens][:, None, :]  # [B, 1, dm] batch first throughout
-        positions = np.array([[n_prompt + t - 1]])
+        cos, sin = self.decode_table
         parents = state.parents_history[t - 1]
         reorder = (np.arange(bs)[:, None] * bw + parents).reshape(-1)
 
@@ -520,7 +585,7 @@ class _StandardRun:
             k_all, v_all = self.kv.step(layer, k, v, reorder)
             return sdpa_materialized(q, k_all, v_all)  # the one newest query sees every key
 
-        x = engine._layers(x, positions, attend)
+        x = engine._layers(x, (cos[t - 1], sin[t - 1]), attend)
         return engine._head(x[:, 0, :])
 
     def cache_bytes(self) -> dict:

@@ -26,12 +26,19 @@ def rmsnorm(x, weight, eps: float = 1e-5) -> np.ndarray:
     weight = _f32(weight)
     if weight.ndim != 1 or x.shape[-1] != weight.shape[0]:
         raise ValueError(f"weight {weight.shape} does not match trailing dim of {x.shape}")
-    # np.mean's own arithmetic, without its Python-level wrapper
-    ms = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
+    # np.mean's own arithmetic, without its Python-level wrapper; the square's
+    # buffer is reused for the output, and the mean square's for its root
+    y = np.square(x)
+    ms = np.add.reduce(y, axis=-1, keepdims=True)
+    ms /= x.shape[-1]
     if not np.maximum.reduce(ms, axis=None, initial=0) < np.inf:  # inf or nan
         raise ValueError("rmsnorm: the mean square of the input overflows float32 "
                          "(not finite); the hidden state is too large to normalize")
-    return (x / np.sqrt(ms + np.float32(eps)) * weight).astype(np.float32, copy=False)
+    ms += np.float32(eps)
+    np.sqrt(ms, out=ms)
+    np.divide(x, ms, out=y)
+    y *= weight
+    return y
 
 
 # Rows up to which ``linear`` computes (w @ ascontiguousarray(x.T)).T rather
@@ -73,10 +80,12 @@ def linear(x, w) -> np.ndarray:
 
 
 def fused_qkv(x, w_qkv, heads: int, head_dim: int):
-    """Single projection producing (q, k, v), each reshaped to [..., heads, head_dim].
+    """Single projection producing (qk, v): ``qk`` [..., 2 * heads, head_dim]
+    holds the q heads, then the k heads, and ``v`` is [..., heads, head_dim].
 
     ``w_qkv`` is output-major [3 * d_model, d_model]; the result equals three
-    separate linear calls on its q, k and v row blocks, in that order.
+    separate linear calls on its q, k and v row blocks, in that order. Both
+    are views of the one product, so one ``rope`` call rotates q and k.
     """
     x = _f32(x)
     d_model = heads * head_dim
@@ -88,18 +97,20 @@ def fused_qkv(x, w_qkv, heads: int, head_dim: int):
         )
     y = linear(x, w_qkv)
     lead = x.shape[:-1]
-    q, k, v = (y[..., i * d_model:(i + 1) * d_model].reshape(lead + (heads, head_dim))
-               for i in range(3))
-    return q, k, v
+    qk = y[..., :2 * d_model].reshape(lead + (2 * heads, head_dim))
+    v = y[..., 2 * d_model:].reshape(lead + (heads, head_dim))
+    return qk, v
 
 
 def rope_table(positions, head_dim: int, theta: float = 10000.0):
-    """Rotary (cos, sin) tables for ``rope``.
+    """Rotary (C, S) tables for ``rope``.
 
     Dimension pair i at position pos is rotated by angle pos * theta^(-2i/D).
     ``positions`` is an integer vector (or array); each table has shape
-    [*positions.shape, 1, D/2], the 1 broadcasting over the head axis. One
-    table serves every layer of a decoder pass.
+    [*positions.shape, 1, D], the 1 broadcasting over the head axis, and
+    holds both halves of a head: C = [cos, cos] and S = [-sin, sin]. One
+    table serves every layer of a decoder pass, and a run's decode table
+    every step, one row each.
     """
     if head_dim % 2 != 0:
         raise ValueError(f"head dim must be even for rotary embedding, got {head_dim}")
@@ -107,41 +118,44 @@ def rope_table(positions, head_dim: int, theta: float = 10000.0):
     half = head_dim // 2
     exponent = (np.arange(half, dtype=np.float32) * np.float32(2.0 / head_dim))
     inv_freq = np.power(np.float32(theta), -exponent)
-    ang = pos[..., None] * inv_freq          # [..., half]
-    return np.cos(ang)[..., None, :], np.sin(ang)[..., None, :]
+    ang = pos[..., None, None] * inv_freq    # [..., 1, half]
+    cos, sin = np.cos(ang), np.sin(ang)
+    return np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
 
 
-def rope(q, k, table):
-    """Rotary position embedding on (q, k) shaped [..., H, D].
+def rope(x, table):
+    """Rotary position embedding on every head of ``x`` [..., H, D] at once.
 
     ``table`` is ``rope_table(positions, D, theta)``, whose positions
-    broadcast against the leading dims of q/k, i.e. everything before the
-    trailing [H, D] axes. Dimension i is paired with i + D/2.
+    broadcast against the leading dims of x, i.e. everything before the
+    trailing [H, D] axes. Dimension i is paired with i + D/2 (rotate_half,
+    as in RoFormer, arXiv 2104.09864): out = x * C + swap_halves(x) * S.
+    Per half that is x1 cos - x2 sin and x2 cos + x1 sin, bit for bit the
+    pairwise form, since adding -(x2 sin) is subtracting x2 sin and float
+    addition commutes. Heads are independent, so q and k rotate as one
+    [..., 2H, D] block (``fused_qkv``'s ``qk``).
     """
-    q = _f32(q)
-    k = _f32(k)
-    if q.shape != k.shape:
-        raise ValueError(f"q {q.shape} and k {k.shape} must match")
-    if q.ndim < 2:
+    x = _f32(x)
+    if x.ndim < 2:
         raise ValueError("expected [..., H, D] inputs")
-    D = q.shape[-1]
+    D = x.shape[-1]
     if D % 2 != 0:
         raise ValueError(f"head dim must be even for rotary embedding, got {D}")
     cos, sin = table
-    half = D // 2
-    if cos.shape[-1] != half:
-        raise ValueError(f"rotary table is for head dim {2 * cos.shape[-1]}, inputs have {D}")
-    lead = q.shape[:-2]
+    if cos.shape[-1] != D:
+        raise ValueError(f"rotary table is for head dim {cos.shape[-1]}, inputs have {D}")
+    lead = x.shape[:-2]
     pos_shape = cos.shape[:-2]
-    if np.broadcast_shapes(pos_shape, lead) != lead:
+    # np.broadcast_shapes(pos_shape, lead) == lead, without its cost per call
+    if len(pos_shape) > len(lead) or any(p not in (1, n) for p, n in
+                                         zip(pos_shape[::-1], lead[::-1])):
         raise ValueError(f"positions {pos_shape} do not broadcast onto leading dims {lead}")
-
-    def rotate(x: np.ndarray) -> np.ndarray:
-        x1, x2 = x[..., :half], x[..., half:]
-        return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos],
-                              axis=-1).astype(np.float32, copy=False)
-
-    return rotate(q), rotate(k)
+    half = D // 2
+    out = x * cos
+    swapped = np.concatenate([x[..., half:], x[..., :half]], axis=-1)
+    swapped *= sin
+    out += swapped
+    return out
 
 
 def gated_mlp(x, w_gate, w_up, w_down) -> np.ndarray:

@@ -116,8 +116,8 @@ def check_sdpa_fused_vs_oracle(cases: int = 200) -> CheckResult:
 
 def _cross_engine_configs():
     """The first two configs are pinned: a 40-step beam run, and BS 3, which
-    a prefill on two cores splits unevenly (items [0, 1) and [1, 3)); the
-    rest are random."""
+    a prefill on two cores over a one-thread BLAS splits unevenly (items
+    [0, 1) and [1, 3)); the rest are random."""
     rng = np.random.default_rng(CROSS_ENGINE_SEED)
     cases = [dict(L=2, H=4, D=16, vocab=64, bs=1, bw=4, n_prompt=32, n_response=40),
              dict(L=2, H=4, D=16, vocab=64, bs=3, bw=4, n_prompt=40, n_response=12)]

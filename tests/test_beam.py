@@ -138,25 +138,31 @@ def test_batched_selection_matches_per_item_loop(bw, monkeypatch):
             assert np.array_equal(parents, want_parents), case
             assert batched.cum_log_probs.tobytes() == oracle.cum_log_probs.tobytes(), case
             assert batched.min_top_gap == oracle.min_top_gap, case
-    assert fallbacks  # ties across the top-(BW+1) cut took the stable path
+    if bw > 1:  # BW = 1 is an argmax, with no ranking to fall back from
+        assert fallbacks  # ties across the top-(BW+1) cut took the stable path
 
 
+@pytest.mark.parametrize("bw", [1, 2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_log_probs_rejected(bad):
-    state = BeamSearchState(bs=2, bw=2)
+def test_non_finite_log_probs_rejected(bad, bw):
+    state = BeamSearchState(bs=4 // bw, bw=bw)
     lp = np.full((4, 5), np.log(0.2))
     lp[3, 1] = bad
+    before = state.cum_log_probs.copy()
     with pytest.raises(ValueError, match="row 3"):
         beam_step(lp, state)
-    assert state.tokens_history == []
+    assert state.tokens_history == [] and state.parents_history == []
+    assert state.cum_log_probs.tobytes() == before.tobytes()
 
 
-def test_minus_inf_log_probs_allowed():
-    state = BeamSearchState(bs=1, bw=2)
-    lp = np.log(np.array([[0.5, 0.5, 1.0], [0.2, 0.8, 1.0]]))
+@pytest.mark.parametrize("bw", [1, 2])
+def test_minus_inf_log_probs_allowed(bw):
+    state = BeamSearchState(bs=1, bw=bw)
+    lp = np.log(np.array([[0.5, 0.5, 1.0], [0.2, 0.8, 1.0]]))[:bw]
     lp[:, 2] = -np.inf  # a token of probability 0
     tokens, _ = beam_step(lp, state)
-    assert tokens.ravel().tolist() == [0, 1]
+    assert tokens.ravel().tolist() == [0, 1][:bw]
+    assert state.min_top_gap == 0.0  # the two tokens of probability 0.5; -inf makes no gap
 
 
 # -- gather indices --------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -219,6 +220,13 @@ def _record_projections(monkeypatch):
     return calls
 
 
+def _split_prefill(monkeypatch, width, blas_threads=1):
+    """Prefill on ``width`` usable CPUs with a BLAS that reports
+    ``blas_threads`` threads per call; the split needs it to report 1."""
+    monkeypatch.setattr(engine_module, "PREFILL_WIDTH", width)
+    monkeypatch.setattr(engine_module, "_blas_threads", lambda: blas_threads)
+
+
 def test_optimized_prefill_trims_only_the_last_layer(monkeypatch):
     """The optimized prefill runs the last layer's o-proj and MLP on the last
     prompt position alone; its qkv projection and every earlier layer see
@@ -228,7 +236,7 @@ def test_optimized_prefill_trims_only_the_last_layer(monkeypatch):
     without regard to order. The reference prefill is neither split nor
     trimmed: every projection sees every beam-expanded row, so it stays an
     independent oracle of both."""
-    monkeypatch.setattr(engine_module, "PREFILL_WIDTH", 2)
+    _split_prefill(monkeypatch, 2)
     calls = _record_projections(monkeypatch)
     w = _toy_weights()
     bs, bw, n_prompt, L = 3, 2, 9, w.config.L
@@ -268,13 +276,53 @@ def test_prefill_at_pool_width_one_is_one_call_on_the_callers_thread(monkeypatch
     assert {thread for _, _, thread in calls} == {threading.get_ident()}
 
 
+@pytest.mark.parametrize("blas_threads, groups", [(2, 1), (1, 2), (None, 2)],
+                         ids=["multi-threaded-blas", "one-thread-blas", "unknown-blas"])
+def test_prefill_splits_only_over_a_one_thread_blas(monkeypatch, blas_threads, groups):
+    """On two usable CPUs the prefill splits into two groups of items only
+    when the BLAS runs one thread per call, or its count cannot be read; a
+    BLAS on two threads already spreads each product over both cores, so
+    the prefill is then one whole-batch call on the caller's thread."""
+    _split_prefill(monkeypatch, 2, blas_threads)
+    calls = _record_projections(monkeypatch)
+    w = _toy_weights()
+    bs, n_prompt = 3, 9
+    OptimizedEngine(w).generate(GenerationRequest(_prompt(w.config, bs, n_prompt), 0, bw=2))
+    qkv_0 = id(w.tensors["layers.0.w_qkv"])
+    assert sorted(n for weight, n, _ in calls if weight == qkv_0) == (
+        [bs * n_prompt] if groups == 1 else [n_prompt, 2 * n_prompt])  # items [0, 1), [1, 3)
+    if groups == 1:
+        assert {thread for _, _, thread in calls} == {threading.get_ident()}
+
+
+def test_blas_thread_count_is_read_from_the_loaded_openblas():
+    """numpy's wheels load OpenBLAS; its thread count is read from the
+    library itself, so a process pinned to one BLAS thread reads 1."""
+    try:
+        with open("/proc/self/maps") as maps:
+            has_openblas = "openblas" in maps.read()
+    except OSError:
+        has_openblas = False
+    if not has_openblas:
+        pytest.skip("no OpenBLAS mapped into this process")
+    threads = engine_module._blas_threads()
+    assert isinstance(threads, int) and threads >= 1
+    src = os.path.dirname(os.path.dirname(engine_module.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    pinned = subprocess.run(
+        [sys.executable, "-c", "from seglm.engine import _blas_threads; print(_blas_threads())"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert pinned.stdout.split() == ["1"]
+
+
 @pytest.mark.parametrize("huge_items", [[0, 1, 2], [2]], ids=["all", "pool-group-only"])
 def test_prefill_groups_run_under_the_callers_numpy_error_state(monkeypatch, huge_items):
     """A pool thread starts from numpy's default error state; each group runs
     under the caller's, so a hidden state that overflows reaches rmsnorm's
     own check in every group. Without that, numpy's RuntimeWarning, raised
     as an error by this suite's warnings setting, would come first."""
-    monkeypatch.setattr(engine_module, "PREFILL_WIDTH", 2)
+    _split_prefill(monkeypatch, 2)
     w = _toy_weights(seed=23)
     prompt = _prompt(w.config, 3, 4) % (w.config.vocab - 1)
     prompt[huge_items] = w.config.vocab - 1  # the one token whose embedding row is huge
@@ -293,7 +341,7 @@ def test_prefill_groups_on_more_threads_than_cores_store_every_item(monkeypatch)
     req = GenerationRequest(_prompt(w.config, 8, 6), 3, bw=2)
     monkeypatch.setattr(engine_module, "PREFILL_WIDTH", 1)
     serial = OptimizedEngine(w).generate(req)
-    monkeypatch.setattr(engine_module, "PREFILL_WIDTH", 8)
+    _split_prefill(monkeypatch, 8)
     monkeypatch.setattr(engine_module, "_pool", None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -316,7 +364,7 @@ def test_forked_child_runs_a_split_prefill(monkeypatch):
     """A forked child inherits the parent's pool object but not its threads;
     its own split prefill must get threads of its own rather than wait on a
     queue no thread serves."""
-    monkeypatch.setattr(engine_module, "PREFILL_WIDTH", 2)
+    _split_prefill(monkeypatch, 2)
     w = _toy_weights(seed=26)
     req = GenerationRequest(_prompt(w.config, 2, 5), 2)
     want = OptimizedEngine(w).generate(req).tokens  # the parent's pool now exists

@@ -144,23 +144,24 @@ def test_fused_qkv_equals_column_split_linears():
     dm = heads * d
     x = rng.standard_normal((3, 5, dm)).astype(np.float32)
     w = rng.standard_normal((3 * dm, dm)).astype(np.float32)
-    q, k, v = fused_qkv(x, w, heads, d)
-    for i, part in enumerate((q, k, v)):  # q, k, v are the weight's row blocks
+    qk, v = fused_qkv(x, w, heads, d)
+    assert qk.shape == (3, 5, 2 * heads, d) and v.shape == (3, 5, heads, d)
+    # q, k, v are the weight's row blocks; q's heads come first in qk
+    for i, part in enumerate((qk[..., :heads, :], qk[..., heads:, :], v)):
         ref = linear(x, w[i * dm:(i + 1) * dm]).reshape(3, 5, heads, d)
         assert np.allclose(part, ref, atol=1e-6, rtol=0)
 
 
 def test_fused_qkv_zero_input():
-    q, k, v = fused_qkv(np.zeros((2, 4)), np.ones((12, 4)), 2, 2)
-    assert not q.any() and not k.any() and not v.any()
-    assert q.shape == (2, 2, 2)
+    qk, v = fused_qkv(np.zeros((2, 4)), np.ones((12, 4)), 2, 2)
+    assert not qk.any() and not v.any()
+    assert qk.shape == (2, 4, 2) and v.shape == (2, 2, 2)
 
 
 def test_fused_qkv_scalar_case():
     # d_model = 1: y = x * w, split into thirds
-    q, k, v = fused_qkv(np.array([[2.0]]), np.array([[1.0], [2.0], [3.0]]), 1, 1)
-    assert q.reshape(-1).tolist() == [2.0]
-    assert k.reshape(-1).tolist() == [4.0]
+    qk, v = fused_qkv(np.array([[2.0]]), np.array([[1.0], [2.0], [3.0]]), 1, 1)
+    assert qk.reshape(-1).tolist() == [2.0, 4.0]  # q, then k
     assert v.reshape(-1).tolist() == [6.0]
 
 
@@ -173,38 +174,41 @@ def test_fused_qkv_shape_mismatch():
 
 def test_rope_zero_positions_is_identity():
     rng = np.random.default_rng(4)
-    q = rng.standard_normal((2, 3, 2, 8)).astype(np.float32)
-    k = rng.standard_normal((2, 3, 2, 8)).astype(np.float32)
-    q2, k2 = rope(q, k, rope_table(np.zeros((2, 3), dtype=np.int64), 8))
-    assert np.allclose(q2, q, atol=1e-7)
-    assert np.allclose(k2, k, atol=1e-7)
+    qk = rng.standard_normal((2, 3, 4, 8)).astype(np.float32)
+    assert np.allclose(rope(qk, rope_table(np.zeros((2, 3), dtype=np.int64), 8)), qk, atol=1e-7)
 
 
 def test_rope_hand_rotation_d2():
     # D=2, pos=1, pair angle = 1 * theta^0 = 1 rad
     q = np.array([[[1.0, 0.0]]])  # [1 position, 1 head, D=2]
-    k = np.zeros_like(q)
-    q2, _ = rope(q, k, rope_table(np.array([1]), 2))
+    q2 = rope(q, rope_table(np.array([1]), 2))
     assert abs(q2[0, 0, 0] - math.cos(1.0)) < 1e-6
     assert abs(q2[0, 0, 1] - math.sin(1.0)) < 1e-6
     assert abs(q2[0, 0, 0] - 0.54030) < 1e-4
     assert abs(q2[0, 0, 1] - 0.84147) < 1e-4
 
 
+def test_rope_table_holds_both_halves():
+    """C = [cos, cos] and S = [-sin, sin], per position, over one head axis of 1."""
+    cos, sin = rope_table(np.array([[0, 3]]), 4)
+    assert cos.shape == sin.shape == (1, 2, 1, 4)
+    ang = 3 * np.array([1.0, 10000.0 ** -0.5])
+    assert np.allclose(cos[0, 1, 0], np.tile(np.cos(ang), 2), atol=1e-6)
+    assert np.allclose(sin[0, 1, 0], np.concatenate([-np.sin(ang), np.sin(ang)]), atol=1e-6)
+
+
 def test_rope_preserves_pair_norms():
     rng = np.random.default_rng(5)
-    q = rng.standard_normal((4, 2, 8)).astype(np.float32)
-    k = rng.standard_normal((4, 2, 8)).astype(np.float32)
-    q2, k2 = rope(q, k, rope_table(np.arange(4), 8))
-    for x, x2 in ((q, q2), (k, k2)):
-        pairs = np.stack([x[..., :4], x[..., 4:]], axis=-1)
-        pairs2 = np.stack([x2[..., :4], x2[..., 4:]], axis=-1)
-        assert np.allclose(np.linalg.norm(pairs, axis=-1),
-                           np.linalg.norm(pairs2, axis=-1), atol=1e-6)
+    x = rng.standard_normal((4, 4, 8)).astype(np.float32)
+    x2 = rope(x, rope_table(np.arange(4), 8))
+    pairs = np.stack([x[..., :4], x[..., 4:]], axis=-1)
+    pairs2 = np.stack([x2[..., :4], x2[..., 4:]], axis=-1)
+    assert np.allclose(np.linalg.norm(pairs, axis=-1), np.linalg.norm(pairs2, axis=-1), atol=1e-6)
 
 
 def _rope_inline(x, positions, theta):
-    """Rotary embedding with its angles computed in place, per call."""
+    """Rotary embedding with its angles computed in place, per call, as
+    each pair (i, i + D/2) rotated on its own."""
     half = x.shape[-1] // 2
     inv_freq = np.power(np.float32(theta),
                         -(np.arange(half, dtype=np.float32) * np.float32(2.0 / x.shape[-1])))
@@ -219,32 +223,43 @@ def _rope_inline(x, positions, theta):
     ((1, 6), np.array([[41]])),       # decode: [1, rows] against [[p]]
 ], ids=["prefill", "decode"])
 def test_shared_rope_table_is_bit_identical_per_layer(lead, positions):
-    """One table reused by every layer rotates exactly as angles computed
-    afresh in each layer."""
+    """One table reused by every layer rotates a fused q|k block, as
+    ``fused_qkv`` lays it out, exactly as angles computed afresh in each
+    layer rotate q and k pair by pair, each on its own."""
     table = rope_table(positions, 16, 500.0)
     for layer in range(3):
-        q = _normal(lead + (2, 16), 10 + layer)
-        k = _normal(lead + (2, 16), 20 + layer)
-        q2, k2 = rope(q, k, table)
-        assert q2.tobytes() == _rope_inline(q, positions, 500.0).tobytes()
-        assert k2.tobytes() == _rope_inline(k, positions, 500.0).tobytes()
+        qk = fused_qkv(_normal(lead + (32,), 10 + layer), _normal((96, 32), 20 + layer), 2, 16)[0]
+        q, k = qk[..., :2, :], qk[..., 2:, :]
+        qk2 = rope(qk, table)
+        assert qk2[..., :2, :].tobytes() == _rope_inline(q, positions, 500.0).tobytes()
+        assert qk2[..., 2:, :].tobytes() == _rope_inline(k, positions, 500.0).tobytes()
+
+
+def test_decode_table_rows_are_bit_identical_to_one_position_tables():
+    """A run's decode table, built once, gives each step exactly the table
+    of that step's position built alone."""
+    positions = np.arange(37, 37 + 160)
+    cos, sin = rope_table(positions[:, None, None], 32)
+    for t, p in enumerate(positions):
+        one_cos, one_sin = rope_table(np.array([[p]]), 32)
+        assert cos[t].tobytes() == one_cos.tobytes() and sin[t].tobytes() == one_sin.tobytes()
 
 
 def test_rope_table_for_other_head_dim_rejected():
     with pytest.raises(ValueError, match="head dim 4"):
-        rope(np.zeros((1, 1, 8)), np.zeros((1, 1, 8)), rope_table(np.array([0]), 4))
+        rope(np.zeros((1, 2, 8)), rope_table(np.array([0]), 4))
 
 
 def test_rope_odd_head_dim_rejected():
     with pytest.raises(ValueError, match="even"):
         rope_table(np.array([0]), 3)
     with pytest.raises(ValueError, match="even"):
-        rope(np.zeros((1, 1, 3)), np.zeros((1, 1, 3)), rope_table(np.array([0]), 2))
+        rope(np.zeros((1, 2, 3)), rope_table(np.array([0]), 2))
 
 
 def test_rope_position_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        rope(np.zeros((2, 5, 1, 4)), np.zeros((2, 5, 1, 4)), rope_table(np.arange(4), 4))
+        rope(np.zeros((2, 5, 2, 4)), rope_table(np.arange(4), 4))
 
 
 # -- gated mlp -----------------------------------------------------------------
