@@ -8,8 +8,8 @@ decode. The reference path is the conventional batch-first pipeline:
 beam-expanded prompt, per-step gather + concat into a contiguous cache, and
 ``sdpa_materialized``, the full softmax both fused kernels are checked against.
 
-An engine keeps only the model and the generation loop; each request is a run
-of the engine's cache policy (``_SegmentRun``, ``_StandardRun``) that owns its
+An engine keeps the model and the generation loop (the optimized one also its
+worker processes); each request is a run of the engine's cache policy (``_SegmentRun``, ``_StandardRun``) that owns its
 caches, counters and steps. Both engines share token selection and one
 decoder-layer body (``_DecoderEngine._layers``) into which each run plugs only
 its attention and KV cache, so token-for-token equality between them
@@ -20,33 +20,48 @@ optimized prefill runs its last layer past K/V on the last prompt position
 alone, the only one the head reads; the reference prefill runs every layer
 on every row, so their equality checks that cut as well.
 
-The optimized prefill splits the batch into ``min(PREFILL_WIDTH, BS)``
-contiguous groups of items, ``PREFILL_WIDTH`` being the number of CPUs the
-process may run on, unless the loaded OpenBLAS runs more than one thread
-per call, which already spreads each product over the cores. Each group
-runs the decoder stack on its own prompts and stores its own items' K/V;
-the caller's thread runs the first group and one process-wide thread pool
-the others, each under the caller's numpy error state, and the head then
-runs once on every item's last row. One group (one CPU, a multi-threaded
-BLAS, or BS = 1) is one plain call on the caller's thread, bit
-for bit the unsplit stack. A split changes only how many rows each
-projection multiplies at once: where a group's count falls in another BLAS
-rounding class than the whole batch's, values move in the last bits. On
-the benchmark's shapes only the last layer's trimmed rows did, one per
-item of a group, which moves the prefill's logits and hidden state.
-Counters and ledger events never change, and a token can flip only at a
-selection that close to a tie. Decode is not split.
+The optimized engine splits a request into ``min(WIDTH, BS)`` contiguous
+ranges of items of near-equal size, ``WIDTH`` being the number of CPUs the
+process may run on: items never interact, each running its own beam
+search on its own prompt. Each range is an ordinary request, run by an
+ordinary ``_SegmentRun``, prefill and decode alike. The caller's process
+runs the first range. Long-lived worker processes, forked by the engine on
+its first split request, run the others, each under the caller's numpy
+error state, and send back their results, which the caller merges in item
+order. There is one range, run in the caller exactly as an unsplit
+request, where the loaded OpenBLAS runs more than one thread per call
+(it already spreads each product over the cores), where the platform has
+no fork, or where a worker would be forked while the caller runs other
+threads. The reference engine never splits. The workers live until
+``close()`` or the engine's collection; a worker also exits at EOF on its
+pipe when its caller dies, and a process forked from the caller forgets
+the caller's workers.
+
+The merge concatenates tokens and hidden states in item order and takes
+the least selection margin. Memory bytes sum over the groups to the
+unsplit closed forms; the ledger holds each group's events in item order;
+counters are one group's (see ``OpCounters``). First-token latency is the
+latest group's, and next-token latency runs from the latest end of step 1
+to the latest end of step N. A split changes only how many rows each
+projection multiplies at once: where a group's count falls in another
+BLAS rounding class than the whole batch's, values move in the last bits,
+and a token can flip only at a selection that close to a tie.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
 import json
+import multiprocessing
+import multiprocessing.process
 import os
+import signal
 import threading
 import time
+import traceback
+import weakref
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from math import prod
 
@@ -72,38 +87,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Most groups an optimized prefill splits its batch items into, one per
-# usable CPU, when the BLAS runs one thread per call. The caller's thread
-# runs the first group and one process-wide pool of PREFILL_WIDTH - 1
-# threads, created on first use, runs the rest.
-PREFILL_WIDTH = _usable_cpus()
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """In a forked child: the pool object was copied but none of its threads
-    were, so a task submitted to it would never run."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # no fork on Windows
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-# The names threadpoolctl looks up for OpenBLAS's thread count: numpy's
-# wheels bundle it as scipy_openblas, with a 64_ suffix on 64-bit indices.
-_OPENBLAS_GET_THREADS = tuple(f"{prefix}openblas_get_num_threads{suffix}"
-                              for prefix in ("", "scipy_") for suffix in ("", "64_"))
+# Most ranges of items an optimized request splits into, one per usable CPU,
+# when the BLAS runs one thread per call. The caller runs the first range
+# and each engine's WIDTH - 1 worker processes the rest.
+WIDTH = _usable_cpus()
 
 
 @functools.cache
-def _openblas_get_threads():
-    """The loaded OpenBLAS's thread-count getter, found as threadpoolctl
-    finds it: a library mapped into this process whose file name holds
-    ``openblas``, asked through ctypes. None if there is none or the
-    platform has no /proc/self/maps."""
+def _openblas():
+    """The loaded OpenBLAS's thread-count getter and setter, found as
+    threadpoolctl finds them: a library mapped into this process whose file
+    name holds ``openblas``, asked through ctypes. numpy's wheels bundle it
+    as scipy_openblas, with a 64_ suffix on 64-bit indices. None if there
+    is none or the platform has no /proc/self/maps."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {fields[5].strip() for fields in (line.split(None, 5) for line in maps)
@@ -115,53 +111,49 @@ def _openblas_get_threads():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in _OPENBLAS_GET_THREADS:
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return getter
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
     return None
 
 
 def _blas_threads() -> int | None:
     """Threads the loaded OpenBLAS runs per call, or None if unknown."""
-    getter = _openblas_get_threads()
-    return None if getter is None else getter()
+    blas = _openblas()
+    return None if blas is None else blas[0]()
 
 
-def _in_groups(fn, n_items: int) -> list:
-    """``fn(items)`` over ``min(PREFILL_WIDTH, n_items)`` contiguous ranges of
-    near-equal size that split ``range(n_items)``, concurrently; the results
-    in item order. One group is a plain call on the caller's thread.
-
-    An OpenBLAS that runs more than one thread per call already spreads
-    each product over the cores, and two callers of it oversubscribe them,
-    so then there is one group. A count that cannot be read (no OpenBLAS
-    found) leaves the split as it is.
-
-    Every group has run to its end when this returns or raises; a group's
-    exception is raised here, the first group's before any other."""
-    global _pool
-    n = min(PREFILL_WIDTH, n_items)
-    if n > 1 and _blas_threads() not in (None, 1):
-        n = 1
-    groups = [range(n_items * g // n, n_items * (g + 1) // n) for g in range(n)]
-    if n == 1:
-        return [fn(groups[0])]
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(PREFILL_WIDTH - 1, thread_name_prefix="seglm-prefill")
-    futures = [_pool.submit(fn, items) for items in groups[1:]]
+@contextmanager
+def one_blas_thread():
+    """Inside the block the loaded OpenBLAS runs one thread per call, so an
+    optimized request may split; its count is restored on the way out.
+    Does nothing where no OpenBLAS is found."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
     try:
-        first = fn(groups[0])
+        yield
     finally:
-        wait(futures)
-    return [first] + [f.result() for f in futures]
+        put(before)
 
 
 @dataclass
 class OpCounters:
-    """Instrumentation: tensor-level data-movement ops observed during a run."""
+    """Instrumentation: tensor-level data-movement ops observed during a run.
+
+    They count per decode pipeline. Every group of a split request runs the
+    same pipeline, so its counters are one group's: the merge checks that
+    every group's are equal and reports that one set, and times
+    ``GenerationResult.groups`` is the total over the groups."""
 
     layout_conversions: int = 0
     cat_ops: int = 0
@@ -207,11 +199,13 @@ class GenerationResult:
     tokens: np.ndarray          # [BS, BW, n_response]
     final_hidden: np.ndarray    # [BS*BW, d_model], post-final-norm at the last step
     first_token_latency_s: float
-    next_token_latency_s: float | None  # mean over decode steps 2..N
+    # (latest end of step N - latest end of step 1) / (N - 1) over the groups
+    next_token_latency_s: float | None
     total_latency_s: float
     memory: dict
-    counters: OpCounters
+    counters: OpCounters        # one group's; see OpCounters
     min_top_gap: float
+    groups: int = 1             # ranges of items the request ran in, each in its own process
 
     def to_json_dict(self) -> dict:
         return {
@@ -219,6 +213,7 @@ class GenerationResult:
             "min_top_gap": None if np.isinf(self.min_top_gap) else self.min_top_gap,
             "memory": self.memory,
             "counters": self.counters.as_dict(),
+            "groups": self.groups,
             "timing": {
                 "first_token_latency_ms": self.first_token_latency_s * 1e3,
                 "next_token_latency_ms":
@@ -226,6 +221,23 @@ class GenerationResult:
                 "total_latency_s": self.total_latency_s,
             },
         }
+
+
+@dataclass
+class _Group:
+    """One run of a range of a request's items, as a worker sends it back:
+    its outputs, counters, memory and ledger, and the ``time.perf_counter``
+    times of its first token and of the end of each decode step. On Linux
+    that clock is CLOCK_MONOTONIC, one clock for every process."""
+
+    tokens: np.ndarray
+    final_hidden: np.ndarray
+    min_top_gap: float
+    counters: OpCounters
+    memory: dict
+    ledger: MemoryLedger
+    first_token: float
+    step_ends: list[float]
 
 
 def weight_layout(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
@@ -356,8 +368,10 @@ def load_weights(path) -> ToyWeights:
 # --------------------------------------------------------------------------
 
 class _DecoderEngine:
-    """Shared generation loop and decoder stack. ``generate`` drives the
-    ``prefill``, ``decode_step`` and ``cache_bytes`` of a subclass's run."""
+    """Shared generation loop and decoder stack. ``_run`` drives the
+    ``prefill``, ``decode_step`` and ``cache_bytes`` of a subclass's run;
+    ``generate`` merges the groups of items ``_run_groups`` ran, which is
+    one group unless the optimized engine splits the request."""
 
     run_class: type  # called as run_class(engine, request, ledger)
 
@@ -386,6 +400,42 @@ class _DecoderEngine:
     @np.errstate(over="ignore", invalid="ignore")
     def generate(self, request: GenerationRequest) -> GenerationResult:
         self.check_request(request)
+        t0 = time.perf_counter()
+        groups = self._run_groups(request)
+        total_s = time.perf_counter() - t0
+        first = groups[0]
+        memory = first.memory
+        if len(groups) > 1:
+            # bytes summed over the groups; the ledger logs each group's events in item order
+            memory = {key: sum(g.memory[key] for g in groups) if isinstance(value, int) else value
+                      for key, value in memory.items()}
+            self.last_ledger = MemoryLedger()
+            for g in groups:
+                self.last_ledger.events += g.ledger.events
+                self.last_ledger.active_bytes += g.ledger.active_bytes
+                self.last_ledger.reserved_bytes += g.ledger.reserved_bytes
+        assert all(g.counters == first.counters for g in groups), \
+            "every group of a request runs the same decode pipeline"
+        step_ends = [max(ends) for ends in zip(*(g.step_ends for g in groups))]
+        return GenerationResult(
+            tokens=np.concatenate([g.tokens for g in groups]),
+            final_hidden=np.concatenate([g.final_hidden for g in groups]),
+            first_token_latency_s=max(g.first_token for g in groups) - t0,
+            next_token_latency_s=((step_ends[-1] - step_ends[0]) / (len(step_ends) - 1)
+                                  if len(step_ends) >= 2 else None),
+            total_latency_s=total_s,
+            memory=memory,
+            counters=first.counters,
+            min_top_gap=min(g.min_top_gap for g in groups),
+            groups=len(groups),
+        )
+
+    def _run_groups(self, request: GenerationRequest) -> list[_Group]:
+        """Run ``request`` in groups of items; here, one group in this process."""
+        return [self._run(request)]
+
+    def _run(self, request: GenerationRequest) -> _Group:
+        """Run ``request`` whole in this process."""
         bs, _ = request.prompt.shape
         bw = request.bw
         nr = request.n_response
@@ -393,22 +443,19 @@ class _DecoderEngine:
         self.last_ledger = ledger
         run = self.run_class(self, request, ledger)
 
-        t0 = time.perf_counter()
         logits, hidden = run.prefill()  # [BS*BW, vocab], [BS*BW, d_model]
         state = BeamSearchState(bs, bw)
         if nr > 0:
             beam_step(log_softmax(logits), state)
-        first_s = time.perf_counter() - t0
+        first_token = time.perf_counter()
 
-        step_times: list[float] = []
+        step_ends: list[float] = []
         for t in range(1, nr + 1):
-            ts = time.perf_counter()
             current = state.tokens_history[-1].reshape(-1)
             logits, hidden = run.decode_step(current, t, state)
             if t < nr:  # the final step yields the final hidden state only
                 beam_step(log_softmax(logits), state)
-            step_times.append(time.perf_counter() - ts)
-        total_s = time.perf_counter() - t0
+            step_ends.append(time.perf_counter())
 
         if nr > 0:
             idx = build_gather_indices(state.parents_history, nr)
@@ -416,21 +463,12 @@ class _DecoderEngine:
             tokens = np.take_along_axis(stacked, idx, axis=1)
         else:
             tokens = np.zeros((bs, bw, 0), dtype=np.int64)
-
-        next_s = float(np.mean(step_times[1:])) if len(step_times) >= 2 else None
-        return GenerationResult(
-            tokens=tokens,
-            final_hidden=hidden,
-            first_token_latency_s=first_s,
-            next_token_latency_s=next_s,
-            total_latency_s=total_s,
-            memory={**run.cache_bytes(),
-                    "final_active_bytes": ledger.active_bytes,
-                    "peak_reserved_bytes": ledger.reserved_bytes,
-                    "fragmentation_bytes": ledger.fragmentation},
-            counters=run.counters,
-            min_top_gap=state.min_top_gap,
-        )
+        memory = {**run.cache_bytes(),
+                  "final_active_bytes": ledger.active_bytes,
+                  "peak_reserved_bytes": ledger.reserved_bytes,
+                  "fragmentation_bytes": ledger.fragmentation}
+        return _Group(tokens, hidden, state.min_top_gap, run.counters, memory, ledger,
+                      first_token, step_ends)
 
     def _layers(self, x, table, attend, read=None):
         """Run the decoder stack on hidden states ``x`` [..., d_model].
@@ -494,24 +532,15 @@ class _SegmentRun:
         self.decode_table = engine._decode_table(request)
 
     def prefill(self):
+        def attend(layer, q, k, v):
+            self.prompt_kv.store(layer, k, v)
+            return sdpa_prefill(q, k, v)
+
         engine = self.engine
         prompt = self.request.prompt  # [BS, Np]; no beam expansion
-        table = engine._prefill_table(self.request)
-        errors = np.geterr()
-
-        def group_layers(items):
-            def attend(layer, q, k, v):
-                self.prompt_kv.store(layer, k, v, items)
-                return sdpa_prefill(q, k, v)
-
-            # a pool thread starts from numpy's default error state, not the caller's
-            with np.errstate(**errors):
-                # only the last prompt position reaches the head
-                return engine._layers(engine.weights.embedding[prompt[items.start:items.stop]],
-                                      table, attend, np.s_[:, -1:])
-
-        # the items' prompts are independent, so groups of them run on separate cores
-        x = np.concatenate(_in_groups(group_layers, prompt.shape[0]))
+        # only the last prompt position reaches the head
+        x = engine._layers(engine.weights.embedding[prompt], engine._prefill_table(self.request),
+                           attend, np.s_[:, -1:])
         logits, hidden = engine._head(x[:, -1, :])
         # beams share the single prompt computation; replicate for selection
         bw = self.request.bw
@@ -544,10 +573,222 @@ class _SegmentRun:
                 "response_kv_bytes": self.resp_kv.total_bytes()}
 
 
+@dataclass
+class _Worker:
+    """A worker process and the caller's end of its pipe."""
+
+    process: multiprocessing.process.BaseProcess
+    conn: multiprocessing.connection.Connection
+
+    def send(self, job) -> None:
+        try:
+            self.conn.send(job)
+        except OSError:
+            raise self._died() from None
+
+    def receive(self) -> _Group | Exception:
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            raise self._died() from None
+
+    def _died(self) -> RuntimeError:
+        self.process.join(1)  # reaped, it has an exit code
+        return RuntimeError(f"worker process {self.process.pid} died "
+                            f"(exit code {self.process.exitcode})")
+
+
+def _worker_error(exc: Exception) -> Exception:
+    """``exc``, raised in this worker, as the caller will raise it: its
+    message followed by this worker's pid and traceback, of its own type
+    where that is a built-in one taking a message, else a RuntimeError."""
+    text = f"{exc}\n\nraised in worker process {os.getpid()}:\n{traceback.format_exc()}"
+    kind = type(exc)
+    if kind.__module__ == "builtins":
+        try:
+            return kind(text)
+        except Exception:
+            pass
+    return RuntimeError(f"{kind.__name__}: {text}")
+
+
+def _keep_freed_memory() -> None:
+    """In a worker: glibc's malloc serves every block below 32 MiB from its
+    heap and keeps up to 64 MiB freed at the heap's top, so each request
+    reuses the pages the one before it touched. By default it returns them
+    to the kernel after each request, and the next one faults them in
+    again: ~3200 faults a long-prompt-beam request, which made the worker's
+    first token ~12 ms later than the caller's on the same work. The
+    caller's process keeps its own settings. Does nothing where the C
+    library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at its largest
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+def _serve(engine: OptimizedEngine, conn, caller_end) -> None:
+    """A worker's loop: run each range of items sent on ``conn`` under the
+    caller's numpy error state and send back its ``_Group``, or the error
+    it raised. Returns on a stop message (None) or at EOF, which comes when
+    the caller closes its end or dies."""
+    caller_end.close()  # while this process holds the caller's end, EOF never comes
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
+    _keep_freed_memory()
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        if job is None:
+            return
+        prompt, n_response, bw, errors = job
+        try:
+            with np.errstate(**errors):
+                reply = engine._run(GenerationRequest(prompt, n_response, bw=bw))
+        except Exception as exc:
+            reply = _worker_error(exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the caller dropped this worker
+            return
+
+
+def _stop(workers: list[_Worker]) -> None:
+    """Send each worker the stop message and reap it; one still running 5 s
+    later is killed. Empties ``workers``."""
+    for worker in workers:
+        try:
+            worker.conn.send(None)
+        except OSError:  # it is dead already
+            pass
+        worker.conn.close()
+    for worker in workers:
+        worker.process.join(5)
+        if worker.process.exitcode is None:
+            worker.process.kill()
+            worker.process.join()
+    workers.clear()
+
+
+_FORKED: weakref.WeakSet = weakref.WeakSet()  # engines that have forked workers
+
+
+def _forget_workers() -> None:
+    """In a forked child: the workers of the process it was forked from are
+    not its own. Close its copies of their pipes, so that a worker still
+    sees EOF when its caller dies; drop the finalizer that would stop them,
+    and drop them from multiprocessing's children, whose exit handler would
+    terminate them."""
+    for engine in list(_FORKED):
+        engine._stop_workers.detach()
+        for worker in engine._workers:
+            worker.conn.close()
+            multiprocessing.process._children.discard(worker.process)
+        engine._workers.clear()
+        engine._serving = threading.Lock()  # another thread may have held it at the fork
+
+
+if hasattr(os, "register_at_fork"):  # no fork on Windows
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
 class OptimizedEngine(_DecoderEngine):
-    """Sequence-first decode, segment KV cache, fused two-segment attention."""
+    """Sequence-first decode, segment KV cache, fused two-segment attention.
+
+    A request is split into ranges of items (see the module docstring); the
+    engine's worker processes, forked on its first split request, live
+    until ``close()`` or until the engine is collected."""
 
     run_class = _SegmentRun
+
+    def __init__(self, weights: ToyWeights):
+        super().__init__(weights)
+        self._workers: list[_Worker] = []
+        self._stop_workers: weakref.finalize | None = None
+        self._serving = threading.Lock()  # held while the workers serve a request
+
+    def close(self) -> None:
+        """Stop and reap this engine's workers; a later split request forks
+        new ones."""
+        if self._stop_workers is not None:
+            self._stop_workers()
+
+    def _width(self, bs: int) -> int:
+        """How many ranges of items a request of ``bs`` items runs in.
+
+        An OpenBLAS that runs more than one thread per call already spreads
+        each product over the cores, and two callers of it oversubscribe
+        them, so then there is one range; a count that cannot be read (no
+        OpenBLAS found) leaves the split as it is. A forked child can
+        deadlock on a lock that another thread held at the fork, so a
+        request that would fork a worker while other threads run is not
+        split either."""
+        n = min(WIDTH, bs)
+        if n == 1 or not hasattr(os, "fork") or _blas_threads() not in (None, 1):
+            return 1
+        if len(self._workers) < n - 1 and threading.active_count() > 1:
+            return 1
+        return n
+
+    def _run_groups(self, request: GenerationRequest) -> list[_Group]:
+        n = self._width(request.prompt.shape[0])
+        # the workers serve one request at a time; one that finds them busy runs whole
+        if n == 1 or not self._serving.acquire(blocking=False):
+            return [self._run(request)]
+        try:
+            return self._run_split(request, n)
+        finally:
+            self._serving.release()
+
+    def _run_split(self, request: GenerationRequest, n: int) -> list[_Group]:
+        """The caller runs the first of ``n`` ranges of items and the
+        workers the others. Every reply is read before any error is raised,
+        the caller's first, so each pipe stays in step for the next request;
+        a dead worker or an interrupt drops all the workers instead."""
+        bs = request.prompt.shape[0]
+        parts = [GenerationRequest(request.prompt[bs * g // n: bs * (g + 1) // n],
+                                   request.n_response, bw=request.bw) for g in range(n)]
+        workers = self._fork(n - 1)
+        errors = np.geterr()
+        try:
+            for worker, part in zip(workers, parts[1:]):
+                worker.send((part.prompt, part.n_response, part.bw, errors))
+            try:
+                own: _Group | Exception = self._run(parts[0])
+            except Exception as exc:
+                own = exc
+            groups = [own] + [worker.receive() for worker in workers]
+        except BaseException:
+            self.close()
+            raise
+        for group in groups:
+            if isinstance(group, Exception):
+                raise group
+        return groups
+
+    def _fork(self, n: int) -> list[_Worker]:
+        """This engine's first ``n`` workers. Where it has fewer, it forks
+        up to ``WIDTH - 1``; a forked worker holds the weights as they are
+        at the fork, so from then on they are read-only."""
+        if len(self._workers) < n:
+            for array in self.weights.tensors.values():
+                array.flags.writeable = False
+            if self._stop_workers is None or not self._stop_workers.alive:
+                self._stop_workers = weakref.finalize(self, _stop, self._workers)
+            _FORKED.add(self)
+            fork = multiprocessing.get_context("fork")
+            while len(self._workers) < WIDTH - 1:  # n <= WIDTH - 1
+                caller_end, worker_end = fork.Pipe()
+                process = fork.Process(target=_serve, args=(self, worker_end, caller_end),
+                                       name="seglm-worker", daemon=True)
+                process.start()
+                worker_end.close()
+                self._workers.append(_Worker(process, caller_end))
+        return self._workers[:n]
 
 
 class _StandardRun:

@@ -6,15 +6,20 @@ This module is the one statement of the segment policy. It has two rules:
   K and one V arena for all layers, batch first, each (item, head) panel
   contiguous: K keys last, [L, BS, H, D, N_prompt], and V head major,
   [L, BS, H, N_prompt, D]. Callers see [BS, N_prompt, H, D] views.
-  Prefill writes each layer in contiguous ranges of items, one per group
-  of items it runs on its own thread, each (layer, item) exactly once.
+  Prefill writes each layer exactly once, every item at a time: a split
+  request runs each range of items as a request of its own, with a cache
+  of its own.
 - The response is stored per beam row: one [L, N_response, BS*BW, H, D]
   arena for all layers, sequence first.
 
 A request fixes its response length before the run begins, so both arenas
 are allocated whole, at their final size, when it begins. A run's ledger
 therefore logs exactly two allocs and no free: the events of
-``simulate_decode_memory("segment")``. The closed forms
+``simulate_decode_memory("segment")``. The arenas are left uninitialized,
+since clearing them would cost time inside the request (~1.3 ms on the
+wide-beam shape): no row is read before it is written, as
+``PromptKV.layer`` refuses a layer not stored and ``ResponseKV.valid``
+returns only the rows appended. The closed forms
 (``segment_cache_bytes``, ``standard_cache_bytes``) give the final-step
 bytes, and ``bs_max_under_budget`` inverts them. The standard baseline
 rebuilds one contiguous [BS*BW, N_total, H, D] buffer per decode step via
@@ -27,7 +32,6 @@ width the paper counts its saving in, even though stored data is float32.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,52 +177,36 @@ class PromptKV:
     [BS, N_prompt, H, D] views of the arena, transposed back without a copy.
 
     Both arenas are allocated whole, one ledger alloc, when the run begins.
-    ``store`` writes one layer's K/V for one contiguous range of batch items,
-    so groups of items can be prefilled apart, each on its own thread; each
-    (layer, item) slice is written once at prefill and immutable afterwards.
-    ``layer(i)`` reads a layer only once every item of it has been stored.
+    Each layer's slice is written once at prefill and immutable afterwards;
+    ``layer(i)`` refuses a layer that is not stored.
     """
 
     def __init__(self, config: ModelConfig, bs: int, n_prompt: int, ledger: MemoryLedger):
-        # per layer, whether each item is stored; plain lists, so that every
-        # ndarray attribute of the cache is an accounted buffer
-        self._stored = [[False] * bs for _ in range(config.L)]
-        self._claim = threading.Lock()  # groups of items store from their own threads
-        self._k = np.zeros((config.L, bs, config.H, config.D, n_prompt), dtype=np.float32)
-        self._v = np.zeros((config.L, bs, config.H, n_prompt, config.D), dtype=np.float32)
+        self._stored = [False] * config.L
+        self._k = np.empty((config.L, bs, config.H, config.D, n_prompt), dtype=np.float32)
+        self._v = np.empty((config.L, bs, config.H, n_prompt, config.D), dtype=np.float32)
         ledger.alloc(kv_bytes(self._k, self._v))
 
     def total_bytes(self) -> int:
         return kv_bytes(self._k, self._v)
 
-    def store(self, layer: int, k, v, items: range | None = None) -> None:
-        """Write layer ``layer``'s batch-first [len(items), N_prompt, H, D] K/V
-        for the batch items ``items``, a non-empty step-1 range within
-        [0, BS); by default every item."""
-        bs, h, n_prompt, d = self._v.shape[1:]
-        if items is None:
-            items = range(bs)
-        if not (isinstance(items, range) and items.step == 1
-                and 0 <= items.start < items.stop <= bs):
-            raise ValueError(f"items must be a non-empty step-1 range within [0, {bs}), "
-                             f"got {items!r}")
+    def store(self, layer: int, k, v) -> None:
+        """Write layer ``layer``'s batch-first [BS, N_prompt, H, D] K/V."""
+        if self._stored[layer]:
+            raise ValueError(f"prompt KV is write-once: layer {layer} is already stored")
         k, v = np.asarray(k), np.asarray(v)
-        expect = (len(items), n_prompt, h, d)
+        bs, h, n_prompt, d = self._v.shape[1:]
+        expect = (bs, n_prompt, h, d)
         if k.shape != expect or v.shape != expect:
             raise ValueError(f"prompt K/V must be batch-first {expect}, got {k.shape} / {v.shape}")
-        rows, stored = slice(items.start, items.stop), self._stored[layer]
-        with self._claim:
-            if any(stored[rows]):
-                raise ValueError(f"prompt KV is write-once: layer {layer} already holds some "
-                                 f"of items [{items.start}, {items.stop})")
-            stored[rows] = [True] * len(items)
-        self._k[layer, rows] = k.transpose(0, 2, 3, 1)
-        self._v[layer, rows] = v.transpose(0, 2, 1, 3)
+        self._k[layer] = k.transpose(0, 2, 3, 1)
+        self._v[layer] = v.transpose(0, 2, 1, 3)
+        self._stored[layer] = True
 
     def layer(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of one layer's K and V as [BS, N_prompt, H, D]."""
-        if not all(self._stored[i]):
-            raise ValueError(f"prompt KV for layer {i} not populated for every item")
+        if not self._stored[i]:
+            raise ValueError(f"prompt KV for layer {i} not populated")
         return self._k[i].transpose(0, 3, 1, 2), self._v[i].transpose(0, 2, 1, 3)
 
 
@@ -236,9 +224,9 @@ class ResponseKV:
         self.config = config
         self.rows = bs * bw
         self._length = [0] * config.L
-        self._k = np.zeros((config.L, n_response, self.rows, config.H, config.D),
+        self._k = np.empty((config.L, n_response, self.rows, config.H, config.D),
                            dtype=np.float32)
-        self._v = np.zeros_like(self._k)
+        self._v = np.empty_like(self._k)
         ledger.alloc(kv_bytes(self._k, self._v))
 
     def capacity(self, layer: int) -> int:

@@ -6,13 +6,16 @@ engine) rather than trusting the code path under test.
 """
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import preset, toy_config
-from .engine import GenerationRequest, OptimizedEngine, ReferenceEngine, ToyWeights
+from . import engine
+from .engine import (GenerationRequest, OptimizedEngine, ReferenceEngine, ToyWeights,
+                     one_blas_thread)
 from .fusion import apply_fusion_passes, build_standard_decoder_graph, op_count_report
 from .kvcache import (CacheShapeParams, MemoryLedger, ResponseKV, bs_max_under_budget,
                       cache_token_bytes, memsim_row, segment_cache_bytes,
@@ -23,6 +26,7 @@ GB = 10 ** 9  # decimal GB for display
 SDPA_SEED = 1234           # seed of the randomized fused-vs-oracle shapes
 CROSS_ENGINE_CONFIGS = 20  # toy configs the two engines must agree on
 CROSS_ENGINE_SEED = 77
+SPLIT_CASE = 1             # the cross-engine config run split into groups of items
 TIE_GAP = 1e-3             # a token flip is excused only below this selection margin
 MAX_RESEEDS = 20           # near-tie reseeds allowed per cross-engine config
 
@@ -116,8 +120,8 @@ def check_sdpa_fused_vs_oracle(cases: int = 200) -> CheckResult:
 
 def _cross_engine_configs():
     """The first two configs are pinned: a 40-step beam run, and BS 3, which
-    a prefill on two cores over a one-thread BLAS splits unevenly (items
-    [0, 1) and [1, 3)); the rest are random."""
+    ``check_cross_engine`` runs split (on two cores, unevenly: items [0, 1)
+    and [1, 3)); the rest are random."""
     rng = np.random.default_rng(CROSS_ENGINE_SEED)
     cases = [dict(L=2, H=4, D=16, vocab=64, bs=1, bw=4, n_prompt=32, n_response=40),
              dict(L=2, H=4, D=16, vocab=64, bs=3, bw=4, n_prompt=40, n_response=12)]
@@ -167,12 +171,19 @@ def check_cross_engine() -> CheckResult:
     def body() -> str:
         worst_hidden = 0.0
         for i, case in enumerate(_cross_engine_configs()):
-            opt, ref = _run_engine_pair(case, seed=CROSS_ENGINE_SEED + 31 * i)
+            # an optimized request splits only over a BLAS on one thread per call
+            with one_blas_thread() if i == SPLIT_CASE else contextlib.nullcontext():
+                opt, ref = _run_engine_pair(case, seed=CROSS_ENGINE_SEED + 31 * i)
+            if i == SPLIT_CASE:
+                split_groups = opt.groups
+                assert engine.WIDTH < 2 or split_groups >= 2, \
+                    f"the BS 3 run on {engine.WIDTH} CPUs ran in {split_groups} group(s)"
             diff = float(np.max(np.abs(opt.final_hidden - ref.final_hidden)))
             worst_hidden = max(worst_hidden, diff)
             assert diff <= 1e-4, f"final hidden states diverge by {diff:.2e} for case {case}"
-        return (f"{CROSS_ENGINE_CONFIGS} toy configs (incl. a 40-step beam run and a BS 3 run): "
-                f"identical tokens, worst hidden |diff| = {worst_hidden:.2e}")
+        return (f"{CROSS_ENGINE_CONFIGS} toy configs (incl. a 40-step beam run and a BS 3 run "
+                f"in {split_groups} groups): identical tokens, "
+                f"worst hidden |diff| = {worst_hidden:.2e}")
 
     return _run("cross-engine-equivalence", body)
 

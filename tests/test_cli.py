@@ -196,6 +196,7 @@ def test_gen_single_engine_reports(tmp_path):
         report = json.loads(out.read_text())
         assert engine in report and "match" not in report
         assert report[engine]["counters"]["cat_ops"] == (0 if engine == "optimized" else 12)
+        assert report[engine]["groups"] == 1  # one item is one range, in the caller
 
 
 # -- gen ------------------------------------------------------------------------

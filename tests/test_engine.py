@@ -1,11 +1,17 @@
+import contextlib
+import gc
 import json
 import math
 import multiprocessing
+import multiprocessing.util
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
+import warnings
 from collections import Counter
 from dataclasses import asdict
 
@@ -33,6 +39,16 @@ def _toy_weights(seed=7, **cfg_kw):
 
 def _prompt(cfg, bs, n, seed=1):
     return np.random.default_rng(seed).integers(0, cfg.vocab, size=(bs, n))
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_left():
+    """No test leaves a worker process behind: an engine's workers stop when
+    it is closed or collected."""
+    yield
+    gc.collect()
+    left = [p.pid for p in multiprocessing.active_children() if p.name == "seglm-worker"]
+    assert not left, f"worker processes {left} outlived their engines"
 
 
 # -- hand traces -----------------------------------------------------------------
@@ -204,100 +220,120 @@ def test_zero_response_request():
     assert np.array_equal(opt.tokens, ref.tokens)
 
 
-def _record_projections(monkeypatch):
-    """Patch every projection to record (weight, rows of x, thread) per call;
+# -- groups of items in worker processes ----------------------------------------------
+
+def _record_projections(monkeypatch, tmp_path):
+    """Patch every projection to log (weight, rows of x, process) per call;
     ops.linear serves fused_qkv and gated_mlp, the engine's own name o-proj
-    and head."""
-    calls = []
+    and head. Workers forked after the patch log to the same file. Returns
+    a function that reads back, and clears, the calls logged so far."""
+    log = tmp_path / "projections.log"
     linear = ops.linear
 
     def recording_linear(x, w):
-        calls.append((id(w), x.size // x.shape[-1], threading.get_ident()))
+        with open(log, "a") as f:  # one short append per call: lines never interleave
+            f.write(f"{id(w)} {x.size // x.shape[-1]} {os.getpid()}\n")
         return linear(x, w)
 
     monkeypatch.setattr(ops, "linear", recording_linear)
     monkeypatch.setattr(engine_module, "linear", recording_linear)
+
+    def calls():
+        lines = log.read_text().splitlines() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return [tuple(int(field) for field in line.split()) for line in lines]
+
     return calls
 
 
-def _split_prefill(monkeypatch, width, blas_threads=1):
-    """Prefill on ``width`` usable CPUs with a BLAS that reports
-    ``blas_threads`` threads per call; the split needs it to report 1."""
-    monkeypatch.setattr(engine_module, "PREFILL_WIDTH", width)
+def _split(monkeypatch, width, blas_threads=1):
+    """Requests on ``width`` usable CPUs with a BLAS that reports
+    ``blas_threads`` threads per call; a split needs it to report 1."""
+    monkeypatch.setattr(engine_module, "WIDTH", width)
     monkeypatch.setattr(engine_module, "_blas_threads", lambda: blas_threads)
 
 
-def test_optimized_prefill_trims_only_the_last_layer(monkeypatch):
+def _pids(engine):
+    return [worker.process.pid for worker in engine._workers]
+
+
+def test_optimized_prefill_trims_only_the_last_layer(monkeypatch, tmp_path):
     """The optimized prefill runs the last layer's o-proj and MLP on the last
     prompt position alone; its qkv projection and every earlier layer see
-    every row. The batch is split into groups of items, each projected on
-    its own rows, so per projection the rows summed over the groups are
-    those of one whole-batch call; groups interleave, so calls are compared
-    without regard to order. The reference prefill is neither split nor
-    trimmed: every projection sees every beam-expanded row, so it stays an
-    independent oracle of both."""
-    _split_prefill(monkeypatch, 2)
-    calls = _record_projections(monkeypatch)
+    every row. The request is split into groups of items, [0, 1) in the
+    caller and [1, 3) in a worker, each projected on its own rows and
+    running the head on its own items' last rows, so per projection the
+    rows summed over the groups are those of one whole-batch call. The
+    reference prefill is neither split nor trimmed: every projection sees
+    every beam-expanded row, so it stays an independent oracle of both."""
+    _split(monkeypatch, 2)
+    calls = _record_projections(monkeypatch, tmp_path)
     w = _toy_weights()
     bs, bw, n_prompt, L = 3, 2, 9, w.config.L
     req = GenerationRequest(_prompt(w.config, bs, n_prompt), 0, bw=bw)
     per_layer = 5  # qkv, o-proj, gate, up, down
     name_of = {id(a): name for name, a in w.tensors.items()}
 
-    OptimizedEngine(w).generate(req)
+    assert OptimizedEngine(w).generate(req).groups == 2
+    logged = calls()
     rows, n_calls = Counter(), Counter()
-    for weight, n, _ in calls:
+    for weight, n, _ in logged:
         rows[name_of[weight]] += n
         n_calls[name_of[weight]] += 1
     trimmed = {f"layers.{L - 1}.{p}" for p in ("w_o", "w_gate", "w_up", "w_down")}
     expected = {name: bs if name in trimmed else bs * n_prompt
                 for name in name_of.values() if name.split(".")[-1].startswith("w_")}
     assert rows == {**expected, "head": bs}
-    # a projection per group, items [0, 1) and [1, 3); the head once on all BS rows
-    assert n_calls == {**{name: 2 for name in expected}, "head": 1}
+    assert n_calls == {name: 2 for name in [*expected, "head"]}  # one call per group
+    assert len({pid for *_, pid in logged} - {os.getpid()}) == 1  # and one worker
 
-    calls.clear()
     ReferenceEngine(w).generate(req)
-    assert [n for _, n, _ in calls] == [bs * bw * n_prompt] * (L * per_layer) + [bs * bw]
+    assert [n for _, n, _ in calls()] == [bs * bw * n_prompt] * (L * per_layer) + [bs * bw]
 
 
-def test_prefill_at_pool_width_one_is_one_call_on_the_callers_thread(monkeypatch):
-    """With one usable CPU the optimized prefill is one whole-batch pass on
-    the caller's thread, the order of projections that of the unsplit stack."""
-    monkeypatch.setattr(engine_module, "PREFILL_WIDTH", 1)
-    calls = _record_projections(monkeypatch)
+def test_width_one_is_one_run_in_the_callers_process(monkeypatch, tmp_path):
+    """With one usable CPU the optimized request is one whole-batch run in
+    the caller's process, the order of projections that of the unsplit
+    stack, and no worker is forked."""
+    _split(monkeypatch, 1)
+    calls = _record_projections(monkeypatch, tmp_path)
     w = _toy_weights()
     bs, n_prompt, L = 3, 9, w.config.L
-    OptimizedEngine(w).generate(GenerationRequest(_prompt(w.config, bs, n_prompt), 0, bw=2))
+    engine = OptimizedEngine(w)
+    res = engine.generate(GenerationRequest(_prompt(w.config, bs, n_prompt), 0, bw=2))
+    assert res.groups == 1 and engine._workers == []
+    logged = calls()
     per_layer = 5
     # every row up to the last layer's qkv; then its o-proj, gate, up, down and the head
-    assert [n for _, n, _ in calls] == ([bs * n_prompt] * ((L - 1) * per_layer + 1)
-                                        + [bs] * per_layer)
-    assert {thread for _, _, thread in calls} == {threading.get_ident()}
+    assert [n for _, n, _ in logged] == ([bs * n_prompt] * ((L - 1) * per_layer + 1)
+                                         + [bs] * per_layer)
+    assert {pid for *_, pid in logged} == {os.getpid()}
 
 
 @pytest.mark.parametrize("blas_threads, groups", [(2, 1), (1, 2), (None, 2)],
                          ids=["multi-threaded-blas", "one-thread-blas", "unknown-blas"])
-def test_prefill_splits_only_over_a_one_thread_blas(monkeypatch, blas_threads, groups):
-    """On two usable CPUs the prefill splits into two groups of items only
+def test_prefill_splits_only_over_a_one_thread_blas(monkeypatch, tmp_path, blas_threads, groups):
+    """On two usable CPUs a request splits into two groups of items only
     when the BLAS runs one thread per call, or its count cannot be read; a
     BLAS on two threads already spreads each product over both cores, so
-    the prefill is then one whole-batch call on the caller's thread."""
-    _split_prefill(monkeypatch, 2, blas_threads)
-    calls = _record_projections(monkeypatch)
+    the request is then one whole-batch run in the caller's process."""
+    _split(monkeypatch, 2, blas_threads)
+    calls = _record_projections(monkeypatch, tmp_path)
     w = _toy_weights()
     bs, n_prompt = 3, 9
-    OptimizedEngine(w).generate(GenerationRequest(_prompt(w.config, bs, n_prompt), 0, bw=2))
+    res = OptimizedEngine(w).generate(GenerationRequest(_prompt(w.config, bs, n_prompt), 0, bw=2))
+    assert res.groups == groups
+    logged = calls()
     qkv_0 = id(w.tensors["layers.0.w_qkv"])
-    assert sorted(n for weight, n, _ in calls if weight == qkv_0) == (
+    assert sorted(n for weight, n, _ in logged if weight == qkv_0) == (
         [bs * n_prompt] if groups == 1 else [n_prompt, 2 * n_prompt])  # items [0, 1), [1, 3)
-    if groups == 1:
-        assert {thread for _, _, thread in calls} == {threading.get_ident()}
+    assert len({pid for *_, pid in logged}) == groups
 
 
 def test_blas_thread_count_is_read_from_the_loaded_openblas():
     """numpy's wheels load OpenBLAS; its thread count is read from the
-    library itself, so a process pinned to one BLAS thread reads 1."""
+    library itself, so a process pinned to one BLAS thread reads 1, and
+    ``one_blas_thread`` pins it there for a block and then restores it."""
     try:
         with open("/proc/self/maps") as maps:
             has_openblas = "openblas" in maps.read()
@@ -307,6 +343,11 @@ def test_blas_thread_count_is_read_from_the_loaded_openblas():
         pytest.skip("no OpenBLAS mapped into this process")
     threads = engine_module._blas_threads()
     assert isinstance(threads, int) and threads >= 1
+    with pytest.raises(KeyError):
+        with engine_module.one_blas_thread():
+            assert engine_module._blas_threads() == 1
+            raise KeyError("the count is restored on the way out of a raising block")
+    assert engine_module._blas_threads() == threads
     src = os.path.dirname(os.path.dirname(engine_module.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -316,70 +357,356 @@ def test_blas_thread_count_is_read_from_the_loaded_openblas():
     assert pinned.stdout.split() == ["1"]
 
 
-@pytest.mark.parametrize("huge_items", [[0, 1, 2], [2]], ids=["all", "pool-group-only"])
+@pytest.mark.parametrize("huge_items", [[0, 1, 2], [2]], ids=["all", "worker-group-only"])
 def test_prefill_groups_run_under_the_callers_numpy_error_state(monkeypatch, huge_items):
-    """A pool thread starts from numpy's default error state; each group runs
-    under the caller's, so a hidden state that overflows reaches rmsnorm's
-    own check in every group. Without that, numpy's RuntimeWarning, raised
-    as an error by this suite's warnings setting, would come first."""
-    _split_prefill(monkeypatch, 2)
+    """A worker runs each range under the caller's numpy error state, sent
+    with it, so a hidden state that overflows reaches rmsnorm's own check
+    in every group. The worker here is forked outside any request, under
+    numpy's default state: without the state sent, numpy's RuntimeWarning,
+    an error under this suite's warnings setting, which the worker
+    inherits, would come first."""
+    _split(monkeypatch, 2)
     w = _toy_weights(seed=23)
     prompt = _prompt(w.config, 3, 4) % (w.config.vocab - 1)
     prompt[huge_items] = w.config.vocab - 1  # the one token whose embedding row is huge
     w.embedding[-1] = 3e38
+    engine = OptimizedEngine(w)
+    engine._fork(1)
     with pytest.raises(ValueError, match="overflows float32"):
-        OptimizedEngine(w).generate(GenerationRequest(prompt, 2))
+        engine.generate(GenerationRequest(prompt, 2))
+    engine.close()
 
 
-def test_prefill_groups_on_more_threads_than_cores_store_every_item(monkeypatch):
-    """Eight one-item groups on a fresh pool of seven threads, with the
-    interpreter switching threads every microsecond: every item of every
-    layer is stored exactly once (a lost or doubled store would raise at
-    the first decode step's read of the prompt arena), and the tokens are
-    the one-group prefill's."""
+def test_more_groups_than_cores_give_the_one_group_run(monkeypatch):
+    """Eight one-item groups, seven of them in workers, whatever the cores:
+    the tokens are the one-group run's and its hidden state within 1e-5."""
     w = _toy_weights(seed=31)
     req = GenerationRequest(_prompt(w.config, 8, 6), 3, bw=2)
-    monkeypatch.setattr(engine_module, "PREFILL_WIDTH", 1)
+    _split(monkeypatch, 1)
     serial = OptimizedEngine(w).generate(req)
-    _split_prefill(monkeypatch, 8)
-    monkeypatch.setattr(engine_module, "_pool", None)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        split = OptimizedEngine(w).generate(req)
-    finally:
-        sys.setswitchinterval(interval)
-        engine_module._pool.shutdown()
+    _split(monkeypatch, 8)
+    engine = OptimizedEngine(w)
+    split = engine.generate(req)
+    assert split.groups == 8 and len(engine._workers) == 7
     assert np.array_equal(split.tokens, serial.tokens) and serial.min_top_gap > 1e-3
     assert np.max(np.abs(split.final_hidden - serial.final_hidden)) <= 1e-5
+    engine.close()
 
 
-def _split_prefill_in_child(weights, request, queue):
-    queue.put(OptimizedEngine(weights).generate(request).tokens)
+def _split_request_in_child(weights, request, queue):
+    engine = OptimizedEngine(weights)
+    result = engine.generate(request)
+    queue.put((result.tokens, result.groups, _pids(engine)))
+    engine.close()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_forked_child_runs_a_split_prefill(monkeypatch):
-    """A forked child inherits the parent's pool object but not its threads;
-    its own split prefill must get threads of its own rather than wait on a
-    queue no thread serves."""
-    _split_prefill(monkeypatch, 2)
+    """A child forked from a caller that has workers forgets them: its own
+    split request forks workers of its own rather than write into the
+    caller's pipes, and its exit leaves the caller's workers serving."""
+    _split(monkeypatch, 2)
     w = _toy_weights(seed=26)
     req = GenerationRequest(_prompt(w.config, 2, 5), 2)
-    want = OptimizedEngine(w).generate(req).tokens  # the parent's pool now exists
+    engine = OptimizedEngine(w)
+    want = engine.generate(req).tokens  # the caller's worker now exists
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
-    child = ctx.Process(target=_split_prefill_in_child, args=(w, req, queue))
+    child = ctx.Process(target=_split_request_in_child, args=(w, req, queue))
     child.start()
     try:
-        got = queue.get(timeout=20)
+        got, groups, child_pids = queue.get(timeout=20)
     finally:
         child.join(timeout=20)
         if child.is_alive():
             child.kill()
     assert child.exitcode == 0
-    assert np.array_equal(got, want)
+    assert groups == 2 and np.array_equal(got, want)
+    assert len(child_pids) == 1 and not set(child_pids) & set(_pids(engine))
+    again = engine.generate(req)
+    assert again.groups == 2 and np.array_equal(again.tokens, want)
+    engine.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_leaves_the_callers_workers_alone(monkeypatch):
+    """A child forked with os.fork inherits the engine with the finalizer
+    that stops its workers, which the child's exit would run, and
+    multiprocessing's record of them, whose exit handler would terminate
+    them. The child forgets both, so the caller's worker serves on."""
+    _split(monkeypatch, 2)
+    w = _toy_weights(seed=25)
+    req = GenerationRequest(_prompt(w.config, 2, 5), 2)
+    engine = OptimizedEngine(w)
+    want = engine.generate(req).tokens
+    (pid,) = _pids(engine)
+    child = os.fork()
+    if child == 0:  # run what the child's exit would run, and report whether it forgot
+        code = 1
+        try:
+            forgot = engine._workers == [] and pid not in {
+                p.pid for p in multiprocessing.active_children()}
+            engine._stop_workers()
+            multiprocessing.util._exit_function()
+            code = 0 if forgot else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(child, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert _pids(engine) == [pid] and np.array_equal(engine.generate(req).tokens, want)
+    engine.close()
+
+
+BENCH_MODEL = dict(L=4, H=8, D=32, vocab=256, ff_dim=512)  # perfbench's model
+
+
+@pytest.mark.parametrize("bs, bw, n_prompt, nr, width", [
+    (2, 4, 512, 4, 2), (4, 1, 32, 24, 2), (4, 8, 64, 8, 2), (3, 2, 40, 8, 2), (3, 2, 40, 8, 3),
+], ids=["long-prompt-beam", "long-response-greedy", "wide-beam", "bs3-width2", "bs3-width3"])
+def test_split_request_matches_the_unsplit_run(monkeypatch, bs, bw, n_prompt, nr, width):
+    """At the benchmark's shapes, with fewer steps, and at BS 3 on two and
+    three CPUs: the split run gives the unsplit run's tokens, its hidden
+    state within 1e-4 and its memory bytes and counters exactly. Its ledger
+    holds each group's two allocs in item order, summing to the unsplit
+    one's bytes."""
+    w = ToyWeights.random(toy_config(**BENCH_MODEL), seed=7)
+    req = GenerationRequest(_prompt(w.config, bs, n_prompt, seed=3), nr, bw=bw)
+    _split(monkeypatch, 1)
+    whole_engine = OptimizedEngine(w)
+    whole = whole_engine.generate(req)
+    _split(monkeypatch, width)
+    engine = OptimizedEngine(w)
+    split = engine.generate(req)
+    n = min(width, bs)
+    assert (whole.groups, split.groups) == (1, n)
+    assert np.array_equal(split.tokens, whole.tokens)
+    assert np.max(np.abs(split.final_hidden - whole.final_hidden)) <= 1e-4
+    assert split.memory == whole.memory and split.counters == whole.counters
+    ledger, whole_ledger = engine.last_ledger, whole_engine.last_ledger
+    assert (ledger.active_bytes, ledger.reserved_bytes) == (whole_ledger.active_bytes,
+                                                            whole_ledger.reserved_bytes)
+    tok = cache_token_bytes(w.config)
+    items = [bs * (g + 1) // n - bs * g // n for g in range(n)]
+    assert ledger.events == [event for k in items for event in
+                             (("alloc", k * n_prompt * tok), ("alloc", k * bw * nr * tok))]
+    engine.close()
+
+
+def test_one_item_runs_in_the_caller_bit_for_bit(monkeypatch):
+    """A request of one item is one range on any number of CPUs: no worker
+    is forked and every output is the width-1 run's, bit for bit."""
+    w = _toy_weights(seed=27)
+    req = GenerationRequest(_prompt(w.config, 1, 12), 6, bw=4)
+    results = {}
+    for width in (1, 2):
+        _split(monkeypatch, width)
+        engine = OptimizedEngine(w)
+        results[width] = engine.generate(req), engine.last_ledger.events
+        assert engine._workers == []
+    (got, got_events), (want, want_events) = results[2], results[1]
+    assert got.groups == want.groups == 1
+    assert got.tokens.tobytes() == want.tokens.tobytes()
+    assert got.final_hidden.tobytes() == want.final_hidden.tobytes()
+    assert (got.memory, got.counters, got.min_top_gap) == (want.memory, want.counters,
+                                                           want.min_top_gap)
+    assert got_events == want_events
+
+
+def test_a_worker_error_names_its_traceback_and_the_next_request_runs(monkeypatch):
+    """An error in a worker's range is raised in the caller with the
+    worker's pid and traceback; an error in the caller's range is raised
+    after every worker has replied. Either way the pipes stay in step: the
+    next request, on other prompts, gets its own tokens from the same
+    worker."""
+    w = _toy_weights(seed=23)
+    w.embedding[-1] = 3e38  # the one token whose embedding row overflows
+    clean = [GenerationRequest(_prompt(w.config, 3, 4, seed=s) % (w.config.vocab - 1), 2)
+             for s in (4, 5, 6)]
+    _split(monkeypatch, 1)
+    want = [OptimizedEngine(w).generate(req).tokens for req in clean]
+    _split(monkeypatch, 2)
+    engine = OptimizedEngine(w)
+    assert np.array_equal(engine.generate(clean[0]).tokens, want[0])
+    (pid,) = _pids(engine)
+    for i, (huge_item, in_worker) in enumerate(((2, True), (0, False)), start=1):
+        prompt = clean[0].prompt.copy()
+        prompt[huge_item] = w.config.vocab - 1
+        with pytest.raises(ValueError, match="overflows float32") as raised:
+            engine.generate(GenerationRequest(prompt, 2))
+        message = str(raised.value)
+        assert (f"raised in worker process {pid}:" in message) == in_worker
+        if in_worker:
+            assert "Traceback (most recent call last)" in message and "in rmsnorm" in message
+        assert np.array_equal(engine.generate(clean[i]).tokens, want[i])
+        assert _pids(engine) == [pid]
+    engine.close()
+
+
+def test_a_killed_worker_fails_one_request_and_is_replaced(monkeypatch):
+    """A worker killed between requests fails the next split request with an
+    error naming its pid and exit code; the engine drops its workers, and
+    the request after forks new ones and succeeds."""
+    _split(monkeypatch, 2)
+    w = _toy_weights(seed=28)
+    req = GenerationRequest(_prompt(w.config, 2, 5), 3, bw=2)
+    engine = OptimizedEngine(w)
+    want = engine.generate(req).tokens
+    (worker,) = engine._workers
+    pid = worker.process.pid
+    os.kill(pid, signal.SIGKILL)
+    worker.process.join(10)
+    with pytest.raises(RuntimeError, match=rf"worker process {pid} died \(exit code -9\)"):
+        engine.generate(req)
+    assert engine._workers == []
+    got = engine.generate(req)
+    assert got.groups == 2 and np.array_equal(got.tokens, want)
+    assert _pids(engine) != [pid]
+    engine.close()
+
+
+def _reaped(pid):
+    """Whether this process's child ``pid`` is gone and reaped."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_workers_are_reaped_on_close_and_on_collection(monkeypatch):
+    """``close()`` stops and reaps every worker, and a later split request
+    forks new ones; collecting the engine stops and reaps those."""
+    _split(monkeypatch, 3)
+    w = _toy_weights(seed=29)
+    req = GenerationRequest(_prompt(w.config, 3, 5), 2)
+    engine = OptimizedEngine(w)
+    engine.generate(req)
+    closed = _pids(engine)
+    assert len(closed) == 2
+    engine.close()
+    assert engine._workers == [] and all(map(_reaped, closed))
+    assert engine.generate(req).groups == 3
+    collected = _pids(engine)
+    assert len(collected) == 2 and not set(collected) & set(closed)
+    del engine
+    gc.collect()
+    assert all(map(_reaped, collected))
+
+
+def _exited(pid):
+    """Whether ``pid`` has exited: no /proc entry, or a zombie that its new
+    parent has yet to reap."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_exit_when_their_caller_is_killed(tmp_path):
+    """A caller killed outright runs no finalizer; its workers see EOF on
+    their pipes, which no other process holds open, and exit within 10 s."""
+    script = (
+        "import os, signal\n"
+        "import seglm.engine as engine\n"
+        "from seglm.config import toy_config\n"
+        "engine.WIDTH, engine._blas_threads = 2, lambda: 1\n"
+        "e = engine.OptimizedEngine(engine.ToyWeights.random(toy_config(), seed=7))\n"
+        "e.generate(engine.GenerationRequest([[1, 2, 3], [4, 5, 6]], 2))\n"
+        "print(*(w.process.pid for w in e._workers), flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n")
+    src = os.path.dirname(os.path.dirname(engine_module.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "pids.txt"
+    with open(out, "w") as stdout:  # a file, not a pipe the workers would hold open
+        caller = subprocess.run([sys.executable, "-c", script], env=env, stdout=stdout,
+                                timeout=60)
+    assert caller.returncode == -signal.SIGKILL
+    pids = [int(pid) for pid in out.read_text().split()]
+    assert len(pids) == 1
+    deadline = time.monotonic() + 10
+    while not all(map(_exited, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if not _exited(pid)]
+    for pid in left:  # leave no orphan behind, even when failing
+        os.kill(pid, signal.SIGKILL)
+    assert not left, f"workers {left} outlived their killed caller"
+
+
+@contextlib.contextmanager
+def _another_thread():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        release.set()
+        thread.join()
+
+
+def test_no_worker_is_forked_while_another_thread_runs(monkeypatch):
+    """A forked child can deadlock on a lock another thread held at the fork,
+    which Python 3.12 warns about. With a live extra thread the first
+    request runs unsplit and warns of nothing; once workers exist, an extra
+    thread forks nothing, and requests split."""
+    _split(monkeypatch, 2)
+    w = _toy_weights(seed=30)
+    req = GenerationRequest(_prompt(w.config, 2, 5), 2)
+    engine = OptimizedEngine(w)
+    with _another_thread(), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert engine.generate(req).groups == 1
+    assert engine._workers == []
+    assert engine.generate(req).groups == 2
+    with _another_thread():
+        assert engine.generate(req).groups == 2
+    assert len(engine._workers) == 1
+    engine.close()
+
+
+def test_concurrent_requests_on_one_engine_get_their_own_tokens(monkeypatch):
+    """The workers serve one request at a time: a request from another thread
+    that finds them busy runs whole in its own thread, so replies never
+    cross between requests."""
+    w = _toy_weights(seed=24)
+    reqs = [GenerationRequest(_prompt(w.config, 2, 5, seed=s), 6, bw=2) for s in range(6)]
+    _split(monkeypatch, 1)
+    want = [OptimizedEngine(w).generate(req).tokens for req in reqs]
+    _split(monkeypatch, 2)
+    engine = OptimizedEngine(w)
+    engine.generate(reqs[0])  # the worker is forked before any other thread starts
+    got = [None] * len(reqs)
+
+    def serve(indices):
+        for i in indices:
+            got[i] = engine.generate(reqs[i]).tokens
+
+    threads = [threading.Thread(target=serve, args=(range(k, len(reqs), 2),)) for k in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive()
+    for g, expect in zip(got, want):
+        assert np.array_equal(g, expect)
+    engine.close()
+
+
+def test_weights_are_read_only_once_workers_hold_them(monkeypatch):
+    """A worker holds the weights as they were when it was forked, so from
+    then on an in-place write raises instead of leaving it stale."""
+    _split(monkeypatch, 2)
+    w = _toy_weights(seed=32)
+    engine = OptimizedEngine(w)
+    w.embedding[0, 0] += 0.0  # writable until a worker is forked
+    engine.generate(GenerationRequest(_prompt(w.config, 2, 5), 1))
+    for array in (w.embedding, w.layers[0]["w_qkv"], w.head, w.final_norm[None]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+    engine.close()
 
 
 # -- prefill/decode consistency ------------------------------------------------------
@@ -438,10 +765,12 @@ def test_every_alloc_exceeds_every_earlier_free():
 @pytest.mark.parametrize("mode,bs,bw,nr", [("greedy", 2, 1, 32), ("greedy", 1, 1, 20),
                                            ("greedy", 2, 1, 0), ("beam", 1, 4, 32),
                                            ("beam", 2, 2, 37), ("beam", 1, 4, 0)])
-def test_optimized_ledger_matches_segment_simulator(mode, bs, bw, nr):
-    """The runtime logs the segment policy event for event as the simulator
+def test_optimized_ledger_matches_segment_simulator(monkeypatch, mode, bs, bw, nr):
+    """One run logs the segment policy event for event as the simulator
     states it: one alloc of the all-layer prompt arena, one of the all-layer
-    response arena at its final size, and no free."""
+    response arena at its final size, and no free. (A split request logs
+    each group's run in turn; see test_split_request_matches_the_unsplit_run.)"""
+    _split(monkeypatch, 1)
     w = _toy_weights(seed=13, L=3)
     n_prompt = 7
     engine = OptimizedEngine(w)

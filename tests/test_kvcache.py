@@ -225,41 +225,6 @@ def test_prompt_kv_store_once_and_bytes():
             0, np.zeros((5, 3, cfg.H, cfg.D), dtype=np.float32), kvs[0][1])
 
 
-def test_prompt_kv_stores_item_ranges_once_each():
-    """Groups of items store their own rows of a layer: the write-once rule
-    holds per (layer, item), a layer reads only once all its items are in,
-    and ranges change neither the arena nor the ledger."""
-    cfg = toy_config(L=2)
-    led = MemoryLedger()
-    pk = PromptKV(cfg, bs=3, n_prompt=5, ledger=led)
-    whole = PromptKV(cfg, bs=3, n_prompt=5, ledger=MemoryLedger())
-    rng = np.random.default_rng(1)
-    k, v = (rng.standard_normal((3, 5, cfg.H, cfg.D)).astype(np.float32) for _ in range(2))
-    pk.store(0, k[1:], v[1:], range(1, 3))
-    with pytest.raises(ValueError, match="layer 0 not populated"):
-        pk.layer(0)
-    with pytest.raises(ValueError, match="write-once"):  # overlaps the stored item 1
-        pk.store(0, k[:2], v[:2], range(0, 2))
-    pk.store(1, k[:2], v[:2], range(0, 2))  # the same items of another layer are free
-    pk.store(0, k[:1], v[:1], range(0, 1))
-    got_k, got_v = pk.layer(0)
-    assert np.array_equal(got_k, k) and np.array_equal(got_v, v)
-    with pytest.raises(ValueError, match="layer 1 not populated"):
-        pk.layer(1)
-    for bad_items, rows in ((range(2, 4), 2), (range(0, 3, 2), 2), (range(2, 2), 0),
-                            ([2], 1), (slice(2, 3), 1)):
-        with pytest.raises(ValueError, match="items must be"):
-            pk.store(1, k[:rows], v[:rows], bad_items)
-    with pytest.raises(ValueError, match="batch-first"):  # two items' rows for one item
-        pk.store(1, k[:2], v[:2], range(2, 3))
-    pk.store(1, k[2:], v[2:], range(2, 3))
-    for layer in range(cfg.L):
-        whole.store(layer, k, v)
-    for layer in range(cfg.L):
-        assert all(np.array_equal(a, b) for a, b in zip(pk.layer(layer), whole.layer(layer)))
-    assert led.events == [("alloc", pk.total_bytes())] and pk.total_bytes() == whole.total_bytes()
-
-
 # -- standard cache ----------------------------------------------------------------
 
 def _standard_kv(cfg, bs, bw):
