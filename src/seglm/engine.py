@@ -25,14 +25,16 @@ ranges of items of near-equal size, ``WIDTH`` being the number of CPUs the
 process may run on: items never interact, each running its own beam
 search on its own prompt. Each range is an ordinary request, run by an
 ordinary ``_SegmentRun``, prefill and decode alike. The caller's process
-runs the first range. Long-lived worker processes, forked by the engine on
-its first split request, run the others, each under the caller's numpy
+runs the first range. Long-lived worker processes, forked by the engine as
+its requests need them, run the others, each under the caller's numpy
 error state, and send back their results, which the caller merges in item
-order. There is one range, run in the caller exactly as an unsplit
-request, where the loaded OpenBLAS runs more than one thread per call
-(it already spreads each product over the cores), where the platform has
-no fork, or where a worker would be forked while the caller runs other
-threads. The reference engine never splits. The workers live until
+order. Every process of a split computes on one BLAS thread. The BLAS
+thread count is process-wide, so the caller may pin it only while no
+other thread can be inside a BLAS call; and a child forked while other
+threads run can deadlock on a lock one of them held. So a request splits
+only where the platform has fork and the caller is the process's only
+thread; else it is one range, run in the caller exactly as an unsplit
+request. The reference engine never splits. The workers live until
 ``close()`` or the engine's collection; a worker also exits at EOF on its
 pipe when its caller dies, and a process forked from the caller forgets
 the caller's workers.
@@ -87,9 +89,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Most ranges of items an optimized request splits into, one per usable CPU,
-# when the BLAS runs one thread per call. The caller runs the first range
-# and each engine's WIDTH - 1 worker processes the rest.
+# Most ranges of items an optimized request splits into, one per usable CPU.
+# The caller runs the first range and the engine's worker processes, up to
+# WIDTH - 1 of them, the rest.
 WIDTH = _usable_cpus()
 
 
@@ -122,17 +124,13 @@ def _openblas():
     return None
 
 
-def _blas_threads() -> int | None:
-    """Threads the loaded OpenBLAS runs per call, or None if unknown."""
-    blas = _openblas()
-    return None if blas is None else blas[0]()
-
-
 @contextmanager
 def one_blas_thread():
-    """Inside the block the loaded OpenBLAS runs one thread per call, so an
-    optimized request may split; its count is restored on the way out.
-    Does nothing where no OpenBLAS is found."""
+    """Inside the block the loaded OpenBLAS runs one thread per call; its
+    count is restored on the way out. The count is process-wide, so no
+    other thread may be inside a BLAS call meanwhile. The caller's range of
+    a split request runs inside it. Does nothing where no OpenBLAS is
+    found."""
     blas = _openblas()
     if blas is None:
         yield
@@ -631,30 +629,31 @@ def _keep_freed_memory() -> None:
 
 
 def _serve(engine: OptimizedEngine, conn, caller_end) -> None:
-    """A worker's loop: run each range of items sent on ``conn`` under the
-    caller's numpy error state and send back its ``_Group``, or the error
-    it raised. Returns on a stop message (None) or at EOF, which comes when
-    the caller closes its end or dies."""
+    """A worker's loop: run each range of items sent on ``conn``, on one
+    BLAS thread and under the caller's numpy error state, and send back its
+    ``_Group``, or the error it raised. Returns on a stop message (None) or
+    at EOF, which comes when the caller closes its end or dies."""
     caller_end.close()  # while this process holds the caller's end, EOF never comes
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     _keep_freed_memory()
-    while True:
-        try:
-            job = conn.recv()
-        except EOFError:
-            return
-        if job is None:
-            return
-        prompt, n_response, bw, errors = job
-        try:
-            with np.errstate(**errors):
-                reply = engine._run(GenerationRequest(prompt, n_response, bw=bw))
-        except Exception as exc:
-            reply = _worker_error(exc)
-        try:
-            conn.send(reply)
-        except OSError:  # the caller dropped this worker
-            return
+    with one_blas_thread():
+        while True:
+            try:
+                job = conn.recv()
+            except EOFError:
+                return
+            if job is None:
+                return
+            prompt, n_response, bw, errors = job
+            try:
+                with np.errstate(**errors):
+                    reply = engine._run(GenerationRequest(prompt, n_response, bw=bw))
+            except Exception as exc:
+                reply = _worker_error(exc)
+            try:
+                conn.send(reply)
+            except OSError:  # the caller dropped this worker
+                return
 
 
 def _stop(workers: list[_Worker]) -> None:
@@ -689,7 +688,6 @@ def _forget_workers() -> None:
             worker.conn.close()
             multiprocessing.process._children.discard(worker.process)
         engine._workers.clear()
-        engine._serving = threading.Lock()  # another thread may have held it at the fork
 
 
 if hasattr(os, "register_at_fork"):  # no fork on Windows
@@ -700,7 +698,7 @@ class OptimizedEngine(_DecoderEngine):
     """Sequence-first decode, segment KV cache, fused two-segment attention.
 
     A request is split into ranges of items (see the module docstring); the
-    engine's worker processes, forked on its first split request, live
+    engine's worker processes, forked as its split requests need them, live
     until ``close()`` or until the engine is collected."""
 
     run_class = _SegmentRun
@@ -709,7 +707,6 @@ class OptimizedEngine(_DecoderEngine):
         super().__init__(weights)
         self._workers: list[_Worker] = []
         self._stop_workers: weakref.finalize | None = None
-        self._serving = threading.Lock()  # held while the workers serve a request
 
     def close(self) -> None:
         """Stop and reap this engine's workers; a later split request forks
@@ -717,32 +714,14 @@ class OptimizedEngine(_DecoderEngine):
         if self._stop_workers is not None:
             self._stop_workers()
 
-    def _width(self, bs: int) -> int:
-        """How many ranges of items a request of ``bs`` items runs in.
-
-        An OpenBLAS that runs more than one thread per call already spreads
-        each product over the cores, and two callers of it oversubscribe
-        them, so then there is one range; a count that cannot be read (no
-        OpenBLAS found) leaves the split as it is. A forked child can
-        deadlock on a lock that another thread held at the fork, so a
-        request that would fork a worker while other threads run is not
-        split either."""
-        n = min(WIDTH, bs)
-        if n == 1 or not hasattr(os, "fork") or _blas_threads() not in (None, 1):
-            return 1
-        if len(self._workers) < n - 1 and threading.active_count() > 1:
-            return 1
-        return n
-
     def _run_groups(self, request: GenerationRequest) -> list[_Group]:
-        n = self._width(request.prompt.shape[0])
-        # the workers serve one request at a time; one that finds them busy runs whole
-        if n == 1 or not self._serving.acquire(blocking=False):
+        """One range of items per usable CPU where the platform has fork
+        and the caller is the process's only thread (see the module
+        docstring), else one range."""
+        n = min(WIDTH, request.prompt.shape[0])
+        if n == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
             return [self._run(request)]
-        try:
-            return self._run_split(request, n)
-        finally:
-            self._serving.release()
+        return self._run_split(request, n)
 
     def _run_split(self, request: GenerationRequest, n: int) -> list[_Group]:
         """The caller runs the first of ``n`` ranges of items and the
@@ -758,7 +737,8 @@ class OptimizedEngine(_DecoderEngine):
             for worker, part in zip(workers, parts[1:]):
                 worker.send((part.prompt, part.n_response, part.bw, errors))
             try:
-                own: _Group | Exception = self._run(parts[0])
+                with one_blas_thread():
+                    own: _Group | Exception = self._run(parts[0])
             except Exception as exc:
                 own = exc
             groups = [own] + [worker.receive() for worker in workers]
@@ -771,9 +751,9 @@ class OptimizedEngine(_DecoderEngine):
         return groups
 
     def _fork(self, n: int) -> list[_Worker]:
-        """This engine's first ``n`` workers. Where it has fewer, it forks
-        up to ``WIDTH - 1``; a forked worker holds the weights as they are
-        at the fork, so from then on they are read-only."""
+        """This engine's first ``n`` workers, forking those it lacks; a
+        forked worker holds the weights as they are at the fork, so from
+        then on they are read-only."""
         if len(self._workers) < n:
             for array in self.weights.tensors.values():
                 array.flags.writeable = False
@@ -781,7 +761,7 @@ class OptimizedEngine(_DecoderEngine):
                 self._stop_workers = weakref.finalize(self, _stop, self._workers)
             _FORKED.add(self)
             fork = multiprocessing.get_context("fork")
-            while len(self._workers) < WIDTH - 1:  # n <= WIDTH - 1
+            while len(self._workers) < n:
                 caller_end, worker_end = fork.Pipe()
                 process = fork.Process(target=_serve, args=(self, worker_end, caller_end),
                                        name="seglm-worker", daemon=True)
