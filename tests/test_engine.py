@@ -311,19 +311,24 @@ def test_width_one_is_one_run_in_the_callers_process(monkeypatch, tmp_path):
     assert {pid for _, _, pid, _ in logged} == {os.getpid()}
 
 
-def test_a_request_splits_whatever_the_callers_blas_thread_count(monkeypatch, tmp_path):
+@pytest.mark.parametrize("callers_threads", [2, 1, None],
+                         ids=["multi-threaded-blas", "one-thread-blas", "unknown-blas"])
+def test_prefill_splits_only_over_a_one_thread_blas(monkeypatch, tmp_path, callers_threads):
     """On two usable CPUs a request splits into two groups of items, items
-    [0, 1) in the caller and [1, 3) in a worker, even where the caller's
-    OpenBLAS runs two threads per call (a stub here, one count per
-    process). Every process of the split computes on one BLAS thread, and
-    the caller's count is back at two afterwards, also after a run that
-    raised in the caller's group."""
-    threads = [2]
+    [0, 1) in the caller and [1, 3) in a worker, whatever the caller's
+    OpenBLAS thread count (a stub here, one count per process): two threads
+    per call, one, or no OpenBLAS found. Every process of the split computes
+    on one BLAS thread where there is one to pin, and the caller's count is
+    back where it was afterwards, also after a run that raised in the
+    caller's group."""
+    threads = [callers_threads]
 
     def put(n):
         threads[0] = n
 
-    monkeypatch.setattr(engine_module, "_openblas", lambda: (lambda: threads[0], put))
+    blas = None if callers_threads is None else (lambda: threads[0], put)
+    monkeypatch.setattr(engine_module, "_openblas", lambda: blas)
+    pinned = {0} if callers_threads is None else {1}  # 0: no count to read
     _split(monkeypatch, 2)
     calls = _record_projections(monkeypatch, tmp_path)
     w = _toy_weights(seed=23)
@@ -332,20 +337,20 @@ def test_a_request_splits_whatever_the_callers_blas_thread_count(monkeypatch, tm
     prompt = _prompt(w.config, 3, n_prompt) % (w.config.vocab - 1)
     engine = OptimizedEngine(w)
     assert engine.generate(GenerationRequest(prompt, 2, bw=bw)).groups == 2
-    assert threads == [2]
+    assert threads == [callers_threads]
     logged = calls()
     qkv_0 = id(w.tensors["layers.0.w_qkv"])
     # prefill and two decode steps of items [0, 1) and of items [1, 3)
     assert sorted(n for weight, n, *_ in logged if weight == qkv_0) == (
         [bw, bw, 2 * bw, 2 * bw, n_prompt, 2 * n_prompt])
     assert len({pid for _, _, pid, _ in logged}) == 2
-    assert {count for *_, count in logged} == {1}
+    assert {count for *_, count in logged} == pinned
 
     prompt[0] = w.config.vocab - 1
     with pytest.raises(ValueError, match="overflows float32"):
         engine.generate(GenerationRequest(prompt, 2, bw=bw))
-    assert threads == [2]
-    assert {count for *_, count in calls()} == {1}
+    assert threads == [callers_threads]
+    assert {count for *_, count in calls()} == pinned
     engine.close()
 
 
