@@ -28,16 +28,15 @@ ordinary ``_SegmentRun``, prefill and decode alike. The caller's process
 runs the first range. Long-lived worker processes, forked by the engine as
 its requests need them, run the others, each under the caller's numpy
 error state, and send back their results, which the caller merges in item
-order. Every process of a split computes on one BLAS thread. The BLAS
-thread count is process-wide, so the caller may pin it only while no
-other thread can be inside a BLAS call; and a child forked while other
-threads run can deadlock on a lock one of them held. So a request splits
-only where the platform has fork and the caller is the process's only
-thread; else it is one range, run in the caller exactly as an unsplit
-request. The reference engine never splits. The workers live until
-``close()`` or the engine's collection; a worker also exits at EOF on its
-pipe when its caller dies, and a process forked from the caller forgets
-the caller's workers.
+order. There is one range, run in the caller exactly as an unsplit
+request, where the loaded OpenBLAS runs more than one thread per call
+(it already spreads each product over the cores), where the platform has
+no fork, or where the caller is not the process's only thread (a child
+forked while other threads run can deadlock on a lock one of them held,
+and the workers serve one request at a time). The reference engine never
+splits. The workers live until ``close()`` or the engine's collection; a
+worker also exits at EOF on its pipe when its caller dies, and a process
+forked from the caller forgets the caller's workers.
 
 The merge concatenates tokens and hidden states in item order and takes
 the least selection margin. Memory bytes sum over the groups to the
@@ -89,9 +88,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Most ranges of items an optimized request splits into, one per usable CPU.
-# The caller runs the first range and the engine's worker processes, up to
-# WIDTH - 1 of them, the rest.
+# Most ranges of items an optimized request splits into, one per usable CPU,
+# when the BLAS runs one thread per call. The caller runs the first range
+# and the engine's worker processes, up to WIDTH - 1 of them, the rest.
 WIDTH = _usable_cpus()
 
 
@@ -124,13 +123,17 @@ def _openblas():
     return None
 
 
+def _blas_threads() -> int | None:
+    """Threads the loaded OpenBLAS runs per call, or None if unknown."""
+    blas = _openblas()
+    return None if blas is None else blas[0]()
+
+
 @contextmanager
 def one_blas_thread():
-    """Inside the block the loaded OpenBLAS runs one thread per call; its
-    count is restored on the way out. The count is process-wide, so no
-    other thread may be inside a BLAS call meanwhile. The caller's range of
-    a split request runs inside it. Does nothing where no OpenBLAS is
-    found."""
+    """Inside the block the loaded OpenBLAS runs one thread per call, so an
+    optimized request may split; its count is restored on the way out.
+    Does nothing where no OpenBLAS is found."""
     blas = _openblas()
     if blas is None:
         yield
@@ -629,31 +632,30 @@ def _keep_freed_memory() -> None:
 
 
 def _serve(engine: OptimizedEngine, conn, caller_end) -> None:
-    """A worker's loop: run each range of items sent on ``conn``, on one
-    BLAS thread and under the caller's numpy error state, and send back its
-    ``_Group``, or the error it raised. Returns on a stop message (None) or
-    at EOF, which comes when the caller closes its end or dies."""
+    """A worker's loop: run each range of items sent on ``conn`` under the
+    caller's numpy error state and send back its ``_Group``, or the error
+    it raised. Returns on a stop message (None) or at EOF, which comes when
+    the caller closes its end or dies."""
     caller_end.close()  # while this process holds the caller's end, EOF never comes
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     _keep_freed_memory()
-    with one_blas_thread():
-        while True:
-            try:
-                job = conn.recv()
-            except EOFError:
-                return
-            if job is None:
-                return
-            prompt, n_response, bw, errors = job
-            try:
-                with np.errstate(**errors):
-                    reply = engine._run(GenerationRequest(prompt, n_response, bw=bw))
-            except Exception as exc:
-                reply = _worker_error(exc)
-            try:
-                conn.send(reply)
-            except OSError:  # the caller dropped this worker
-                return
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        if job is None:
+            return
+        prompt, n_response, bw, errors = job
+        try:
+            with np.errstate(**errors):
+                reply = engine._run(GenerationRequest(prompt, n_response, bw=bw))
+        except Exception as exc:
+            reply = _worker_error(exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the caller dropped this worker
+            return
 
 
 def _stop(workers: list[_Worker]) -> None:
@@ -715,11 +717,16 @@ class OptimizedEngine(_DecoderEngine):
             self._stop_workers()
 
     def _run_groups(self, request: GenerationRequest) -> list[_Group]:
-        """One range of items per usable CPU where the platform has fork
-        and the caller is the process's only thread (see the module
-        docstring), else one range."""
+        """One range of items per usable CPU, or one range where the
+        platform has no fork, where another thread runs (see the module
+        docstring), or where the loaded OpenBLAS runs more than one thread
+        per call; a count that cannot be read (no OpenBLAS found) leaves the
+        split as it is. Splitting over such a BLAS, each process pinned to
+        one thread, made wide-beam's first token ~1.5x later in a process
+        that also makes unsplit multi-threaded BLAS calls (see README)."""
         n = min(WIDTH, request.prompt.shape[0])
-        if n == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        if (n == 1 or not hasattr(os, "fork") or threading.active_count() > 1
+                or _blas_threads() not in (None, 1)):
             return [self._run(request)]
         return self._run_split(request, n)
 
@@ -737,8 +744,7 @@ class OptimizedEngine(_DecoderEngine):
             for worker, part in zip(workers, parts[1:]):
                 worker.send((part.prompt, part.n_response, part.bw, errors))
             try:
-                with one_blas_thread():
-                    own: _Group | Exception = self._run(parts[0])
+                own: _Group | Exception = self._run(parts[0])
             except Exception as exc:
                 own = exc
             groups = [own] + [worker.receive() for worker in workers]

@@ -223,8 +223,7 @@ def test_zero_response_request():
 # -- groups of items in worker processes ----------------------------------------------
 
 def _record_projections(monkeypatch, tmp_path):
-    """Patch every projection to log (weight, rows of x, process, the
-    process's OpenBLAS thread count or 0 where none is found) per call;
+    """Patch every projection to log (weight, rows of x, process) per call;
     ops.linear serves fused_qkv and gated_mlp, the engine's own name o-proj
     and head. Workers forked after the patch log to the same file. Returns
     a function that reads back, and clears, the calls logged so far."""
@@ -232,10 +231,8 @@ def _record_projections(monkeypatch, tmp_path):
     linear = ops.linear
 
     def recording_linear(x, w):
-        blas = engine_module._openblas()
-        threads = 0 if blas is None else blas[0]()
         with open(log, "a") as f:  # one short append per call: lines never interleave
-            f.write(f"{id(w)} {x.size // x.shape[-1]} {os.getpid()} {threads}\n")
+            f.write(f"{id(w)} {x.size // x.shape[-1]} {os.getpid()}\n")
         return linear(x, w)
 
     monkeypatch.setattr(ops, "linear", recording_linear)
@@ -249,9 +246,11 @@ def _record_projections(monkeypatch, tmp_path):
     return calls
 
 
-def _split(monkeypatch, width):
-    """Requests on ``width`` usable CPUs."""
+def _split(monkeypatch, width, blas_threads=1):
+    """Requests on ``width`` usable CPUs with a BLAS that reports
+    ``blas_threads`` threads per call; a split needs it to report 1."""
     monkeypatch.setattr(engine_module, "WIDTH", width)
+    monkeypatch.setattr(engine_module, "_blas_threads", lambda: blas_threads)
 
 
 def _pids(engine):
@@ -278,7 +277,7 @@ def test_optimized_prefill_trims_only_the_last_layer(monkeypatch, tmp_path):
     assert OptimizedEngine(w).generate(req).groups == 2
     logged = calls()
     rows, n_calls = Counter(), Counter()
-    for weight, n, *_ in logged:
+    for weight, n, _ in logged:
         rows[name_of[weight]] += n
         n_calls[name_of[weight]] += 1
     trimmed = {f"layers.{L - 1}.{p}" for p in ("w_o", "w_gate", "w_up", "w_down")}
@@ -286,10 +285,10 @@ def test_optimized_prefill_trims_only_the_last_layer(monkeypatch, tmp_path):
                 for name in name_of.values() if name.split(".")[-1].startswith("w_")}
     assert rows == {**expected, "head": bs}
     assert n_calls == {name: 2 for name in [*expected, "head"]}  # one call per group
-    assert len({pid for _, _, pid, _ in logged} - {os.getpid()}) == 1  # and one worker
+    assert len({pid for *_, pid in logged} - {os.getpid()}) == 1  # and one worker
 
     ReferenceEngine(w).generate(req)
-    assert [n for _, n, *_ in calls()] == [bs * bw * n_prompt] * (L * per_layer) + [bs * bw]
+    assert [n for _, n, _ in calls()] == [bs * bw * n_prompt] * (L * per_layer) + [bs * bw]
 
 
 def test_width_one_is_one_run_in_the_callers_process(monkeypatch, tmp_path):
@@ -306,52 +305,29 @@ def test_width_one_is_one_run_in_the_callers_process(monkeypatch, tmp_path):
     logged = calls()
     per_layer = 5
     # every row up to the last layer's qkv; then its o-proj, gate, up, down and the head
-    assert [n for _, n, *_ in logged] == ([bs * n_prompt] * ((L - 1) * per_layer + 1)
+    assert [n for _, n, _ in logged] == ([bs * n_prompt] * ((L - 1) * per_layer + 1)
                                          + [bs] * per_layer)
-    assert {pid for _, _, pid, _ in logged} == {os.getpid()}
+    assert {pid for *_, pid in logged} == {os.getpid()}
 
 
-@pytest.mark.parametrize("callers_threads", [2, 1, None],
+@pytest.mark.parametrize("blas_threads, groups", [(2, 1), (1, 2), (None, 2)],
                          ids=["multi-threaded-blas", "one-thread-blas", "unknown-blas"])
-def test_prefill_splits_only_over_a_one_thread_blas(monkeypatch, tmp_path, callers_threads):
-    """On two usable CPUs a request splits into two groups of items, items
-    [0, 1) in the caller and [1, 3) in a worker, whatever the caller's
-    OpenBLAS thread count (a stub here, one count per process): two threads
-    per call, one, or no OpenBLAS found. Every process of the split computes
-    on one BLAS thread where there is one to pin, and the caller's count is
-    back where it was afterwards, also after a run that raised in the
-    caller's group."""
-    threads = [callers_threads]
-
-    def put(n):
-        threads[0] = n
-
-    blas = None if callers_threads is None else (lambda: threads[0], put)
-    monkeypatch.setattr(engine_module, "_openblas", lambda: blas)
-    pinned = {0} if callers_threads is None else {1}  # 0: no count to read
-    _split(monkeypatch, 2)
+def test_prefill_splits_only_over_a_one_thread_blas(monkeypatch, tmp_path, blas_threads, groups):
+    """On two usable CPUs a request splits into two groups of items only
+    when the BLAS runs one thread per call, or its count cannot be read; a
+    BLAS on two threads already spreads each product over both cores, so
+    the request is then one whole-batch run in the caller's process."""
+    _split(monkeypatch, 2, blas_threads)
     calls = _record_projections(monkeypatch, tmp_path)
-    w = _toy_weights(seed=23)
-    w.embedding[-1] = 3e38  # the one token whose embedding row overflows
-    bw, n_prompt = 2, 9
-    prompt = _prompt(w.config, 3, n_prompt) % (w.config.vocab - 1)
-    engine = OptimizedEngine(w)
-    assert engine.generate(GenerationRequest(prompt, 2, bw=bw)).groups == 2
-    assert threads == [callers_threads]
+    w = _toy_weights()
+    bs, n_prompt = 3, 9
+    res = OptimizedEngine(w).generate(GenerationRequest(_prompt(w.config, bs, n_prompt), 0, bw=2))
+    assert res.groups == groups
     logged = calls()
     qkv_0 = id(w.tensors["layers.0.w_qkv"])
-    # prefill and two decode steps of items [0, 1) and of items [1, 3)
-    assert sorted(n for weight, n, *_ in logged if weight == qkv_0) == (
-        [bw, bw, 2 * bw, 2 * bw, n_prompt, 2 * n_prompt])
-    assert len({pid for _, _, pid, _ in logged}) == 2
-    assert {count for *_, count in logged} == pinned
-
-    prompt[0] = w.config.vocab - 1
-    with pytest.raises(ValueError, match="overflows float32"):
-        engine.generate(GenerationRequest(prompt, 2, bw=bw))
-    assert threads == [callers_threads]
-    assert {count for *_, count in calls()} == pinned
-    engine.close()
+    assert sorted(n for weight, n, _ in logged if weight == qkv_0) == (
+        [bs * n_prompt] if groups == 1 else [n_prompt, 2 * n_prompt])  # items [0, 1), [1, 3)
+    assert len({pid for *_, pid in logged}) == groups
 
 
 def test_blas_thread_count_is_read_from_the_loaded_openblas():
@@ -365,19 +341,18 @@ def test_blas_thread_count_is_read_from_the_loaded_openblas():
         has_openblas = False
     if not has_openblas:
         pytest.skip("no OpenBLAS mapped into this process")
-    get, _ = engine_module._openblas()
-    threads = get()
+    threads = engine_module._blas_threads()
     assert isinstance(threads, int) and threads >= 1
     with pytest.raises(KeyError):
         with engine_module.one_blas_thread():
-            assert get() == 1
+            assert engine_module._blas_threads() == 1
             raise KeyError("the count is restored on the way out of a raising block")
-    assert get() == threads
+    assert engine_module._blas_threads() == threads
     src = os.path.dirname(os.path.dirname(engine_module.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     pinned = subprocess.run(
-        [sys.executable, "-c", "from seglm.engine import _openblas; print(_openblas()[0]())"],
+        [sys.executable, "-c", "from seglm.engine import _blas_threads; print(_blas_threads())"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert pinned.stdout.split() == ["1"]
 
@@ -636,7 +611,7 @@ def test_workers_exit_when_their_caller_is_killed(tmp_path):
         "import os, signal\n"
         "import seglm.engine as engine\n"
         "from seglm.config import toy_config\n"
-        "engine.WIDTH = 2\n"
+        "engine.WIDTH, engine._blas_threads = 2, lambda: 1\n"
         "e = engine.OptimizedEngine(engine.ToyWeights.random(toy_config(), seed=7))\n"
         "e.generate(engine.GenerationRequest([[1, 2, 3], [4, 5, 6]], 2))\n"
         "print(*(w.process.pid for w in e._workers), flush=True)\n"
@@ -674,9 +649,9 @@ def _another_thread():
 
 def test_no_worker_is_forked_while_another_thread_runs(monkeypatch):
     """A forked child can deadlock on a lock another thread held at the fork,
-    which Python 3.12 warns about, and the BLAS thread count a split pins is
-    process-wide. So with a live extra thread a request runs as one group
-    and warns of nothing, even once the engine has a worker."""
+    which Python 3.12 warns about, and the workers serve one request at a
+    time. So with a live extra thread a request runs as one group and warns
+    of nothing, even once the engine has a worker."""
     _split(monkeypatch, 2)
     w = _toy_weights(seed=30)
     req = GenerationRequest(_prompt(w.config, 2, 5), 2)
