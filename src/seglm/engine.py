@@ -8,17 +8,19 @@ decode. The reference path is the conventional batch-first pipeline:
 beam-expanded prompt, per-step gather + concat into a contiguous cache, and
 ``sdpa_materialized``, the full softmax both fused kernels are checked against.
 
-An engine keeps the model and the generation loop (the optimized one also its
-worker processes); each request is a run of the engine's cache policy (``_SegmentRun``, ``_StandardRun``) that owns its
-caches, counters and steps. Both engines share token selection and one
-decoder-layer body (``_DecoderEngine._layers``) into which each run plugs only
-its attention and KV cache, so token-for-token equality between them
-exercises exactly the optimized pipeline (layouts, segment cache, fused
-kernel) against the unfused one. The shared layer body itself is checked by
-hand traces and by the prefill/decode consistency of each engine. The
-optimized prefill runs its last layer past K/V on the last prompt position
-alone, the only one the head reads; the reference prefill runs every layer
-on every row, so their equality checks that cut as well.
+An engine keeps the model, its worker processes if optimized, and the
+generation loop, which owns the rotary positions and token selection.
+Each request is a run of the engine's cache policy (``_SegmentRun``,
+``_StandardRun``) that owns its caches, attention and counters. Both
+engines share one decoder-layer body (``_DecoderEngine._layers``) into
+which each run plugs only its attention and KV cache, so token-for-token
+equality between them exercises exactly the optimized pipeline (layouts,
+segment cache, fused kernel) against the unfused one. The shared layer
+body itself is checked by hand traces and by the prefill/decode
+consistency of each engine. The optimized prefill runs its last layer past
+K/V on the last prompt position alone, the only one the head reads; the
+reference prefill runs every layer on every row, so their equality checks
+that cut as well.
 
 The optimized engine splits a request into ``min(WIDTH, BS)`` contiguous
 ranges of items of near-equal size, ``WIDTH`` being the number of CPUs the
@@ -38,15 +40,17 @@ splits. The workers live until ``close()`` or the engine's collection; a
 worker also exits at EOF on its pipe when its caller dies, and a process
 forked from the caller forgets the caller's workers.
 
-The merge concatenates tokens and hidden states in item order and takes
-the least selection margin. Memory bytes sum over the groups to the
-unsplit closed forms; the ledger holds each group's events in item order;
-counters are one group's (see ``OpCounters``). First-token latency is the
-latest group's, and next-token latency runs from the latest end of step 1
-to the latest end of step N. A split changes only how many rows each
-projection multiplies at once: where a group's count falls in another
-BLAS rounding class than the whole batch's, values move in the last bits,
-and a token can flip only at a selection that close to a tie.
+``generate`` merges one group or many by one rule. It concatenates tokens
+and hidden states in item order and takes the least selection margin. It
+replays every group's ledger events, in item order, into one ledger, sums
+the groups' cache bytes, which equal the unsplit closed forms, and reads
+the ledger-derived bytes once, off the replayed ledger. Counters are one
+group's (see ``OpCounters``). First-token latency is the latest group's,
+and next-token latency runs from the latest end of step 1 to the latest
+end of step N. A split changes only how many rows each projection
+multiplies at once: where a group's count falls in another BLAS rounding
+class than the whole batch's, values move in the last bits, and a token
+can flip only at a selection that close to a tie.
 """
 from __future__ import annotations
 
@@ -133,7 +137,12 @@ def _blas_threads() -> int | None:
 def one_blas_thread():
     """Inside the block the loaded OpenBLAS runs one thread per call, so an
     optimized request may split; its count is restored on the way out.
-    Does nothing where no OpenBLAS is found."""
+    Does nothing where no OpenBLAS is found. It exists so that ``seglm
+    verify``'s BS 3 case splits; it leaves OpenBLAS's pool thread alive, so
+    a request runs slower under it than under ``OPENBLAS_NUM_THREADS=1``
+    (half a wide-beam request's first token: 13.3-14.0 against 9.2-11.1 ms,
+    2-CPU host). Timed runs pin BLAS through the environment, as perfbench
+    does."""
     blas = _openblas()
     if blas is None:
         yield
@@ -227,15 +236,16 @@ class GenerationResult:
 @dataclass
 class _Group:
     """One run of a range of a request's items, as a worker sends it back:
-    its outputs, counters, memory and ledger, and the ``time.perf_counter``
-    times of its first token and of the end of each decode step. On Linux
-    that clock is CLOCK_MONOTONIC, one clock for every process."""
+    its outputs, counters, cache bytes and ledger, and the
+    ``time.perf_counter`` times of its first token and of the end of each
+    decode step. On Linux that clock is CLOCK_MONOTONIC, one clock for
+    every process."""
 
     tokens: np.ndarray
     final_hidden: np.ndarray
     min_top_gap: float
     counters: OpCounters
-    memory: dict
+    cache_bytes: dict
     ledger: MemoryLedger
     first_token: float
     step_ends: list[float]
@@ -369,10 +379,11 @@ def load_weights(path) -> ToyWeights:
 # --------------------------------------------------------------------------
 
 class _DecoderEngine:
-    """Shared generation loop and decoder stack. ``_run`` drives the
-    ``prefill``, ``decode_step`` and ``cache_bytes`` of a subclass's run;
-    ``generate`` merges the groups of items ``_run_groups`` ran, which is
-    one group unless the optimized engine splits the request."""
+    """Shared generation loop and decoder stack. ``_run`` owns the rotary
+    positions, selection and the token read-out, and drives a subclass's
+    run, which keeps only its caches, attention and counters. ``generate``
+    merges the groups of items ``_run_groups`` ran by one rule, whether
+    one group or many."""
 
     run_class: type  # called as run_class(engine, request, ledger)
 
@@ -382,7 +393,8 @@ class _DecoderEngine:
                              "embedding pairs dimension i with i+D/2")
         self.weights = weights
         self.config = weights.config
-        # the last run's ledger, read by the tests and by perfbench/bench.py
+        # the last completed request's ledger, None while a request runs or
+        # after one raised; read by the tests and by perfbench/bench.py
         self.last_ledger: MemoryLedger | None = None
 
     def check_request(self, request: GenerationRequest) -> None:
@@ -400,24 +412,25 @@ class _DecoderEngine:
     # non-finite check, which names it; numpy's warning would only come first.
     @np.errstate(over="ignore", invalid="ignore")
     def generate(self, request: GenerationRequest) -> GenerationResult:
+        self.last_ledger = None
         self.check_request(request)
         t0 = time.perf_counter()
         groups = self._run_groups(request)
         total_s = time.perf_counter() - t0
+        ledger = MemoryLedger()  # every group's events, replayed in item order
+        for g in groups:
+            for kind, nbytes in g.ledger.events:
+                getattr(ledger, kind)(nbytes)
         first = groups[0]
-        memory = first.memory
-        if len(groups) > 1:
-            # bytes summed over the groups; the ledger logs each group's events in item order
-            memory = {key: sum(g.memory[key] for g in groups) if isinstance(value, int) else value
-                      for key, value in memory.items()}
-            self.last_ledger = MemoryLedger()
-            for g in groups:
-                self.last_ledger.events += g.ledger.events
-                self.last_ledger.active_bytes += g.ledger.active_bytes
-                self.last_ledger.reserved_bytes += g.ledger.reserved_bytes
+        memory = {key: sum(g.cache_bytes[key] for g in groups) if isinstance(value, int) else value
+                  for key, value in first.cache_bytes.items()}
+        memory.update(final_active_bytes=ledger.active_bytes,
+                      peak_reserved_bytes=ledger.reserved_bytes,
+                      fragmentation_bytes=ledger.fragmentation)
         assert all(g.counters == first.counters for g in groups), \
             "every group of a request runs the same decode pipeline"
         step_ends = [max(ends) for ends in zip(*(g.step_ends for g in groups))]
+        self.last_ledger = ledger
         return GenerationResult(
             tokens=np.concatenate([g.tokens for g in groups]),
             final_hidden=np.concatenate([g.final_hidden for g in groups]),
@@ -436,24 +449,26 @@ class _DecoderEngine:
         return [self._run(request)]
 
     def _run(self, request: GenerationRequest) -> _Group:
-        """Run ``request`` whole in this process."""
-        bs, _ = request.prompt.shape
-        bw = request.bw
-        nr = request.n_response
+        """Run ``request`` whole in this process; the rotary tables are built
+        once, and each decode step gets its row of them."""
+        bs, n_prompt = request.prompt.shape
+        bw, nr = request.bw, request.n_response
+        prompt_table = rope_table(np.arange(n_prompt)[None, :], self.config.D)
+        # step t's row: position n_prompt + t - 1, as [1, 1] over the step's rows
+        cos, sin = rope_table(np.arange(n_prompt, n_prompt + nr)[:, None, None], self.config.D)
         ledger = MemoryLedger()
-        self.last_ledger = ledger
         run = self.run_class(self, request, ledger)
 
-        logits, hidden = run.prefill()  # [BS*BW, vocab], [BS*BW, d_model]
+        logits, hidden = run.prefill(prompt_table)  # [BS*BW, vocab], [BS*BW, d_model]
         state = BeamSearchState(bs, bw)
         if nr > 0:
             beam_step(log_softmax(logits), state)
         first_token = time.perf_counter()
 
         step_ends: list[float] = []
-        for t in range(1, nr + 1):
+        for t, table in enumerate(zip(cos, sin), start=1):
             current = state.tokens_history[-1].reshape(-1)
-            logits, hidden = run.decode_step(current, t, state)
+            logits, hidden = run.decode_step(current, table, state)
             if t < nr:  # the final step yields the final hidden state only
                 beam_step(log_softmax(logits), state)
             step_ends.append(time.perf_counter())
@@ -464,11 +479,7 @@ class _DecoderEngine:
             tokens = np.take_along_axis(stacked, idx, axis=1)
         else:
             tokens = np.zeros((bs, bw, 0), dtype=np.int64)
-        memory = {**run.cache_bytes(),
-                  "final_active_bytes": ledger.active_bytes,
-                  "peak_reserved_bytes": ledger.reserved_bytes,
-                  "fragmentation_bytes": ledger.fragmentation}
-        return _Group(tokens, hidden, state.min_top_gap, run.counters, memory, ledger,
+        return _Group(tokens, hidden, state.min_top_gap, run.counters, run.cache_bytes(), ledger,
                       first_token, step_ends)
 
     def _layers(self, x, table, attend, read=None):
@@ -502,18 +513,6 @@ class _DecoderEngine:
             x = x + gated_mlp(rmsnorm(x, lw["rmsnorm_2"]), lw["w_gate"], lw["w_up"], lw["w_down"])
         return x
 
-    def _prefill_table(self, request: GenerationRequest):
-        """The rotary table of prompt positions 0 .. n_prompt - 1, as [1, n_prompt]."""
-        return rope_table(np.arange(request.prompt.shape[1])[None, :], self.config.D)
-
-    def _decode_table(self, request: GenerationRequest):
-        """The rotary table of every decode position of ``request``, built
-        once per run: row t - 1 is step t's table, of position
-        n_prompt + t - 1, as [1, 1], which broadcasts over the step's rows."""
-        n_prompt = request.prompt.shape[1]
-        positions = np.arange(n_prompt, n_prompt + request.n_response)[:, None, None]
-        return rope_table(positions, self.config.D)
-
     def _head(self, x):
         """Final norm and lm head on [rows, d_model]: returns (logits, hidden)."""
         hidden = rmsnorm(x, self.weights.final_norm)
@@ -530,9 +529,8 @@ class _SegmentRun:
         self.prompt_kv = PromptKV(engine.config, bs, n_prompt, ledger)
         self.resp_kv = ResponseKV(engine.config, bs, request.bw, request.n_response, ledger)
         self.counters = OpCounters()
-        self.decode_table = engine._decode_table(request)
 
-    def prefill(self):
+    def prefill(self, table):
         def attend(layer, q, k, v):
             self.prompt_kv.store(layer, k, v)
             return sdpa_prefill(q, k, v)
@@ -540,14 +538,13 @@ class _SegmentRun:
         engine = self.engine
         prompt = self.request.prompt  # [BS, Np]; no beam expansion
         # only the last prompt position reaches the head
-        x = engine._layers(engine.weights.embedding[prompt], engine._prefill_table(self.request),
-                           attend, np.s_[:, -1:])
+        x = engine._layers(engine.weights.embedding[prompt], table, attend, np.s_[:, -1:])
         logits, hidden = engine._head(x[:, -1, :])
         # beams share the single prompt computation; replicate for selection
         bw = self.request.bw
         return np.repeat(logits, bw, axis=0), np.repeat(hidden, bw, axis=0)
 
-    def decode_step(self, tokens, t, state):
+    def decode_step(self, tokens, table, state):
         engine = self.engine
         cfg = engine.config
         rows = tokens.size  # BS*BW
@@ -555,7 +552,6 @@ class _SegmentRun:
         x = to_sequence_first(engine.weights.embedding[tokens].reshape(rows, 1, cfg.H, cfg.D))
         self.counters.layout_conversions += 1
 
-        cos, sin = self.decode_table
         indices = state.gather_indices  # [BS, BW, t], grown by beam_step
 
         def attend(layer, q, k, v):
@@ -563,7 +559,7 @@ class _SegmentRun:
             return sdpa_decode_fused(SdpaDecodeInputs.from_caches(
                 q, self.prompt_kv, self.resp_kv, layer, indices))
 
-        x = engine._layers(x.reshape(1, rows, cfg.d_model), (cos[t - 1], sin[t - 1]), attend)
+        x = engine._layers(x.reshape(1, rows, cfg.d_model), table, attend)
         x = to_batch_first(x.reshape(1, rows, cfg.H, cfg.D))
         self.counters.layout_conversions += 1
         return engine._head(x.reshape(rows, cfg.d_model))
@@ -632,10 +628,10 @@ def _keep_freed_memory() -> None:
 
 
 def _serve(engine: OptimizedEngine, conn, caller_end) -> None:
-    """A worker's loop: run each range of items sent on ``conn`` under the
-    caller's numpy error state and send back its ``_Group``, or the error
-    it raised. Returns on a stop message (None) or at EOF, which comes when
-    the caller closes its end or dies."""
+    """A worker's loop: run each request sent on ``conn``, a range of the
+    caller's items, under the caller's numpy error state and send back its
+    ``_Group``, or the error it raised. Returns on a stop message (None) or
+    at EOF, which comes when the caller closes its end or dies."""
     caller_end.close()  # while this process holds the caller's end, EOF never comes
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     _keep_freed_memory()
@@ -646,10 +642,10 @@ def _serve(engine: OptimizedEngine, conn, caller_end) -> None:
             return
         if job is None:
             return
-        prompt, n_response, bw, errors = job
+        request, errors = job
         try:
             with np.errstate(**errors):
-                reply = engine._run(GenerationRequest(prompt, n_response, bw=bw))
+                reply = engine._run(request)
         except Exception as exc:
             reply = _worker_error(exc)
         try:
@@ -742,7 +738,7 @@ class OptimizedEngine(_DecoderEngine):
         errors = np.geterr()
         try:
             for worker, part in zip(workers, parts[1:]):
-                worker.send((part.prompt, part.n_response, part.bw, errors))
+                worker.send((part, errors))
             try:
                 own: _Group | Exception = self._run(parts[0])
             except Exception as exc:
@@ -786,33 +782,30 @@ class _StandardRun:
         self.counters = OpCounters()
         self.kv = StandardKV(engine.config, request.prompt.shape[0], request.bw, ledger,
                              self.counters)
-        self.decode_table = engine._decode_table(request)
 
-    def prefill(self):
+    def prefill(self, table):
         def attend(layer, q, k, v):
             self.kv.store_prompt(layer, k, v)
             return sdpa_materialized(q, k, v)
 
         engine = self.engine
         prompt = np.repeat(self.request.prompt, self.request.bw, axis=0)  # beam-expanded [BS*BW, Np]
-        x = engine._layers(engine.weights.embedding[prompt], engine._prefill_table(self.request),
-                           attend)
+        x = engine._layers(engine.weights.embedding[prompt], table, attend)
         return engine._head(x[:, -1, :])
 
-    def decode_step(self, tokens, t, state):
+    def decode_step(self, tokens, table, state):
         engine = self.engine
         bs = self.request.prompt.shape[0]
         bw = self.request.bw
         x = engine.weights.embedding[tokens][:, None, :]  # [B, 1, dm] batch first throughout
-        cos, sin = self.decode_table
-        parents = state.parents_history[t - 1]
+        parents = state.parents_history[-1]
         reorder = (np.arange(bs)[:, None] * bw + parents).reshape(-1)
 
         def attend(layer, q, k, v):
             k_all, v_all = self.kv.step(layer, k, v, reorder)
             return sdpa_materialized(q, k_all, v_all)  # the one newest query sees every key
 
-        x = engine._layers(x, (cos[t - 1], sin[t - 1]), attend)
+        x = engine._layers(x, table, attend)
         return engine._head(x[:, 0, :])
 
     def cache_bytes(self) -> dict:

@@ -462,10 +462,13 @@ BENCH_MODEL = dict(L=4, H=8, D=32, vocab=256, ff_dim=512)  # perfbench's model
 
 @pytest.mark.parametrize("bs, bw, n_prompt, nr, width", [
     (2, 4, 512, 4, 2), (4, 1, 32, 24, 2), (4, 8, 64, 8, 2), (3, 2, 40, 8, 2), (3, 2, 40, 8, 3),
-], ids=["long-prompt-beam", "long-response-greedy", "wide-beam", "bs3-width2", "bs3-width3"])
+    (5, 2, 40, 8, 4),
+], ids=["long-prompt-beam", "long-response-greedy", "wide-beam", "bs3-width2", "bs3-width3",
+        "bs5-width4"])
 def test_split_request_matches_the_unsplit_run(monkeypatch, bs, bw, n_prompt, nr, width):
-    """At the benchmark's shapes, with fewer steps, and at BS 3 on two and
-    three CPUs: the split run gives the unsplit run's tokens, its hidden
+    """At the benchmark's shapes, with fewer steps, at BS 3 on two and three
+    CPUs, and at BS 5 on four, whose three workers return groups of one and
+    two items: the split run gives the unsplit run's tokens, its hidden
     state within 1e-4 and its memory bytes and counters exactly. Its ledger
     holds each group's two allocs in item order, summing to the unsplit
     one's bytes."""
@@ -515,9 +518,9 @@ def test_one_item_runs_in_the_caller_bit_for_bit(monkeypatch):
 def test_a_worker_error_names_its_traceback_and_the_next_request_runs(monkeypatch):
     """An error in a worker's range is raised in the caller with the
     worker's pid and traceback; an error in the caller's range is raised
-    after every worker has replied. Either way the pipes stay in step: the
-    next request, on other prompts, gets its own tokens from the same
-    worker."""
+    after every worker has replied. Either way no ledger is left of the
+    request, and the pipes stay in step: the next request, on other
+    prompts, gets its own tokens from the same worker."""
     w = _toy_weights(seed=23)
     w.embedding[-1] = 3e38  # the one token whose embedding row overflows
     clean = [GenerationRequest(_prompt(w.config, 3, 4, seed=s) % (w.config.vocab - 1), 2)
@@ -533,6 +536,7 @@ def test_a_worker_error_names_its_traceback_and_the_next_request_runs(monkeypatc
         prompt[huge_item] = w.config.vocab - 1
         with pytest.raises(ValueError, match="overflows float32") as raised:
             engine.generate(GenerationRequest(prompt, 2))
+        assert engine.last_ledger is None
         message = str(raised.value)
         assert (f"raised in worker process {pid}:" in message) == in_worker
         if in_worker:
@@ -824,21 +828,25 @@ def _reconciled(engine_cls, checked_runs):
     (float32 held, fp16 accounted), which no width or element count in
     ``kv_bytes`` reaches."""
     class ReconciledRun(engine_cls.run_class):
+        def __init__(self, engine, request, ledger):
+            super().__init__(engine, request, ledger)
+            self.ledger = ledger
+
         def _check(self):
             buffers = list(_cache_buffers(self))
-            active = self.engine.last_ledger.active_bytes
+            active = self.ledger.active_bytes
             assert buffers and all(b.dtype == np.float32 for b in buffers)
             assert active == kv_bytes(*buffers)
             assert 2 * active == sum(b.nbytes for b in buffers)
             checked_runs.append(self)
 
-        def prefill(self):
-            out = super().prefill()
+        def prefill(self, table):
+            out = super().prefill(table)
             self._check()
             return out
 
-        def decode_step(self, tokens, t, state):
-            out = super().decode_step(tokens, t, state)
+        def decode_step(self, tokens, table, state):
+            out = super().decode_step(tokens, table, state)
             self._check()
             return out
 
