@@ -36,9 +36,11 @@ request, where the loaded OpenBLAS runs more than one thread per call
 no fork, or where the caller is not the process's only thread (a child
 forked while other threads run can deadlock on a lock one of them held,
 and the workers serve one request at a time). The reference engine never
-splits. The workers live until ``close()`` or the engine's collection; a
-worker also exits at EOF on its pipe when its caller dies, and a process
-forked from the caller forgets the caller's workers.
+splits. A worker lives until EOF on its pipe, which ``close()``, the
+engine's collection and the caller's death each bring about; the one
+finalizer an engine keeps for its whole life also stops workers forked
+after a ``close()``. A process forked from the caller forgets the caller's
+workers.
 
 ``generate`` merges one group or many by one rule. It concatenates tokens
 and hidden states in item order and takes the least selection margin. It
@@ -630,19 +632,17 @@ def _keep_freed_memory() -> None:
 def _serve(engine: OptimizedEngine, conn, caller_end) -> None:
     """A worker's loop: run each request sent on ``conn``, a range of the
     caller's items, under the caller's numpy error state and send back its
-    ``_Group``, or the error it raised. Returns on a stop message (None) or
-    at EOF, which comes when the caller closes its end or dies."""
+    ``_Group``, or the error it raised. Returns at EOF, which comes once no
+    process holds the caller's end open: when the caller closes it
+    (``close()`` or the engine's collection) or dies."""
     caller_end.close()  # while this process holds the caller's end, EOF never comes
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     _keep_freed_memory()
     while True:
         try:
-            job = conn.recv()
+            request, errors = conn.recv()
         except EOFError:
             return
-        if job is None:
-            return
-        request, errors = job
         try:
             with np.errstate(**errors):
                 reply = engine._run(request)
@@ -655,13 +655,11 @@ def _serve(engine: OptimizedEngine, conn, caller_end) -> None:
 
 
 def _stop(workers: list[_Worker]) -> None:
-    """Send each worker the stop message and reap it; one still running 5 s
-    later is killed. Empties ``workers``."""
+    """Close each worker's pipe, which it reads as EOF and exits, and reap
+    it; one still running 5 s later (stopped, or its pipe still held open
+    by a process forked without Python's at-fork hooks) is killed.
+    Empties ``workers``."""
     for worker in workers:
-        try:
-            worker.conn.send(None)
-        except OSError:  # it is dead already
-            pass
         worker.conn.close()
     for worker in workers:
         worker.process.join(5)
@@ -677,11 +675,11 @@ _FORKED: weakref.WeakSet = weakref.WeakSet()  # engines that have forked workers
 def _forget_workers() -> None:
     """In a forked child: the workers of the process it was forked from are
     not its own. Close its copies of their pipes, so that a worker still
-    sees EOF when its caller dies; drop the finalizer that would stop them,
-    and drop them from multiprocessing's children, whose exit handler would
-    terminate them."""
+    sees EOF when its caller dies, and drop them from the list the engine's
+    finalizer stops, so the child's finalizer stops only the workers the
+    child forks itself, and from multiprocessing's children, whose exit
+    handler would terminate them."""
     for engine in list(_FORKED):
-        engine._stop_workers.detach()
         for worker in engine._workers:
             worker.conn.close()
             multiprocessing.process._children.discard(worker.process)
@@ -704,34 +702,31 @@ class OptimizedEngine(_DecoderEngine):
     def __init__(self, weights: ToyWeights):
         super().__init__(weights)
         self._workers: list[_Worker] = []
-        self._stop_workers: weakref.finalize | None = None
+        self._stop_workers = weakref.finalize(self, _stop, self._workers)
 
     def close(self) -> None:
         """Stop and reap this engine's workers; a later split request forks
-        new ones."""
-        if self._stop_workers is not None:
-            self._stop_workers()
+        new ones, which the engine's collection stops in turn."""
+        _stop(self._workers)
 
     def _run_groups(self, request: GenerationRequest) -> list[_Group]:
-        """One range of items per usable CPU, or one range where the
-        platform has no fork, where another thread runs (see the module
-        docstring), or where the loaded OpenBLAS runs more than one thread
-        per call; a count that cannot be read (no OpenBLAS found) leaves the
-        split as it is. Splitting over such a BLAS, each process pinned to
-        one thread, made wide-beam's first token ~1.5x later in a process
-        that also makes unsplit multi-threaded BLAS calls (see README)."""
-        n = min(WIDTH, request.prompt.shape[0])
-        if (n == 1 or not hasattr(os, "fork") or threading.active_count() > 1
-                or _blas_threads() not in (None, 1)):
-            return [self._run(request)]
-        return self._run_split(request, n)
-
-    def _run_split(self, request: GenerationRequest, n: int) -> list[_Group]:
-        """The caller runs the first of ``n`` ranges of items and the
-        workers the others. Every reply is read before any error is raised,
-        the caller's first, so each pipe stays in step for the next request;
-        a dead worker or an interrupt drops all the workers instead."""
+        """Run ``request`` in one range of items per usable CPU, the caller
+        running the first and the workers the others. There is one range, a
+        split with no workers, where the platform has no fork, where another
+        thread runs (see the module docstring), or where the loaded OpenBLAS
+        runs more than one thread per call; a count that cannot be read (no
+        OpenBLAS found) leaves the split as it is. Splitting over such a
+        BLAS, each process pinned to one thread, made wide-beam's first
+        token ~1.5x later in a process that also makes unsplit
+        multi-threaded BLAS calls (see README). Every reply is read before
+        any error is raised, the caller's first, so each pipe stays in step
+        for the next request; a dead worker, or an interrupt of a request
+        that used workers, drops all the workers instead."""
         bs = request.prompt.shape[0]
+        n = min(WIDTH, bs)
+        if (not hasattr(os, "fork") or threading.active_count() > 1
+                or _blas_threads() not in (None, 1)):
+            n = 1
         parts = [GenerationRequest(request.prompt[bs * g // n: bs * (g + 1) // n],
                                    request.n_response, bw=request.bw) for g in range(n)]
         workers = self._fork(n - 1)
@@ -745,7 +740,8 @@ class OptimizedEngine(_DecoderEngine):
                 own = exc
             groups = [own] + [worker.receive() for worker in workers]
         except BaseException:
-            self.close()
+            if workers:
+                self.close()
             raise
         for group in groups:
             if isinstance(group, Exception):
@@ -759,8 +755,6 @@ class OptimizedEngine(_DecoderEngine):
         if len(self._workers) < n:
             for array in self.weights.tensors.values():
                 array.flags.writeable = False
-            if self._stop_workers is None or not self._stop_workers.alive:
-                self._stop_workers = weakref.finalize(self, _stop, self._workers)
             _FORKED.add(self)
             fork = multiprocessing.get_context("fork")
             while len(self._workers) < n:

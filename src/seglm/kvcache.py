@@ -155,6 +155,14 @@ class MemoryLedger:
 # Cache buffers
 # --------------------------------------------------------------------------
 
+def _shaped(x, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``x`` as float32, or a ValueError naming ``name`` if it is not ``shape``."""
+    a = np.asarray(x, dtype=np.float32)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {tuple(map(int, shape))}, got {a.shape}")
+    return a
+
+
 def _owned(x) -> np.ndarray:
     """``x`` as float32 in a buffer of its own: a view (such as V, a slice of
     the fused q/k/v projection) is copied so the cache does not keep the
@@ -236,16 +244,10 @@ class ResponseKV:
     def total_bytes(self) -> int:
         return kv_bytes(self._k, self._v)
 
-    def _as_row(self, x, name: str) -> np.ndarray:
-        c = self.config
-        a = np.asarray(x, dtype=np.float32)
-        if a.shape != (1, self.rows, c.H, c.D):
-            raise ValueError(f"{name} must have shape (1, {self.rows}, {c.H}, {c.D}), got {a.shape}")
-        return a[0]
-
     def append(self, layer: int, k_t, v_t) -> None:
-        k_row = self._as_row(k_t, "k_t")
-        v_row = self._as_row(v_t, "v_t")
+        c = self.config
+        shape = (1, self.rows, c.H, c.D)
+        k_row, v_row = _shaped(k_t, shape, "k_t")[0], _shaped(v_t, shape, "v_t")[0]
         row = self._length[layer]
         if row == self.capacity(layer):
             raise ValueError(f"response arena of layer {layer} is full at {row} rows")
@@ -300,9 +302,9 @@ class StandardKV:
         """Gather past rows by ``beam_reorder`` (global row indices in
         [0, BS*BW)), concat the new K_t/V_t, and swap in the new buffer.
         Returns the new (K, V)."""
-        rows = self.rows
-        k_row = self._one_step_rows(k_t, "k_t")
-        v_row = self._one_step_rows(v_t, "v_t")
+        c, rows = self.config, self.rows
+        shape = (rows, 1, c.H, c.D)
+        k_row, v_row = _shaped(k_t, shape, "k_t"), _shaped(v_t, shape, "v_t")
         reorder = np.asarray(beam_reorder)
         if reorder.shape != (rows,):
             raise ValueError(f"beam_reorder must have shape ({rows},), got {reorder.shape}")
@@ -327,15 +329,6 @@ class StandardKV:
         self._k[layer] = new_k
         self._v[layer] = new_v
         return new_k, new_v
-
-    def _one_step_rows(self, x, name: str) -> np.ndarray:
-        c = self.config
-        a = np.asarray(x, dtype=np.float32)
-        if a.shape != (self.rows, 1, c.H, c.D):
-            raise ValueError(
-                f"{name} must have shape ({self.rows}, 1, {c.H}, {c.D}), got {a.shape}"
-            )
-        return a
 
 
 # --------------------------------------------------------------------------

@@ -393,38 +393,42 @@ def test_more_groups_than_cores_give_the_one_group_run(monkeypatch):
     engine.close()
 
 
-def _split_request_in_child(weights, request, queue):
-    engine = OptimizedEngine(weights)
+def _split_request_in_child(make_engine, request, queue):
+    engine = make_engine()
     result = engine.generate(request)
-    queue.put((result.tokens, result.groups, _pids(engine)))
+    pids = _pids(engine)
     engine.close()
+    queue.put((result.tokens, result.groups, pids, all(map(_reaped, pids))))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_forked_child_runs_a_split_prefill(monkeypatch):
     """A child forked from a caller that has workers forgets them: its own
-    split request forks workers of its own rather than write into the
-    caller's pipes, and its exit leaves the caller's workers serving."""
+    split request, on a new engine and then on the one it inherited, forks
+    workers of its own rather than write into the caller's pipes. Its
+    ``close()`` reaps them, the inherited finalizer stopping only the
+    child's workers, and its exit leaves the caller's workers serving."""
     _split(monkeypatch, 2)
     w = _toy_weights(seed=26)
     req = GenerationRequest(_prompt(w.config, 2, 5), 2)
     engine = OptimizedEngine(w)
     want = engine.generate(req).tokens  # the caller's worker now exists
     ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
-    child = ctx.Process(target=_split_request_in_child, args=(w, req, queue))
-    child.start()
-    try:
-        got, groups, child_pids = queue.get(timeout=20)
-    finally:
-        child.join(timeout=20)
-        if child.is_alive():
-            child.kill()
-    assert child.exitcode == 0
-    assert groups == 2 and np.array_equal(got, want)
-    assert len(child_pids) == 1 and not set(child_pids) & set(_pids(engine))
-    again = engine.generate(req)
-    assert again.groups == 2 and np.array_equal(again.tokens, want)
+    for make_engine in (lambda: OptimizedEngine(w), lambda: engine):
+        queue = ctx.Queue()
+        child = ctx.Process(target=_split_request_in_child, args=(make_engine, req, queue))
+        child.start()
+        try:
+            got, groups, child_pids, reaped = queue.get(timeout=20)
+        finally:
+            child.join(timeout=20)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+        assert groups == 2 and np.array_equal(got, want)
+        assert len(child_pids) == 1 and not set(child_pids) & set(_pids(engine)) and reaped
+        again = engine.generate(req)
+        assert again.groups == 2 and np.array_equal(again.tokens, want)
     engine.close()
 
 
@@ -568,6 +572,36 @@ def test_a_killed_worker_fails_one_request_and_is_replaced(monkeypatch):
     engine.close()
 
 
+def test_an_interrupt_drops_only_the_workers_its_request_used(monkeypatch):
+    """An interrupt in the caller's range is re-raised. A request of one
+    item, one range with no workers, leaves the engine's idle worker
+    serving; a split request, whose worker the interrupt leaves out of step,
+    drops it and reaps it. The next split request forks a new worker and
+    gets the tokens it got before."""
+    _split(monkeypatch, 2)
+    w = _toy_weights(seed=34)
+    req = GenerationRequest(_prompt(w.config, 2, 5), 3, bw=2)
+    engine = OptimizedEngine(w)
+    want = engine.generate(req).tokens
+    (pid,) = _pids(engine)
+
+    def interrupted(request):
+        raise KeyboardInterrupt
+
+    engine._run = interrupted
+    with pytest.raises(KeyboardInterrupt):
+        engine.generate(GenerationRequest(req.prompt[:1], 3, bw=2))
+    assert _pids(engine) == [pid]
+    with pytest.raises(KeyboardInterrupt):
+        engine.generate(req)
+    assert engine._workers == [] and _reaped(pid)
+    del engine._run
+    got = engine.generate(req)
+    assert got.groups == 2 and np.array_equal(got.tokens, want)
+    assert len(_pids(engine)) == 1 and _pids(engine) != [pid]
+    engine.close()
+
+
 def _reaped(pid):
     """Whether this process's child ``pid`` is gone and reaped."""
     try:
@@ -595,6 +629,20 @@ def test_workers_are_reaped_on_close_and_on_collection(monkeypatch):
     del engine
     gc.collect()
     assert all(map(_reaped, collected))
+
+
+def test_a_stopped_worker_is_killed_after_five_seconds():
+    """A worker that cannot read the EOF ``close()`` brings, here one stopped
+    by SIGSTOP, is killed once ``close()`` has waited 5 s for it, and
+    reaped."""
+    engine = OptimizedEngine(_toy_weights(seed=35))
+    (worker,) = engine._fork(1)
+    os.kill(worker.process.pid, signal.SIGSTOP)
+    start = time.monotonic()
+    engine.close()
+    assert time.monotonic() - start >= 5
+    assert worker.process.exitcode == -signal.SIGKILL and _reaped(worker.process.pid)
+    assert engine._workers == []
 
 
 def _exited(pid):
