@@ -693,9 +693,8 @@ if hasattr(os, "register_at_fork"):  # no fork on Windows
 class OptimizedEngine(_DecoderEngine):
     """Sequence-first decode, segment KV cache, fused two-segment attention.
 
-    A request is split into ranges of items (see the module docstring); the
-    engine's worker processes, forked as its split requests need them, live
-    until ``close()`` or until the engine is collected."""
+    A request is split into ranges of items; the module docstring says
+    when, and how long the worker processes that run them live."""
 
     run_class = _SegmentRun
 
@@ -724,8 +723,8 @@ class OptimizedEngine(_DecoderEngine):
         that used workers, drops all the workers instead."""
         bs = request.prompt.shape[0]
         n = min(WIDTH, bs)
-        if (not hasattr(os, "fork") or threading.active_count() > 1
-                or _blas_threads() not in (None, 1)):
+        if n > 1 and (not hasattr(os, "fork") or threading.active_count() > 1
+                      or _blas_threads() not in (None, 1)):
             n = 1
         parts = [GenerationRequest(request.prompt[bs * g // n: bs * (g + 1) // n],
                                    request.n_response, bw=request.bw) for g in range(n)]
