@@ -68,7 +68,6 @@ import time
 import traceback
 import weakref
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from math import prod
 
@@ -102,11 +101,11 @@ WIDTH = _usable_cpus()
 
 @functools.cache
 def _openblas():
-    """The loaded OpenBLAS's thread-count getter and setter, found as
-    threadpoolctl finds them: a library mapped into this process whose file
-    name holds ``openblas``, asked through ctypes. numpy's wheels bundle it
-    as scipy_openblas, with a 64_ suffix on 64-bit indices. None if there
-    is none or the platform has no /proc/self/maps."""
+    """The loaded OpenBLAS's thread-count getter, found as threadpoolctl
+    finds it: a library mapped into this process whose file name holds
+    ``openblas``, asked through ctypes. numpy's wheels bundle it as
+    scipy_openblas, with a 64_ suffix on 64-bit indices. None if there is
+    none or the platform has no /proc/self/maps."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {fields[5].strip() for fields in (line.split(None, 5) for line in maps)
@@ -121,41 +120,16 @@ def _openblas():
         for prefix in ("", "scipy_"):
             for suffix in ("", "64_"):
                 get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
+                if get is not None:
                     get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    return get, put
+                    return get
     return None
 
 
 def _blas_threads() -> int | None:
     """Threads the loaded OpenBLAS runs per call, or None if unknown."""
-    blas = _openblas()
-    return None if blas is None else blas[0]()
-
-
-@contextmanager
-def one_blas_thread():
-    """Inside the block the loaded OpenBLAS runs one thread per call, so an
-    optimized request may split; its count is restored on the way out.
-    Does nothing where no OpenBLAS is found. It exists so that ``seglm
-    verify``'s BS 3 case splits; it leaves OpenBLAS's pool thread alive, so
-    a request runs slower under it than under ``OPENBLAS_NUM_THREADS=1``
-    (half a wide-beam request's first token: 13.3-14.0 against 9.2-11.1 ms,
-    2-CPU host). Timed runs pin BLAS through the environment, as perfbench
-    does."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
+    get = _openblas()
+    return None if get is None else get()
 
 
 @dataclass

@@ -17,6 +17,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seglm.engine as engine_module
 from seglm import ops
@@ -25,8 +27,9 @@ from seglm.engine import (MAX_POS, GenerationRequest, OptimizedEngine, Reference
                           ToyWeights, load_weights, save_weights)
 from seglm.kvcache import (CacheShapeParams, PromptKV, ResponseKV, StandardKV,
                            cache_token_bytes, kv_bytes, segment_cache_bytes,
-                           simulate_decode_memory)
+                           simulate_decode_memory, standard_cache_bytes)
 from seglm.sdpa import DECODE_BLOCK, KEY_BLOCK
+from seglm.verify import TIE_GAP
 
 
 EPS = 1e-5  # the rmsnorm epsilon every layer uses
@@ -113,47 +116,102 @@ def test_identity_weight_model_reference_trace():
     assert res.tokens[0, 0, 0] == int(np.argmax(logits))
 
 
-# -- cross-engine golden runs -------------------------------------------------------
+# -- cross-engine agreement ------------------------------------------------------------
 
-def test_greedy_cross_engine_tokens_identical():
-    w = _toy_weights(seed=7)
-    prompt = _prompt(w.config, 1, 8)
-    req = GenerationRequest(prompt, 12, bw=1)
-    opt = OptimizedEngine(w).generate(req)
+def _engines_agree(cfg, weight_seed, prompt, n_response, bw, width):
+    """Run both engines on one request, the optimized one on ``width`` usable
+    CPUs over a BLAS on one thread per call, so that it runs in
+    ``min(width, BS)`` groups of items. Whatever the tokens, each engine's
+    cache bytes are its policy's closed form. Returns whether the tokens are
+    identical: where they are, the final hidden states agree within 1e-4,
+    and so do the logits where they are the prefill's or one decode step's
+    (Nr <= 1); tokens that differ are excused only at a selection within
+    ``TIE_GAP`` of a tie."""
+    w = ToyWeights.random(cfg, seed=weight_seed)
+    req = GenerationRequest(prompt, n_response, bw=bw)
+    with pytest.MonkeyPatch.context() as patch:
+        _split(patch, width)
+        engine = OptimizedEngine(w)
+        try:
+            opt = engine.generate(req)
+        finally:
+            engine.close()
     ref = ReferenceEngine(w).generate(req)
-    assert opt.tokens.shape == (1, 1, 12)
-    assert np.array_equal(opt.tokens, ref.tokens)
+    bs, n_prompt = req.prompt.shape
+    assert opt.groups == min(width, bs) and opt.tokens.shape == (bs, bw, n_response)
+    p = CacheShapeParams(bs, bw, n_prompt, n_response)
+    seg, std = opt.memory, ref.memory
+    assert (seg["prompt_kv_bytes"] + seg["response_kv_bytes"] == seg["final_active_bytes"]
+            == seg["peak_reserved_bytes"] == segment_cache_bytes(cfg, p))
+    assert std["kv_bytes"] == std["final_active_bytes"] == standard_cache_bytes(cfg, p)
+    if not np.array_equal(opt.tokens, ref.tokens):
+        gap = min(opt.min_top_gap, ref.min_top_gap)
+        assert gap < TIE_GAP, f"tokens differ at a selection margin of {gap:.2e}"
+        return False
     assert np.max(np.abs(opt.final_hidden - ref.final_hidden)) <= 1e-4
+    if n_response <= 1:
+        assert np.max(np.abs(opt.final_hidden @ w.head.T - ref.final_hidden @ w.head.T)) <= 1e-4
+    return True
 
 
-def test_beam_cross_engine_bw4_over_40_steps():
-    w = _toy_weights(seed=7)
-    prompt = _prompt(w.config, 1, 32, seed=2)
-    req = GenerationRequest(prompt, 40, bw=4)
-    opt_engine = OptimizedEngine(w)
-    opt = opt_engine.generate(req)
-    ref = ReferenceEngine(w).generate(req)
-    assert opt.tokens.shape == (1, 4, 40)
-    assert np.array_equal(opt.tokens, ref.tokens)
-    assert np.max(np.abs(opt.final_hidden - ref.final_hidden)) <= 1e-4
+# The first nine edges are ``seglm gen --engine both`` runs, their weights and
+# prompt drawn from one seed. Those that gen runs unsplit over a multi-threaded
+# BLAS run at width 1; the two split runs and the other edges run at width 2,
+# as on two CPUs with BLAS pinned to one thread.
+@pytest.mark.parametrize("cfg_kw, seed, bs, n_prompt, prompt_seed, nr, bw, width", [
+    # gen's default model and beam: a 40-step beam-4 decode
+    pytest.param({}, 7, 1, 32, 7, 40, 4, 1, id="both"),
+    # three prefill query tiles, the last one partial
+    pytest.param({}, 7, 1, 300, 7, 8, 4, 1, id="multi-tile"),
+    # an 8-row decode, the row count whose rounding ops.ROW_BOUND last changed
+    pytest.param({}, 7, 2, 64, 7, 16, 4, 1, id="eight-rows"),
+    # a BW 3 decode whose gathered response outgrows one DECODE_BLOCK tile; its
+    # smallest selection gap is 9.5e-5
+    pytest.param({}, 57, 2, 20, 57, DECODE_BLOCK + 1, 3, 1, id="gathered-tiles"),
+    # the only token comes from the trimmed prefill: the last layer's one query
+    # per item, one past a KEY_BLOCK edge, folds two key tiles
+    pytest.param({}, 7, 2, KEY_BLOCK + 1, 7, 1, 2, 1, id="last-query"),
+    # a prompt one past a DECODE_BLOCK edge: each decode step folds two prompt tiles
+    pytest.param({}, 7, 2, DECODE_BLOCK + 1, 7, 4, 2, 1, id="prompt-tiles"),
+    # five items in uneven groups, [0, 2) and [2, 5)
+    pytest.param({}, 7, 5, 200, 7, 8, 2, 2, id="uneven-groups"),
+    # the wide-beam benchmark shape, split
+    pytest.param({}, 7, 4, 64, 7, 64, 8, 2, id="wide-beam-split"),
+    # the greedy benchmark shape: argmax selection and one rotary table per run
+    pytest.param({}, 7, 4, 32, 7, 160, 1, 1, id="greedy-bench"),
+    pytest.param({}, 7, 1, 8, 1, 12, 1, 2, id="greedy-12-steps"),
+    pytest.param({}, 7, 1, 32, 2, 40, 4, 2, id="beam4-40-steps"),
+    # a DECODE_BLOCK+22-token prompt spans five prefill tiles and two decode
+    # prompt tiles, and DECODE_BLOCK+6 steps grow the response into a second
+    # decode tile, so both kernels cross every tile edge; top-candidate gaps
+    # are >= 2.4e-4 in both modes
+    pytest.param({}, 79, 2, DECODE_BLOCK + 22, 4, DECODE_BLOCK + 6, 1, 2, id="key-tiles-greedy"),
+    pytest.param({}, 79, 2, DECODE_BLOCK + 22, 4, DECODE_BLOCK + 6, 2, 2, id="key-tiles-beam"),
+    # no decode step: tokens are empty, so the prefill's logits carry the check
+    pytest.param({}, 11, 2, 16, 3, 0, 1, 2, id="prefill-logits-greedy"),
+    pytest.param({}, 11, 2, 16, 3, 0, 4, 2, id="prefill-logits-beam"),
+    pytest.param({}, 13, 2, 6, 10, 1, 1, 2, id="one-decode-step-logits"),
+    # D 128, the presets' head size, over a prompt one past a KEY_BLOCK edge;
+    # its smallest selection gap is 1.7e-4
+    pytest.param(dict(L=1, H=2, D=128), 7, 3, KEY_BLOCK + 1, 1, 8, 4, 1, id="d128-width1"),
+    pytest.param(dict(L=1, H=2, D=128), 7, 3, KEY_BLOCK + 1, 1, 8, 4, 2, id="d128-width2"),
+])
+def test_engines_agree_at_edges(cfg_kw, seed, bs, n_prompt, prompt_seed, nr, bw, width):
+    """At each edge the tokens are identical, however close the selections."""
+    cfg = toy_config(**cfg_kw)
+    assert _engines_agree(cfg, seed, _prompt(cfg, bs, n_prompt, seed=prompt_seed), nr, bw, width)
 
 
-@pytest.mark.parametrize("mode,bw", [("greedy", 1), ("beam", 2)])
-def test_cross_engine_across_key_tiles(mode, bw):
-    """A DECODE_BLOCK+22-token prompt spans five prefill tiles and two
-    decode prompt tiles, and DECODE_BLOCK+6 response steps grow the response
-    into a second decode tile, so both kernels cross every tile edge."""
-    n_prompt, n_resp = DECODE_BLOCK + 22, DECODE_BLOCK + 6
-    assert (math.ceil(n_prompt / KEY_BLOCK), math.ceil(n_prompt / DECODE_BLOCK)) == (5, 2)
-    assert math.ceil(n_resp / DECODE_BLOCK) == 2
-    w = _toy_weights(seed=79)  # top-candidate gaps >= 2.4e-4 in both modes
-    req = GenerationRequest(_prompt(w.config, 2, n_prompt, seed=4), n_resp, bw=bw)
-    assert req.mode == mode
-    opt = OptimizedEngine(w).generate(req)
-    ref = ReferenceEngine(w).generate(req)
-    assert opt.tokens.shape == (2, bw, n_resp)
-    assert np.array_equal(opt.tokens, ref.tokens)
-    assert np.max(np.abs(opt.final_hidden - ref.final_hidden)) <= 1e-4
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(L=st.integers(1, 3), H=st.integers(1, 4), D=st.sampled_from([8, 16, 32, 64, 128]),
+       bs=st.integers(1, 5), bw=st.integers(1, 4), n_prompt=st.integers(1, 257),
+       nr=st.integers(0, 48), width=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_engines_agree_at_drawn_shapes(L, H, D, bs, bw, n_prompt, nr, width, seed):
+    """At drawn shapes, split or not, the engines agree up to near-ties, and
+    their cache bytes are the closed forms. The draws are derandomized, so
+    every run checks the same shapes."""
+    cfg = toy_config(L=L, H=H, D=D)
+    _engines_agree(cfg, seed, _prompt(cfg, bs, n_prompt, seed=seed), nr, bw, width)
 
 
 @pytest.mark.parametrize("engine", [OptimizedEngine, ReferenceEngine])
@@ -179,26 +237,6 @@ def test_multi_batch_beam_cross_engine():
     req_swapped = GenerationRequest(prompt[::-1].copy(), 9, bw=4)
     swapped = OptimizedEngine(w).generate(req_swapped)
     assert np.array_equal(swapped.tokens, opt.tokens[::-1])
-
-
-def test_prefill_logits_cross_engine():
-    for bw in (1, 4):
-        w = _toy_weights(seed=11)
-        prompt = _prompt(w.config, 2, 16, seed=3)
-        req = GenerationRequest(prompt, 0, bw=bw)
-        opt = OptimizedEngine(w).generate(req)
-        ref = ReferenceEngine(w).generate(req)
-        assert np.max(np.abs(opt.final_hidden - ref.final_hidden)) <= 1e-4
-        logit_diff = np.abs(opt.final_hidden @ w.head.T - ref.final_hidden @ w.head.T)
-        assert logit_diff.max() <= 1e-4
-
-
-def test_single_decode_step_logits_cross_engine():
-    w = _toy_weights(seed=13)
-    req = GenerationRequest(_prompt(w.config, 2, 6, seed=10), 1, bw=1)
-    opt = OptimizedEngine(w).generate(req)
-    ref = ReferenceEngine(w).generate(req)
-    assert np.max(np.abs(opt.final_hidden @ w.head.T - ref.final_hidden @ w.head.T)) <= 1e-4
 
 
 def test_layout_conversions_independent_of_depth():
@@ -332,8 +370,7 @@ def test_prefill_splits_only_over_a_one_thread_blas(monkeypatch, tmp_path, blas_
 
 def test_blas_thread_count_is_read_from_the_loaded_openblas():
     """numpy's wheels load OpenBLAS; its thread count is read from the
-    library itself, so a process pinned to one BLAS thread reads 1, and
-    ``one_blas_thread`` pins it there for a block and then restores it."""
+    library itself, so a process pinned to one BLAS thread reads 1."""
     try:
         with open("/proc/self/maps") as maps:
             has_openblas = "openblas" in maps.read()
@@ -343,11 +380,6 @@ def test_blas_thread_count_is_read_from_the_loaded_openblas():
         pytest.skip("no OpenBLAS mapped into this process")
     threads = engine_module._blas_threads()
     assert isinstance(threads, int) and threads >= 1
-    with pytest.raises(KeyError):
-        with engine_module.one_blas_thread():
-            assert engine_module._blas_threads() == 1
-            raise KeyError("the count is restored on the way out of a raising block")
-    assert engine_module._blas_threads() == threads
     src = os.path.dirname(os.path.dirname(engine_module.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
