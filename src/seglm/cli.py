@@ -207,7 +207,7 @@ def cmd_fusion_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_checks(quick=args.quick)
+    results = run_checks()
     ok = True
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
@@ -257,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fusion_report)
 
     p = sub.add_parser("verify", allow_abbrev=False, help="run the acceptance checks")
-    p.add_argument("--quick", action="store_true", help="cap random cases at 20")
     p.set_defaults(fn=cmd_verify)
 
     return parser

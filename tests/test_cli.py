@@ -629,15 +629,18 @@ def test_fusion_report_prefill(capsys):
 
 # -- verify -------------------------------------------------------------------------
 
-def test_verify_quick_passes_within_a_minute(capsys):
+def test_verify_passes_within_a_minute(capsys):
     t0 = time.perf_counter()
-    code = run_cli("verify", "--quick")
+    code = run_cli("verify")
     elapsed = time.perf_counter() - t0
     out = capsys.readouterr().out
     assert code == 0, out
     assert elapsed < 60.0
     assert out.count("PASS") == 8
     assert "FAIL" not in out
+    with pytest.raises(SystemExit) as e:  # one size of every check: no --quick
+        run_cli("verify", "--quick")
+    assert e.value.code == 2
 
 
 def test_check_that_raises_is_a_failure():
@@ -656,7 +659,7 @@ def test_verify_reports_every_check_when_the_kernel_raises(monkeypatch, capsys):
 
     monkeypatch.setattr(engine, "sdpa_decode_fused", broken)
     monkeypatch.setattr(verify, "sdpa_decode_fused", broken)
-    assert run_cli("verify", "--quick") == 1
+    assert run_cli("verify") == 1
     lines = capsys.readouterr().out.splitlines()
     results = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
     assert len(results) == 8
