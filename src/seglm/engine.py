@@ -233,7 +233,8 @@ def weight_layout(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     loader walks it only as far as a file's blob reaches.
 
     Every projection (the ``w_*`` tensors and ``head``) is output-major,
-    [out, in]; the embedding is [vocab, d_model]."""
+    [out, in], in the file as in memory; ``ToyWeights`` holds it
+    column-major. The embedding is [vocab, d_model]."""
     dm, ff, vocab = config.d_model, config.ff_dim, config.vocab
     layer = [("rmsnorm_1", (dm,)), ("rmsnorm_2", (dm,)), ("w_qkv", (3 * dm, dm)),
              ("w_o", (dm, dm)), ("w_gate", (ff, dm)), ("w_up", (ff, dm)), ("w_down", (dm, ff))]
@@ -245,6 +246,10 @@ def weight_layout(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     yield "head", (vocab, dm)
 
 
+def _is_projection(name: str) -> bool:
+    return name == "head" or name.rpartition(".")[2].startswith("w_")
+
+
 WEIGHT_SCALE = 0.02  # standard deviation of every drawn weight
 
 
@@ -253,9 +258,12 @@ class ToyWeights:
 
     ``tensors`` maps each name of ``weight_layout(config)`` to its array and
     is checked once, here: every layout name present, no other name, each
-    shape as laid out, every array float32 and every value finite.
-    ``embedding``, ``final_norm``, ``head`` and ``layers[i]`` (layer i's
-    arrays, keyed ``rmsnorm_1`` ... ``w_down``) refer into it."""
+    shape as laid out, every array float32 and every value finite. The
+    weights hold their own map, with each projection column-major (its
+    ``w.T`` a C-contiguous [in, out] array, the operand ``linear`` reads
+    fastest) and the embedding and norm gains as given; the caller's map is
+    not modified. ``embedding``, ``final_norm``, ``head`` and ``layers[i]``
+    (layer i's arrays, keyed ``rmsnorm_1`` ... ``w_down``) refer into it."""
 
     def __init__(self, config: ModelConfig, tensors: dict[str, np.ndarray]):
         shapes = dict(weight_layout(config))
@@ -274,7 +282,8 @@ class ToyWeights:
             if not np.isfinite(arr).all():
                 raise ValueError(f"weight tensor {name} holds non-finite values")
         self.config = config
-        self.tensors = tensors
+        self.tensors = tensors = {name: np.asfortranarray(arr) if _is_projection(name) else arr
+                                  for name, arr in tensors.items()}
         self.embedding = tensors["embedding"]
         self.final_norm = tensors["final_norm"]
         self.head = tensors["head"]
@@ -287,9 +296,9 @@ class ToyWeights:
         """Draw every tensor in layout order, except the norm gains, which are
         ones; the draws are standard normals times ``WEIGHT_SCALE``.
 
-        Each projection is drawn input-major, [in, out], and stored transposed,
+        Each projection is drawn input-major, [in, out], and taken transposed,
         so a seed gives the same model as when projections were stored
-        input-major; the float32 conversion writes the transpose."""
+        input-major; the transpose of a C-order draw is already column-major."""
         rng = np.random.default_rng(seed)
 
         def draw(name, shape):
@@ -298,7 +307,7 @@ class ToyWeights:
             if name == "embedding":
                 return (rng.standard_normal(shape) * WEIGHT_SCALE).astype(np.float32)
             drawn = rng.standard_normal(shape[::-1]) * WEIGHT_SCALE
-            return drawn.T.astype(np.float32, order="C")
+            return drawn.T.astype(np.float32)
 
         return cls(config, {name: draw(name, shape) for name, shape in weight_layout(config)})
 
@@ -311,14 +320,15 @@ def save_weights(path, weights: ToyWeights) -> None:
     with open(path, "wb") as f:
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for name, _ in weight_layout(weights.config):
-            f.write(np.ascontiguousarray(weights.tensors[name], dtype="<f4").tobytes())
+            f.write(np.asarray(weights.tensors[name], dtype="<f4").tobytes())  # C order
 
 
 def load_weights(path) -> ToyWeights:
     """Read a ``save_weights`` file. Its header must hold exactly ``config``,
     and its blob exactly the tensors of that config's layout. The layout is
     walked only as far as the blob reaches, so a header claiming a huge
-    ``L`` costs no more than the file's size."""
+    ``L`` costs no more than the file's size. Each tensor is copied once
+    out of the blob, a projection straight into column-major order."""
     with open(path, "rb") as f:
         line = f.readline()
         blob = f.read()
@@ -338,8 +348,8 @@ def load_weights(path) -> ToyWeights:
         if offset + 4 * count > len(blob):
             raise ValueError(f"weight file {path} holds {len(blob)} bytes of tensor data, "
                              f"which end inside tensor {name!r} of its config (L={config.L})")
-        tensors[name] = np.frombuffer(blob, dtype="<f4", count=count,
-                                      offset=offset).reshape(shape).copy()
+        view = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
+        tensors[name] = view.copy(order="F" if _is_projection(name) else "C")
         offset += 4 * count
     if offset != len(blob):
         raise ValueError(f"weight file {path} holds {len(blob) - offset} bytes past the "

@@ -41,41 +41,21 @@ def rmsnorm(x, weight, eps: float = 1e-5) -> np.ndarray:
     return y
 
 
-# Rows up to which ``linear`` computes (w @ ascontiguousarray(x.T)).T rather
-# than x @ w.T, chosen by measurement (2-core x86 host, numpy 2.4.6 with
-# OpenBLAS 0.3.31 on one thread; ms for one pass over the 21 projections of
-# the L 4, H 8, D 32, ff 512, vocab 256 model, median of 9 alternating sets of
-# the fastest of 15 passes). The benchmark's decode steps run 4, 8 and 32
-# rows, its warm-up prefills 32 and 64, and its prefills 128, 256 and 1024:
-#   rows                 4     8    32    64    80    96   128   256   1024
-#   (w @ C(x.T)).T, C  0.83  1.76  3.48  5.61  6.90  7.97  9.91 18.50 115.74
-#   x @ w.T            1.90  3.25  4.54  5.97  7.02  7.58  9.01 14.75  70.18
-# Both forms are one GEMM over the same stored weight; they differ in which
-# operand the BLAS packs and which it streams. The copies of x.T and of the
-# product make the first form lose at many rows; without the copy of x.T,
-# OpenBLAS would multiply a transposed few-column operand on a slower path.
-# The two cross between 80 and 96 rows, and agree bit for bit from 32 rows.
-ROW_BOUND = 80
-
-
 def linear(x, w) -> np.ndarray:
     """y = x @ w.T over the trailing dimension, for an output-major weight
     ``w`` [out, in] (the ``torch.nn.Linear`` layout).
 
-    Up to ``ROW_BOUND`` rows of ``x`` the product runs as
-    (w @ ascontiguousarray(x.T)).T, which streams the weight once, and is
-    copied to C order; above it, as x @ w.T. The result is always a
+    One product at every row count. Any ``w`` gives the same result; a
+    column-major one, as ``ToyWeights`` holds every projection, is the fast
+    one: its ``w.T`` is a C-contiguous [in, out] array, so the BLAS runs a
+    plain GEMM with no operand or result copy. The result is always a
     C-contiguous float32 array.
     """
     x = _f32(x)
     w = _f32(w)
     if w.ndim != 2 or x.shape[-1] != w.shape[1]:
         raise ValueError(f"cannot contract {x.shape} with weight {w.shape}")
-    x2 = x.reshape(-1, w.shape[1])
-    if x2.shape[0] <= ROW_BOUND:
-        y = np.ascontiguousarray((w @ np.ascontiguousarray(x2.T)).T)
-    else:
-        y = x2 @ w.T
+    y = x.reshape(-1, w.shape[1]) @ w.T
     return y.reshape(x.shape[:-1] + (w.shape[0],))
 
 
@@ -83,9 +63,10 @@ def fused_qkv(x, w_qkv, heads: int, head_dim: int):
     """Single projection producing (qk, v): ``qk`` [..., 2 * heads, head_dim]
     holds the q heads, then the k heads, and ``v`` is [..., heads, head_dim].
 
-    ``w_qkv`` is output-major [3 * d_model, d_model]; the result equals three
-    separate linear calls on its q, k and v row blocks, in that order. Both
-    are views of the one product, so one ``rope`` call rotates q and k.
+    ``w_qkv`` is output-major [3 * d_model, d_model], held column-major as
+    ``linear`` reads it fastest; the result equals three separate linear
+    calls on its q, k and v row blocks, in that order. Both are views of the
+    one product, so one ``rope`` call rotates q and k.
     """
     x = _f32(x)
     d_model = heads * head_dim
@@ -160,8 +141,9 @@ def rope(x, table):
 
 def gated_mlp(x, w_gate, w_up, w_down) -> np.ndarray:
     """y = linear(silu(linear(x, w_gate)) * linear(x, w_up), w_down), as the
-    paper's LinearActivation and LinearMul. The weights are output-major:
-    ``w_gate`` and ``w_up`` [ff, d_model], ``w_down`` [d_model, ff].
+    paper's LinearActivation and LinearMul. The weights are output-major,
+    ``w_gate`` and ``w_up`` [ff, d_model] and ``w_down`` [d_model, ff], and
+    held column-major, as ``linear`` reads them fastest.
 
     SiLU is a * sigmoid(a) with sigmoid(a) = (1 + tanh(a/2)) / 2: tanh
     saturates at +-1 instead of overflowing, so every float32 input, up to

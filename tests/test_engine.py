@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import json
 import math
 import multiprocessing
@@ -139,7 +140,7 @@ def _engines_agree(cfg, weight_seed, prompt_seed, bs, n_prompt, n_response, bw, 
     pytest.param({}, 7, 1, 32, 7, 40, 4, 1, id="both"),
     # three prefill query tiles, the last one partial
     pytest.param({}, 7, 1, 300, 7, 8, 4, 1, id="multi-tile"),
-    # an 8-row decode, the row count whose rounding ops.ROW_BOUND last changed
+    # an 8-row decode, as the reference engine runs the long-prompt-beam benchmark's
     pytest.param({}, 7, 2, 64, 7, 16, 4, 1, id="eight-rows"),
     # a BW 3 decode whose gathered response outgrows one DECODE_BLOCK tile; its
     # smallest selection gap is 9.5e-5
@@ -1151,6 +1152,42 @@ def test_random_weights_follow_the_hand_written_draw(cfg):
         pairs += [(lw["rmsnorm_1"], ones), (lw["rmsnorm_2"], ones)]
     for got, want in pairs:
         np.testing.assert_array_equal(got, want, strict=True)
+
+
+# sha256 of save_weights(ToyWeights.random(toy_config(), seed=0)), as it was
+# written when every projection was held row-major
+SEED_0_WEIGHT_FILE_SHA256 = "9d05c843888ccb88f7b51cc6df5c0db77c8642e8a3a8810a2fc860b7db963edd"
+
+
+def test_weights_hold_projections_column_major_from_every_source(tmp_path):
+    """``ToyWeights`` drawn at random, built from a map of C-order arrays or
+    loaded from a file holds every projection column-major, so that its
+    ``w.T`` is C-contiguous, and the embedding row-major, each with the
+    values it was given. The caller's map is left as it was, and a seed's
+    weight file is byte for byte the one it always was."""
+    cfg = toy_config()
+    drawn = ToyWeights.random(cfg, seed=0)
+    path = tmp_path / "w.bin"
+    save_weights(path, drawn)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SEED_0_WEIGHT_FILE_SHA256
+    given = {name: np.ascontiguousarray(a) for name, a in drawn.tensors.items()}
+    kept = {name: (a, a.copy()) for name, a in given.items()}
+    from_map = ToyWeights(cfg, given)
+    assert given.keys() == kept.keys()
+    for name, (a, values) in kept.items():
+        assert given[name] is a and a.flags.c_contiguous
+        np.testing.assert_array_equal(a, values, strict=True)
+
+    for w in (drawn, from_map, load_weights(path)):
+        assert list(w.tensors) == list(given)
+        for name, a in w.tensors.items():
+            np.testing.assert_array_equal(a, given[name], strict=True)
+        assert w.embedding is w.tensors["embedding"] and w.embedding.flags.c_contiguous
+        projections = [("head", w.head)] + [(f"layers.{i}.{k}", a) for i, lw in enumerate(w.layers)
+                                            for k, a in lw.items() if k.startswith("w_")]
+        assert len(projections) == 5 * cfg.L + 1
+        for name, a in projections:
+            assert a is w.tensors[name] and a.T.flags.c_contiguous, name
 
 
 def test_loaded_weights_generate_identically(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seglm.ops import (ROW_BOUND, fused_qkv, gated_mlp, linear, log_softmax,
-                       rmsnorm, rope, rope_table, to_batch_first, to_sequence_first)
+from seglm.ops import (fused_qkv, gated_mlp, linear, log_softmax, rmsnorm, rope, rope_table,
+                       to_batch_first, to_sequence_first)
 
 
 def matmul_oracle(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -109,14 +109,15 @@ def test_linear_matches_triple_loop_oracle():
     assert np.allclose(linear(x, w), matmul_oracle(x, w), atol=1e-6)
 
 
-# 4, 8 and 32 rows are decode steps, 32 and 64 warm-up prefills, and 128, 256
-# and 1024 the benchmark's prefills
-@pytest.mark.parametrize("rows", sorted({1, 2, 3, 4, 7, 8, 32, 64, 128, 129, 256, 1024,
-                                         ROW_BOUND - 1, ROW_BOUND, ROW_BOUND + 1}))
+# 2, 4 and 16 rows are the benchmark's decode steps per process, 8 the
+# reference engine's, 32 and 64 warm-up prefills, and 64, 128 and 512 its
+# prefills per process; 79 to 81 straddle the 80-row bound at which an earlier
+# ``linear`` switched between two product forms
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 7, 8, 16, 32, 64, 79, 80, 81, 128, 129, 256, 1024])
 def test_linear_matches_oracle_on_both_sides_of_the_row_bound(rows):
-    """Each of the two product forms gives a C-contiguous float32 result
-    equal to the triple loop, for 1-D, 2-D and 3-D inputs; the rows of a
-    product just above the bound equal those computed just below it."""
+    """The one product gives a C-contiguous float32 result equal to the
+    triple loop at every row count, for 1-D, 2-D and 3-D inputs and for a
+    row-major and a column-major weight, and the two weight orders agree."""
     rng = np.random.default_rng(rows)
     w = rng.uniform(-1, 1, (6, 5)).astype(np.float32)  # output-major [out, in]
     x = rng.uniform(-1, 1, (rows, 5)).astype(np.float32)
@@ -124,11 +125,13 @@ def test_linear_matches_oracle_on_both_sides_of_the_row_bound(rows):
     leads = [(rows,), (split, rows // split)] + ([()] if rows == 1 else [])
     expected = matmul_oracle(x, w)
     for lead in leads:
-        y = linear(x.reshape(lead + (5,)), w)
-        assert y.shape == lead + (6,) and y.dtype == np.float32 and y.flags.c_contiguous
-        assert np.max(np.abs(y.reshape(rows, 6) - expected)) <= 1e-6
-    if rows == ROW_BOUND + 1:
-        assert np.max(np.abs(linear(x, w)[:ROW_BOUND] - linear(x[:ROW_BOUND], w))) <= 1e-6
+        by_order = {}
+        for order in "CF":
+            y = linear(x.reshape(lead + (5,)), np.asarray(w, order=order))
+            assert y.shape == lead + (6,) and y.dtype == np.float32 and y.flags.c_contiguous
+            assert np.max(np.abs(y.reshape(rows, 6) - expected)) <= 1e-6
+            by_order[order] = y
+        assert np.max(np.abs(by_order["C"] - by_order["F"])) <= 1e-6
 
 
 def test_linear_dimension_mismatch():
